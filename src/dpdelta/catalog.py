@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .blowup import blowup
 from .config import SurfaceConfig, config_to_json, load
-from .delta import FlagReport, certify_minimum, flag_report, local_h, s_flag, s_w_point
+from .delta import FlagReport, certify_minimum, flag_report, local_h
 from .errors import NotCertified, SchemaError
 from .poly import PiecewisePoly, nonnegative_on
 from .rationals import format_rational, parse_rational
@@ -249,22 +249,24 @@ def decompose_flag(record: CaseRecord, spec: FlagSpec) -> Decomposition:
     )
 
 
+def _sweep_flags(record: CaseRecord) -> list[tuple[FlagSpec, Decomposition, FlagReport]]:
+    """Sweep and report every stored flag row once, in stored order."""
+    swept = []
+    for spec in record.flag_specs:
+        decomp = decompose_flag(record, spec)
+        report = flag_report(
+            record.config(spec.config_id),
+            spec.flag,
+            points=[p.id for p in spec.points],
+            decomp=decomp,
+        )
+        swept.append((spec, decomp, report))
+    return swept
+
+
 def case_reports(record: CaseRecord) -> tuple[FlagReport, ...]:
     """Recompute the FlagReport of every stored flag row."""
-    reports = []
-    for spec in record.flag_specs:
-        cfg = record.config(spec.config_id)
-        decomp = decompose_flag(record, spec)
-        reports.append(
-            flag_report(
-                cfg,
-                spec.flag,
-                points=[p.id for p in spec.points],
-                decomp=decomp,
-                pullback_coeff=spec.pullback_coeff,
-            )
-        )
-    return tuple(reports)
+    return tuple(report for _, _, report in _sweep_flags(record))
 
 
 def certified_delta(record: CaseRecord) -> Fraction:
@@ -274,17 +276,16 @@ def certified_delta(record: CaseRecord) -> Fraction:
 
 def verify_case(record: CaseRecord) -> CaseReport:
     rows: list[CheckRow] = []
-    reports: list[FlagReport] = []
 
     for spec in record.blowups:
         rows.extend(_check_blowup(record, spec))
 
-    for spec in record.flag_specs:
-        cfg = record.config(spec.config_id)
+    swept = _sweep_flags(record)
+    decomps: dict[tuple[str, str], Decomposition] = {}
+    for spec, decomp, report in swept:
+        decomps.setdefault((spec.config_id, spec.flag), decomp)
         label = _flag_label(record, spec)
-        decomp = decompose_flag(record, spec)
-
-        s = s_flag(cfg, spec.flag, decomp)
+        s = report.s_flag
         rows.append(
             CheckRow(
                 label=f"S({label})={format_rational(spec.s)}",
@@ -293,8 +294,8 @@ def verify_case(record: CaseRecord) -> CaseReport:
                 passed=s == spec.s,
             )
         )
-        for point in spec.points:
-            w = s_w_point(cfg, spec.flag, point.id, decomp)
+        for point, point_row in zip(spec.points, report.point_rows):
+            w = point_row.s_w
             ok = w == point.s_w if point.relation == "=" else w <= point.s_w
             rows.append(
                 CheckRow(
@@ -318,21 +319,12 @@ def verify_case(record: CaseRecord) -> CaseReport:
                     passed=ok,
                 )
             )
-        reports.append(
-            flag_report(
-                cfg,
-                spec.flag,
-                points=[p.id for p in spec.points],
-                decomp=decomp,
-                pullback_coeff=spec.pullback_coeff,
-            )
-        )
 
     for bound in record.class_bounds:
-        rows.extend(_check_class_bound(record, bound))
+        rows.extend(_check_class_bound(record, bound, decomps))
 
     try:
-        delta = certify_minimum(reports)
+        delta = certify_minimum([report for _, _, report in swept])
         actual = format_rational(delta)
         passed = delta == record.delta
     except NotCertified as exc:
@@ -378,18 +370,16 @@ def _check_blowup(record: CaseRecord, spec: BlowupSpec) -> list[CheckRow]:
     return rows
 
 
-def _check_class_bound(record: CaseRecord, bound: ClassBound) -> list[CheckRow]:
+def _check_class_bound(
+    record: CaseRecord,
+    bound: ClassBound,
+    decomps: Mapping[tuple[str, str], Decomposition],
+) -> list[CheckRow]:
+    """Rows of one class bound; reuses the flag row's sweep of its flag if any."""
     cfg = record.config(bound.config_id)
-    spec = next(
-        (
-            s
-            for s in record.flag_specs
-            if s.config_id == bound.config_id and s.flag == bound.flag
-        ),
-        None,
-    )
-    pullback = spec.pullback_coeff if spec is not None else None
-    decomp = parametric_decompose(cfg, bound.flag, pullback)
+    decomp = decomps.get((bound.config_id, bound.flag))
+    if decomp is None:
+        decomp = parametric_decompose(cfg, bound.flag)
     env = bound.envelope
     rows: list[CheckRow] = []
 

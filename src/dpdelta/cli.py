@@ -16,12 +16,12 @@ from .catalog import (
     CaseRecord,
     FlagSpec,
     case_names,
-    case_reports,
+    certified_delta,
     load_case,
     verify_case,
 )
 from .config import SurfaceConfig, load, save
-from .delta import certify_minimum, s_flag, s_w_point
+from .delta import s_flag, s_w_point
 from .errors import DpDeltaError, MissingFlag, NotCertified, SchemaError
 from .oracle import random_equivalence
 from .rationals import format_rational
@@ -187,7 +187,7 @@ def _cmd_sw(args) -> int:
 def _cmd_delta_case(args) -> int:
     record = load_case(args.case)
     try:
-        value = certify_minimum(case_reports(record))
+        value = certified_delta(record)
     except NotCertified as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 1

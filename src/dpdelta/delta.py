@@ -16,9 +16,9 @@ from typing import Sequence
 
 from .config import PointSpec, SurfaceConfig
 from .errors import NotCertified
-from .poly import PiecewisePoly, Poly
+from .poly import PiecewisePoly
 from .rationals import format_rational
-from .zariski import Decomposition, parametric_decompose
+from .zariski import Decomposition, n_restricted_at_point, parametric_decompose
 
 
 @dataclass(frozen=True)
@@ -88,16 +88,12 @@ def s_flag(
 
 def local_h(decomp: Decomposition, point: PointSpec) -> PiecewisePoly:
     """The integrand h(v) = (P.F)(N.F)_O + (P.F)^2/2 at one point class."""
-    bps = [decomp.chambers[0].lo] + [ch.hi for ch in decomp.chambers]
-    pieces = []
-    for ch in decomp.chambers:
-        p_dot = ch.p_dot[decomp.flag]
-        n_dot = sum(
-            (ch.n_coeffs[name] * point.incidences.get(name, 0) for name in ch.support),
-            start=Poly([0]),
-        )
-        pieces.append(p_dot * n_dot + p_dot * p_dot * Fraction(1, 2))
-    return PiecewisePoly(bps, pieces)
+    p_dot = decomp.p_dot_flag_piecewise()
+    n_dot = n_restricted_at_point(decomp, point)
+    return PiecewisePoly(
+        p_dot.breakpoints,
+        [p * n + p * p * Fraction(1, 2) for p, n in zip(p_dot.pieces, n_dot.pieces)],
+    )
 
 
 def s_w_point(

@@ -10,8 +10,9 @@ Subset solutions are computed once per (config, flag) pair as integer affine
 functions of the sweep parameter via fraction-free elimination, so checking
 hundreds of random parameter values stays fast. A plain Fraction-based
 reference (`brute_force_negative_part`) backs the fast table and is spot
-checked against it. The quadrature check is the only floating-point code in
-the package.
+checked against it. The quadrature check applies Simpson's rule in exact
+arithmetic, independently of the antiderivatives `PiecewisePoly` integrates
+with.
 """
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, NoSolution
@@ -289,8 +288,8 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
 @dataclass(frozen=True)
 class QuadratureReport:
     exact: Fraction
-    numeric: float
-    error: float
+    numeric: Fraction
+    error: Fraction
     tol: float
 
     @property
@@ -298,24 +297,22 @@ class QuadratureReport:
         return self.error <= self.tol
 
 
-def quadrature_check(pp: PiecewisePoly, tol: float = 1e-9, panels: int = 10_000) -> QuadratureReport:
-    """Composite Simpson quadrature against the exact integral."""
-    if panels % 2:
-        raise ValueError("Simpson quadrature needs an even panel count")
-    numeric = 0.0
-    for i, piece in enumerate(pp.pieces):
-        lo = float(pp.breakpoints[i])
-        hi = float(pp.breakpoints[i + 1])
-        xs = np.linspace(lo, hi, panels + 1)
-        cs = [float(c) for c in reversed(piece.coeffs)] or [0.0]
-        ys = np.polyval(cs, xs)
-        h = (hi - lo) / panels
-        numeric += (h / 3.0) * (
-            ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()
-        )
+def quadrature_check(pp: PiecewisePoly, tol: float = 1e-9) -> QuadratureReport:
+    """Simpson's rule, one exact panel per piece, against the exact integral.
+
+    Simpson's rule is exact for polynomials of degree <= 3, so on valid
+    input the two values agree exactly; a piece of higher degree raises
+    ValueError.
+    """
+    numeric = Fraction(0)
+    for piece, lo, hi in zip(pp.pieces, pp.breakpoints, pp.breakpoints[1:]):
+        if piece.degree > 3:
+            raise ValueError(
+                f"Simpson quadrature is exact only up to degree 3, got {piece.render()}"
+            )
+        numeric += (hi - lo) / 6 * (piece(lo) + 4 * piece((lo + hi) / 2) + piece(hi))
     exact = pp.integrate(pp.lo, pp.hi)
-    error = abs(float(exact) - numeric)
-    return QuadratureReport(exact=exact, numeric=numeric, error=error, tol=tol)
+    return QuadratureReport(exact=exact, numeric=numeric, error=abs(exact - numeric), tol=tol)
 
 
 # -- randomized engine/oracle agreement ----------------------------------

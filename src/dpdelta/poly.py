@@ -2,8 +2,7 @@
 
 These carry all the parametric data of the decomposition sweep: negative-part
 coefficients (affine in the sweep parameter v), volumes P(v)^2 (quadratic),
-and the local h(v) integrands. Everything is exact; the only floating point
-in the package lives in the oracle's quadrature cross-check.
+and the local h(v) integrands. Everything is exact.
 """
 from __future__ import annotations
 
@@ -345,13 +344,3 @@ class PiecewisePoly:
 
     def __repr__(self) -> str:
         return f"PiecewisePoly({self.render()})"
-
-
-def integrate(pp: PiecewisePoly, a: RatLike, b: RatLike) -> Fraction:
-    """Exact integral of a piecewise polynomial over [a, b]."""
-    return pp.integrate(a, b)
-
-
-def eval_at(pp: PiecewisePoly, v: RatLike) -> Fraction:
-    """Value of the governing piece at v (left piece at breakpoints)."""
-    return pp.eval(v)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .config import DivisorClass, PointSpec, SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
@@ -38,9 +38,7 @@ class Chamber:
 
     `n_coeffs` holds the affine coefficient of each support curve,
     `p_sq` the quadratic P(v)^2, and `p_dot` the affine P(v).C for every
-    curve C of the configuration. `n_dot_flag` records, for each point class
-    on the flag, the affine restriction (N(v).F) at that point, i.e. the sum
-    of support coefficients weighted by local intersection multiplicities.
+    curve C of the configuration.
     """
 
     lo: Fraction
@@ -49,7 +47,6 @@ class Chamber:
     n_coeffs: Mapping[str, Poly]
     p_sq: Poly
     p_dot: Mapping[str, Poly]
-    n_dot_flag: Mapping[str, Poly]
 
     def contains(self, v: Fraction) -> bool:
         return self.lo <= v <= self.hi
@@ -82,13 +79,16 @@ class Decomposition:
         coeffs = {name: c for name, c in coeffs.items() if c != 0}
         return NegativePart(tuple(sorted(coeffs)), coeffs)
 
-    def p_sq_piecewise(self) -> PiecewisePoly:
+    def piecewise(self, piece: Callable[[Chamber], Poly]) -> PiecewisePoly:
+        """One polynomial per chamber, joined on the chamber breakpoints."""
         bps = [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
-        return PiecewisePoly(bps, [ch.p_sq for ch in self.chambers])
+        return PiecewisePoly(bps, [piece(ch) for ch in self.chambers])
+
+    def p_sq_piecewise(self) -> PiecewisePoly:
+        return self.piecewise(lambda ch: ch.p_sq)
 
     def p_dot_flag_piecewise(self) -> PiecewisePoly:
-        bps = [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
-        return PiecewisePoly(bps, [ch.p_dot[self.flag] for ch in self.chambers])
+        return self.piecewise(lambda ch: ch.p_dot[self.flag])
 
 
 def negative_part_at(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
@@ -187,24 +187,13 @@ def parametric_decompose(
                 f"{format_rational(config.anti_k[fi])}, expected {format_rational(want)}"
             )
     d_dot, d_sq = _directional_data(config, flag)
-    flag_points = config.points_on(flag)
 
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
     support: tuple[str, ...] = ()
     while len(chambers) < _MAX_CHAMBERS:
         support, n_polys = _pivot(config, d_dot, support, v_cur)
-        p_dot = _residual_dots(config, d_dot, n_polys)
-        p_sq = d_sq - sum(
-            (n_polys[name] * d_dot[name] for name in support), start=Poly([0])
-        )
-        n_dot_flag = {
-            pt.id: sum(
-                (n_polys[name] * pt.incidences.get(name, 0) for name in support),
-                start=Poly([0]),
-            )
-            for pt in flag_points
-        }
+        p_dot, p_sq = _positive_part(config, d_dot, d_sq, n_polys)
         hi, is_tau = _chamber_end(config, support, n_polys, p_dot, p_sq, v_cur)
         chambers.append(
             Chamber(
@@ -214,7 +203,6 @@ def parametric_decompose(
                 n_coeffs=n_polys,
                 p_sq=p_sq,
                 p_dot=p_dot,
-                n_dot_flag=n_dot_flag,
             )
         )
         if is_tau:
@@ -336,6 +324,21 @@ def _residual_dots(
     }
 
 
+def _positive_part(
+    config: SurfaceConfig,
+    d_dot: Mapping[str, Poly],
+    d_sq: Poly,
+    n_polys: Mapping[str, Poly],
+) -> tuple[dict[str, Poly], Poly]:
+    """P.C for every curve C and P^2 on a chamber with negative part n_polys.
+
+    P^2 = D^2 - N.D, because P.N = 0 on the support.
+    """
+    p_dot = _residual_dots(config, d_dot, n_polys)
+    p_sq = d_sq - sum((n * d_dot[name] for name, n in n_polys.items()), start=Poly([0]))
+    return p_dot, p_sq
+
+
 def _chamber_end(
     config: SurfaceConfig,
     support: tuple[str, ...],
@@ -394,15 +397,12 @@ def n_restricted_at_point(decomp: Decomposition, point: PointSpec | str) -> Piec
     """(N(v).F) localized at one point class, as a piecewise affine function."""
     if isinstance(point, str):
         point = decomp.config.point(point)
-    bps = [decomp.chambers[0].lo] + [ch.hi for ch in decomp.chambers]
-    pieces = [
-        sum(
+    return decomp.piecewise(
+        lambda ch: sum(
             (ch.n_coeffs[name] * point.incidences.get(name, 0) for name in ch.support),
             start=Poly([0]),
         )
-        for ch in decomp.chambers
-    ]
-    return PiecewisePoly(bps, pieces)
+    )
 
 
 # -- serialization -------------------------------------------------------
@@ -449,7 +449,6 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
             f"decomposition belongs to {data['config']!r}, not {config.name!r}"
         )
     d_dot, d_sq = _directional_data(config, flag)
-    flag_points = config.points_on(flag)
     chambers: list[Chamber] = []
     for raw in data["chambers"]:
         support = tuple(str(name) for name in raw["support"])
@@ -457,10 +456,7 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
         if unknown or set(raw["n_coeffs"]) != set(support):
             raise SchemaError(f"support/coefficient mismatch in chamber of {flag}")
         n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
-        p_dot = _residual_dots(config, d_dot, n_polys)
-        p_sq = d_sq - sum(
-            (n_polys[name] * d_dot[name] for name in support), start=Poly([0])
-        )
+        p_dot, p_sq = _positive_part(config, d_dot, d_sq, n_polys)
         if p_sq != Poly.from_strings(raw["p_sq"]):
             raise SchemaError(
                 f"stored P^2 disagrees with the recomputed one for flag {flag} "
@@ -471,13 +467,6 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
                 f"stored P.{flag} disagrees with the recomputed one "
                 f"on [{raw['lo']}, {raw['hi']}]"
             )
-        n_dot_flag = {
-            pt.id: sum(
-                (n_polys[name] * pt.incidences.get(name, 0) for name in support),
-                start=Poly([0]),
-            )
-            for pt in flag_points
-        }
         chambers.append(
             Chamber(
                 lo=parse_rational(raw["lo"]),
@@ -486,7 +475,6 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
                 n_coeffs=n_polys,
                 p_sq=p_sq,
                 p_dot=p_dot,
-                n_dot_flag=n_dot_flag,
             )
         )
     tau = parse_rational(data["tau"])
@@ -513,6 +501,6 @@ def same_decomposition(a: Decomposition, b: Decomposition) -> bool:
             return False
         if dict(ca.n_coeffs) != dict(cb.n_coeffs) or ca.p_sq != cb.p_sq:
             return False
-        if dict(ca.p_dot) != dict(cb.p_dot) or dict(ca.n_dot_flag) != dict(cb.n_dot_flag):
+        if dict(ca.p_dot) != dict(cb.p_dot):
             return False
     return True

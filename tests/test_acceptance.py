@@ -1,8 +1,8 @@
 """Acceptance gate: every shipped guarantee, one pass/fail line apiece.
 
 Run ``pytest tests/test_acceptance.py -v`` to see one line per guarantee.
-All comparisons are exact rational equalities except the quadrature
-cross-check, which certifies the exact integrals to within 1e-9.
+All comparisons are exact rational equalities, including the quadrature
+cross-check, where Simpson's rule must reproduce every exact integral.
 """
 from __future__ import annotations
 
@@ -289,11 +289,9 @@ def test_structural_invariants(records):
                     failures.append(f"{label}: P^2 negative inside the domain")
             if decomp.chambers[-1].p_sq(decomp.tau) != 0:
                 failures.append(f"{label}: P^2 does not vanish at tau")
-            quad = quadrature_check(decomp.p_sq_piecewise(), tol=1e-9)
-            if not quad.ok:
-                failures.append(
-                    f"{label}: quadrature differs by {quad.error} (tol 1e-9)"
-                )
+            quad = quadrature_check(decomp.p_sq_piecewise())
+            if quad.numeric != quad.exact:
+                failures.append(f"{label}: quadrature differs by {quad.error}")
 
         for bspec in record.blowups:
             source = record.config(bspec.source)

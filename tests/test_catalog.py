@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import dpdelta.catalog
 from dpdelta import (
     SchemaError,
     SurfaceConfig,
@@ -96,6 +97,18 @@ class TestVerification:
     def test_certified_delta(self, records):
         assert certified_delta(records["A1-nodal"]) == 2
         assert certified_delta(records["E8"]) == F(3, 11)
+
+    def test_class_bounds_reuse_the_flag_sweeps(self, a2_nodal, monkeypatch):
+        calls = []
+
+        def counted(config, flag, pullback_coeff=None):
+            calls.append((config.name, flag))
+            return parametric_decompose(config, flag, pullback_coeff)
+
+        monkeypatch.setattr(dpdelta.catalog, "parametric_decompose", counted)
+        assert a2_nodal.class_bounds
+        assert verify_case(a2_nodal).passed
+        assert len(calls) == len(set(calls)) == len(a2_nodal.flag_specs)
 
     def test_case_reports_cover_all_flags(self, a2_nodal):
         reports = case_reports(a2_nodal)

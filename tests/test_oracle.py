@@ -1,10 +1,14 @@
 """Independent decomposition oracles and the quadrature cross-check."""
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dpdelta
 from dpdelta import (
     CurveRecord,
     PiecewisePoly,
@@ -98,19 +102,26 @@ class TestQuadrature:
         decomp = parametric_decompose(a1_nodal, "E")
         report = quadrature_check(decomp.p_sq_piecewise())
         assert report.ok
-        assert report.exact == F(1, 2)
-        assert report.error <= 1e-12
-        assert report.numeric == pytest.approx(0.5)
+        assert report.exact == report.numeric == F(1, 2)
+        assert report.error == 0
 
-    def test_panel_count_must_be_even(self):
-        pp = PiecewisePoly([0, 1], [Poly([1])])
-        with pytest.raises(ValueError, match="even panel count"):
-            quadrature_check(pp, panels=9)
+    def test_quartic_piece_is_refused(self):
+        cubic = PiecewisePoly([0, "1/2", 1], [Poly([0, 0, 0, 1]), Poly([0, 0, 0, 1])])
+        assert quadrature_check(cubic).numeric == F(1, 4)
+        quartic = PiecewisePoly([0, 1, 2], [Poly([1]), Poly([0, 0, 0, 0, 1])])
+        with pytest.raises(ValueError, match="exact only up to degree 3"):
+            quadrature_check(quartic)
 
     def test_zero_piece(self):
         pp = PiecewisePoly([0, 1], [Poly()])
-        report = quadrature_check(pp, panels=10)
-        assert report.ok and report.exact == 0 and report.numeric == 0.0
+        report = quadrature_check(pp)
+        assert report.ok and report.exact == 0 and report.numeric == 0
+
+    def test_import_leaves_numpy_out(self):
+        src = str(Path(dpdelta.__file__).resolve().parents[1])
+        code = f"import sys; sys.path.insert(0, {src!r}); import dpdelta; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSampling:

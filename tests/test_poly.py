@@ -7,7 +7,7 @@ import pytest
 
 from dpdelta import OutOfDomain, PiecewisePoly, Poly
 from dpdelta.errors import IrrationalRoot
-from dpdelta.poly import eval_at, integrate, min_positive_root, nonnegative_on
+from dpdelta.poly import min_positive_root, nonnegative_on
 
 F = Fraction
 
@@ -190,8 +190,3 @@ class TestPiecewisePoly:
 
     def test_render(self):
         assert self.tent().render() == "v on [0, 1/2]; 1 - v on [1/2, 1]"
-
-    def test_module_level_helpers(self):
-        pp = self.tent()
-        assert integrate(pp, 0, 1) == F(1, 4)
-        assert eval_at(pp, "1/4") == F(1, 4)

@@ -17,6 +17,7 @@ from dpdelta import (
     parametric_decompose,
     same_decomposition,
 )
+from dpdelta.catalog import decompose_flag
 from dpdelta.errors import IrrationalRoot, NotPseudoEffective
 from dpdelta.zariski import n_restricted_at_point, negative_part_at
 
@@ -50,10 +51,10 @@ class TestSweep:
         assert second.p_dot["C"] == Poly()  # orthogonal to its own support
 
     def test_n_dot_flag_tracks_point_incidences(self, nodal_decomp):
-        first, second = nodal_decomp.chambers
-        assert first.n_dot_flag["node"] == Poly()
-        assert second.n_dot_flag["node"] == Poly([-1, 2])
-        assert second.n_dot_flag["generic"] == Poly()
+        first, second = n_restricted_at_point(nodal_decomp, "node").pieces
+        assert first == Poly()
+        assert second == Poly([-1, 2])
+        assert n_restricted_at_point(nodal_decomp, "generic").pieces[1] == Poly()
 
     def test_negative_at(self, nodal_decomp):
         assert nodal_decomp.negative_at("1/4").coeffs == {}
@@ -137,6 +138,16 @@ class TestSerialization:
         data = decomposition_to_json(nodal_decomp)
         back = decomposition_from_json(a1_nodal, data)
         assert same_decomposition(back, nodal_decomp)
+
+    def test_round_trip_across_catalog(self, records):
+        flags = 0
+        for record in records.values():
+            for spec in record.flag_specs:
+                decomp = decompose_flag(record, spec)
+                back = decomposition_from_json(decomp.config, decomposition_to_json(decomp))
+                assert same_decomposition(back, decomp), f"{record.name}/{spec.flag}"
+                flags += 1
+        assert flags == 95
 
     def test_tampered_coefficients_are_caught(self, a1_nodal, nodal_decomp):
         data = decomposition_to_json(nodal_decomp)
