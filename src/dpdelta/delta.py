@@ -116,7 +116,6 @@ def flag_report(
     flag: str,
     points: Sequence[PointSpec | str] | None = None,
     decomp: Decomposition | None = None,
-    pullback_coeff=None,
 ) -> FlagReport:
     """Full upper/lower bound report for one flag.
 
@@ -126,7 +125,7 @@ def flag_report(
     orbifold flags).
     """
     if decomp is None:
-        decomp = parametric_decompose(config, flag, pullback_coeff=pullback_coeff)
+        decomp = parametric_decompose(config, flag)
     if points is None:
         points = config.points_on(flag)
     rows = []

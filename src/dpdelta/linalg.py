@@ -1,14 +1,48 @@
-"""Small exact linear-algebra helpers over the rationals.
+"""Exact linear algebra over the rationals, on one fraction-free kernel.
 
-Systems here are tiny (support sets have at most ~10 curves), so plain
-Gaussian elimination with Fractions is both exact and fast enough.
+Systems here are tiny (support sets have at most ~10 curves). `eliminate`
+is Bareiss's integer-preserving Gauss-Jordan elimination (E. H. Bareiss,
+Sylvester's identity and multistep integer-preserving Gaussian elimination,
+Math. Comp. 22, 1968): every intermediate entry is a minor of the input, so
+all divisions are exact and no Fraction is built inside the loop.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
+
+
+def eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free Gauss-Jordan on n augmented integer rows, in place.
+
+    The first n columns hold the square matrix A, the rest any number of
+    right-hand sides B. Rows are swapped only past a zero pivot. Returns
+    d = +-det(A), the sign flipped once per swap; when d != 0 the rows end
+    as [d*I | d*A^-1 B]. Returns 0, with the rows partly reduced, when A is
+    singular.
+    """
+    n = len(rows)
+    prev = 1
+    for i in range(n):
+        if rows[i][i] == 0:
+            swap = next((r for r in range(i + 1, n) if rows[r][i] != 0), None)
+            if swap is None:
+                return 0
+            rows[i], rows[swap] = rows[swap], rows[i]
+        ri = rows[i]
+        pivot = ri[i]
+        for r in range(n):
+            if r == i:
+                continue
+            rr = rows[r]
+            factor = rr[i]
+            for c in range(len(rr)):
+                rr[c] = (pivot * rr[c] - factor * ri[c]) // prev
+        prev = pivot
+    return prev
 
 
 def solve(matrix: Matrix, rhs_columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -18,60 +52,12 @@ def solve(matrix: Matrix, rhs_columns: Sequence[Sequence[Fraction]]) -> list[lis
     ValueError if the matrix is singular.
     """
     n = len(matrix)
-    m = len(rhs_columns)
-    aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise ValueError("singular matrix")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col] / pivot
-            if factor == 0:
-                continue
-            for c in range(col, n + m):
-                aug[r][c] -= factor * aug[col][c]
-    return [[aug[i][n + j] / aug[i][i] for i in range(n)] for j in range(m)]
-
-
-def determinant(matrix: Matrix) -> Fraction:
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            det = -det
-        pivot = a[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            factor = a[r][col] / pivot
-            if factor != 0:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
-
-
-def is_negative_definite(matrix: Matrix) -> bool:
-    """Exact test via alternating leading principal minors.
-
-    A symmetric matrix G is negative definite iff (-1)^k det(G_k) > 0 for
-    every leading principal k x k block G_k.
-    """
-    n = len(matrix)
-    if n == 0:
-        return True
-    sign = -1
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in matrix[:k]])
-        if sign * minor <= 0:
-            return False
-        sign = -sign
-    return True
+    rows = []
+    for i in range(n):
+        row = list(matrix[i]) + [col[i] for col in rhs_columns]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    det = eliminate(rows)
+    if det == 0:
+        raise ValueError("singular matrix")
+    return [[Fraction(rows[i][n + j], det) for i in range(n)] for j in range(len(rhs_columns))]

@@ -7,10 +7,12 @@ against all curves. Uniqueness of the decomposition makes agreement of all
 accepted candidates a hard invariant (violations raise Ambiguous).
 
 Subset solutions are computed once per (config, flag) pair as integer affine
-functions of the sweep parameter via fraction-free elimination, so checking
-hundreds of random parameter values stays fast. A plain Fraction-based
-reference (`brute_force_negative_part`) backs the fast table and is spot
-checked against it. The quadrature check applies Simpson's rule in exact
+functions of the sweep parameter, so checking hundreds of random parameter
+values stays fast. A pointwise reference (`brute_force_negative_part`)
+re-solves every subset at a single divisor and is spot checked against the
+parametric table. Both solve with the fraction-free kernel of `linalg`,
+which the sweep shares; the acceptance gate checks the sweep's output by
+substitution alone. The quadrature check applies Simpson's rule in exact
 arithmetic, independently of the antiderivatives `PiecewisePoly` integrates
 with.
 """
@@ -25,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, NoSolution
-from .linalg import solve
+from .linalg import eliminate, solve
 from .poly import PiecewisePoly
 from .rationals import RatLike, format_rational, parse_rational
 from .zariski import Decomposition, NegativePart, parametric_decompose
@@ -84,31 +86,6 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
     return result
 
 
-def _jordan_solve_int(a: list[list[int]], b: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Fraction-free Gauss-Jordan: returns (det(a) * a^-1 b, det(a)).
-
-    `a` must be nonsingular with nonzero leading principal minors (true for
-    definite matrices). All intermediate divisions are exact.
-    """
-    k = len(a)
-    width = len(b[0]) if b else 0
-    m = [list(a[i]) + list(b[i]) for i in range(k)]
-    prev = 1
-    for i in range(k):
-        pivot = m[i][i]
-        for r in range(k):
-            if r == i:
-                continue
-            mr, mi = m[r], m[i]
-            factor = mr[i]
-            for c in range(k + width):
-                mr[c] = (pivot * mr[c] - factor * mi[c]) // prev
-        prev = pivot
-    det = m[k - 1][k - 1] if k else 1
-    sols = [[m[i][k + c] for c in range(width)] for i in range(k)]
-    return sols, det
-
-
 @dataclass(frozen=True)
 class _TableRow:
     subset: tuple[int, ...]
@@ -148,14 +125,12 @@ class SubsetTable:
         rows: list[_TableRow] = []
         for subset in negative_definite_subsets(config):
             k = len(subset)
-            a = [[gh[i][j] for j in subset] for i in subset]
-            b = [[r0[i], r1[i]] for i in subset]
-            sols, det = _jordan_solve_int(a, b)
-            den = rho * det
+            aug = [[gh[i][j] for j in subset] + [r0[i], r1[i]] for i in subset]
+            den = rho * eliminate(aug)
             sign = 1 if den > 0 else -1
             den *= sign
-            x0 = [sign * sols[i][0] for i in range(k)]
-            x1 = [sign * sols[i][1] for i in range(k)]
+            x0 = [sign * aug[i][k] for i in range(k)]
+            x1 = [sign * aug[i][k + 1] for i in range(k)]
             conds: list[tuple[int, int]] = [(x0[i], x1[i]) for i in range(k)]
             inside = set(subset)
             for j in range(n):

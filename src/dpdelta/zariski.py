@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .config import DivisorClass, PointSpec, SurfaceConfig
+from .config import PointSpec, SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
-from .linalg import is_negative_definite, solve
+from .linalg import solve
 from .poly import PiecewisePoly, Poly, min_positive_root, nonnegative_on
 from .rationals import RatLike, format_rational, parse_rational
 
@@ -89,79 +89,6 @@ class Decomposition:
 
     def p_dot_flag_piecewise(self) -> PiecewisePoly:
         return self.piecewise(lambda ch: ch.p_dot[self.flag])
-
-
-def negative_part_at(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
-    """Zariski negative part of a single divisor class.
-
-    Iteratively enlarges the support by every curve the current residual
-    meets negatively, re-solving the Gram system each round, until the
-    residual is nef against all curves and all coefficients are nonnegative.
-    """
-    names = config.curve_names
-    d_dot = {name: intersect_row(config, d, name) for name in names}
-    support: list[str] = []
-    seen: set[tuple[str, ...]] = set()
-    for _ in range(_MAX_PIVOTS):
-        coeffs = _solve_support(config, support, {n: d_dot[n] for n in support})
-        if coeffs is None or any(c < 0 for c in coeffs.values()):
-            if coeffs is not None:
-                support = [n for n in support if coeffs[n] > 0]
-            else:
-                raise NotPseudoEffective(
-                    f"{d.coeffs} has no Zariski decomposition on {config.name}"
-                )
-            key = tuple(support)
-            if key in seen:
-                raise NotPseudoEffective(
-                    f"{d.coeffs} has no Zariski decomposition on {config.name}"
-                )
-            seen.add(key)
-            continue
-        violated = [
-            name
-            for name in names
-            if name not in coeffs
-            and d_dot[name] - sum(c * _gram(config, n, name) for n, c in coeffs.items()) < 0
-        ]
-        if not violated:
-            gram_s = [[_gram(config, a, b) for b in support] for a in support]
-            if not is_negative_definite(gram_s):
-                raise NotPseudoEffective(
-                    f"support {tuple(support)} is not negative definite on {config.name}"
-                )
-            coeffs = {n: c for n, c in coeffs.items() if c > 0}
-            return NegativePart(tuple(sorted(coeffs)), coeffs)
-        support = support + violated
-        key = tuple(support)
-        if key in seen:
-            raise NotPseudoEffective(
-                f"{d.coeffs} has no Zariski decomposition on {config.name}"
-            )
-        seen.add(key)
-    raise NotPseudoEffective(f"pivoting did not converge on {config.name}")
-
-
-def intersect_row(config: SurfaceConfig, d: DivisorClass, curve: str) -> Fraction:
-    j = config.index(curve)
-    return sum(c * config.gram[i][j] for i, c in enumerate(d.coeffs) if c != 0)
-
-
-def _gram(config: SurfaceConfig, a: str, b: str) -> Fraction:
-    return config.gram[config.index(a)][config.index(b)]
-
-
-def _solve_support(
-    config: SurfaceConfig, support: Sequence[str], rhs: Mapping[str, Fraction]
-) -> dict[str, Fraction] | None:
-    if not support:
-        return {}
-    matrix = [[_gram(config, a, b) for b in support] for a in support]
-    try:
-        sol = solve(matrix, [[rhs[a] for a in support]])
-    except ValueError:
-        return None
-    return {name: sol[0][i] for i, name in enumerate(support)}
 
 
 # -- parametric sweep ---------------------------------------------------
@@ -292,6 +219,10 @@ def _sign_after(p: Poly, v: Fraction) -> int:
     if slope != 0:
         return 1 if slope > 0 else -1
     return 0
+
+
+def _gram(config: SurfaceConfig, a: str, b: str) -> Fraction:
+    return config.gram[config.index(a)][config.index(b)]
 
 
 def _solve_support_affine(

@@ -2,12 +2,21 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dpdelta.linalg import determinant, is_negative_definite, solve
+from dpdelta.linalg import solve
 
 F = Fraction
+
+small = st.builds(
+    F, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
+)
+# zero drawn often, so leading entries vanish and rows must be swapped
+entries = st.one_of(st.just(F(0)), small)
 
 
 def test_solve_multiple_right_hand_sides():
@@ -30,20 +39,46 @@ def test_solve_singular_matrix():
         solve([[F(1), F(2)], [F(2), F(4)]], [[F(1), F(1)]])
 
 
-def test_determinant():
-    assert determinant([[F(-1), F(2)], [F(2), F(-2)]]) == F(-2)
-    assert determinant([[F(1), F(2)], [F(2), F(4)]]) == 0
-    assert determinant([]) == 1
-    m = [[F(0), F(1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
-    assert determinant(m) == -1  # one row swap
+def _leibniz_det(matrix):
+    """det as the signed sum over permutations; shares no code with solve."""
+    n = len(matrix)
+    total = F(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((matrix[i][perm[i]] for i in range(n)), start=F(1))
+    return total
 
 
-def test_is_negative_definite():
-    assert is_negative_definite([])
-    assert is_negative_definite([[F(-1)]])
-    assert not is_negative_definite([[F(0)]])
-    assert is_negative_definite([[F(-2), F(1)], [F(1), F(-2)]])
-    # determinant 0: only semidefinite
-    assert not is_negative_definite([[F(-2), F(2)], [F(2), F(-2)]])
-    # a (-1)-curve and a (-2)-curve meeting twice span a hyperbolic plane
-    assert not is_negative_definite([[F(-1), F(2)], [F(2), F(-2)]])
+@st.composite
+def systems(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    matrix = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        matrix[0][0] = F(0)
+    if n >= 2 and draw(st.booleans()):
+        # the last row a combination of the others makes the matrix singular
+        weights = [draw(small) for _ in range(n - 1)]
+        matrix[-1] = [sum(w * row[j] for w, row in zip(weights, matrix)) for j in range(n)]
+    rhs = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=3))
+    return matrix, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=systems())
+# regular but needs a row swap; singular with a zero row
+@example(system=([[F(0), F(2), F(1)], [F(0), F(1), F(3)], [F(1), F(0), F(0)]], [[F(1)] * 3]))
+@example(system=([[F(0), F(0)], [F(1), F(1)]], [[F(0), F(1)]]))
+def test_solve_is_exact_or_the_matrix_is_singular(system):
+    matrix, rhs = system
+    try:
+        sols = solve(matrix, rhs)
+    except ValueError as exc:
+        assert str(exc) == "singular matrix"
+        assert _leibniz_det(matrix) == 0
+        return
+    assert _leibniz_det(matrix) != 0
+    assert len(sols) == len(rhs)
+    for b, x in zip(rhs, sols):
+        assert len(x) == len(matrix)
+        for row, b_i in zip(matrix, b):
+            assert sum((a * x_j for a, x_j in zip(row, x)), start=F(0)) == b_i

@@ -47,6 +47,22 @@ class TestNegativeDefiniteSubsets:
         assert (0,) in subsets and (1,) in subsets
         assert (0, 1) not in subsets  # det = 3/4 - 1 < 0
 
+    def test_semidefinite_pair(self):
+        # two (-2)-curves meeting twice (det = 0) and a disjoint curve of
+        # square 0: only the two singletons are definite
+        cfg = SurfaceConfig(
+            name="pair",
+            norm=1,
+            curves=[
+                CurveRecord("X0", -2, "minus_two"),
+                CurveRecord("X1", -2, "minus_two"),
+                CurveRecord("F", 0, "other"),
+            ],
+            gram=[[-2, 2, 0], [2, -2, 0], [0, 0, 0]],
+            anti_k=[0, 0, 0],
+        )
+        assert set(negative_definite_subsets(cfg)) == {(), (0,), (1,)}
+
 
 class TestSubsetTable:
     def test_matches_engine(self, a1_nodal):
@@ -68,7 +84,7 @@ class TestSubsetTable:
 class TestBruteForce:
     def test_matches_engine(self, a1_nodal):
         decomp = parametric_decompose(a1_nodal, "E")
-        for v in (F(1, 7), F(4, 5)):
+        for v in (F(1, 7), F(1, 5), F(1, 2), F(4, 5), F(9, 10)):
             d = a1_nodal.anti_k_divisor - a1_nodal.basis_vector("E").scale(v)
             assert brute_force_negative_part(a1_nodal, d) == decomp.negative_at(v)
 

@@ -20,7 +20,7 @@ from dpdelta import (
 )
 from dpdelta.catalog import decompose_flag
 from dpdelta.errors import IrrationalRoot, NotPseudoEffective
-from dpdelta.zariski import n_restricted_at_point, negative_part_at
+from dpdelta.zariski import n_restricted_at_point
 
 F = Fraction
 
@@ -120,16 +120,6 @@ class TestSweep:
         assert p_sq(1) == 0
         p_dot = nodal_decomp.p_dot_flag_piecewise()
         assert p_dot.integrate(0, 1) == F(1, 2)
-
-    def test_matches_single_divisor_solver(self, a1_nodal, nodal_decomp):
-        for v in (F(1, 5), F(1, 2), F(9, 10)):
-            d = a1_nodal.anti_k_divisor - a1_nodal.basis_vector("E").scale(v)
-            assert negative_part_at(a1_nodal, d) == nodal_decomp.negative_at(v)
-
-    def test_beyond_threshold_is_rejected(self, a1_nodal):
-        d = a1_nodal.anti_k_divisor - a1_nodal.basis_vector("E").scale(2)
-        with pytest.raises(NotPseudoEffective):
-            negative_part_at(a1_nodal, d)
 
     def test_pullback_coefficient_assertion(self, a1_nodal, a2_nodal):
         with pytest.raises(
