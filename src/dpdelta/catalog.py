@@ -58,7 +58,6 @@ class FlagSpec:
     flag: str
     s: Fraction
     points: tuple[PointExpectation, ...]
-    pullback_coeff: Fraction | None = None
     chambers: Mapping | None = None
 
 
@@ -197,11 +196,6 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
                 flag=flag,
                 s=parse_rational(raw["s"]),
                 points=tuple(points),
-                pullback_coeff=(
-                    parse_rational(raw["pullback_coeff"])
-                    if "pullback_coeff" in raw
-                    else None
-                ),
                 chambers=raw.get("chambers"),
             )
         )
@@ -244,9 +238,7 @@ def _flag_label(record: CaseRecord, spec: FlagSpec) -> str:
 
 
 def decompose_flag(record: CaseRecord, spec: FlagSpec) -> Decomposition:
-    return parametric_decompose(
-        record.config(spec.config_id), spec.flag, spec.pullback_coeff
-    )
+    return parametric_decompose(record.config(spec.config_id), spec.flag)
 
 
 def _sweep_flags(record: CaseRecord) -> list[tuple[FlagSpec, Decomposition, FlagReport]]:

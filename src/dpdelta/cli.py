@@ -12,14 +12,7 @@ import sys
 from pathlib import Path
 
 from .blowup import blowup
-from .catalog import (
-    CaseRecord,
-    FlagSpec,
-    case_names,
-    certified_delta,
-    load_case,
-    verify_case,
-)
+from .catalog import case_names, certified_delta, load_case, verify_case
 from .config import SurfaceConfig, load, save
 from .delta import s_flag, s_w_point
 from .errors import DpDeltaError, MissingFlag, NotCertified, SchemaError
@@ -99,43 +92,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_source(args) -> tuple[SurfaceConfig, object]:
-    """Configuration plus the pullback coefficient of the requested flag.
+def _resolve_source(args) -> SurfaceConfig:
+    """Configuration of the requested flag.
 
-    With --config the file is loaded as-is (no pullback assertion). With
-    --case the configuration is the one named by --variant, or else the one
-    of the first stored flag row matching --flag.
+    With --config the file is loaded as-is. With --case the configuration is
+    the one named by --variant, or else the one of the first stored flag row
+    matching --flag.
     """
     if args.config and args.case:
         raise SchemaError("give either --config or --case, not both")
     if args.config:
-        return load(Path(args.config)), None
+        return load(Path(args.config))
     if not args.case:
         raise SchemaError("one of --config or --case is required")
     record = load_case(args.case)
-    flag = getattr(args, "flag", None)
     if args.variant:
-        cfg = record.config(args.variant)
-        spec = _find_spec(record, args.variant, flag)
-        return cfg, spec.pullback_coeff if spec else None
+        return record.config(args.variant)
+    flag = getattr(args, "flag", None)
     if flag is not None:
         for spec in record.flag_specs:
             if spec.flag == flag:
-                return record.config(spec.config_id), spec.pullback_coeff
-    first = record.config_order[0]
-    return record.config(first), None
-
-
-def _find_spec(record: CaseRecord, config_id: str, flag: str | None) -> FlagSpec | None:
-    for spec in record.flag_specs:
-        if spec.config_id == config_id and (flag is None or spec.flag == flag):
-            return spec
-    return None
+                return record.config(spec.config_id)
+    return record.config(record.config_order[0])
 
 
 def _cmd_decompose(args) -> int:
-    cfg, pullback = _resolve_source(args)
-    decomp = parametric_decompose(cfg, args.flag, pullback)
+    cfg = _resolve_source(args)
+    decomp = parametric_decompose(cfg, args.flag)
     if args.json:
         print(json.dumps(decomposition_to_json(decomp), indent=2))
         return 0
@@ -159,8 +142,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_s(args) -> int:
-    cfg, pullback = _resolve_source(args)
-    decomp = parametric_decompose(cfg, args.flag, pullback)
+    cfg = _resolve_source(args)
+    decomp = parametric_decompose(cfg, args.flag)
     value = s_flag(cfg, args.flag, decomp)
     a_flag = cfg.discrepancy_of(args.flag)
     print(
@@ -171,8 +154,8 @@ def _cmd_s(args) -> int:
 
 
 def _cmd_sw(args) -> int:
-    cfg, pullback = _resolve_source(args)
-    decomp = parametric_decompose(cfg, args.flag, pullback)
+    cfg = _resolve_source(args)
+    decomp = parametric_decompose(cfg, args.flag)
     point = cfg.point(args.point)
     value = s_w_point(cfg, args.flag, point, decomp)
     a_local = 1 - point.different
@@ -242,7 +225,6 @@ def _cmd_oracle(args) -> int:
     record = load_case(args.case)
     if args.variant:
         cfg = record.config(args.variant)
-        spec = _find_spec(record, args.variant, args.flag)
     else:
         spec = next((s for s in record.flag_specs if s.flag == args.flag), None)
         if spec is None:
@@ -250,7 +232,7 @@ def _cmd_oracle(args) -> int:
                 f"case {record.name} stores no flag row for {args.flag!r}"
             )
         cfg = record.config(spec.config_id)
-    decomp = parametric_decompose(cfg, args.flag, spec.pullback_coeff if spec else None)
+    decomp = parametric_decompose(cfg, args.flag)
     report = random_equivalence(
         cfg, args.flag, trials=args.trials, seed=args.seed, decomp=decomp
     )

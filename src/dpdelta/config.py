@@ -109,6 +109,7 @@ class SurfaceConfig:
     smooth_surface: bool
     points: tuple[PointSpec, ...]
     _index: dict = field(repr=False)
+    anti_k_dots: tuple[Fraction, ...] = field(repr=False)
 
     def __init__(
         self,
@@ -145,6 +146,13 @@ class SurfaceConfig:
         object.__setattr__(self, "smooth_surface", bool(smooth_surface))
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(names)})
+        # (-K).C_j for every curve; anti_k is sparse on wide configurations.
+        nonzero = [(i, a) for i, a in enumerate(self.anti_k) if a != 0]
+        object.__setattr__(
+            self,
+            "anti_k_dots",
+            tuple(sum((a * self.gram[i][j] for i, a in nonzero), Fraction(0)) for j in range(n)),
+        )
 
     # -- basis helpers -------------------------------------------------
 
@@ -190,13 +198,7 @@ class SurfaceConfig:
         return self.discrepancy.get(curve, Fraction(1))
 
     def with_points(self, points: Sequence[PointSpec]) -> "SurfaceConfig":
-        return self._rebuild(points=tuple(points))
-
-    def renamed(self, name: str) -> "SurfaceConfig":
-        return self._rebuild(name=name)
-
-    def _rebuild(self, **changes) -> "SurfaceConfig":
-        kwargs = dict(
+        return SurfaceConfig(
             name=self.name,
             norm=self.norm,
             curves=self.curves,
@@ -204,10 +206,8 @@ class SurfaceConfig:
             anti_k=self.anti_k,
             discrepancy=self.discrepancy,
             smooth_surface=self.smooth_surface,
-            points=self.points,
+            points=tuple(points),
         )
-        kwargs.update(changes)
-        return SurfaceConfig(**kwargs)
 
 
 def intersect(config: SurfaceConfig, d1: DivisorClass, d2: DivisorClass) -> Fraction:
@@ -224,12 +224,6 @@ def intersect(config: SurfaceConfig, d1: DivisorClass, d2: DivisorClass) -> Frac
         row = config.gram[i]
         total += a * sum(row[j] * b for j, b in enumerate(d2.coeffs) if b != 0)
     return total
-
-
-def anti_k_dot(config: SurfaceConfig, curve: str) -> Fraction:
-    """(pullback of -K) . curve, straight from the Gram matrix."""
-    i = config.index(curve)
-    return sum(config.anti_k[j] * config.gram[j][i] for j in range(len(config.curves)))
 
 
 # -- validation --------------------------------------------------------
@@ -304,7 +298,7 @@ def validate(config: SurfaceConfig) -> ValidationReport:
         )
     )
 
-    sq = intersect(config, config.anti_k_divisor, config.anti_k_divisor)
+    sq = sum((a * d for a, d in zip(config.anti_k, config.anti_k_dots)), Fraction(0))
     entries.append(
         ValidationEntry(
             "anti_k norm",
@@ -315,10 +309,9 @@ def validate(config: SurfaceConfig) -> ValidationReport:
 
     if config.smooth_surface:
         bad_adj = []
-        for c in config.curves:
+        for c, got in zip(config.curves, config.anti_k_dots):
             if c.kind not in _ADJUNCTION_KINDS:
                 continue
-            got = anti_k_dot(config, c.name)
             want = c.self_int + 2
             if got != want:
                 bad_adj.append(f"{c.name}: {format_rational(got)} != {format_rational(want)}")

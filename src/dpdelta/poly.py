@@ -319,12 +319,6 @@ class PiecewisePoly:
 
     __rmul__ = __mul__
 
-    def to_json(self) -> dict:
-        return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "pieces": [p.to_strings() for p in self.pieces],
-        }
-
     @classmethod
     def from_json(cls, data: dict, continuous: bool = True) -> "PiecewisePoly":
         return cls(

@@ -48,9 +48,6 @@ class Chamber:
     p_sq: Poly
     p_dot: Mapping[str, Poly]
 
-    def contains(self, v: Fraction) -> bool:
-        return self.lo <= v <= self.hi
-
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
@@ -94,34 +91,17 @@ class Decomposition:
 # -- parametric sweep ---------------------------------------------------
 
 
-def parametric_decompose(
-    config: SurfaceConfig,
-    flag: str,
-    pullback_coeff: RatLike | None = None,
-) -> Decomposition:
-    """Chamber structure of v -> Zariski(anti_k - v*flag) for v in [0, tau].
-
-    `pullback_coeff`, when given, asserts the stored anti_k coefficient on
-    the flag curve (useful for flags created by a blowup, where that
-    coefficient is the multiplicity of the pulled-back class).
-    """
-    fi = config.index(flag)
-    if pullback_coeff is not None:
-        want = parse_rational(pullback_coeff)
-        if config.anti_k[fi] != want:
-            raise NotPseudoEffective(
-                f"anti_k coefficient on {flag} is "
-                f"{format_rational(config.anti_k[fi])}, expected {format_rational(want)}"
-            )
+def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
+    """Chamber structure of v -> Zariski(anti_k - v*flag) for v in [0, tau]."""
     d_dot, d_sq = _directional_data(config, flag)
 
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
     support: tuple[str, ...] = ()
     while len(chambers) < _MAX_CHAMBERS:
-        support, n_polys = _pivot(config, d_dot, support, v_cur)
-        p_dot, p_sq = _positive_part(config, d_dot, d_sq, n_polys)
-        hi, is_tau = _chamber_end(config, support, n_polys, p_dot, p_sq, v_cur)
+        support, n_polys, p_dot = _pivot(config, d_dot, support, v_cur)
+        p_sq = _positive_part(d_dot, d_sq, n_polys)
+        hi, is_tau = _chamber_end(config, n_polys, p_dot, p_sq, v_cur)
         chambers.append(
             Chamber(
                 lo=v_cur,
@@ -141,24 +121,11 @@ def parametric_decompose(
 def _directional_data(config: SurfaceConfig, flag: str) -> tuple[dict[str, Poly], Poly]:
     """Affine D(v).C for every curve C and quadratic D(v)^2, D = anti_k - v*flag."""
     fi = config.index(flag)
-    names = config.curve_names
-    n = len(names)
     d_dot = {
-        name: Poly(
-            [
-                sum(config.anti_k[i] * config.gram[i][j] for i in range(n)),
-                -config.gram[fi][j],
-            ]
-        )
-        for j, name in enumerate(names)
+        name: Poly([config.anti_k_dots[j], -config.gram[fi][j]])
+        for j, name in enumerate(config.curve_names)
     }
-    d_sq = Poly(
-        [
-            config.norm,
-            -2 * sum(config.anti_k[i] * config.gram[i][fi] for i in range(n)),
-            config.gram[fi][fi],
-        ]
-    )
+    d_sq = Poly([config.norm, -2 * config.anti_k_dots[fi], config.gram[fi][fi]])
     return d_dot, d_sq
 
 
@@ -167,13 +134,14 @@ def _pivot(
     d_dot: Mapping[str, Poly],
     seed: Sequence[str],
     v: Fraction,
-) -> tuple[tuple[str, ...], dict[str, Poly]]:
+) -> tuple[tuple[str, ...], dict[str, Poly], dict[str, Poly]]:
     """Find the valid support just right of v, starting from a seed guess.
 
     Validity is checked on the lexicographic pair (value at v, slope): a
     support coefficient must be positive immediately after v and a
     non-support curve must meet the residual nonnegatively immediately
-    after v.
+    after v. Returns the support, its affine coefficients and the affine
+    P.C of every curve C.
     """
     names = config.curve_names
     support = [name for name in names if name in set(seed)]
@@ -190,18 +158,13 @@ def _pivot(
             raise NotPseudoEffective(
                 f"singular support {key} at v = {format_rational(v)} on {config.name}"
             )
-        drop = [
-            name
-            for name in support
-            if _sign_after(n_polys[name], v) < 0
-            or (n_polys[name](v) == 0 and n_polys[name].derivative()(v) == 0)
-        ]
+        drop = [name for name in support if _sign_after(n_polys[name], v) <= 0]
         p_dot = _residual_dots(config, d_dot, n_polys)
         add = [
             name for name in names if name not in set(support) and _sign_after(p_dot[name], v) < 0
         ]
         if not drop and not add:
-            return tuple(support), {name: n_polys[name] for name in support}
+            return key, n_polys, p_dot
         support = [name for name in support if name not in set(drop)]
         support += [name for name in names if name in set(add)]
         support = [name for name in names if name in set(support)]
@@ -255,24 +218,13 @@ def _residual_dots(
     }
 
 
-def _positive_part(
-    config: SurfaceConfig,
-    d_dot: Mapping[str, Poly],
-    d_sq: Poly,
-    n_polys: Mapping[str, Poly],
-) -> tuple[dict[str, Poly], Poly]:
-    """P.C for every curve C and P^2 on a chamber with negative part n_polys.
-
-    P^2 = D^2 - N.D, because P.N = 0 on the support.
-    """
-    p_dot = _residual_dots(config, d_dot, n_polys)
-    p_sq = d_sq - sum((n * d_dot[name] for name, n in n_polys.items()), start=Poly([0]))
-    return p_dot, p_sq
+def _positive_part(d_dot: Mapping[str, Poly], d_sq: Poly, n_polys: Mapping[str, Poly]) -> Poly:
+    """P^2 on a chamber with negative part n_polys: D^2 - N.D, as P.N = 0."""
+    return d_sq - sum((n * d_dot[name] for name, n in n_polys.items()), start=Poly([0]))
 
 
 def _chamber_end(
     config: SurfaceConfig,
-    support: tuple[str, ...],
     n_polys: Mapping[str, Poly],
     p_dot: Mapping[str, Poly],
     p_sq: Poly,
@@ -280,28 +232,15 @@ def _chamber_end(
 ) -> tuple[Fraction, bool]:
     """Smallest v > lo at which the support changes or P^2 vanishes.
 
-    Returns (hi, is_tau). Support-change candidates come from affine sign
-    flips, which always happen at rational points; the pseudoeffective
-    threshold itself must be rational or the sweep raises IrrationalRoot,
-    except when a support change occurs first and protects the chamber.
+    Returns (hi, is_tau). Support-change candidates come from the sign flips
+    of the chamber's affine rows (N_i on the support, P.C off it), which
+    always happen at rational points; the pseudoeffective threshold itself
+    must be rational or the sweep raises IrrationalRoot, except when a
+    support change occurs first and protects the chamber.
     """
-    candidates: list[Fraction] = []
-    for name in support:
-        p = n_polys[name]
-        if p.coeff(1) < 0:
-            root = -p.coeff(0) / p.coeff(1)
-            if root > lo:
-                candidates.append(root)
-    in_support = set(support)
-    for name in config.curve_names:
-        if name in in_support:
-            continue
-        p = p_dot[name]
-        if p.coeff(1) < 0:
-            root = -p.coeff(0) / p.coeff(1)
-            if root > lo:
-                candidates.append(root)
-    affine_next = min(candidates) if candidates else None
+    rows = (n_polys[name] if name in n_polys else p_dot[name] for name in config.curve_names)
+    roots = (-p.coeff(0) / p.coeff(1) for p in rows if p.coeff(1) < 0)
+    affine_next = min((root for root in roots if root > lo), default=None)
 
     try:
         tau = min_positive_root(p_sq, lo)
@@ -387,7 +326,8 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
         if unknown or set(raw["n_coeffs"]) != set(support):
             raise SchemaError(f"support/coefficient mismatch in chamber of {flag}")
         n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
-        p_dot, p_sq = _positive_part(config, d_dot, d_sq, n_polys)
+        p_dot = _residual_dots(config, d_dot, n_polys)
+        p_sq = _positive_part(d_dot, d_sq, n_polys)
         if p_sq != Poly.from_strings(raw["p_sq"]):
             raise SchemaError(
                 f"stored P^2 disagrees with the recomputed one for flag {flag} "

@@ -101,9 +101,9 @@ class TestVerification:
     def test_class_bounds_reuse_the_flag_sweeps(self, a2_nodal, monkeypatch):
         calls = []
 
-        def counted(config, flag, pullback_coeff=None):
+        def counted(config, flag):
             calls.append((config.name, flag))
-            return parametric_decompose(config, flag, pullback_coeff)
+            return parametric_decompose(config, flag)
 
         monkeypatch.setattr(dpdelta.catalog, "parametric_decompose", counted)
         assert a2_nodal.class_bounds
@@ -131,6 +131,14 @@ class TestVerification:
         failing = [row for row in report.rows if not row.passed]
         assert [row.label for row in failing] == ["S(E)=3/2"]
         assert failing[0].actual == "1/2"
+
+    def test_tampered_pullback_coefficient_fails_one_row(self, a2_nodal):
+        # the blowup record is the only stored copy of EP's anti_k coefficient
+        spec = dataclasses.replace(a2_nodal.blowups[0], pullback_coeff=F(3))
+        tampered = dataclasses.replace(a2_nodal, blowups=(spec,))
+        report = verify_case(tampered)
+        failing = [row.render() for row in report.rows if not row.passed]
+        assert failing == ["pullback(EP)=3 FAIL (expected 3, got 2)"]
 
     def test_flag_labels_include_config_for_multi_config_cases(self, records):
         rows = verify_case(records["A2-nodal"]).rows

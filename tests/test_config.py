@@ -12,12 +12,13 @@ from dpdelta import (
     PointSpec,
     SchemaError,
     SurfaceConfig,
+    blowup,
     config_from_json,
     config_to_json,
     load,
     save,
 )
-from dpdelta.config import anti_k_dot, dumps_canonical, intersect, validate
+from dpdelta.config import dumps_canonical, intersect, validate
 from dpdelta.errors import DimensionMismatch
 
 F = Fraction
@@ -105,13 +106,11 @@ class TestSurfaceConfig:
         with pytest.raises(SchemaError):
             cfg.discrepancy_of("Z")
 
-    def test_with_points_and_renamed(self):
+    def test_with_points(self):
         cfg = nodal()
         trimmed = cfg.with_points([cfg.point("generic")])
         assert tuple(p.id for p in trimmed.points) == ("generic",)
         assert trimmed.gram == cfg.gram
-        assert cfg.renamed("other").name == "other"
-        assert cfg.renamed("other").points == cfg.points
 
 
 class TestIntersection:
@@ -121,8 +120,25 @@ class TestIntersection:
         assert intersect(cfg, anti_k, anti_k) == 1
         assert intersect(cfg, anti_k, cfg.basis_vector("C")) == 1
         assert intersect(cfg, anti_k, cfg.basis_vector("E")) == 0
-        assert anti_k_dot(cfg, "C") == 1
-        assert anti_k_dot(cfg, "E") == 0
+        assert cfg.anti_k_dots == (1, 0)
+
+    def test_anti_k_row_matches_intersect(self, records):
+        """(-K).C_j is stored once per config and agrees with the Gram form."""
+        configs = [cfg for record in records.values() for cfg in record.configs.values()]
+        blown = [
+            blowup(cfg, point, e_p_name="EX").config
+            for cfg in configs
+            if cfg.smooth_surface
+            for point in cfg.points
+        ]
+        zero = nodal(norm=0, anti_k=[0, 0])
+        assert len(configs) == 42 and len(blown) > len(configs)
+        for cfg in configs + blown + [zero]:
+            for j, name in enumerate(cfg.curve_names):
+                want = intersect(cfg, cfg.anti_k_divisor, cfg.basis_vector(name))
+                assert cfg.anti_k_dots[j] == want, f"{cfg.name}/{name}"
+            assert set(config_to_json(cfg)) == set(config_to_json(nodal()))
+        assert zero.anti_k_dots == (0, 0)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):

@@ -19,7 +19,7 @@ from dpdelta import (
     same_decomposition,
 )
 from dpdelta.catalog import decompose_flag
-from dpdelta.errors import IrrationalRoot, NotPseudoEffective
+from dpdelta.errors import IrrationalRoot
 from dpdelta.zariski import n_restricted_at_point
 
 F = Fraction
@@ -105,13 +105,17 @@ class TestSweep:
         # the breakpoint itself still has a vanishing negative part
         assert nodal_decomp.negative_at(F(1, 2)).coeffs == {}
 
-    def test_chamber_at_domain(self, nodal_decomp):
+    def test_chamber_at_domain(self, nodal_decomp, a2_nodal):
         assert nodal_decomp.chamber_at("1/2") is nodal_decomp.chambers[0]
         assert nodal_decomp.chamber_at(1) is nodal_decomp.chambers[1]
         with pytest.raises(OutOfDomain, match=r"v = 3/2 outside \[0, 1\]"):
             nodal_decomp.chamber_at("3/2")
         with pytest.raises(OutOfDomain):
             nodal_decomp.chamber_at("-1/10")
+        # EP has coefficient 2 in the pulled-back -K; its domain is [0, 2]
+        ep = parametric_decompose(a2_nodal.config("blowup"), "EP")
+        assert ep.tau == 2
+        assert ep.chamber_at(2) is ep.chambers[-1]
 
     def test_piecewise_views(self, nodal_decomp):
         p_sq = nodal_decomp.p_sq_piecewise()
@@ -120,15 +124,6 @@ class TestSweep:
         assert p_sq(1) == 0
         p_dot = nodal_decomp.p_dot_flag_piecewise()
         assert p_dot.integrate(0, 1) == F(1, 2)
-
-    def test_pullback_coefficient_assertion(self, a1_nodal, a2_nodal):
-        with pytest.raises(
-            NotPseudoEffective, match="anti_k coefficient on E is 1, expected 2"
-        ):
-            parametric_decompose(a1_nodal, "E", pullback_coeff=2)
-        blown = a2_nodal.config("blowup")
-        decomp = parametric_decompose(blown, "EP", pullback_coeff=2)
-        assert decomp.tau == 2
 
     def test_irrational_threshold_is_refused(self):
         cfg = SurfaceConfig(

@@ -142,12 +142,9 @@ def flag_row(
     s,
     points: list[dict],
     *,
-    pullback=None,
     chmb: dict | None = None,
 ) -> dict:
     row = {"config": config_id, "flag": flag, "s": fr(s), "points": points}
-    if pullback is not None:
-        row["pullback_coeff"] = fr(pullback)
     if chmb is not None:
         row["chambers"] = chmb
     return row
@@ -370,7 +367,6 @@ def case_a2_nodal() -> dict:
                     point_row("at_e2t", "7/12"),
                     point_row("generic", "1/6"),
                 ],
-                pullback=2,
                 chmb=ep_chambers,
             ),
         ],
@@ -440,7 +436,6 @@ def case_a2_cuspidal() -> dict:
                     point_row("at_e2t", "5/9"),
                     point_row("generic", "1/9"),
                 ],
-                pullback=3,
             ),
         ],
         blowups={
@@ -702,7 +697,6 @@ def case_a4() -> dict:
                 point_row("at_lt", "1/6", "<="),
                 point_row("generic_ep", "2/15"),
             ],
-            pullback="5/2",
             chmb=ep_chambers,
         )
     )
