@@ -8,26 +8,33 @@ accepted candidates a hard invariant (violations raise Ambiguous).
 
 Subset solutions are computed once per (config, flag) pair as integer affine
 functions of the sweep parameter, so checking hundreds of random parameter
-values stays fast. A pointwise reference (`brute_force_negative_part`)
-re-solves every subset at a single divisor and is spot checked against the
-parametric table. Both solve with the fraction-free kernel of `linalg`,
-which the sweep shares; the acceptance gate checks the sweep's output by
-substitution alone. The quadrature check applies Simpson's rule in exact
-arithmetic, independently of the antiderivatives `PiecewisePoly` integrates
-with.
+values stays fast. Building the table scans each subset's conditions (its
+coefficients, then one residual per curve off the subset) on integers and
+stops at the first one that empties its interval; the accepted rows are
+indexed by their sorted endpoints, so a lookup is one bisect and still sees
+every row that contains the parameter. A pointwise reference
+(`brute_force_negative_part`) re-solves every subset at a single divisor,
+on integers scaled from the Gram matrix and the divisor, never reads the
+table, and is spot checked against it. Both solve with the fraction-free
+kernel of `linalg`, which the sweep shares; the acceptance gate checks the
+sweep's output by substitution alone. The quadrature check applies
+Simpson's rule in exact arithmetic, independently of the antiderivatives
+`PiecewisePoly` integrates with.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, NoSolution
-from .linalg import eliminate, solve
+from .linalg import eliminate, solve  # noqa: F401 - the bench tracer tests read oracle.solve
 from .poly import PiecewisePoly
 from .rationals import RatLike, format_rational, parse_rational
 from .zariski import Decomposition, NegativePart, parametric_decompose
@@ -86,7 +93,7 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _TableRow:
     subset: tuple[int, ...]
     lo: Fraction
@@ -96,17 +103,78 @@ class _TableRow:
     den: int
 
 
+def _accepted_interval(
+    conds: Iterable[tuple[int, int]],
+) -> tuple[Fraction, Fraction | None] | None:
+    """The v >= 0 with c0 + c1*v >= 0 for every condition, or None if empty.
+
+    Endpoints are kept as integer (numerator, positive denominator) pairs,
+    and the scan stops at the first condition that empties the interval.
+    """
+    ln, ld = 0, 1
+    hn, hd = 0, 0  # hd == 0: unbounded above
+    for c0, c1 in conds:
+        if c1 > 0:
+            if -c0 * ld <= ln * c1:
+                continue
+            ln, ld = -c0, c1
+        elif c1 < 0:
+            if hd and c0 * hd >= -c1 * hn:
+                continue
+            hn, hd = c0, -c1
+        elif c0 < 0:
+            return None
+        else:
+            continue
+        if hd and ln * hd > hn * ld:
+            return None
+    return Fraction(ln, ld), (Fraction(hn, hd) if hd else None)
+
+
+class _RowIndex:
+    """Closed intervals [lo, hi] indexed for point lookups.
+
+    The sorted distinct endpoints e_0 < ... < e_{m-1} cut the line into
+    2m + 1 slots: slot 2i + 1 is the point e_i, slot 2i the open gap just
+    below it, and slot 2m the gap above e_{m-1}. Each slot lists every row
+    that covers it, so a lookup is one bisect and sees every covering row.
+    """
+
+    def __init__(self, rows: Sequence[_TableRow]):
+        ends = sorted({row.lo for row in rows} | {row.hi for row in rows if row.hi is not None})
+        slot_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
+        slots: list[list[_TableRow]] = [[] for _ in range(2 * len(ends) + 1)]
+        for row in rows:
+            last = 2 * len(ends) if row.hi is None else slot_of[row.hi]
+            for s in range(slot_of[row.lo], last + 1):
+                slots[s].append(row)
+        self.ends = ends
+        self.slots = [tuple(rows_here) for rows_here in slots]
+
+    def covering(self, v: Fraction) -> tuple[_TableRow, ...]:
+        """Every row with lo <= v <= hi."""
+        i = bisect.bisect_left(self.ends, v)
+        if i < len(self.ends) and self.ends[i] == v:
+            return self.slots[2 * i + 1]
+        return self.slots[2 * i]
+
+
 class SubsetTable:
     """Per-flag acceptance intervals for every negative-definite subset.
 
     Row coefficients are integer affine numerators over a positive common
     denominator; a subset's row represents the unique solution of its
     orthogonality system together with the exact v-interval on which that
-    solution has nonnegative coefficients and nef residual.
+    solution has nonnegative coefficients and nef residual. Each subset's
+    conditions are scanned in integers until one empties the interval, and
+    the accepted rows are indexed by their endpoints for lookups.
     """
 
     def __init__(self, config: SurfaceConfig, flag: str):
-        self.config = config
+        # names only: a table that held its configuration would keep the
+        # configuration's own entry in the weakly keyed table cache alive
+        self.config_name = config.name
+        self.curve_names = config.curve_names
         self.flag = flag
         mu, gh = _integer_gram(config)
         n = len(gh)
@@ -129,69 +197,43 @@ class SubsetTable:
             den = rho * eliminate(aug)
             sign = 1 if den > 0 else -1
             den *= sign
-            x0 = [sign * aug[i][k] for i in range(k)]
-            x1 = [sign * aug[i][k + 1] for i in range(k)]
-            conds: list[tuple[int, int]] = [(x0[i], x1[i]) for i in range(k)]
-            inside = set(subset)
-            for j in range(n):
-                if j in inside:
-                    continue
-                c0 = den * r0[j] - rho * sum(
-                    x0[t] * gh[subset[t]][j] for t in range(k)
+            x0 = tuple(sign * aug[i][k] for i in range(k))
+            x1 = tuple(sign * aug[i][k + 1] for i in range(k))
+            cols = [gh[s] for s in subset]
+            residuals = (
+                (
+                    den * r0[j] - rho * sum(x0[t] * cols[t][j] for t in range(k)),
+                    den * r1[j] - rho * sum(x1[t] * cols[t][j] for t in range(k)),
                 )
-                c1 = den * r1[j] - rho * sum(
-                    x1[t] * gh[subset[t]][j] for t in range(k)
-                )
-                conds.append((c0, c1))
-            lo = Fraction(0)
-            hi: Fraction | None = None
-            empty = False
-            for c0, c1 in conds:
-                if c1 == 0:
-                    if c0 < 0:
-                        empty = True
-                        break
-                elif c1 > 0:
-                    bound = Fraction(-c0, c1)
-                    if bound > lo:
-                        lo = bound
-                else:
-                    bound = Fraction(-c0, c1)
-                    if hi is None or bound < hi:
-                        hi = bound
-            if empty or (hi is not None and lo > hi):
-                continue
-            rows.append(_TableRow(subset, lo, hi, tuple(x0), tuple(x1), den))
+                for j in range(n)
+                if j not in subset
+            )
+            interval = _accepted_interval(itertools.chain(zip(x0, x1), residuals))
+            if interval is not None:
+                rows.append(_TableRow(subset, *interval, x0, x1, den))
         self.rows = tuple(rows)
+        self.index = _RowIndex(self.rows)
 
     def negative_part(self, v: RatLike) -> NegativePart:
         """The unique accepted negative part at one parameter value."""
         v = parse_rational(v)
-        names = self.config.curve_names
-        found: list[tuple[tuple[Fraction, ...], tuple[int, ...]]] = []
-        for row in self.rows:
-            if v < row.lo or (row.hi is not None and v > row.hi):
-                continue
-            coeffs = tuple(
-                (row.num0[i] + row.num1[i] * v) / row.den
-                for i in range(len(row.subset))
-            )
-            found.append((coeffs, row.subset))
-        if not found:
+        names = self.curve_names
+        p, q = v.numerator, v.denominator
+        vectors = set()
+        for row in self.index.covering(v):
+            full = [Fraction(0)] * len(names)
+            for i, idx in enumerate(row.subset):
+                full[idx] = Fraction(row.num0[i] * q + row.num1[i] * p, row.den * q)
+            vectors.add(tuple(full))
+        if not vectors:
             raise NoSolution(
                 f"no negative-definite support accepts v = {format_rational(v)} "
-                f"for flag {self.flag} on {self.config.name}"
+                f"for flag {self.flag} on {self.config_name}"
             )
-        vectors = set()
-        for coeffs, subset in found:
-            full = [Fraction(0)] * len(names)
-            for c, idx in zip(coeffs, subset):
-                full[idx] = c
-            vectors.add(tuple(full))
         if len(vectors) > 1:
             raise Ambiguous(
                 f"{len(vectors)} distinct negative parts at v = {format_rational(v)} "
-                f"for flag {self.flag} on {self.config.name}"
+                f"for flag {self.flag} on {self.config_name}"
             )
         (full,) = vectors
         coeffs = {names[i]: c for i, c in enumerate(full) if c != 0}
@@ -208,9 +250,12 @@ def subset_table(config: SurfaceConfig, flag: str) -> SubsetTable:
 def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
     """Reference Zariski negative part by exhaustive subset search.
 
-    Solves every negative-definite subset's orthogonality system with plain
-    Fraction arithmetic and keeps candidates with nonnegative coefficients
-    and nef residual; all accepted candidates must agree.
+    Solves every negative-definite subset's orthogonality system at the one
+    divisor d, on integers: with mu * gram and lam * d integral, a subset's
+    solution is y / (det * lam) where y is the eliminated right-hand side.
+    Keeps candidates with nonnegative coefficients and nef residual, both
+    decided by integer signs; all accepted candidates must agree. It never
+    reads the parametric table.
     """
     names = config.curve_names
     n = len(names)
@@ -218,34 +263,33 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
         raise ValueError(
             f"brute force supports at most {_MAX_BRUTE_FORCE_CURVES} curves, got {n}"
         )
-    d_dot = [
-        sum(d.coeffs[i] * config.gram[i][j] for i in range(n)) for j in range(n)
-    ]
+    _, gh = _integer_gram(config)
+    lam = math.lcm(*(c.denominator for c in d.coeffs))
+    terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]
+    b = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]  # mu * lam * d.D_j
     accepted: list[tuple[Fraction, ...]] = []
     for subset in negative_definite_subsets(config):
-        matrix = [[config.gram[i][j] for j in subset] for i in subset]
-        try:
-            sol = solve(matrix, [[d_dot[i] for i in subset]])
-        except ValueError:  # pragma: no cover - definite matrices are regular
+        k = len(subset)
+        aug = [[gh[i][j] for j in subset] + [b[i]] for i in subset]
+        det = eliminate(aug)
+        if det == 0:  # pragma: no cover - definite matrices are regular
             continue
-        coeffs = sol[0]
-        if any(c < 0 for c in coeffs):
+        sign = 1 if det > 0 else -1
+        y = [sign * aug[t][k] for t in range(k)]
+        if any(c < 0 for c in y):
             continue
-        ok = True
-        for j in range(n):
-            if j in subset:
-                continue
-            resid = d_dot[j] - sum(
-                coeffs[t] * config.gram[subset[t]][j] for t in range(len(subset))
-            )
-            if resid < 0:
-                ok = False
-                break
-        if ok:
-            full = [Fraction(0)] * n
-            for c, idx in zip(coeffs, subset):
-                full[idx] = c
-            accepted.append(tuple(full))
+        det *= sign
+        cols = [gh[s] for s in subset]
+        if any(
+            det * b[j] < sum(y[t] * cols[t][j] for t in range(k))
+            for j in range(n)
+            if j not in subset
+        ):
+            continue
+        full = [Fraction(0)] * n
+        for c, idx in zip(y, subset):
+            full[idx] = Fraction(c, det * lam)
+        accepted.append(tuple(full))
     if not accepted:
         raise NoSolution(f"no accepted support for {d.coeffs} on {config.name}")
     if len(set(accepted)) > 1:
@@ -344,7 +388,7 @@ def random_equivalence(
 
     Every sampled v must yield the identical negative part from both sides,
     with no subset ambiguity; the first sample is additionally checked
-    against the Fraction-based brute force.
+    against the pointwise brute force.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

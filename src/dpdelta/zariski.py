@@ -92,30 +92,47 @@ class Decomposition:
 
 
 def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
-    """Chamber structure of v -> Zariski(anti_k - v*flag) for v in [0, tau]."""
+    """Chamber structure of v -> Zariski(anti_k - v*flag) for v in [0, tau].
+
+    A NotPseudoEffective or IrrationalRoot raised by the sweep names the
+    support involved, and leaves here also naming the configuration, the
+    flag and the index of the chamber being built.
+    """
     d_dot, d_sq = _directional_data(config, flag)
 
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
     support: tuple[str, ...] = ()
-    while len(chambers) < _MAX_CHAMBERS:
-        support, n_polys, p_dot = _pivot(config, d_dot, support, v_cur)
-        p_sq = _positive_part(d_dot, d_sq, n_polys)
-        hi, is_tau = _chamber_end(config, n_polys, p_dot, p_sq, v_cur)
-        chambers.append(
-            Chamber(
-                lo=v_cur,
-                hi=hi,
-                support=support,
-                n_coeffs=n_polys,
-                p_sq=p_sq,
-                p_dot=p_dot,
+    try:
+        while len(chambers) < _MAX_CHAMBERS:
+            support, n_polys, p_dot = _pivot(config, d_dot, support, v_cur)
+            p_sq = _positive_part(d_dot, d_sq, n_polys)
+            hi, is_tau = _chamber_end(n_polys, p_dot, p_sq, v_cur)
+            chambers.append(
+                Chamber(
+                    lo=v_cur,
+                    hi=hi,
+                    support=support,
+                    n_coeffs=n_polys,
+                    p_sq=p_sq,
+                    p_dot=p_dot,
+                )
             )
+            if is_tau:
+                return Decomposition(config, flag, tuple(chambers), hi)
+            v_cur = hi
+        raise NotPseudoEffective(
+            f"chamber sweep did not terminate after v = {format_rational(v_cur)}, "
+            f"{_support_text(support)}"
         )
-        if is_tau:
-            return Decomposition(config, flag, tuple(chambers), hi)
-        v_cur = hi
-    raise NotPseudoEffective(f"chamber sweep did not terminate for flag {flag}")
+    except (NotPseudoEffective, IrrationalRoot) as exc:
+        raise type(exc)(
+            f"{exc}; config {config.name}, flag {flag}, chamber {len(chambers)}"
+        ) from exc
+
+
+def _support_text(support: Sequence[str]) -> str:
+    return f"support ({', '.join(support)})"
 
 
 def _directional_data(config: SurfaceConfig, flag: str) -> tuple[dict[str, Poly], Poly]:
@@ -150,13 +167,13 @@ def _pivot(
         key = tuple(support)
         if key in seen:
             raise NotPseudoEffective(
-                f"support pivoting cycled at v = {format_rational(v)} on {config.name}"
+                f"support pivoting cycled at v = {format_rational(v)}, {_support_text(key)}"
             )
         seen.add(key)
         n_polys = _solve_support_affine(config, d_dot, support)
         if n_polys is None:
             raise NotPseudoEffective(
-                f"singular support {key} at v = {format_rational(v)} on {config.name}"
+                f"singular Gram matrix at v = {format_rational(v)}, {_support_text(key)}"
             )
         drop = [name for name in support if _sign_after(n_polys[name], v) <= 0]
         p_dot = _residual_dots(config, d_dot, n_polys)
@@ -169,7 +186,8 @@ def _pivot(
         support += [name for name in names if name in set(add)]
         support = [name for name in names if name in set(support)]
     raise NotPseudoEffective(
-        f"support pivoting did not converge at v = {format_rational(v)} on {config.name}"
+        f"support pivoting did not converge at v = {format_rational(v)}, "
+        f"{_support_text(support)}"
     )
 
 
@@ -224,7 +242,6 @@ def _positive_part(d_dot: Mapping[str, Poly], d_sq: Poly, n_polys: Mapping[str, 
 
 
 def _chamber_end(
-    config: SurfaceConfig,
     n_polys: Mapping[str, Poly],
     p_dot: Mapping[str, Poly],
     p_sq: Poly,
@@ -238,27 +255,27 @@ def _chamber_end(
     must be rational or the sweep raises IrrationalRoot, except when a
     support change occurs first and protects the chamber.
     """
-    rows = (n_polys[name] if name in n_polys else p_dot[name] for name in config.curve_names)
+    rows = (n_polys[name] if name in n_polys else p_dot[name] for name in p_dot)
     roots = (-p.coeff(0) / p.coeff(1) for p in rows if p.coeff(1) < 0)
     affine_next = min((root for root in roots if root > lo), default=None)
 
     try:
         tau = min_positive_root(p_sq, lo)
-    except IrrationalRoot:
+    except IrrationalRoot as exc:
         if affine_next is not None and nonnegative_on(p_sq, lo, affine_next) and p_sq(
             affine_next
         ) > 0:
             return affine_next, False
-        raise
+        raise IrrationalRoot(f"{exc}, {_support_text(n_polys)}") from exc
     if tau is not None and tau == lo:
         raise NotPseudoEffective(
-            f"P^2 already vanishes at v = {format_rational(lo)} on {config.name}"
+            f"P^2 already vanishes at v = {format_rational(lo)}, {_support_text(n_polys)}"
         )
     if tau is not None and (affine_next is None or tau <= affine_next):
         return tau, True
     if affine_next is None:
         raise NotPseudoEffective(
-            f"no chamber end found after v = {format_rational(lo)} on {config.name}"
+            f"no chamber end found after v = {format_rational(lo)}, {_support_text(n_polys)}"
         )
     return affine_next, False
 
@@ -360,18 +377,3 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
         raise SchemaError(f"P^2 does not vanish at the stored tau for flag {flag}")
     return Decomposition(config, flag, tuple(chambers), tau)
 
-
-def same_decomposition(a: Decomposition, b: Decomposition) -> bool:
-    """Structural equality: same flag, tau and chamber data."""
-    if a.config.name != b.config.name or a.flag != b.flag or a.tau != b.tau:
-        return False
-    if len(a.chambers) != len(b.chambers):
-        return False
-    for ca, cb in zip(a.chambers, b.chambers):
-        if (ca.lo, ca.hi, ca.support) != (cb.lo, cb.hi, cb.support):
-            return False
-        if dict(ca.n_coeffs) != dict(cb.n_coeffs) or ca.p_sq != cb.p_sq:
-            return False
-        if dict(ca.p_dot) != dict(cb.p_dot):
-            return False
-    return True

@@ -6,9 +6,11 @@ sharing the loaded records keeps the oracle-heavy tests fast.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import pytest
 
-from dpdelta import CaseRecord, SurfaceConfig, case_names, load_case
+from dpdelta import CaseRecord, Decomposition, SurfaceConfig, case_names, load_case
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +35,29 @@ def a1_cuspidal(records: dict[str, CaseRecord]) -> SurfaceConfig:
 def a2_nodal(records: dict[str, CaseRecord]) -> CaseRecord:
     """A case with a base configuration, a blowup and a class bound."""
     return records["A2-nodal"]
+
+
+def _same_decomposition(a: Decomposition, b: Decomposition) -> bool:
+    """Structural equality: same config, flag, tau and chamber data.
+
+    Every chamber field is compared, including the `p_dot` row of every
+    curve, which `decomposition_to_json` stores only for the flag.
+    """
+    if a.config.name != b.config.name or a.flag != b.flag or a.tau != b.tau:
+        return False
+    if len(a.chambers) != len(b.chambers):
+        return False
+    for ca, cb in zip(a.chambers, b.chambers):
+        if (ca.lo, ca.hi, ca.support) != (cb.lo, cb.hi, cb.support):
+            return False
+        if dict(ca.n_coeffs) != dict(cb.n_coeffs) or ca.p_sq != cb.p_sq:
+            return False
+        if dict(ca.p_dot) != dict(cb.p_dot):
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def same_decomposition() -> Callable[[Decomposition, Decomposition], bool]:
+    """Structural equality of two decompositions."""
+    return _same_decomposition

@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import shutil
 
-from dpdelta import catalog_root, load as load_config, same_decomposition
+from dpdelta import catalog_root, load as load_config
 from dpdelta.cli import main
 from dpdelta.zariski import decomposition_from_json, parametric_decompose
 
@@ -22,7 +22,7 @@ class TestDecompose:
         assert main(["decompose", "--case", "A1-nodal", "--flag", "E"]) == 0
         assert capsys.readouterr().out == DECOMPOSE_TEXT
 
-    def test_json_output_round_trips(self, capsys, a1_nodal):
+    def test_json_output_round_trips(self, capsys, a1_nodal, same_decomposition):
         assert main(["decompose", "--case", "A1-nodal", "--flag", "E", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         back = decomposition_from_json(a1_nodal, data)

@@ -16,10 +16,10 @@ from dpdelta import (
     decomposition_to_json,
     parametric_decompose,
     s_flag,
-    same_decomposition,
 )
 from dpdelta.catalog import decompose_flag
-from dpdelta.errors import IrrationalRoot
+from dpdelta import zariski
+from dpdelta.errors import IrrationalRoot, NotPseudoEffective
 from dpdelta.zariski import n_restricted_at_point
 
 F = Fraction
@@ -141,6 +141,89 @@ class TestSweep:
             parametric_decompose(a1_nodal, "Z")
 
 
+
+def _curves(*pairs: tuple[str, int]) -> list[CurveRecord]:
+    return [CurveRecord(name, self_int, "other") for name, self_int in pairs]
+
+
+# Configurations that make the sweep fail at one raise site each, with the
+# flag, the chamber index and the support the error must name.
+_CYCLES = SurfaceConfig(
+    name="cycles", norm=1, curves=_curves(("X0", -1), ("F", 1)),
+    gram=[[-1, 0], [0, 1]], anti_k=[1, -1],
+)
+_SINGULAR = SurfaceConfig(
+    name="singular", norm=1, curves=_curves(("X0", -2), ("X1", -2), ("G", 0)),
+    gram=[[-2, 2, -1], [2, -2, -1], [-1, -1, 0]], anti_k=[0, 0, 1],
+)
+_VANISHES = SurfaceConfig(
+    name="vanishes", norm=-1, curves=_curves(("X0", -1), ("F", 0)),
+    gram=[[-1, 0], [0, 0]], anti_k=[1, 0],
+)
+_ENDLESS = SurfaceConfig(
+    name="endless", norm=2, curves=_curves(("X0", -1), ("F", 0)),
+    gram=[[-1, 0], [0, 0]], anti_k=[1, 0],
+)
+_IRRATIONAL = SurfaceConfig(
+    name="irrational", norm=2, curves=_curves(("X0", -1), ("F", -1)),
+    gram=[[-1, 0], [0, -1]], anti_k=[1, 0],
+)
+
+
+class TestErrorContext:
+    """Each raise site of the sweep names config, flag, chamber and support."""
+
+    @pytest.mark.parametrize(
+        "config, flag, limits, error, where",
+        [
+            pytest.param(
+                _CYCLES, "X0", {}, NotPseudoEffective,
+                "support (X0, F); config cycles, flag X0, chamber 0",
+                id="pivot-cycle",
+            ),
+            pytest.param(
+                _SINGULAR, "G", {}, NotPseudoEffective,
+                "support (X0, X1); config singular, flag G, chamber 0",
+                id="pivot-singular",
+            ),
+            pytest.param(
+                "A3", "E1", {"_MAX_PIVOTS": 1}, NotPseudoEffective,
+                "support (E2); config A3, flag E1, chamber 0",
+                id="pivot-no-convergence",
+            ),
+            pytest.param(
+                _VANISHES, "F", {}, NotPseudoEffective,
+                "support (X0); config vanishes, flag F, chamber 0",
+                id="chamber-end-vanishing",
+            ),
+            pytest.param(
+                _ENDLESS, "F", {}, NotPseudoEffective,
+                "support (X0); config endless, flag F, chamber 0",
+                id="chamber-end-none",
+            ),
+            pytest.param(
+                _IRRATIONAL, "F", {}, IrrationalRoot,
+                "support (X0); config irrational, flag F, chamber 0",
+                id="chamber-end-irrational",
+            ),
+            pytest.param(
+                "A3", "E1", {"_MAX_CHAMBERS": 1}, NotPseudoEffective,
+                "support (E2, E3); config A3, flag E1, chamber 1",
+                id="sweep-no-termination",
+            ),
+        ],
+    )
+    def test_names_all_four(self, monkeypatch, records, config, flag, limits, error, where):
+        if isinstance(config, str):
+            config = records[config].config("base")
+        for name, value in limits.items():
+            monkeypatch.setattr(zariski, name, value)
+        with pytest.raises(error) as caught:
+            parametric_decompose(config, flag)
+        message = str(caught.value)
+        assert message.endswith(where), message
+
+
 class TestLocalRestriction:
     def test_n_restricted_at_point(self, a1_nodal, nodal_decomp):
         pp = n_restricted_at_point(nodal_decomp, "node")
@@ -160,12 +243,12 @@ class TestSerialization:
         stored = records["A1-nodal"].flag_specs[0].chambers
         assert data["chambers"] == stored["list"]
 
-    def test_round_trip(self, a1_nodal, nodal_decomp):
+    def test_round_trip(self, a1_nodal, nodal_decomp, same_decomposition):
         data = decomposition_to_json(nodal_decomp)
         back = decomposition_from_json(a1_nodal, data)
         assert same_decomposition(back, nodal_decomp)
 
-    def test_round_trip_across_catalog(self, records):
+    def test_round_trip_across_catalog(self, records, same_decomposition):
         flags = 0
         for record in records.values():
             for spec in record.flag_specs:
@@ -230,7 +313,7 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="no chambers stored"):
             decomposition_from_json(a1_nodal, bad)
 
-    def test_same_decomposition_distinguishes(self, nodal_decomp, records):
+    def test_same_decomposition_distinguishes(self, nodal_decomp, records, same_decomposition):
         other_cfg = records["A2-nodal"].config("base")
         other = parametric_decompose(other_cfg, "E1")
         assert same_decomposition(nodal_decomp, nodal_decomp)
