@@ -1,10 +1,13 @@
-"""Exact linear algebra over the rationals, on one fraction-free kernel.
+"""Exact linear algebra over the rationals, on one fraction-free pivot step.
 
-Systems here are tiny (support sets have at most ~10 curves). `eliminate`
-is Bareiss's integer-preserving Gauss-Jordan elimination (E. H. Bareiss,
-Sylvester's identity and multistep integer-preserving Gaussian elimination,
-Math. Comp. 22, 1968): every intermediate entry is a minor of the input, so
-all divisions are exact and no Fraction is built inside the loop.
+Systems here are tiny (support sets have at most ~10 curves). `extend` is
+one step of Bareiss's integer-preserving Gauss-Jordan elimination
+(E. H. Bareiss, Sylvester's identity and multistep integer-preserving
+Gaussian elimination, Math. Comp. 22, 1968): every intermediate entry is a
+minor of the input, so all divisions are exact and no Fraction is built
+inside the loop. A state can be extended by any later index, so callers
+that visit index subsets in depth-first order share each prefix's
+elimination; `eliminate` pivots on every index in turn.
 """
 from __future__ import annotations
 
@@ -13,36 +16,62 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction]]
+State = tuple[list[list[int]], int]
+
+
+def extend(state: State, j: int) -> State:
+    """One Bareiss pivot on row and column j of an augmented integer matrix.
+
+    `state` is (columns, prev_pivot), starting from (columns, 1): the n x
+    (n + R) matrix [A | B] stored column by column, A square and B any
+    number R of right-hand sides. After pivots on s_1 < ... < s_k (the set
+    S), each pivot nonzero:
+    - the state's pivot is d = det(A_S);
+    - entry i in S of a right-hand-side column holds d * (A_S^-1 B_S)_i;
+    - every other entry r of it holds d * (B_r - A_{r,S} A_S^-1 B_S);
+    - entry (r, c) with r, c outside S and c > s_k is the bordered minor
+      det A_{S+r, S+c}, so (j, j) for j > s_k is det A_{S+j}.
+    Only the columns past j are updated: the next pivot is always past j,
+    so the columns up to j are never read again and are shared with
+    `state`. Returns a new state and leaves `state` as it was, so one state
+    can be extended by several indices.
+    """
+    cols, prev = state
+    fcol = cols[j]
+    pivot = fcol[j]
+    out = cols[: j + 1]
+    for col in cols[j + 1 :]:
+        y = col[j]
+        new = [(pivot * x - f * y) // prev for x, f in zip(col, fcol)]
+        new[j] = y  # the pivot row is not updated
+        out.append(new)
+    return out, pivot
 
 
 def eliminate(rows: list[list[int]]) -> int:
     """Fraction-free Gauss-Jordan on n augmented integer rows, in place.
 
     The first n columns hold the square matrix A, the rest any number of
-    right-hand sides B. Rows are swapped only past a zero pivot. Returns
-    d = +-det(A), the sign flipped once per swap; when d != 0 the rows end
-    as [d*I | d*A^-1 B]. Returns 0, with the rows partly reduced, when A is
-    singular.
+    right-hand sides B. Pivots run through `extend` on 0, ..., n-1, and
+    rows are swapped only past a zero pivot. Returns d = +-det(A), the sign
+    flipped once per swap; when d != 0 the right-hand-side block of the
+    rows ends as d*A^-1 B, and the first n columns hold leftovers, not
+    d*I. Returns 0, with the rows partly reduced, when A is singular.
     """
     n = len(rows)
-    prev = 1
+    state = ([list(col) for col in zip(*rows)], 1)
     for i in range(n):
-        if rows[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if rows[r][i] != 0), None)
+        cols = state[0]
+        if cols[i][i] == 0:
+            swap = next((r for r in range(i + 1, n) if cols[i][r] != 0), None)
             if swap is None:
-                return 0
-            rows[i], rows[swap] = rows[swap], rows[i]
-        ri = rows[i]
-        pivot = ri[i]
-        for r in range(n):
-            if r == i:
-                continue
-            rr = rows[r]
-            factor = rr[i]
-            for c in range(len(rr)):
-                rr[c] = (pivot * rr[c] - factor * ri[c]) // prev
-        prev = pivot
-    return prev
+                state = (cols, 0)
+                break
+            for col in cols[i:]:  # earlier columns are never read again
+                col[i], col[swap] = col[swap], col[i]
+        state = extend(state, i)
+    rows[:] = [list(row) for row in zip(*state[0])]
+    return state[1]
 
 
 def solve(matrix: Matrix, rhs_columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -60,4 +89,5 @@ def solve(matrix: Matrix, rhs_columns: Sequence[Sequence[Fraction]]) -> list[lis
     det = eliminate(rows)
     if det == 0:
         raise ValueError("singular matrix")
+    # only the right-hand-side block is meaningful after elimination
     return [[Fraction(rows[i][n + j], det) for i in range(n)] for j in range(len(rhs_columns))]

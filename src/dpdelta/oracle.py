@@ -6,6 +6,14 @@ the candidates whose coefficients are nonnegative and whose residual is nef
 against all curves. Uniqueness of the decomposition makes agreement of all
 accepted candidates a hard invariant (violations raise Ambiguous).
 
+All subset systems of one configuration share one elimination tree. The
+subsets come out of the enumeration in depth-first preorder, so each is its
+prefix plus one index, and one Bareiss step (`linalg.extend`) takes the
+prefix's state to the subset's. The states are kept on a stack of depth at
+most the curve count. Each state carries the whole augmented matrix, so it
+gives the subset's solution and, without further sums, every off-subset
+residual.
+
 Subset solutions are computed once per (config, flag) pair as integer affine
 functions of the sweep parameter, so checking hundreds of random parameter
 values stays fast. Building the table scans each subset's conditions (its
@@ -13,10 +21,10 @@ coefficients, then one residual per curve off the subset) on integers and
 stops at the first one that empties its interval; the accepted rows are
 indexed by their sorted endpoints, so a lookup is one bisect and still sees
 every row that contains the parameter. A pointwise reference
-(`brute_force_negative_part`) re-solves every subset at a single divisor,
+(`brute_force_negative_part`) walks the subsets again at a single divisor,
 on integers scaled from the Gram matrix and the divisor, never reads the
-table, and is spot checked against it. Both solve with the fraction-free
-kernel of `linalg`, which the sweep shares; the acceptance gate checks the
+table, and is spot checked against it. Both run on the pivot step of
+`linalg`, which the sweep's `solve` shares; the acceptance gate checks the
 sweep's output by substitution alone. The quadrature check applies
 Simpson's rule in exact arithmetic, independently of the antiderivatives
 `PiecewisePoly` integrates with.
@@ -30,11 +38,11 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, NoSolution
-from .linalg import eliminate, solve  # noqa: F401 - the bench tracer tests read oracle.solve
+from .linalg import State, extend, solve  # noqa: F401 - the bench tracer tests read oracle.solve
 from .poly import PiecewisePoly
 from .rationals import RatLike, format_rational, parse_rational
 from .zariski import Decomposition, NegativePart, parametric_decompose
@@ -62,35 +70,49 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
 
     Uses Sylvester's criterion incrementally: a DFS in ascending index order
     extends a subset by j exactly when the new leading principal minor of
-    the negated Gram matrix stays positive, which fraction-free elimination
-    exposes as the pivot candidate at j. Includes the empty subset.
+    the negated Gram matrix stays positive, which a `linalg.extend` state
+    exposes as the pivot candidate at j. Includes the empty subset. The
+    subsets come in DFS preorder: each nonempty subset's `subset[:-1]` is
+    the most recent earlier subset of that length, which `_subset_states`
+    relies on.
     """
     if config in _nd_cache:
         return _nd_cache[config]
     _, gh = _integer_gram(config)
     n = len(gh)
-    a = [[-gh[i][j] for j in range(n)] for i in range(n)]
     out: list[tuple[int, ...]] = [()]
 
-    def dfs(subset: tuple[int, ...], work: list[list[int]], prev_pivot: int) -> None:
-        start = subset[-1] + 1 if subset else 0
-        for j in range(start, n):
-            pivot = work[j][j]
-            if pivot <= 0:
-                continue
-            out.append(subset + (j,))
-            nxt = [row[:] for row in work]
-            for r in range(j + 1, n):
-                wr, wj = nxt[r], work[j]
-                frj = wr[j]
-                for c in range(j + 1, n):
-                    wr[c] = (pivot * wr[c] - frj * wj[c]) // prev_pivot
-            dfs(subset + (j,), nxt, pivot)
+    def dfs(subset: tuple[int, ...], state: State) -> None:
+        cols = state[0]
+        for j in range(subset[-1] + 1 if subset else 0, n):
+            if cols[j][j] > 0:
+                out.append(subset + (j,))
+                dfs(subset + (j,), extend(state, j))
 
-    dfs((), a, 1)
+    dfs((), ([[-x for x in col] for col in zip(*gh)], 1))
     result = tuple(out)
     _nd_cache[config] = result
     return result
+
+
+def _subset_states(
+    config: SurfaceConfig, gh: list[list[int]], rhs: Sequence[Sequence[int]]
+) -> Iterator[tuple[tuple[int, ...], list[list[int]], int]]:
+    """(subset, columns, d) for every negative-definite subset, in order.
+
+    The columns are those of [a | -rhs] with a = -gh after pivoting on the
+    subset S: d = det(a_S) > 0, each right-hand-side column holds d*x on S,
+    where gh_S x = rhs_S, and -d times the residual rhs_j - (gh x)_j off S.
+    The subsets come in depth-first preorder, so a subset's prefix is the
+    last state on the stack one level up and each state costs one pivot.
+    """
+    a = [[-x for x in col] for col in zip(*gh)] + [[-x for x in col] for col in rhs]
+    stack: list[State] = [(a, 1)]
+    for subset in negative_definite_subsets(config):
+        k = len(subset)
+        if k:
+            stack[k:] = [extend(stack[k - 1], subset[-1])]
+        yield subset, *stack[k]
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,26 +213,17 @@ class SubsetTable:
         r1 = [-rho * gh[fi][j] for j in range(n)]
 
         rows: list[_TableRow] = []
-        for subset in negative_definite_subsets(config):
-            k = len(subset)
-            aug = [[gh[i][j] for j in subset] + [r0[i], r1[i]] for i in subset]
-            den = rho * eliminate(aug)
-            sign = 1 if den > 0 else -1
-            den *= sign
-            x0 = tuple(sign * aug[i][k] for i in range(k))
-            x1 = tuple(sign * aug[i][k + 1] for i in range(k))
-            cols = [gh[s] for s in subset]
-            residuals = (
-                (
-                    den * r0[j] - rho * sum(x0[t] * cols[t][j] for t in range(k)),
-                    den * r1[j] - rho * sum(x1[t] * cols[t][j] for t in range(k)),
-                )
-                for j in range(n)
-                if j not in subset
+        for subset, work, d in _subset_states(config, gh, (r0, r1)):
+            b0, b1 = work[n], work[n + 1]
+            conds = itertools.chain(
+                ((b0[i], b1[i]) for i in subset),
+                ((-b0[j], -b1[j]) for j in range(n) if j not in subset),
             )
-            interval = _accepted_interval(itertools.chain(zip(x0, x1), residuals))
+            interval = _accepted_interval(conds)
             if interval is not None:
-                rows.append(_TableRow(subset, *interval, x0, x1, den))
+                x0 = tuple(b0[i] for i in subset)
+                x1 = tuple(b1[i] for i in subset)
+                rows.append(_TableRow(subset, *interval, x0, x1, rho * d))
         self.rows = tuple(rows)
         self.index = _RowIndex(self.rows)
 
@@ -268,27 +281,15 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
     terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]
     b = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]  # mu * lam * d.D_j
     accepted: list[tuple[Fraction, ...]] = []
-    for subset in negative_definite_subsets(config):
-        k = len(subset)
-        aug = [[gh[i][j] for j in subset] + [b[i]] for i in subset]
-        det = eliminate(aug)
-        if det == 0:  # pragma: no cover - definite matrices are regular
+    for subset, work, det in _subset_states(config, gh, (b,)):
+        y = work[n]  # det * y on the subset, -det * residual off it
+        if any(y[i] < 0 for i in subset):
             continue
-        sign = 1 if det > 0 else -1
-        y = [sign * aug[t][k] for t in range(k)]
-        if any(c < 0 for c in y):
-            continue
-        det *= sign
-        cols = [gh[s] for s in subset]
-        if any(
-            det * b[j] < sum(y[t] * cols[t][j] for t in range(k))
-            for j in range(n)
-            if j not in subset
-        ):
+        if any(y[j] > 0 for j in range(n) if j not in subset):
             continue
         full = [Fraction(0)] * n
-        for c, idx in zip(y, subset):
-            full[idx] = Fraction(c, det * lam)
+        for idx in subset:
+            full[idx] = Fraction(y[idx], det * lam)
         accepted.append(tuple(full))
     if not accepted:
         raise NoSolution(f"no accepted support for {d.coeffs} on {config.name}")

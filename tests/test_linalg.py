@@ -1,6 +1,7 @@
 """Exact linear algebra over the rationals."""
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -8,7 +9,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpdelta.linalg import solve
+from dpdelta.linalg import extend, solve
 
 F = Fraction
 
@@ -82,3 +83,55 @@ def test_solve_is_exact_or_the_matrix_is_singular(system):
         assert len(x) == len(matrix)
         for row, b_i in zip(matrix, b):
             assert sum((a * x_j for a, x_j in zip(row, x)), start=F(0)) == b_i
+
+
+@st.composite
+def definite_systems(draw):
+    """A = -(M^T M + I), integer right-hand sides B and an increasing index set."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    r = draw(st.integers(min_value=1, max_value=3))
+    m = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)] for _ in range(n)]
+    a = [
+        [-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j) for j in range(n)]
+        for i in range(n)
+    ]
+    b = [[draw(st.integers(min_value=-20, max_value=20)) for _ in range(r)] for _ in range(n)]
+    subset = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1)))) if n else []
+    return a, b, subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=definite_systems())
+@example(system=([[-2, 1], [1, -2]], [[1], [3]], [0, 1]))
+@example(system=([[-1, 0, 0], [0, -5, 2], [0, 2, -1]], [[4, 0], [1, 1], [-3, 2]], [2]))
+def test_extend_pivots_on_the_subsystem(system):
+    """On [-A | -B], pivoting on S gives d = det(-A_S), d*x on S, -d*residual off it."""
+    a, b, subset = system
+    n, r = len(a), len(b[0]) if b else 1
+    cols = [[-a[i][c] for i in range(n)] for c in range(n)]
+    state = (cols + [[-b[i][t] for i in range(n)] for t in range(r)], 1)
+    for j in subset:
+        before = copy.deepcopy(state)
+        nxt = extend(state, j)
+        assert state == before  # a state stays valid for its other extensions
+        state = nxt
+    cols, d = state
+    assert d == _leibniz_det([[-a[i][j] for j in subset] for i in subset]) > 0
+    for j in range(subset[-1] + 1 if subset else 0, n):
+        # the next pivot candidate is the bordered leading minor
+        grown = subset + [j]
+        assert cols[j][j] == _leibniz_det([[-a[p][q] for q in grown] for p in grown])
+    xs = solve(
+        [[F(a[i][j]) for j in subset] for i in subset],
+        [[F(b[i][t]) for i in subset] for t in range(r)],
+    )
+    for t, x in enumerate(xs):
+        for i in subset:
+            assert sum((a[i][s] * x_s for s, x_s in zip(subset, x)), start=F(0)) == b[i][t]
+        col = cols[n + t]
+        for pos, i in enumerate(subset):
+            assert col[i] == d * x[pos]
+        for j in range(n):
+            if j not in subset:
+                residual = b[j][t] - sum((a[j][s] * x_s for s, x_s in zip(subset, x)), start=F(0))
+                assert col[j] == -d * residual

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import math
 import subprocess
 import sys
@@ -32,11 +33,13 @@ from dpdelta import (
 )
 from dpdelta.catalog import decompose_flag
 from dpdelta.errors import Ambiguous, NoSolution
-from dpdelta.linalg import solve
+from dpdelta.linalg import eliminate, solve
 from dpdelta.oracle import (
     EquivalenceMismatch,
     EquivalenceReport,
     SubsetTable,
+    _accepted_interval,
+    _integer_gram,
     _RowIndex,
     _TableRow,
 )
@@ -102,6 +105,58 @@ def catalog_flags(records):
         for record in records.values()
         for spec in record.flag_specs
     ]
+
+
+def _per_subset_rows(config: SurfaceConfig, flag: str) -> tuple[_TableRow, ...]:
+    """The table rows as the per-subset builder made them, kept as a reference.
+
+    Each subset gets its own augmented system [mu*gram_S | r0_S, r1_S],
+    eliminated from scratch, and its residuals are summed column by column.
+    """
+    mu, gh = _integer_gram(config)
+    n = len(gh)
+    fi = config.index(flag)
+    w0 = [sum(config.anti_k[i] * config.gram[i][j] for i in range(n)) for j in range(n)]
+    rho = math.lcm(*((x * mu).denominator for x in w0))
+    r0 = [int(x * mu * rho) for x in w0]
+    r1 = [-rho * gh[fi][j] for j in range(n)]
+    rows = []
+    for subset in negative_definite_subsets(config):
+        k = len(subset)
+        aug = [[gh[i][j] for j in subset] + [r0[i], r1[i]] for i in subset]
+        den = rho * eliminate(aug)
+        sign = 1 if den > 0 else -1
+        den *= sign
+        x0 = tuple(sign * aug[i][k] for i in range(k))
+        x1 = tuple(sign * aug[i][k + 1] for i in range(k))
+        cols = [gh[s] for s in subset]
+        residuals = (
+            (
+                den * r0[j] - rho * sum(x0[t] * cols[t][j] for t in range(k)),
+                den * r1[j] - rho * sum(x1[t] * cols[t][j] for t in range(k)),
+            )
+            for j in range(n)
+            if j not in subset
+        )
+        interval = _accepted_interval(itertools.chain(zip(x0, x1), residuals))
+        if interval is not None:
+            rows.append(_TableRow(subset, *interval, x0, x1, den))
+    return tuple(rows)
+
+
+def _semidefinite_pair() -> SurfaceConfig:
+    """Two (-2)-curves meeting twice (det = 0) and a disjoint curve of square 0."""
+    return SurfaceConfig(
+        name="pair",
+        norm=1,
+        curves=[
+            CurveRecord("X0", -2, "minus_two"),
+            CurveRecord("X1", -2, "minus_two"),
+            CurveRecord("F", 0, "other"),
+        ],
+        gram=[[-2, 2, 0], [2, -2, 0], [0, 0, 0]],
+        anti_k=[0, 0, 0],
+    )
 
 
 def _fraction_brute_force(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
@@ -177,20 +232,22 @@ class TestNegativeDefiniteSubsets:
         assert (0, 1) not in subsets  # det = 3/4 - 1 < 0
 
     def test_semidefinite_pair(self):
-        # two (-2)-curves meeting twice (det = 0) and a disjoint curve of
-        # square 0: only the two singletons are definite
-        cfg = SurfaceConfig(
-            name="pair",
-            norm=1,
-            curves=[
-                CurveRecord("X0", -2, "minus_two"),
-                CurveRecord("X1", -2, "minus_two"),
-                CurveRecord("F", 0, "other"),
-            ],
-            gram=[[-2, 2, 0], [2, -2, 0], [0, 0, 0]],
-            anti_k=[0, 0, 0],
-        )
-        assert set(negative_definite_subsets(cfg)) == {(), (0,), (1,)}
+        # only the two singletons are definite
+        assert set(negative_definite_subsets(_semidefinite_pair())) == {(), (0,), (1,)}
+
+    def test_each_prefix_is_the_last_subset_of_its_length(self, catalog_flags):
+        """The preorder the table and brute-force walks extend along."""
+        configs = {id(cfg): cfg for _, cfg, _, _ in catalog_flags}
+        assert len(configs) == 42
+        for cfg in [*configs.values(), _semidefinite_pair()]:
+            subsets = negative_definite_subsets(cfg)
+            assert subsets[0] == ()
+            last: dict[int, tuple[int, ...]] = {}
+            for subset in subsets:
+                if subset:
+                    assert last[len(subset) - 1] == subset[:-1], f"{cfg.name}: {subset}"
+                    assert list(subset) == sorted(set(subset))
+                last[len(subset)] = subset
 
 
 class TestSubsetTable:
@@ -224,6 +281,14 @@ class TestSubsetTable:
             counts.setdefault(case, {})[key] = len(subset_table(cfg, flag).rows)
         assert counts == TABLE_ROWS
         assert sum(sum(per.values()) for per in counts.values()) == 12410
+
+    def test_rows_match_the_per_subset_builder(self, catalog_flags):
+        total = 0
+        for label, cfg, flag, _ in catalog_flags:
+            rows = subset_table(cfg, flag).rows
+            assert rows == _per_subset_rows(cfg, flag), label
+            total += len(rows)
+        assert total == 12410
 
     def test_index_matches_linear_scan_across_catalog(self, catalog_flags):
         for label, cfg, flag, tau in catalog_flags:
