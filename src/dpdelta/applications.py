@@ -1,47 +1,28 @@
 """Composite delta values, stability verdicts and threefold multipliers.
 
-The certified per-case minima combine into a single table: a surface whose
-singular points have several resolution types takes the minimum of the
-per-type values, where the types whose value depends on extra geometric
-data (the nodal/cuspidal shape of the curves through the point, or the
-reducibility of the branch divisor) contribute one value per completion.
-The composite answer is only defined when every completion yields the same
-minimum; otherwise the missing flag genuinely matters.
+The certified per-case minima, read from the catalog's ``expected.json``
+files, combine into a single table: a surface whose singular points have
+several resolution types takes the minimum of the per-type values, where
+the types whose value depends on extra geometric data (the nodal/cuspidal
+shape of the curves through the point, or the reducibility of the branch
+divisor) contribute one value per completion. The composite answer is only
+defined when every completion yields the same minimum; otherwise the
+missing flag genuinely matters.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterator, Sequence
 
+from .catalog import case_names, catalog_root, load_case
 from .errors import MissingFlag, SchemaError
 from .poly import Poly
 from .rationals import format_rational
-
-_FLAGGED_NODAL = {
-    "A1": {False: Fraction(2), True: Fraction(9, 5)},
-    "A2": {False: Fraction(12, 7), True: Fraction(3, 2)},
-}
-_FLAGGED_BRANCH = {
-    "A7": {False: Fraction(18, 17), True: Fraction(1)},
-}
-_PLAIN = {
-    "A3": Fraction(3, 2),
-    "A4": Fraction(4, 3),
-    "A5": Fraction(6, 5),
-    "A6": Fraction(9, 8),
-    "A8": Fraction(1),
-    "D4": Fraction(1),
-    "D5": Fraction(6, 7),
-    "D6": Fraction(3, 4),
-    "D7": Fraction(2, 3),
-    "D8": Fraction(3, 5),
-    "E6": Fraction(3, 5),
-    "E7": Fraction(3, 7),
-    "E8": Fraction(3, 11),
-}
 
 SMOOTH_DELTA_CUSPIDAL = Fraction(15, 7)
 SMOOTH_DELTA_GENERAL = Fraction(12, 5)
@@ -78,25 +59,35 @@ def base_delta(entry: SingularityEntry) -> Fraction:
 
 def _candidate_values(entry: SingularityEntry) -> tuple[Fraction, ...]:
     t = entry.type
-    if t in _FLAGGED_NODAL:
-        if entry.reducible_r is not None:
-            raise SchemaError(f"{t} takes no branch-reducibility flag")
-        table = _FLAGGED_NODAL[t]
-        if entry.cuspidal is None:
-            return (table[False], table[True])
-        return (table[entry.cuspidal],)
-    if t in _FLAGGED_BRANCH:
-        if entry.cuspidal is not None:
-            raise SchemaError(f"{t} takes no nodal/cuspidal flag")
-        table = _FLAGGED_BRANCH[t]
-        if entry.reducible_r is None:
-            return (table[False], table[True])
-        return (table[entry.reducible_r],)
-    if t in _PLAIN:
-        if entry.cuspidal is not None or entry.reducible_r is not None:
-            raise SchemaError(f"{t} takes no extra flag")
-        return (_PLAIN[t],)
-    raise SchemaError(f"unknown singularity type {t!r}")
+    try:
+        field, deltas = _type_deltas(catalog_root())[t]
+    except KeyError:
+        raise SchemaError(f"unknown singularity type {t!r}") from None
+    for other in _FLAG_NAMES:
+        if other != field and getattr(entry, other) is not None:
+            raise SchemaError(f"{t} takes no {_FLAG_NAMES[other] if field else 'extra'} flag")
+    value = getattr(entry, field) if field else None
+    return tuple(deltas.values()) if value is None else (deltas[value],)
+
+
+@functools.lru_cache(maxsize=None)
+def _type_deltas(root: Path) -> dict[str, tuple[str | None, dict[bool | None, Fraction]]]:
+    """Each type's flag field (or None) and its certified delta per flag value,
+    read from the catalog cases named ``<type>`` or ``<type>-<suffix>``."""
+    table: dict = {}
+    for name in case_names(root):
+        t, _, suffix = name.partition("-")
+        if not _TYPE_RE.match(t) or (suffix and suffix not in _SUFFIXES):
+            raise SchemaError(f"catalog case {name!r} is not <type> or <type>-<suffix>")
+        field, value = _SUFFIXES[suffix] if suffix else (None, None)
+        known, deltas = table.setdefault(t, (field, {}))
+        if known != field or value in deltas:
+            raise SchemaError(f"catalog case {name} clashes with another {t} case")
+        deltas[value] = load_case(name, root).delta
+    for t, (field, deltas) in table.items():
+        if field is not None and set(deltas) != {False, True}:
+            raise SchemaError(f"catalog has {t} for only one {_FLAG_NAMES[field]} value")
+    return table
 
 
 def main_theorem_delta(entries: Sequence[SingularityEntry]) -> Fraction:
@@ -120,6 +111,8 @@ def main_theorem_delta(entries: Sequence[SingularityEntry]) -> Fraction:
 
 
 _ENTRY_RE = re.compile(r"^(\d*)([ADE]\d+)(?::([a-z]+))?$")
+_TYPE_RE = re.compile(r"^[ADE]\d+$")
+_FLAG_NAMES = {"cuspidal": "nodal/cuspidal", "reducible_r": "branch-reducibility"}
 _SUFFIXES = {
     "nodal": ("cuspidal", False),
     "cusp": ("cuspidal", True),

@@ -182,12 +182,6 @@ class SurfaceConfig:
         i = self.index(curve)
         return DivisorClass(Fraction(int(j == i)) for j in range(len(self.curves)))
 
-    def divisor(self, coeffs: Mapping[str, RatLike]) -> DivisorClass:
-        vec = [Fraction(0)] * len(self.curves)
-        for name, c in coeffs.items():
-            vec[self.index(name)] = parse_rational(c)
-        return DivisorClass(vec)
-
     @property
     def anti_k_divisor(self) -> DivisorClass:
         return DivisorClass(self.anti_k)

@@ -18,7 +18,7 @@ from .config import PointSpec, SurfaceConfig
 from .errors import NotCertified
 from .poly import PiecewisePoly
 from .rationals import format_rational
-from .zariski import Decomposition, n_restricted_at_point, parametric_decompose
+from .zariski import Decomposition, decomposition_for, n_restricted_at_point
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ def s_flag(
     config: SurfaceConfig, flag: str, decomp: Decomposition | None = None
 ) -> Fraction:
     """Expected vanishing order S(flag) = (1/norm) * int_0^tau P(v)^2 dv."""
-    if decomp is None:
-        decomp = parametric_decompose(config, flag)
+    decomp = decomposition_for(config, flag, decomp)
     p_sq = decomp.p_sq_piecewise()
     return p_sq.integrate(0, decomp.tau) / config.norm
 
@@ -103,8 +102,7 @@ def s_w_point(
     decomp: Decomposition | None = None,
 ) -> Fraction:
     """Localized expected order S(W; O) = (2/norm) * int_0^tau h(v) dv."""
-    if decomp is None:
-        decomp = parametric_decompose(config, flag)
+    decomp = decomposition_for(config, flag, decomp)
     if isinstance(point, str):
         point = config.point(point)
     h = local_h(decomp, point)
@@ -124,8 +122,7 @@ def flag_report(
     for curves on the surface itself, the stored value for exceptional or
     orbifold flags).
     """
-    if decomp is None:
-        decomp = parametric_decompose(config, flag)
+    decomp = decomposition_for(config, flag, decomp)
     if points is None:
         points = config.points_on(flag)
     rows = []

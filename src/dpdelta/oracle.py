@@ -45,7 +45,7 @@ from .errors import Ambiguous, NoSolution
 from .linalg import State, extend, solve  # noqa: F401 - the bench tracer tests read oracle.solve
 from .poly import PiecewisePoly
 from .rationals import RatLike, format_rational, parse_rational
-from .zariski import Decomposition, NegativePart, parametric_decompose
+from .zariski import Decomposition, NegativePart, decomposition_for
 
 _MAX_BRUTE_FORCE_CURVES = 16
 
@@ -393,8 +393,7 @@ def random_equivalence(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if decomp is None:
-        decomp = parametric_decompose(config, flag)
+    decomp = decomposition_for(config, flag, decomp)
     table = subset_table(config, flag)
     mismatches: list[EquivalenceMismatch] = []
     ambiguous = 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import IrrationalRoot, OutOfDomain
 from .rationals import RatLike, format_rational, parse_rational
@@ -284,12 +284,6 @@ class PiecewisePoly:
                 total += piece.integrate(seg_lo, seg_hi)
         return total
 
-    def _align(self, other: "PiecewisePoly") -> tuple[tuple[Fraction, ...], "PiecewisePoly", "PiecewisePoly"]:
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise ValueError("piecewise domains differ")
-        merged = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        return merged, self.refine(merged), other.refine(merged)
-
     def refine(self, breakpoints: Sequence[RatLike]) -> "PiecewisePoly":
         """The same function on a finer breakpoint grid."""
         bps = [_as_fraction(b) for b in breakpoints]
@@ -301,23 +295,14 @@ class PiecewisePoly:
             pieces.append(self.pieces[self._piece_index(mid)])
         return PiecewisePoly(bps, pieces, self.continuous)
 
-    def _zip(self, other: "PiecewisePoly | Poly | RatLike", fn: Callable[[Poly, Poly], Poly]) -> "PiecewisePoly":
-        if not isinstance(other, PiecewisePoly):
-            other = PiecewisePoly(self.breakpoints, [_as_poly(other)] * len(self.pieces))
-        merged, a, b = self._align(other)
-        pieces = [fn(pa, pb) for pa, pb in zip(a.pieces, b.pieces)]
+    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
+        """Difference on the union of both breakpoint grids."""
+        if (self.lo, self.hi) != (other.lo, other.hi):
+            raise ValueError("piecewise domains differ")
+        merged = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        a, b = self.refine(merged), other.refine(merged)
+        pieces = [pa - pb for pa, pb in zip(a.pieces, b.pieces)]
         return PiecewisePoly(merged, pieces, continuous=a.continuous and b.continuous)
-
-    def __add__(self, other: "PiecewisePoly | Poly | RatLike") -> "PiecewisePoly":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "PiecewisePoly | Poly | RatLike") -> "PiecewisePoly":
-        return self._zip(other, lambda a, b: a - b)
-
-    def __mul__(self, other: "PiecewisePoly | Poly | RatLike") -> "PiecewisePoly":
-        return self._zip(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
 
     @classmethod
     def from_json(cls, data: dict, continuous: bool = True) -> "PiecewisePoly":

@@ -131,6 +131,29 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
         ) from exc
 
 
+def decomposition_for(
+    config: SurfaceConfig, flag: str, decomp: Decomposition | None = None
+) -> Decomposition:
+    """`decomp` if it is the sweep of `flag` on `config`; a new sweep if None.
+
+    A decomposition of another flag or another configuration raises
+    ValueError naming both, instead of silently answering for them.
+    """
+    if decomp is None:
+        return parametric_decompose(config, flag)
+    if decomp.flag != flag:
+        raise ValueError(
+            f"decomposition of flag {decomp.flag} passed for flag {flag} "
+            f"on config {config.name}"
+        )
+    if decomp.config is not config:
+        raise ValueError(
+            f"decomposition swept on config {decomp.config.name} passed for "
+            f"another config {config.name}, flag {flag}"
+        )
+    return decomp
+
+
 def _support_text(support: Sequence[str]) -> str:
     return f"support ({', '.join(support)})"
 

@@ -1,6 +1,9 @@
 """Composite delta table, singularity parsing, threefold multipliers."""
 from __future__ import annotations
 
+import json
+import re
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -11,13 +14,16 @@ from dpdelta import (
     SchemaError,
     SingularityEntry,
     base_delta,
+    catalog_root,
     kstability_verdict,
+    load_case,
     main_theorem_delta,
     multiplier_family_1_11,
     multiplier_family_2_1,
     parse_singularities,
     smooth_delta,
     threefold_delta_bound,
+    verify_case,
     verify_main_theorem_table,
 )
 from dpdelta.applications import (
@@ -84,6 +90,47 @@ class TestBaseDelta:
     def test_unknown_type(self):
         with pytest.raises(SchemaError, match="unknown singularity type 'Z9'"):
             base_delta(SingularityEntry("Z9"))
+
+
+@pytest.fixture
+def catalog_copy(tmp_path, monkeypatch):
+    """A private copy of the catalog that DPDELTA_CATALOG points at."""
+    root = tmp_path / "catalog"
+    shutil.copytree(catalog_root(), root)
+    monkeypatch.setenv("DPDELTA_CATALOG", str(root))
+    return root
+
+
+class TestCatalogSource:
+    def test_edited_delta_feeds_the_table_and_fails_verify(self, catalog_copy):
+        path = catalog_copy / "A4" / "expected.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["delta"] = "5/4"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert base_delta(SingularityEntry("A4")) == F(5, 4)
+        report = verify_case(load_case("A4"))
+        assert [row.label for row in report.rows if not row.passed] == ["delta=5/4"]
+
+    def test_removed_case_is_an_unknown_type(self, catalog_copy):
+        shutil.rmtree(catalog_copy / "D7")
+        with pytest.raises(SchemaError, match="unknown singularity type 'D7'"):
+            base_delta(SingularityEntry("D7"))
+
+    @pytest.mark.parametrize(
+        "source, copy, message",
+        [
+            ("A1-cuspidal", None, "catalog has A1 for only one nodal/cuspidal value"),
+            ("A3", "A3-weird", "catalog case 'A3-weird' is not <type> or <type>-<suffix>"),
+            ("A3", "A3-nodal", "catalog case A3-nodal clashes with another A3 case"),
+        ],
+    )
+    def test_malformed_catalog_is_refused(self, catalog_copy, source, copy, message):
+        if copy is None:
+            shutil.rmtree(catalog_copy / source)
+        else:
+            shutil.copytree(catalog_copy / source, catalog_copy / copy)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            base_delta(SingularityEntry("A4"))
 
 
 class TestCompositeDelta:

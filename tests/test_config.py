@@ -88,7 +88,6 @@ class TestSurfaceConfig:
         with pytest.raises(SchemaError, match="unknown curve 'Z' in config nodal"):
             cfg.index("Z")
         assert cfg.basis_vector("E").coeffs == (F(0), F(1))
-        assert cfg.divisor({"C": "1/2"}).coeffs == (F(1, 2), F(0))
         assert cfg.anti_k_divisor.coeffs == (F(1), F(1))
 
     def test_point_lookups(self):

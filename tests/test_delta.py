@@ -35,6 +35,14 @@ class TestSFlag:
     def test_orbifold_normalization(self, a1_cuspidal):
         assert s_flag(a1_cuspidal, "Ebar") == F(5, 3)
 
+    def test_rejects_another_flags_decomposition(self, records):
+        a3 = records["A3"].config("base")
+        e2 = parametric_decompose(a3, "E2")
+        with pytest.raises(
+            ValueError, match="decomposition of flag E2 passed for flag E1 on config A3"
+        ):
+            s_flag(a3, "E1", e2)
+
 
 class TestLocalH:
     def test_integrand_by_hand(self, a1_nodal, nodal_decomp):
@@ -51,6 +59,15 @@ class TestSWPoint:
         assert s_w_point(a1_nodal, "E", "generic", nodal_decomp) == F(1, 3)
         spec = a1_nodal.point("node")
         assert s_w_point(a1_nodal, "E", spec) == F(1, 2)
+
+    def test_rejects_another_configs_decomposition(self, a1_nodal, nodal_decomp):
+        copy = a1_nodal.with_points(a1_nodal.points)
+        with pytest.raises(
+            ValueError,
+            match="decomposition swept on config A1-nodal passed for another "
+            "config A1-nodal, flag E",
+        ):
+            s_w_point(copy, "E", "node", nodal_decomp)
 
     def test_different_shrinks_the_local_discrepancy_not_s_w(self, a1_cuspidal):
         # S(W;O) only sees incidences; the different enters through A_O
@@ -74,6 +91,14 @@ class TestFlagReport:
     def test_point_selection(self, a1_nodal, nodal_decomp):
         report = flag_report(a1_nodal, "E", points=["generic"], decomp=nodal_decomp)
         assert [row.point_id for row in report.point_rows] == ["generic"]
+
+    def test_rejects_another_flags_decomposition(self, records):
+        # the sweep of E2 would report S(E2) = 2/3 where S(E1) is 7/12
+        a3 = records["A3"].config("base")
+        e2 = parametric_decompose(a3, "E2")
+        assert flag_report(a3, "E1").s_flag == F(7, 12)
+        with pytest.raises(ValueError, match="flag E2 passed for flag E1"):
+            flag_report(a3, "E1", decomp=e2)
 
     def test_orbifold_discrepancies(self, a1_cuspidal):
         report = flag_report(a1_cuspidal, "Ebar")

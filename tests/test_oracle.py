@@ -462,6 +462,14 @@ class TestRandomEquivalence:
         decomp = parametric_decompose(a1_nodal, "E")
         assert random_equivalence(a1_nodal, "E", trials=5, seed=0, decomp=decomp).ok
 
+    def test_rejects_a_foreign_decomposition(self, a1_nodal, a2_nodal):
+        decomp = parametric_decompose(a1_nodal, "E")
+        with pytest.raises(ValueError, match="flag E passed for flag E1 on config A2-nodal"):
+            random_equivalence(a2_nodal.config("base"), "E1", trials=5, decomp=decomp)
+        copy = a1_nodal.with_points(a1_nodal.points)
+        with pytest.raises(ValueError, match="passed for another config A1-nodal"):
+            random_equivalence(copy, "E", trials=5, decomp=decomp)
+
     def test_trials_must_be_positive(self, a1_nodal):
         with pytest.raises(ValueError, match="trials must be positive"):
             random_equivalence(a1_nodal, "E", trials=0)

@@ -167,15 +167,16 @@ class TestPiecewisePoly:
     def test_arithmetic_aligns_breakpoints(self):
         pp = self.tent()
         other = PiecewisePoly([0, "1/4", 1], [Poly([1]), Poly([1])])
-        total = pp + other
-        assert total.breakpoints == (F(0), F(1, 4), F(1, 2), F(1))
-        assert total("3/4") == F(5, 4)
+        diff = pp - other
+        assert diff.breakpoints == (F(0), F(1, 4), F(1, 2), F(1))
+        assert diff("1/8") == F(-7, 8)
+        assert diff("3/4") == F(-3, 4)
         assert (pp - pp).integrate(0, 1) == 0
-        assert (pp * 2)("1/4") == F(1, 2)
-        assert (pp * pp)("3/4") == F(1, 16)
+        jump = PiecewisePoly([0, "1/4", 1], [Poly([0]), Poly([1])], continuous=False)
+        assert not (pp - jump).continuous
         mismatched = PiecewisePoly([0, 2], [Poly([1])])
         with pytest.raises(ValueError):
-            pp + mismatched
+            pp - mismatched
 
     def test_json_round_trip(self):
         pp = self.tent()
