@@ -266,15 +266,16 @@ def verify_main_theorem_table() -> tuple[str, ...]:
     failures: list[str] = []
     for row in MAIN_THEOREM_ROWS:
         for combo in row.combos:
+            label = f"{combo} ({row.condition})" if row.condition else combo
             for entries in row_assignments(row, combo):
                 try:
                     value = main_theorem_delta(entries)
                 except MissingFlag as exc:
-                    failures.append(f"{combo} [{row.condition}]: {exc}")
+                    failures.append(f"{label}: {exc}")
                     continue
                 if value != row.delta:
                     failures.append(
-                        f"{combo} [{row.condition}]: got {format_rational(value)}, "
+                        f"{label}: got {format_rational(value)}, "
                         f"table says {format_rational(row.delta)}"
                     )
     return tuple(failures)

@@ -23,6 +23,7 @@ from .applications import (
     MAIN_THEOREM_ROWS,
     main_theorem_delta,
     parse_singularities,
+    verify_main_theorem_table,
 )
 
 
@@ -203,6 +204,11 @@ def _cmd_table(args) -> int:
             return 1
         print(format_rational(value))
         return 0
+    failures = verify_main_theorem_table()
+    if failures:
+        for failure in failures:
+            print(f"table row contradicts the catalog: {failure}", file=sys.stderr)
+        return 1
     for row in MAIN_THEOREM_ROWS:
         condition = f"  ({row.condition})" if row.condition else ""
         print(f"{', '.join(row.combos)}{condition}: {format_rational(row.delta)}")

@@ -77,8 +77,8 @@ def eliminate(rows: list[list[int]]) -> int:
 def solve(matrix: Matrix, rhs_columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Solve A x = b for several right-hand sides at once.
 
-    Returns one solution vector per entry of `rhs_columns`. Raises
-    ValueError if the matrix is singular.
+    Entries may be int or Fraction. Returns one solution vector per entry of
+    `rhs_columns`. Raises ValueError if the matrix is singular.
     """
     n = len(matrix)
     rows = []

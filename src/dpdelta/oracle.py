@@ -14,20 +14,22 @@ most the curve count. Each state carries the whole augmented matrix, so it
 gives the subset's solution and, without further sums, every off-subset
 residual.
 
-Subset solutions are computed once per (config, flag) pair as integer affine
-functions of the sweep parameter, so checking hundreds of random parameter
-values stays fast. Building the table scans each subset's conditions (its
-coefficients, then one residual per curve off the subset) on integers and
-stops at the first one that empties its interval; the accepted rows are
-indexed by their sorted endpoints, so a lookup is one bisect and still sees
-every row that contains the parameter. A pointwise reference
-(`brute_force_negative_part`) walks the subsets again at a single divisor,
-on integers scaled from the Gram matrix and the divisor, never reads the
-table, and is spot checked against it. Both run on the pivot step of
-`linalg`, which the sweep's `solve` shares; the acceptance gate checks the
-sweep's output by substitution alone. The quadrature check applies
-Simpson's rule in exact arithmetic, independently of the antiderivatives
-`PiecewisePoly` integrates with.
+The integer Gram matrix and the (-K).C row are computed once per
+configuration, from the Gram matrix and `anti_k` alone, so the oracle reads
+none of the sweep's data. Subset solutions are computed once per (config,
+flag) pair as integer affine functions of the sweep parameter, so checking
+hundreds of random parameter values stays fast. Building the table scans
+each subset's conditions (its coefficients, then one residual per curve off
+the subset) on integers and stops at the first one that empties its
+interval; the accepted rows are indexed by their sorted endpoints, so a
+lookup is one bisect and still sees every row that contains the parameter.
+A pointwise reference (`brute_force_negative_part`) walks the subsets again
+at a single divisor, on integers scaled from the Gram matrix and the
+divisor, never reads the table, and is spot checked against it. Both run on
+the pivot step of `linalg`, which the sweep's `solve` shares; the
+acceptance gate checks the sweep's output by substitution alone. The
+quadrature check applies Simpson's rule in exact arithmetic, independently
+of the antiderivatives `PiecewisePoly` integrates with.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, NoSolution
@@ -55,14 +57,52 @@ _nd_cache: "weakref.WeakKeyDictionary[SurfaceConfig, tuple[tuple[int, ...], ...]
 _table_cache: "weakref.WeakKeyDictionary[SurfaceConfig, dict]" = weakref.WeakKeyDictionary()
 
 
-def _integer_gram(config: SurfaceConfig) -> tuple[int, list[list[int]]]:
+class _IntegerData(NamedTuple):
+    """A configuration's Gram matrix and (-K).C row, scaled to integers.
+
+    gh = mu * gram with mu the lcm of the Gram denominators, and
+    r0[j] = mu * rho * (-K).C_j with rho the least positive integer making
+    every entry integral.
+    """
+
+    mu: int
+    gh: tuple[tuple[int, ...], ...]
+    rho: int
+    r0: tuple[int, ...]
+
+
+_integer_cache: "weakref.WeakKeyDictionary[SurfaceConfig, _IntegerData]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _integer_data(config: SurfaceConfig) -> _IntegerData:
+    """The integer Gram matrix and (-K).C row, computed once per configuration.
+
+    (-K).C_j is summed from the Gram matrix and `anti_k` here, on integers:
+    with alpha * anti_k = a integral, k_j = sum_i a_i * gh[i][j] is
+    mu * alpha * (-K).C_j, so rho = alpha / g and r0 = k / g for
+    g = gcd(alpha, k_0, ..., k_{n-1}).
+    """
+    data = _integer_cache.get(config)
+    if data is None:
+        mu = math.lcm(*(x.denominator for row in config.gram for x in row))
+        gh = tuple(tuple(x.numerator * (mu // x.denominator) for x in row) for row in config.gram)
+        alpha = math.lcm(*(c.denominator for c in config.anti_k))
+        terms = [
+            (i, c.numerator * (alpha // c.denominator)) for i, c in enumerate(config.anti_k) if c
+        ]
+        k = [sum(a * gh[i][j] for i, a in terms) for j in range(len(gh))]
+        g = math.gcd(alpha, *k)
+        data = _IntegerData(mu, gh, alpha // g, tuple(x // g for x in k))
+        _integer_cache[config] = data
+    return data
+
+
+def _integer_gram(config: SurfaceConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """mu and the integer matrix mu * gram."""
-    mu = 1
-    for row in config.gram:
-        for x in row:
-            mu = mu * x.denominator // math.gcd(mu, x.denominator)
-    gh = [[int(x * mu) for x in row] for row in config.gram]
-    return mu, gh
+    data = _integer_data(config)
+    return data.mu, data.gh
 
 
 def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
@@ -198,18 +238,9 @@ class SubsetTable:
         self.config_name = config.name
         self.curve_names = config.curve_names
         self.flag = flag
-        mu, gh = _integer_gram(config)
+        _, gh, rho, r0 = _integer_data(config)
         n = len(gh)
         fi = config.index(flag)
-        w0 = [
-            sum(config.anti_k[i] * config.gram[i][j] for i in range(n))
-            for j in range(n)
-        ]
-        rho = 1
-        for x in w0:
-            d = (x * mu).denominator
-            rho = rho * d // math.gcd(rho, d)
-        r0 = [int(x * mu * rho) for x in w0]
         r1 = [-rho * gh[fi][j] for j in range(n)]
 
         rows: list[_TableRow] = []

@@ -7,12 +7,25 @@ decomposition is a finite list of chambers on which every negative-part
 coefficient is an affine polynomial and P(v)^2 is a quadratic. The sweep
 starts at v = 0 and pivots the support at each breakpoint until P^2 hits 0
 at the pseudoeffective threshold tau.
+
+The pivot loop decides on integer rows. Each support system is solved by
+`linalg.solve` on the integer Gram matrix mu * gram, cached per
+configuration; the solution is scaled to integers over one denominator, and
+one pass of integer dot products over the support's Gram rows gives P.C for
+every curve C as an integer affine numerator over one positive denominator.
+Drops, adds and the chamber's end are decided by integer signs and
+comparisons at v = p/q. `Poly` and `Fraction` objects are built only for
+the support the loop converges on, once per chamber, and
+`decomposition_from_json` rebuilds P.C through the same rows.
 """
 from __future__ import annotations
 
+import itertools
+import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .config import PointSpec, SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
@@ -98,16 +111,22 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
     support involved, and leaves here also naming the configuration, the
     flag and the index of the chamber being built.
     """
-    d_dot, d_sq = _directional_data(config, flag)
+    direction = _direction(config, flag)
+    names = config.curve_names
 
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
+    seed: tuple[int, ...] = ()
     support: tuple[str, ...] = ()
     try:
         while len(chambers) < _MAX_CHAMBERS:
-            support, n_polys, p_dot = _pivot(config, d_dot, support, v_cur)
-            p_sq = _positive_part(d_dot, d_sq, n_polys)
-            hi, is_tau = _chamber_end(n_polys, p_dot, p_sq, v_cur)
+            rows = _pivot(direction, seed, v_cur)
+            seed = rows.support
+            support = tuple(names[s] for s in seed)
+            n_polys = _n_polys(names, rows)
+            p_dot = _p_dot(names, rows)
+            p_sq = _positive_part(direction, rows)
+            hi, is_tau = _chamber_end(rows, support, p_sq, v_cur)
             chambers.append(
                 Chamber(
                     lo=v_cur,
@@ -158,115 +177,233 @@ def _support_text(support: Sequence[str]) -> str:
     return f"support ({', '.join(support)})"
 
 
-def _directional_data(config: SurfaceConfig, flag: str) -> tuple[dict[str, Poly], Poly]:
-    """Affine D(v).C for every curve C and quadratic D(v)^2, D = anti_k - v*flag."""
+# -- integer rows ----------------------------------------------------------
+
+
+class _IntegerGram:
+    """mu, the lcm of a configuration's Gram denominators, and the rows of
+    mu * gram as integers, each converted the first time it is read.
+
+    It holds the Gram matrix, never the configuration, so the weakly keyed
+    cache entry does not keep its own key alive.
+    """
+
+    def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
+        self.gram = gram
+        self.mu = math.lcm(*(x.denominator for row in gram for x in row))
+        self.rows: dict[int, list[int]] = {}
+
+    def row(self, i: int) -> list[int]:
+        row = self.rows.get(i)
+        if row is None:
+            mu = self.mu
+            row = self.rows[i] = [x.numerator * (mu // x.denominator) for x in self.gram[i]]
+        return row
+
+
+_gram_cache: "weakref.WeakKeyDictionary[SurfaceConfig, _IntegerGram]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _integer_gram(config: SurfaceConfig) -> _IntegerGram:
+    """The configuration's integer Gram rows, cached on first use."""
+    gram = _gram_cache.get(config)
+    if gram is None:
+        gram = _gram_cache[config] = _IntegerGram(config.gram)
+    return gram
+
+
+class _Direction(NamedTuple):
+    """D(v) = anti_k - v*flag on one configuration, as integer rows.
+
+    mu * scale * D(v).C_j = b0[j] + b1[j]*v for every curve j, where mu is
+    the Gram denominator and scale clears the denominators of (-K).C_j.
+    """
+
+    config: SurfaceConfig
+    flag: int
+    gram: _IntegerGram
+    scale: int
+    b0: list[int]
+    b1: list[int]
+    d_sq: Poly
+
+
+def _direction(config: SurfaceConfig, flag: str) -> _Direction:
     fi = config.index(flag)
-    d_dot = {
-        name: Poly([config.anti_k_dots[j], -config.gram[fi][j]])
-        for j, name in enumerate(config.curve_names)
-    }
-    d_sq = Poly([config.norm, -2 * config.anti_k_dots[fi], config.gram[fi][fi]])
-    return d_dot, d_sq
+    gram = _integer_gram(config)
+    dots = config.anti_k_dots
+    scale = math.lcm(*(x.denominator for x in dots))
+    b0 = [gram.mu * x.numerator * (scale // x.denominator) for x in dots]
+    b1 = [-scale * g for g in gram.row(fi)]
+    d_sq = Poly([config.norm, -2 * dots[fi], config.gram[fi][fi]])
+    return _Direction(config, fi, gram, scale, b0, b1, d_sq)
 
 
-def _pivot(
-    config: SurfaceConfig,
-    d_dot: Mapping[str, Poly],
-    seed: Sequence[str],
-    v: Fraction,
-) -> tuple[tuple[str, ...], dict[str, Poly], dict[str, Poly]]:
+class _Rows(NamedTuple):
+    """One support's affine rows as integer numerators over positive denominators.
+
+    N_s(v) = (x0[i] + x1[i]*v) / n_den for the i-th support index s, and
+    P(v).C_j = (c0[j] + c1[j]*v) / p_den for every curve j.
+    """
+
+    support: tuple[int, ...]
+    x0: list[int]
+    x1: list[int]
+    n_den: int
+    c0: list[int]
+    c1: list[int]
+    p_den: int
+
+
+def _rows(
+    direction: _Direction,
+    support: Sequence[int],
+    y0: Sequence[Fraction],
+    y1: Sequence[Fraction],
+) -> _Rows:
+    """The rows of the negative part with scale * N_s(v) = y0[i] + y1[i]*v.
+
+    y is scaled to integers x over one denominator L, and then
+    L * mu * scale * P.C_j = L * b_j - sum_s x_s * (mu * C_s.C_j) for every
+    j: one pass of integer dot products over the support's Gram rows.
+    """
+    lcm = math.lcm(*(y.denominator for y in y0), *(y.denominator for y in y1))
+    x0 = [y.numerator * (lcm // y.denominator) for y in y0]
+    x1 = [y.numerator * (lcm // y.denominator) for y in y1]
+    c0 = [lcm * b for b in direction.b0]
+    c1 = [lcm * b for b in direction.b1]
+    for s, a0, a1 in zip(support, x0, x1):
+        g = direction.gram.row(s)
+        if a0:
+            c0 = [c - a0 * x for c, x in zip(c0, g)]
+        if a1:
+            c1 = [c - a1 * x for c, x in zip(c1, g)]
+    scale = lcm * direction.scale
+    return _Rows(tuple(support), x0, x1, scale, c0, c1, scale * direction.gram.mu)
+
+
+def _sign_after(c0: int, c1: int, p: int, q: int) -> int:
+    """Sign of c0 + c1*v immediately to the right of v = p/q, with q > 0.
+
+    The sign of the value decides; at a root, the sign of the slope.
+    """
+    value = c0 * q + c1 * p
+    if value:
+        return 1 if value > 0 else -1
+    return (c1 > 0) - (c1 < 0)
+
+
+def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows | None:
+    """Rows of the solution of gram_S N = D_S on the support S; None if singular.
+
+    The system is solved as (mu * gram_S) y = mu * scale * D_S, so y = scale * N.
+    """
+    if not support:
+        return _rows(direction, (), (), ())
+    row = direction.gram.row
+    matrix = [[row(a)[b] for b in support] for a in support]
+    rhs = [[direction.b0[a] for a in support], [direction.b1[a] for a in support]]
+    try:
+        y0, y1 = solve(matrix, rhs)
+    except ValueError:
+        return None
+    return _rows(direction, support, y0, y1)
+
+
+def _pivot(direction: _Direction, seed: Sequence[int], v: Fraction) -> _Rows:
     """Find the valid support just right of v, starting from a seed guess.
 
-    Validity is checked on the lexicographic pair (value at v, slope): a
-    support coefficient must be positive immediately after v and a
-    non-support curve must meet the residual nonnegatively immediately
-    after v. Returns the support, its affine coefficients and the affine
-    P.C of every curve C.
+    Validity is checked on the lexicographic pair (value at v, slope), in
+    integers: a support coefficient must be positive immediately after v
+    and a non-support curve must meet the residual nonnegatively
+    immediately after v. Returns the rows of the support it converges on.
     """
-    names = config.curve_names
-    support = [name for name in names if name in set(seed)]
-    seen: set[tuple[str, ...]] = set()
+    names = direction.config.curve_names
+    p, q = v.numerator, v.denominator
+    support = sorted(seed)
+    seen: set[tuple[int, ...]] = set()
     for _ in range(_MAX_PIVOTS):
         key = tuple(support)
         if key in seen:
             raise NotPseudoEffective(
-                f"support pivoting cycled at v = {format_rational(v)}, {_support_text(key)}"
+                f"support pivoting cycled at v = {format_rational(v)}, "
+                f"{_support_text([names[s] for s in key])}"
             )
         seen.add(key)
-        n_polys = _solve_support_affine(config, d_dot, support)
-        if n_polys is None:
+        rows = _solve_support(direction, key)
+        if rows is None:
             raise NotPseudoEffective(
-                f"singular Gram matrix at v = {format_rational(v)}, {_support_text(key)}"
+                f"singular Gram matrix at v = {format_rational(v)}, "
+                f"{_support_text([names[s] for s in key])}"
             )
-        drop = [name for name in support if _sign_after(n_polys[name], v) <= 0]
-        p_dot = _residual_dots(config, d_dot, n_polys)
-        add = [
-            name for name in names if name not in set(support) and _sign_after(p_dot[name], v) < 0
-        ]
+        drop = {s for s, a0, a1 in zip(key, rows.x0, rows.x1) if _sign_after(a0, a1, p, q) <= 0}
+        inside = set(key)
+        add = {
+            j
+            for j, (c0, c1) in enumerate(zip(rows.c0, rows.c1))
+            if j not in inside and _sign_after(c0, c1, p, q) < 0
+        }
         if not drop and not add:
-            return key, n_polys, p_dot
-        support = [name for name in support if name not in set(drop)]
-        support += [name for name in names if name in set(add)]
-        support = [name for name in names if name in set(support)]
+            return rows
+        support = sorted((inside - drop) | add)
     raise NotPseudoEffective(
         f"support pivoting did not converge at v = {format_rational(v)}, "
-        f"{_support_text(support)}"
+        f"{_support_text([names[s] for s in support])}"
     )
 
 
-def _sign_after(p: Poly, v: Fraction) -> int:
-    """Sign of an affine polynomial immediately to the right of v."""
-    value = p(v)
-    if value != 0:
-        return 1 if value > 0 else -1
-    slope = p.derivative()(v)
-    if slope != 0:
-        return 1 if slope > 0 else -1
-    return 0
-
-
-def _gram(config: SurfaceConfig, a: str, b: str) -> Fraction:
-    return config.gram[config.index(a)][config.index(b)]
-
-
-def _solve_support_affine(
-    config: SurfaceConfig, d_dot: Mapping[str, Poly], support: Sequence[str]
-) -> dict[str, Poly] | None:
-    if not support:
-        return {}
-    matrix = [[_gram(config, a, b) for b in support] for a in support]
-    rhs = [
-        [d_dot[a].coeff(0) for a in support],
-        [d_dot[a].coeff(1) for a in support],
-    ]
-    try:
-        sol = solve(matrix, rhs)
-    except ValueError:
-        return None
-    return {name: Poly([sol[0][i], sol[1][i]]) for i, name in enumerate(support)}
-
-
-def _residual_dots(
-    config: SurfaceConfig, d_dot: Mapping[str, Poly], n_polys: Mapping[str, Poly]
-) -> dict[str, Poly]:
+def _n_polys(names: Sequence[str], rows: _Rows) -> dict[str, Poly]:
+    """Affine N_s of every support curve, as polynomials."""
+    den = rows.n_den
     return {
-        name: d_dot[name]
-        - sum(
-            (n_polys[s] * _gram(config, s, name) for s in n_polys),
-            start=Poly([0]),
-        )
-        for name in config.curve_names
+        names[s]: Poly([Fraction(a0, den), Fraction(a1, den)])
+        for s, a0, a1 in zip(rows.support, rows.x0, rows.x1)
     }
 
 
-def _positive_part(d_dot: Mapping[str, Poly], d_sq: Poly, n_polys: Mapping[str, Poly]) -> Poly:
-    """P^2 on a chamber with negative part n_polys: D^2 - N.D, as P.N = 0."""
-    return d_sq - sum((n * d_dot[name] for name, n in n_polys.items()), start=Poly([0]))
+def _p_dot(names: Sequence[str], rows: _Rows) -> dict[str, Poly]:
+    """Affine P.C of every curve C, as polynomials; equal rows share one."""
+    den = rows.p_den
+    polys: dict[tuple[int, int], Poly] = {}
+    out: dict[str, Poly] = {}
+    for name, pair in zip(names, zip(rows.c0, rows.c1)):
+        poly = polys.get(pair)
+        if poly is None:
+            poly = polys[pair] = Poly([Fraction(pair[0], den), Fraction(pair[1], den)])
+        out[name] = poly
+    return out
+
+
+def _positive_part(direction: _Direction, rows: _Rows) -> Poly:
+    """P^2 on a chamber: D^2 - N.D, as P.N = 0, with N.D summed on integers."""
+    q0 = q1 = q2 = 0
+    for s, a0, a1 in zip(rows.support, rows.x0, rows.x1):
+        b0, b1 = direction.b0[s], direction.b1[s]
+        q0 += a0 * b0
+        q1 += a0 * b1 + a1 * b0
+        q2 += a1 * b1
+    den = rows.n_den * direction.gram.mu * direction.scale
+    return direction.d_sq - Poly([Fraction(q0, den), Fraction(q1, den), Fraction(q2, den)])
+
+
+def _first_root_after(rows: _Rows, lo: Fraction) -> Fraction | None:
+    """Smallest root > lo of a falling row: N_s on the support, P.C off it.
+
+    P.C vanishes identically on the support, so its rows there never fall.
+    """
+    ln, ld = lo.numerator, lo.denominator
+    best: tuple[int, int] | None = None  # the root c0 / -c1 as (numerator, denominator)
+    for c0, c1 in itertools.chain(zip(rows.x0, rows.x1), zip(rows.c0, rows.c1)):
+        if c1 < 0 and c0 * ld > -c1 * ln and (best is None or c0 * best[1] < -c1 * best[0]):
+            best = (c0, -c1)
+    return None if best is None else Fraction(*best)
 
 
 def _chamber_end(
-    n_polys: Mapping[str, Poly],
-    p_dot: Mapping[str, Poly],
+    rows: _Rows,
+    support: Sequence[str],
     p_sq: Poly,
     lo: Fraction,
 ) -> tuple[Fraction, bool]:
@@ -278,9 +415,7 @@ def _chamber_end(
     must be rational or the sweep raises IrrationalRoot, except when a
     support change occurs first and protects the chamber.
     """
-    rows = (n_polys[name] if name in n_polys else p_dot[name] for name in p_dot)
-    roots = (-p.coeff(0) / p.coeff(1) for p in rows if p.coeff(1) < 0)
-    affine_next = min((root for root in roots if root > lo), default=None)
+    affine_next = _first_root_after(rows, lo)
 
     try:
         tau = min_positive_root(p_sq, lo)
@@ -289,16 +424,16 @@ def _chamber_end(
             affine_next
         ) > 0:
             return affine_next, False
-        raise IrrationalRoot(f"{exc}, {_support_text(n_polys)}") from exc
+        raise IrrationalRoot(f"{exc}, {_support_text(support)}") from exc
     if tau is not None and tau == lo:
         raise NotPseudoEffective(
-            f"P^2 already vanishes at v = {format_rational(lo)}, {_support_text(n_polys)}"
+            f"P^2 already vanishes at v = {format_rational(lo)}, {_support_text(support)}"
         )
     if tau is not None and (affine_next is None or tau <= affine_next):
         return tau, True
     if affine_next is None:
         raise NotPseudoEffective(
-            f"no chamber end found after v = {format_rational(lo)}, {_support_text(n_polys)}"
+            f"no chamber end found after v = {format_rational(lo)}, {_support_text(support)}"
         )
     return affine_next, False
 
@@ -358,7 +493,8 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
         raise SchemaError(
             f"decomposition belongs to {data['config']!r}, not {config.name!r}"
         )
-    d_dot, d_sq = _directional_data(config, flag)
+    direction = _direction(config, flag)
+    scale = direction.scale
     chambers: list[Chamber] = []
     for raw in data["chambers"]:
         support = tuple(str(name) for name in raw["support"])
@@ -366,8 +502,16 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
         if unknown or set(raw["n_coeffs"]) != set(support):
             raise SchemaError(f"support/coefficient mismatch in chamber of {flag}")
         n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
-        p_dot = _residual_dots(config, d_dot, n_polys)
-        p_sq = _positive_part(d_dot, d_sq, n_polys)
+        if any(p.degree > 1 for p in n_polys.values()):
+            raise SchemaError(f"non-affine negative-part coefficient in chamber of {flag}")
+        rows = _rows(
+            direction,
+            [config.index(name) for name in n_polys],
+            [p.coeff(0) * scale for p in n_polys.values()],
+            [p.coeff(1) * scale for p in n_polys.values()],
+        )
+        p_dot = _p_dot(config.curve_names, rows)
+        p_sq = _positive_part(direction, rows)
         if p_sq != Poly.from_strings(raw["p_sq"]):
             raise SchemaError(
                 f"stored P^2 disagrees with the recomputed one for flag {flag} "

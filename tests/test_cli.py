@@ -154,6 +154,23 @@ class TestTable:
         )
         assert lines[-1] == "E8: 3/11"
 
+    def test_table_contradicted_by_the_catalog(self, capsys, tmp_path, monkeypatch):
+        root = tmp_path / "catalog"
+        shutil.copytree(catalog_root(), root)
+        path = root / "A4" / "expected.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["delta"] = "5/4"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(root))
+
+        assert main(["table"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"table row contradicts the catalog: {combo}: got 5/4, table says 4/3"
+            for combo in ("A4", "A4+A1", "A4+2A1", "A4+A2", "A4+A2+A1", "A4+A3", "2A4")
+        ]
+
     def test_singularity_query(self, capsys):
         assert main(["table", "--singularities", "A7:red+A1"]) == 0
         assert capsys.readouterr().out == "1\n"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dpdelta import PiecewisePoly, Poly
 from dpdelta.oracle import sample_parameters
 from dpdelta.poly import min_positive_root, nonnegative_on
+from dpdelta.zariski import _sign_after
 
 F = Fraction
 
@@ -99,6 +100,35 @@ class TestPiecewise:
         fine = pp.refine(extra)
         assert fine(x) == pp(x)
         assert fine.integrate(0, 1) == pp.integrate(0, 1)
+
+
+def _fraction_sign_after(c0: int, c1: int, v: Fraction) -> int:
+    """Sign of c0 + c1*v just right of v: the value's sign, then the slope's."""
+    for x in (c0 + c1 * v, F(c1)):
+        if x != 0:
+            return 1 if x > 0 else -1
+    return 0
+
+
+@st.composite
+def affine_rows_and_points(draw):
+    """An integer affine row and a point, half the time exactly at its root."""
+    c0 = draw(st.integers(-50, 50))
+    c1 = draw(st.integers(-50, 50))
+    if c1 != 0 and draw(st.booleans()):
+        v = F(-c0, c1)
+    else:
+        v = draw(st.fractions(min_value=-5, max_value=5, max_denominator=60))
+    return c0, c1, v
+
+
+class TestIntegerSigns:
+    @settings(max_examples=300, deadline=None)
+    @given(case=affine_rows_and_points())
+    def test_sign_after_matches_the_fraction_rule(self, case):
+        c0, c1, v = case
+        expected = _fraction_sign_after(c0, c1, v)
+        assert _sign_after(c0, c1, v.numerator, v.denominator) == expected
 
 
 class TestSampling:

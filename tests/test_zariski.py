@@ -136,6 +136,36 @@ class TestSweep:
         with pytest.raises(IrrationalRoot):
             parametric_decompose(cfg, "F")
 
+    def test_every_p_dot_row_across_catalog(self, records):
+        """P.C of every curve, against Fraction dot products with the Gram matrix.
+
+        The reference is (anti_k - v*F - N(v)).C_j summed from the Gram
+        matrix at each chamber's lo, midpoint and hi.
+        """
+        flags = 0
+        for record in records.values():
+            for spec in record.flag_specs:
+                decomp = decompose_flag(record, spec)
+                config = decomp.config
+                names = config.curve_names
+                fi = config.index(spec.flag)
+                for ch in decomp.chambers:
+                    assert set(ch.p_dot) == set(names)
+                    for v in (ch.lo, (ch.lo + ch.hi) / 2, ch.hi):
+                        divisor = [a - v * (i == fi) for i, a in enumerate(config.anti_k)]
+                        for name, n in ch.n_coeffs.items():
+                            divisor[config.index(name)] -= n(v)
+                        for j, name in enumerate(names):
+                            expected = sum(
+                                (c * config.gram[i][j] for i, c in enumerate(divisor)), F(0)
+                            )
+                            assert ch.p_dot[name](v) == expected, (
+                                f"{record.name}/{spec.config_id}/{spec.flag} at v = {v}, "
+                                f"P.{name}"
+                            )
+                flags += 1
+        assert flags == 95
+
     def test_unknown_flag(self, a1_nodal):
         with pytest.raises(SchemaError, match="unknown curve 'Z'"):
             parametric_decompose(a1_nodal, "Z")
@@ -263,6 +293,12 @@ class TestSerialization:
         bad = copy.deepcopy(data)
         bad["chambers"][1]["n_coeffs"]["C"] = ["-1", "3"]
         with pytest.raises(SchemaError, match="stored P\\^2 disagrees"):
+            decomposition_from_json(a1_nodal, bad)
+
+    def test_non_affine_coefficient_is_caught(self, a1_nodal, nodal_decomp):
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        bad["chambers"][1]["n_coeffs"]["C"] = ["-1", "2", "1"]
+        with pytest.raises(SchemaError, match="non-affine negative-part coefficient"):
             decomposition_from_json(a1_nodal, bad)
 
     def test_tampered_p_sq_is_caught(self, a1_nodal, nodal_decomp):
