@@ -188,7 +188,7 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
             relation = str(p.get("relation", "="))
             if relation not in _RELATIONS:
                 raise SchemaError(f"unknown relation {relation!r} on point {p['id']!r}")
-            cfg.point(str(p["id"]))  # must exist
+            _check_on_flag(name, cid, cfg, str(p["id"]), flag)
             points.append(PointExpectation(str(p["id"]), parse_rational(p["s_w"]), relation))
         flag_specs.append(
             FlagSpec(
@@ -208,7 +208,7 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
         if cid not in configs:
             raise SchemaError(f"class bound references unknown configuration {cid!r}")
         for pid in raw.get("covers", ()):
-            configs[cid].point(str(pid))
+            _check_on_flag(name, cid, configs[cid], str(pid), str(raw["flag"]))
         class_bounds.append(
             ClassBound(
                 config_id=cid,
@@ -229,6 +229,18 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
         class_bounds=tuple(class_bounds),
         delta=parse_rational(data["delta"]),
     )
+
+
+def _check_on_flag(
+    case: str, config_id: str, cfg: SurfaceConfig, point_id: str, flag: str
+) -> None:
+    """A stored point must exist and lie on the flag it is stored under."""
+    on_curve = cfg.point(point_id).on_curve
+    if on_curve != flag:
+        raise SchemaError(
+            f"point {point_id!r} of configuration {config_id!r} in case {case} "
+            f"lies on {on_curve}, not on flag {flag!r}"
+        )
 
 
 def _flag_label(record: CaseRecord, spec: FlagSpec) -> str:

@@ -7,6 +7,14 @@ S(W; O) = (2/norm) * integral of h(v), with
 h(v) = (P.F)(v) * (N.F)_O(v) + (P.F)(v)^2 / 2, gives the lower-bound ratio
 A_O / S(W; O) where A_O = 1 - different(O). A flag certifies delta when every
 point ratio is at least A(F)/S(F).
+
+Both integrals are taken on the integer rows each chamber keeps from the
+sweep. P^2 is already an integer quadratic over one denominator. For h, the
+flag's P.F row and the point's N.F row (the support rows weighted by the
+point's incidences) are integer affine numerators, so h times
+2 * p_den^2 * n_den is an integer quadratic. Each chamber's quadratic is
+integrated in closed form as one Fraction, after an integer check that
+adjacent chambers agree at their shared breakpoint.
 """
 from __future__ import annotations
 
@@ -15,10 +23,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .config import PointSpec, SurfaceConfig
-from .errors import NotCertified
-from .poly import PiecewisePoly
+from .errors import NotCertified, SchemaError
+from .poly import IntQuadratic, PiecewisePoly, integrate_pieces
 from .rationals import format_rational
-from .zariski import Decomposition, decomposition_for, n_restricted_at_point
+from .zariski import Decomposition, decomposition_for
 
 
 @dataclass(frozen=True)
@@ -82,17 +90,59 @@ def s_flag(
 ) -> Fraction:
     """Expected vanishing order S(flag) = (1/norm) * int_0^tau P(v)^2 dv."""
     decomp = decomposition_for(config, flag, decomp)
-    p_sq = decomp.p_sq_piecewise()
-    return p_sq.integrate(0, decomp.tau) / config.norm
+    pieces = [ch.p_sq_rows for ch in decomp.chambers]
+    return integrate_pieces(decomp.breakpoints(), pieces) / config.norm
 
-def local_h(decomp: Decomposition, point: PointSpec) -> PiecewisePoly:
-    """The integrand h(v) = (P.F)(N.F)_O + (P.F)^2/2 at one point class."""
-    p_dot = decomp.p_dot_flag_piecewise()
-    n_dot = n_restricted_at_point(decomp, point)
-    return PiecewisePoly(
-        p_dot.breakpoints,
-        [p * n + p * p * Fraction(1, 2) for p, n in zip(p_dot.pieces, n_dot.pieces)],
+
+def h_quadratic(c0: int, c1: int, p_den: int, m0: int, m1: int, n_den: int) -> IntQuadratic:
+    """h = P.F * (N.F)_O + (P.F)^2 / 2 for P.F = (c0 + c1*v) / p_den and
+    (N.F)_O = (m0 + m1*v) / n_den, with p_den, n_den > 0.
+
+    2 * p_den^2 * n_den * h = 2 * p_den * (c0 + c1*v) * (m0 + m1*v)
+    + n_den * (c0 + c1*v)^2.
+    """
+    two_p = 2 * p_den
+    return IntQuadratic(
+        c0 * (two_p * m0 + n_den * c0),
+        two_p * (c0 * m1 + c1 * m0) + 2 * n_den * c0 * c1,
+        c1 * (two_p * m1 + n_den * c1),
+        two_p * p_den * n_den,
     )
+
+
+def _h_pieces(decomp: Decomposition, point: PointSpec | str) -> list[IntQuadratic]:
+    """h(v) at one point class of the flag, one integer quadratic per chamber.
+
+    A point that does not lie on the flag raises SchemaError naming the
+    configuration, the flag, the point and the curve it lies on.
+    """
+    config, flag = decomp.config, decomp.flag
+    if isinstance(point, str):
+        point = config.point(point)
+    if point.on_curve != flag:
+        raise SchemaError(
+            f"point {point.id} of config {config.name} lies on {point.on_curve}, "
+            f"not on flag {flag}"
+        )
+    fi = config.index(flag)
+    names = config.curve_names
+    incidences = point.incidences
+    pieces = []
+    for ch in decomp.chambers:
+        rows = ch.rows
+        m0 = m1 = 0
+        for s, x0, x1 in zip(rows.support, rows.x0, rows.x1):
+            m = incidences.get(names[s], 0)
+            if m:
+                m0 += m * x0
+                m1 += m * x1
+        pieces.append(h_quadratic(rows.c0[fi], rows.c1[fi], rows.p_den, m0, m1, rows.n_den))
+    return pieces
+
+
+def local_h(decomp: Decomposition, point: PointSpec | str) -> PiecewisePoly:
+    """The integrand h(v) = (P.F)(N.F)_O + (P.F)^2/2 at one point class."""
+    return PiecewisePoly(decomp.breakpoints(), [q.poly() for q in _h_pieces(decomp, point)])
 
 
 def s_w_point(
@@ -101,12 +151,13 @@ def s_w_point(
     point: PointSpec | str,
     decomp: Decomposition | None = None,
 ) -> Fraction:
-    """Localized expected order S(W; O) = (2/norm) * int_0^tau h(v) dv."""
+    """Localized expected order S(W; O) = (2/norm) * int_0^tau h(v) dv.
+
+    A point that does not lie on the flag raises SchemaError.
+    """
     decomp = decomposition_for(config, flag, decomp)
-    if isinstance(point, str):
-        point = config.point(point)
-    h = local_h(decomp, point)
-    return 2 * h.integrate(0, decomp.tau) / config.norm
+    integral = integrate_pieces(decomp.breakpoints(), _h_pieces(decomp, point))
+    return 2 * integral / config.norm
 
 
 def flag_report(

@@ -2,14 +2,16 @@
 
 These carry all the parametric data of the decomposition sweep: negative-part
 coefficients (affine in the sweep parameter v), volumes P(v)^2 (quadratic),
-and the local h(v) integrands. Everything is exact.
+and the local h(v) integrands. Everything is exact. `IntQuadratic` is a
+quadratic as integer numerators over one denominator, integrated in closed
+form with one Fraction per piece.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IrrationalRoot, OutOfDomain
 from .rationals import RatLike, format_rational, parse_rational
@@ -323,3 +325,66 @@ class PiecewisePoly:
 
     def __repr__(self) -> str:
         return f"PiecewisePoly({self.render()})"
+
+
+class IntQuadratic(NamedTuple):
+    """(a0 + a1*v + a2*v^2) / den with integer coefficients and den > 0."""
+
+    a0: int
+    a1: int
+    a2: int
+    den: int
+
+    def poly(self) -> Poly:
+        den = self.den
+        return Poly([Fraction(self.a0, den), Fraction(self.a1, den), Fraction(self.a2, den)])
+
+    def scaled_at(self, u: int, w: int) -> int:
+        """den * w^2 times the value at v = u/w."""
+        return (self.a0 * w + self.a1 * u) * w + self.a2 * u * u
+
+    def integrate(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """The exact integral over [lo, hi], as one Fraction.
+
+        At v = x/w, 6 * den * w^3 times the antiderivative is
+        x * (6*a0*w^2 + 3*a1*x*w + 2*a2*x^2); the two ends are put over the
+        common denominator 6 * den * w_lo^3 * w_hi^3.
+        """
+        a0, a1, a2 = self.a0, self.a1, self.a2
+        x_lo, w_lo = lo.numerator, lo.denominator
+        x_hi, w_hi = hi.numerator, hi.denominator
+        cube_lo, cube_hi = w_lo * w_lo * w_lo, w_hi * w_hi * w_hi
+        top = x_hi * ((6 * a0 * w_hi + 3 * a1 * x_hi) * w_hi + 2 * a2 * x_hi * x_hi) * cube_lo
+        top -= x_lo * ((6 * a0 * w_lo + 3 * a1 * x_lo) * w_lo + 2 * a2 * x_lo * x_lo) * cube_hi
+        return Fraction(top, 6 * self.den * cube_lo * cube_hi)
+
+
+def integrate_pieces(
+    breakpoints: Sequence[Fraction], pieces: Sequence[IntQuadratic]
+) -> Fraction:
+    """Integral of a continuous piecewise quadratic over its whole domain.
+
+    The same checks as a continuous `PiecewisePoly`: breakpoints strictly
+    increasing, and adjacent pieces equal at each interior breakpoint,
+    compared by integer cross-multiplication.
+    """
+    if len(breakpoints) < 2 or len(pieces) != len(breakpoints) - 1:
+        raise ValueError("need k+1 breakpoints for k >= 1 pieces")
+    total = _ZERO
+    for i, piece in enumerate(pieces):
+        lo, hi = breakpoints[i], breakpoints[i + 1]
+        if lo >= hi:
+            raise ValueError("breakpoints must be strictly increasing")
+        if i:
+            left = pieces[i - 1]
+            u, w = lo.numerator, lo.denominator
+            at_left, at_right = left.scaled_at(u, w), piece.scaled_at(u, w)
+            if at_left * piece.den != at_right * left.den:
+                scale = w * w
+                raise ValueError(
+                    f"discontinuity at {format_rational(lo)}: "
+                    f"{format_rational(Fraction(at_left, left.den * scale))} != "
+                    f"{format_rational(Fraction(at_right, piece.den * scale))}"
+                )
+        total += piece.integrate(lo, hi)
+    return total

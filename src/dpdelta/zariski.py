@@ -16,21 +16,23 @@ every curve C as an integer affine numerator over one positive denominator.
 Drops, adds and the chamber's end are decided by integer signs and
 comparisons at v = p/q. `Poly` and `Fraction` objects are built only for
 the support the loop converges on, once per chamber, and
-`decomposition_from_json` rebuilds P.C through the same rows.
+`decomposition_from_json` rebuilds P.C through the same rows. Each chamber
+keeps its rows and its P^2 as an integer quadratic, outside equality and
+repr, so `delta` integrates S and S(W;O) on integers.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .config import PointSpec, SurfaceConfig
+from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
 from .linalg import solve
-from .poly import PiecewisePoly, Poly, min_positive_root, nonnegative_on
+from .poly import IntQuadratic, PiecewisePoly, Poly, min_positive_root, nonnegative_on
 from .rationals import RatLike, format_rational, parse_rational
 
 _MAX_PIVOTS = 4096
@@ -51,7 +53,8 @@ class Chamber:
 
     `n_coeffs` holds the affine coefficient of each support curve,
     `p_sq` the quadratic P(v)^2, and `p_dot` the affine P(v).C for every
-    curve C of the configuration.
+    curve C of the configuration. `rows` and `p_sq_rows` are the same data
+    as integer rows; they are not compared.
     """
 
     lo: Fraction
@@ -60,6 +63,8 @@ class Chamber:
     n_coeffs: Mapping[str, Poly]
     p_sq: Poly
     p_dot: Mapping[str, Poly]
+    rows: _Rows = field(compare=False, repr=False)
+    p_sq_rows: IntQuadratic = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,16 +94,16 @@ class Decomposition:
         coeffs = {name: c for name, c in coeffs.items() if c != 0}
         return NegativePart(tuple(sorted(coeffs)), coeffs)
 
+    def breakpoints(self) -> list[Fraction]:
+        """The chamber ends, from 0 to tau."""
+        return [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
+
     def piecewise(self, piece: Callable[[Chamber], Poly]) -> PiecewisePoly:
         """One polynomial per chamber, joined on the chamber breakpoints."""
-        bps = [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
-        return PiecewisePoly(bps, [piece(ch) for ch in self.chambers])
+        return PiecewisePoly(self.breakpoints(), [piece(ch) for ch in self.chambers])
 
     def p_sq_piecewise(self) -> PiecewisePoly:
         return self.piecewise(lambda ch: ch.p_sq)
-
-    def p_dot_flag_piecewise(self) -> PiecewisePoly:
-        return self.piecewise(lambda ch: ch.p_dot[self.flag])
 
 
 # -- parametric sweep ---------------------------------------------------
@@ -125,7 +130,8 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
             support = tuple(names[s] for s in seed)
             n_polys = _n_polys(names, rows)
             p_dot = _p_dot(names, rows)
-            p_sq = _positive_part(direction, rows)
+            p_sq_rows = _positive_part(direction, rows)
+            p_sq = p_sq_rows.poly()
             hi, is_tau = _chamber_end(rows, support, p_sq, v_cur)
             chambers.append(
                 Chamber(
@@ -135,6 +141,8 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
                     n_coeffs=n_polys,
                     p_sq=p_sq,
                     p_dot=p_dot,
+                    rows=rows,
+                    p_sq_rows=p_sq_rows,
                 )
             )
             if is_tau:
@@ -227,7 +235,7 @@ class _Direction(NamedTuple):
     scale: int
     b0: list[int]
     b1: list[int]
-    d_sq: Poly
+    d_sq: IntQuadratic
 
 
 def _direction(config: SurfaceConfig, flag: str) -> _Direction:
@@ -237,7 +245,9 @@ def _direction(config: SurfaceConfig, flag: str) -> _Direction:
     scale = math.lcm(*(x.denominator for x in dots))
     b0 = [gram.mu * x.numerator * (scale // x.denominator) for x in dots]
     b1 = [-scale * g for g in gram.row(fi)]
-    d_sq = Poly([config.norm, -2 * dots[fi], config.gram[fi][fi]])
+    d_coeffs = (config.norm, -2 * dots[fi], config.gram[fi][fi])
+    d_den = math.lcm(*(x.denominator for x in d_coeffs))
+    d_sq = IntQuadratic(*(x.numerator * (d_den // x.denominator) for x in d_coeffs), d_den)
     return _Direction(config, fi, gram, scale, b0, b1, d_sq)
 
 
@@ -376,7 +386,7 @@ def _p_dot(names: Sequence[str], rows: _Rows) -> dict[str, Poly]:
     return out
 
 
-def _positive_part(direction: _Direction, rows: _Rows) -> Poly:
+def _positive_part(direction: _Direction, rows: _Rows) -> IntQuadratic:
     """P^2 on a chamber: D^2 - N.D, as P.N = 0, with N.D summed on integers."""
     q0 = q1 = q2 = 0
     for s, a0, a1 in zip(rows.support, rows.x0, rows.x1):
@@ -385,7 +395,10 @@ def _positive_part(direction: _Direction, rows: _Rows) -> Poly:
         q1 += a0 * b1 + a1 * b0
         q2 += a1 * b1
     den = rows.n_den * direction.gram.mu * direction.scale
-    return direction.d_sq - Poly([Fraction(q0, den), Fraction(q1, den), Fraction(q2, den)])
+    d0, d1, d2, d_den = direction.d_sq
+    return IntQuadratic(
+        d0 * den - q0 * d_den, d1 * den - q1 * d_den, d2 * den - q2 * d_den, d_den * den
+    )
 
 
 def _first_root_after(rows: _Rows, lo: Fraction) -> Fraction | None:
@@ -436,18 +449,6 @@ def _chamber_end(
             f"no chamber end found after v = {format_rational(lo)}, {_support_text(support)}"
         )
     return affine_next, False
-
-
-def n_restricted_at_point(decomp: Decomposition, point: PointSpec | str) -> PiecewisePoly:
-    """(N(v).F) localized at one point class, as a piecewise affine function."""
-    if isinstance(point, str):
-        point = decomp.config.point(point)
-    return decomp.piecewise(
-        lambda ch: sum(
-            (ch.n_coeffs[name] * point.incidences.get(name, 0) for name in ch.support),
-            start=Poly([0]),
-        )
-    )
 
 
 # -- serialization -------------------------------------------------------
@@ -511,7 +512,8 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
             [p.coeff(1) * scale for p in n_polys.values()],
         )
         p_dot = _p_dot(config.curve_names, rows)
-        p_sq = _positive_part(direction, rows)
+        p_sq_rows = _positive_part(direction, rows)
+        p_sq = p_sq_rows.poly()
         if p_sq != Poly.from_strings(raw["p_sq"]):
             raise SchemaError(
                 f"stored P^2 disagrees with the recomputed one for flag {flag} "
@@ -530,6 +532,8 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
                 n_coeffs=n_polys,
                 p_sq=p_sq,
                 p_dot=p_dot,
+                rows=rows,
+                p_sq_rows=p_sq_rows,
             )
         )
     tau = parse_rational(data["tau"])

@@ -6,11 +6,21 @@ sharing the loaded records keeps the oracle-heavy tests fast.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
 import pytest
 
-from dpdelta import CaseRecord, Decomposition, SurfaceConfig, case_names, load_case
+from dpdelta import (
+    CaseRecord,
+    Decomposition,
+    PiecewisePoly,
+    PointSpec,
+    Poly,
+    SurfaceConfig,
+    case_names,
+    load_case,
+)
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +71,41 @@ def _same_decomposition(a: Decomposition, b: Decomposition) -> bool:
 def same_decomposition() -> Callable[[Decomposition, Decomposition], bool]:
     """Structural equality of two decompositions."""
     return _same_decomposition
+
+
+class PolyReference:
+    """S(F), h and S(W;O) built from `Poly` products and antiderivatives.
+
+    This is the path `delta` took before it integrated on the chambers'
+    integer rows; the tests keep it as the reference the integer path must
+    equal exactly.
+    """
+
+    @staticmethod
+    def s_flag(decomp: Decomposition) -> Fraction:
+        return decomp.p_sq_piecewise().integrate(0, decomp.tau) / decomp.config.norm
+
+    @staticmethod
+    def h(decomp: Decomposition, point: PointSpec) -> PiecewisePoly:
+        p_dot = decomp.piecewise(lambda ch: ch.p_dot[decomp.flag])
+        n_dot = decomp.piecewise(
+            lambda ch: sum(
+                (ch.n_coeffs[name] * point.incidences.get(name, 0) for name in ch.support),
+                start=Poly([0]),
+            )
+        )
+        return PiecewisePoly(
+            p_dot.breakpoints,
+            [p * n + p * p * Fraction(1, 2) for p, n in zip(p_dot.pieces, n_dot.pieces)],
+        )
+
+    @classmethod
+    def s_w_point(cls, decomp: Decomposition, point: PointSpec) -> Fraction:
+        h = cls.h(decomp, point)
+        return 2 * h.integrate(0, decomp.tau) / decomp.config.norm
+
+
+@pytest.fixture(scope="session")
+def poly_reference() -> type[PolyReference]:
+    """The `Poly`-product reference for S(F), h and S(W;O)."""
+    return PolyReference

@@ -267,6 +267,32 @@ class TestLoaderSchema:
         with pytest.raises(SchemaError, match="unknown point 'nope'"):
             self.write_and_load(expected, data)
 
+    def test_point_off_the_flag(self, tmp_path):
+        # at_c_e1 lies on E1; stored under E2 it used to integrate silently
+        target = tmp_path / "A3"
+        shutil.copytree(catalog_root() / "A3", target)
+        expected = target / "expected.json"
+        data = json.loads(expected.read_text(encoding="utf-8"))
+        assert data["flags"][0]["flag"] == "E2"
+        data["flags"][0]["points"][0]["id"] = "at_c_e1"
+        expected.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(
+            SchemaError,
+            match="point 'at_c_e1' of configuration 'base' in case A3 lies on E1, "
+            "not on flag 'E2'",
+        ):
+            load_case("A3", root=tmp_path)
+
+    def test_class_bound_point_off_the_flag(self, tmp_path):
+        target = tmp_path / "A2-nodal"
+        shutil.copytree(catalog_root() / "A2-nodal", target)
+        expected = target / "expected.json"
+        data = json.loads(expected.read_text(encoding="utf-8"))
+        data["class_bounds"][0]["flag"] = "C"
+        expected.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SchemaError, match="lies on E1, not on flag 'C'"):
+            load_case("A2-nodal", root=tmp_path)
+
     def test_bad_relation(self, tmp_path):
         expected, data = self.copy_case(tmp_path)
         data["flags"][0]["points"][0]["relation"] = "<"

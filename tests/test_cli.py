@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 from dpdelta import catalog_root, load as load_config
 from dpdelta.cli import main
@@ -15,6 +16,25 @@ A1-nodal: anti_k - v*E, tau = 1
   [1/2, 1]  N = {C: -1 + 2*v}
       P^2 = 2 - 4*v + 2*v^2, P.E = 2 - 2*v
 """
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestGolden:
+    """Whole stdout of the catalog commands, byte for byte, against the
+    files under tests/data; regenerate them only when a change means to
+    alter the output."""
+
+    def test_verify_stdout(self, capsys):
+        assert main(["verify"]) == 0
+        golden = (DATA / "verify_stdout.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
+    def test_table_stdout(self, capsys):
+        assert main(["table"]) == 0
+        golden = (DATA / "table_stdout.txt").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
 
 
 class TestDecompose:
@@ -86,6 +106,15 @@ class TestScalars:
         out = capsys.readouterr().out
         assert out == (
             "S(W;p1) = 1/12 on flag Ebar of A1-cuspidal; A_O = 1/2, ratio = 6\n"
+        )
+
+
+    def test_sw_point_off_the_flag(self, capsys):
+        assert main(["sw", "--case", "A3", "--flag", "E2", "--point", "at_c_e1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: point at_c_e1 of config A3 lies on E1, not on flag E2\n"
         )
 
 

@@ -1,6 +1,7 @@
 """Expected vanishing orders, localized bounds and minimum certification."""
 from __future__ import annotations
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,18 @@ from dpdelta import (
     FlagReport,
     NotCertified,
     PointRow,
+    PointSpec,
+    SchemaError,
     certify_minimum,
+    decomposition_from_json,
+    decomposition_to_json,
     flag_report,
     local_h,
     parametric_decompose,
     s_flag,
     s_w_point,
 )
+from dpdelta.catalog import decompose_flag
 from dpdelta.poly import Poly
 
 F = Fraction
@@ -52,6 +58,36 @@ class TestLocalH:
         at_generic = local_h(nodal_decomp, a1_nodal.point("generic"))
         assert at_generic.pieces == (Poly([0, 0, 2]), Poly([2, -4, 2]))
 
+    def test_n_dot_flag_tracks_point_incidences(self, nodal_decomp):
+        # h = (P.F)(N.F)_O + (P.F)^2/2 with P.F = 2v, then 2 - 2v. At the
+        # node (N.F)_O is 0 on the first chamber and -1 + 2v on the second;
+        # at the generic point it is 0 on the second.
+        p_first, p_second = (ch.p_dot["E"] for ch in nodal_decomp.chambers)
+        half = F(1, 2)
+        first, second = local_h(nodal_decomp, "node").pieces
+        assert first == p_first * Poly() + p_first * p_first * half
+        assert second == p_second * Poly([-1, 2]) + p_second * p_second * half
+        generic = local_h(nodal_decomp, "generic").pieces[1]
+        assert generic == p_second * Poly() + p_second * p_second * half
+
+    def test_by_point_id_or_spec(self, a1_nodal, nodal_decomp):
+        h = local_h(nodal_decomp, "node")
+        assert h.breakpoints == (F(0), F(1, 2), F(1))
+        p_dot = nodal_decomp.piecewise(lambda ch: ch.p_dot["E"])
+        # (N.F)_node is 0 at v = 1/4 and 1/2 at v = 3/4
+        for v, n_dot in ((F(1, 4), 0), (F(3, 4), F(1, 2))):
+            assert h(v) == p_dot(v) * n_dot + p_dot(v) ** 2 / 2
+        by_spec = local_h(nodal_decomp, a1_nodal.point("node"))
+        assert by_spec.pieces == h.pieces
+
+    def test_point_off_the_flag_is_refused(self, records):
+        a3 = records["A3"].config("base")
+        e2 = parametric_decompose(a3, "E2")
+        with pytest.raises(
+            SchemaError, match="point at_c_e1 of config A3 lies on E1, not on flag E2"
+        ):
+            local_h(e2, "at_c_e1")
+
 
 class TestSWPoint:
     def test_hand_values(self, a1_nodal, nodal_decomp):
@@ -69,11 +105,89 @@ class TestSWPoint:
         ):
             s_w_point(copy, "E", "node", nodal_decomp)
 
+    def test_point_off_the_flag_is_refused(self, records):
+        # at_c_e1 lies on E1; on E2 it used to integrate to 1/3 silently
+        a3 = records["A3"].config("base")
+        with pytest.raises(
+            SchemaError, match="point at_c_e1 of config A3 lies on E1, not on flag E2"
+        ):
+            s_w_point(a3, "E2", "at_c_e1")
+        with pytest.raises(SchemaError, match="lies on E1, not on flag E2"):
+            flag_report(a3, "E2", points=["at_c_e1"])
+
     def test_different_shrinks_the_local_discrepancy_not_s_w(self, a1_cuspidal):
         # S(W;O) only sees incidences; the different enters through A_O
         assert s_w_point(a1_cuspidal, "Ebar", "p1") == F(1, 12)
         assert s_w_point(a1_cuspidal, "Ebar", "generic") == F(1, 12)
         assert s_w_point(a1_cuspidal, "Ebar", "at_cbar") == F(1, 3)
+
+
+class TestPolyReference:
+    def test_matches_the_poly_reference_across_catalog(self, records, poly_reference):
+        flags = points = 0
+        for record in records.values():
+            for spec in record.flag_specs:
+                cfg = record.config(spec.config_id)
+                decomp = decompose_flag(record, spec)
+                label = f"{record.name}/{spec.config_id}/{spec.flag}"
+                assert s_flag(cfg, spec.flag, decomp) == poly_reference.s_flag(decomp), label
+                for point in cfg.points_on(spec.flag):
+                    reference = poly_reference.h(decomp, point)
+                    h = local_h(decomp, point)
+                    assert h.breakpoints == reference.breakpoints, (label, point.id)
+                    assert h.pieces == reference.pieces, (label, point.id)
+                    s_w = s_w_point(cfg, spec.flag, point, decomp)
+                    assert s_w == poly_reference.s_w_point(decomp, point), (label, point.id)
+                    points += 1
+                flags += 1
+        assert flags == 95
+        assert points >= 271  # every stored point, and the unstored ones on each flag
+
+    def test_incidence_multiplicity_weights_the_negative_part(self, a1_nodal, poly_reference):
+        # every catalog point meets its curves once; C.E = 2 allows a
+        # tangency, where (N.F)_O counts the coefficient of C twice
+        tangent = PointSpec("tangent", "E", {"C": 2})
+        cfg = a1_nodal.with_points(a1_nodal.points + (tangent,))
+        decomp = parametric_decompose(cfg, "E")
+        assert local_h(decomp, tangent).pieces == poly_reference.h(decomp, tangent).pieces
+        assert s_w_point(cfg, "E", tangent, decomp) == poly_reference.s_w_point(decomp, tangent)
+        assert s_w_point(cfg, "E", "tangent", decomp) == F(2, 3)
+
+
+def _tampered_first_chamber(config, decomp, curve: str, coeff: Fraction) -> dict:
+    """The decomposition's JSON with the negative part `coeff * curve` on
+    its first chamber, whose stored support is empty, and that chamber's
+    P^2 = D^2 - N.D and P.F rows recomputed to match, so that
+    `decomposition_from_json` accepts it."""
+    f, c = config.index(decomp.flag), config.index(curve)
+    gram, dots = config.gram, config.anti_k_dots
+    d_sq = Poly([config.norm, -2 * dots[f], gram[f][f]])
+    d_dot_c = Poly([dots[c], -gram[f][c]])
+    data = copy.deepcopy(decomposition_to_json(decomp))
+    first = data["chambers"][0]
+    assert first["support"] == []
+    first["support"] = [curve]
+    first["n_coeffs"] = {curve: [str(coeff)]}
+    first["p_sq"] = (d_sq - coeff * d_dot_c).to_strings()
+    first["p_dot"] = (Poly.from_strings(first["p_dot"]) - coeff * gram[c][f]).to_strings()
+    return data
+
+
+class TestDiscontinuity:
+    def test_jumping_negative_part_is_refused(self, a1_nodal, nodal_decomp):
+        # N = E/4 on [0, 1/2] and N = (-1 + 2v) C on [1/2, 1]: P^2 reads
+        # 1/4 from the left and 1/2 from the right of v = 1/2, and P.E
+        # reads 3/2 and 1
+        data = _tampered_first_chamber(a1_nodal, nodal_decomp, "E", F(1, 4))
+        tampered = decomposition_from_json(a1_nodal, data)
+        left, right = tampered.chambers
+        assert (left.p_sq(F(1, 2)), right.p_sq(F(1, 2))) == (F(1, 4), F(1, 2))
+        assert (left.p_dot["E"](F(1, 2)), right.p_dot["E"](F(1, 2))) == (F(3, 2), 1)
+        with pytest.raises(ValueError, match=r"^discontinuity at 1/2: 1/4 != 1/2$"):
+            s_flag(a1_nodal, "E", tampered)
+        for point in ("node", "generic"):
+            with pytest.raises(ValueError, match="^discontinuity at 1/2: "):
+                s_w_point(a1_nodal, "E", point, tampered)
 
 
 class TestFlagReport:

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpdelta import PiecewisePoly, Poly
+from dpdelta.delta import h_quadratic
 from dpdelta.oracle import sample_parameters
-from dpdelta.poly import min_positive_root, nonnegative_on
+from dpdelta.poly import IntQuadratic, integrate_pieces, min_positive_root, nonnegative_on
 from dpdelta.zariski import _sign_after
 
 F = Fraction
@@ -100,6 +102,60 @@ class TestPiecewise:
         fine = pp.refine(extra)
         assert fine(x) == pp(x)
         assert fine.integrate(0, 1) == pp.integrate(0, 1)
+
+
+integers = st.integers(-10**6, 10**6)
+denominators = st.integers(1, 10**4)
+ends = st.fractions(min_value=-5, max_value=5, max_denominator=60)
+
+
+class TestClosedFormIntegral:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=st.tuples(integers, integers, denominators),
+        m=st.tuples(integers, integers, denominators),
+        bounds=st.tuples(ends, ends).filter(lambda b: b[0] != b[1]),
+    )
+    def test_integer_h_matches_the_poly_product(self, c, m, bounds):
+        (c0, c1, p_den), (m0, m1, n_den) = c, m
+        lo, hi = sorted(bounds)
+        p_dot = Poly([F(c0, p_den), F(c1, p_den)])
+        n_dot = Poly([F(m0, n_den), F(m1, n_den)])
+        h = p_dot * n_dot + p_dot * p_dot * F(1, 2)
+        q = h_quadratic(c0, c1, p_den, m0, m1, n_den)
+        assert q.poly() == h
+        assert q.integrate(lo, hi) == h.integrate(lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        left=st.tuples(integers, integers, integers, denominators),
+        right=st.tuples(integers, integers, integers, denominators),
+        points=st.lists(ends, min_size=3, max_size=3, unique=True),
+        join=st.booleans(),
+    )
+    def test_pieces_match_a_continuous_piecewise_poly(self, left, right, points, join):
+        lo, mid, hi = sorted(points)
+        first, second = IntQuadratic(*left), IntQuadratic(*right)
+        if join:
+            # shift the second piece's constant term so both agree at mid
+            gap = first.poly()(mid) - second.poly()(mid)
+            den = second.den * gap.denominator
+            scale = den // second.den
+            second = IntQuadratic(
+                second.a0 * scale + gap.numerator * second.den,
+                second.a1 * scale,
+                second.a2 * scale,
+                den,
+            )
+        pieces = [first.poly(), second.poly()]
+        try:
+            expected = PiecewisePoly([lo, mid, hi], pieces).integrate(lo, hi)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                integrate_pieces([lo, mid, hi], [first, second])
+            assert str(caught.value) == str(exc)
+        else:
+            assert integrate_pieces([lo, mid, hi], [first, second]) == expected
 
 
 def _fraction_sign_after(c0: int, c1: int, v: Fraction) -> int:

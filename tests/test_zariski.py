@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,6 @@ from dpdelta import (
 from dpdelta.catalog import decompose_flag
 from dpdelta import zariski
 from dpdelta.errors import IrrationalRoot, NotPseudoEffective
-from dpdelta.zariski import n_restricted_at_point
 
 F = Fraction
 
@@ -91,12 +93,6 @@ class TestSweep:
         assert by_hand == F(3, 4) - F(3, 16) + F(1, 48) == F(7, 12)
         assert s_flag(cfg, flag, d) == F(7, 12)
 
-    def test_n_dot_flag_tracks_point_incidences(self, nodal_decomp):
-        first, second = n_restricted_at_point(nodal_decomp, "node").pieces
-        assert first == Poly()
-        assert second == Poly([-1, 2])
-        assert n_restricted_at_point(nodal_decomp, "generic").pieces[1] == Poly()
-
     def test_negative_at(self, nodal_decomp):
         assert nodal_decomp.negative_at("1/4").coeffs == {}
         part = nodal_decomp.negative_at(F(3, 4))
@@ -122,7 +118,7 @@ class TestSweep:
         assert p_sq.breakpoints == (F(0), F(1, 2), F(1))
         assert p_sq.integrate(0, 1) == F(1, 2)
         assert p_sq(1) == 0
-        p_dot = nodal_decomp.p_dot_flag_piecewise()
+        p_dot = nodal_decomp.piecewise(lambda ch: ch.p_dot["E"])
         assert p_dot.integrate(0, 1) == F(1, 2)
 
     def test_irrational_threshold_is_refused(self):
@@ -254,16 +250,6 @@ class TestErrorContext:
         assert message.endswith(where), message
 
 
-class TestLocalRestriction:
-    def test_n_restricted_at_point(self, a1_nodal, nodal_decomp):
-        pp = n_restricted_at_point(nodal_decomp, "node")
-        assert pp.breakpoints == (F(0), F(1, 2), F(1))
-        assert pp("1/4") == 0
-        assert pp("3/4") == F(1, 2)
-        by_spec = n_restricted_at_point(nodal_decomp, a1_nodal.point("node"))
-        assert by_spec.pieces == pp.pieces
-
-
 class TestSerialization:
     def test_emitted_json(self, nodal_decomp, records):
         data = decomposition_to_json(nodal_decomp)
@@ -287,6 +273,21 @@ class TestSerialization:
                 assert same_decomposition(back, decomp), f"{record.name}/{spec.flag}"
                 flags += 1
         assert flags == 95
+
+    def test_catalog_json_matches_the_golden_hash(self, records):
+        # sha256 over the sorted-key JSON of every catalog flag's
+        # decomposition, one line each, in case and flag-row order
+        digest = hashlib.sha256()
+        flags = 0
+        for name in sorted(records):
+            record = records[name]
+            for spec in record.flag_specs:
+                data = decomposition_to_json(decompose_flag(record, spec))
+                digest.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+                flags += 1
+        assert flags == 95
+        golden = (Path(__file__).parent / "data" / "decompositions.sha256").read_text()
+        assert digest.hexdigest() == golden.strip()
 
     def test_tampered_coefficients_are_caught(self, a1_nodal, nodal_decomp):
         data = decomposition_to_json(nodal_decomp)
