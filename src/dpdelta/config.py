@@ -10,6 +10,7 @@ entries, nonzero differents); nothing is ever derived from equations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -98,7 +99,13 @@ class DivisorClass:
 
 @dataclass(frozen=True, eq=False)
 class SurfaceConfig:
-    """Immutable description of one curve configuration."""
+    """Immutable description of one curve configuration.
+
+    Besides the rational data it owns the integer form every exact
+    elimination runs on: `int_gram` is mu * gram with `mu` the lcm of the
+    Gram denominators, and `anti_k_dots[j]` is
+    `int_anti_k_dots[j] / anti_k_dots_den` over the least such denominator.
+    """
 
     name: str
     norm: Fraction
@@ -110,6 +117,10 @@ class SurfaceConfig:
     points: tuple[PointSpec, ...]
     _index: dict = field(repr=False)
     anti_k_dots: tuple[Fraction, ...] = field(repr=False)
+    mu: int = field(repr=False)
+    int_gram: tuple[tuple[int, ...], ...] = field(repr=False)
+    int_anti_k_dots: tuple[int, ...] = field(repr=False)
+    anti_k_dots_den: int = field(repr=False)
 
     def __init__(
         self,
@@ -131,13 +142,23 @@ class SurfaceConfig:
             raise SchemaError(f"gram must be {n}x{n} in {name}")
         if len(anti_k) != n:
             raise SchemaError(f"anti_k must have {n} entries in {name}")
+        parsed: dict[str, Fraction] = {}
+
+        def parse(x: RatLike) -> Fraction:
+            # Gram entries repeat (a wide configuration has a handful of
+            # distinct strings), so each distinct string is parsed once.
+            if type(x) is not str:
+                return parse_rational(x)
+            f = parsed.get(x)
+            if f is None:
+                f = parsed[x] = parse_rational(x)
+            return f
+
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "norm", parse_rational(norm))
         object.__setattr__(self, "curves", curves)
-        object.__setattr__(
-            self, "gram", tuple(tuple(parse_rational(x) for x in row) for row in gram)
-        )
-        object.__setattr__(self, "anti_k", tuple(parse_rational(x) for x in anti_k))
+        object.__setattr__(self, "gram", tuple(tuple(map(parse, row)) for row in gram))
+        object.__setattr__(self, "anti_k", tuple(map(parse, anti_k)))
         object.__setattr__(
             self,
             "discrepancy",
@@ -146,12 +167,26 @@ class SurfaceConfig:
         object.__setattr__(self, "smooth_surface", bool(smooth_surface))
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(names)})
-        # (-K).C_j for every curve; anti_k is sparse on wide configurations.
-        nonzero = [(i, a) for i, a in enumerate(self.anti_k) if a != 0]
+        mu = math.lcm(*{x.denominator for row in self.gram for x in row})
+        int_gram = tuple(
+            tuple(x.numerator * (mu // x.denominator) for x in row) for row in self.gram
+        )
+        # With alpha * anti_k = a integral, k_j = sum_i a_i * int_gram[i][j]
+        # is mu * alpha * (-K).C_j; anti_k is sparse on wide configurations.
+        alpha = math.lcm(*(a.denominator for a in self.anti_k))
+        k = [0] * n
+        for c, row in zip(self.anti_k, int_gram):
+            if c:
+                a = c.numerator * (alpha // c.denominator)
+                k = [kj + a * x for kj, x in zip(k, row)]
+        g = math.gcd(mu * alpha, *k)
+        den = mu * alpha // g
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "int_gram", int_gram)
+        object.__setattr__(self, "int_anti_k_dots", tuple(kj // g for kj in k))
+        object.__setattr__(self, "anti_k_dots_den", den)
         object.__setattr__(
-            self,
-            "anti_k_dots",
-            tuple(sum((a * self.gram[i][j] for i, a in nonzero), Fraction(0)) for j in range(n)),
+            self, "anti_k_dots", tuple(Fraction(kj, den) for kj in self.int_anti_k_dots)
         )
 
     # -- basis helpers -------------------------------------------------

@@ -14,15 +14,17 @@ most the curve count. Each state carries the whole augmented matrix, so it
 gives the subset's solution and, without further sums, every off-subset
 residual.
 
-The integer Gram matrix and the (-K).C row are computed once per
-configuration, from the Gram matrix and `anti_k` alone, so the oracle reads
-none of the sweep's data. Subset solutions are computed once per (config,
-flag) pair as integer affine functions of the sweep parameter, so checking
-hundreds of random parameter values stays fast. Building the table scans
-each subset's conditions (its coefficients, then one residual per curve off
-the subset) on integers and stops at the first one that empties its
-interval; the accepted rows are indexed by their sorted endpoints, so a
-lookup is one bisect and still sees every row that contains the parameter.
+The integer Gram matrix mu * gram is the one the configuration owns
+(`SurfaceConfig.int_gram`, built with the configuration). The oracle sums
+its own (-K).C row from those rows and `anti_k` for each table, so it reads
+none of the sweep's data and not the configuration's (-K).C row. Subset
+solutions are computed once per (config, flag) pair as integer affine
+functions of the sweep parameter, so checking hundreds of random parameter
+values stays fast. Building the table scans each subset's conditions (its
+coefficients, then one residual per curve off the subset) on integers and
+stops at the first one that empties its interval; the accepted rows are
+indexed by their sorted endpoints, so a lookup is one bisect and still sees
+every row that contains the parameter.
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
 divisor, never reads the table, and is spot checked against it. Both run on
@@ -40,7 +42,7 @@ import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, NoSolution
@@ -57,54 +59,6 @@ _nd_cache: "weakref.WeakKeyDictionary[SurfaceConfig, tuple[tuple[int, ...], ...]
 _table_cache: "weakref.WeakKeyDictionary[SurfaceConfig, dict]" = weakref.WeakKeyDictionary()
 
 
-class _IntegerData(NamedTuple):
-    """A configuration's Gram matrix and (-K).C row, scaled to integers.
-
-    gh = mu * gram with mu the lcm of the Gram denominators, and
-    r0[j] = mu * rho * (-K).C_j with rho the least positive integer making
-    every entry integral.
-    """
-
-    mu: int
-    gh: tuple[tuple[int, ...], ...]
-    rho: int
-    r0: tuple[int, ...]
-
-
-_integer_cache: "weakref.WeakKeyDictionary[SurfaceConfig, _IntegerData]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _integer_data(config: SurfaceConfig) -> _IntegerData:
-    """The integer Gram matrix and (-K).C row, computed once per configuration.
-
-    (-K).C_j is summed from the Gram matrix and `anti_k` here, on integers:
-    with alpha * anti_k = a integral, k_j = sum_i a_i * gh[i][j] is
-    mu * alpha * (-K).C_j, so rho = alpha / g and r0 = k / g for
-    g = gcd(alpha, k_0, ..., k_{n-1}).
-    """
-    data = _integer_cache.get(config)
-    if data is None:
-        mu = math.lcm(*(x.denominator for row in config.gram for x in row))
-        gh = tuple(tuple(x.numerator * (mu // x.denominator) for x in row) for row in config.gram)
-        alpha = math.lcm(*(c.denominator for c in config.anti_k))
-        terms = [
-            (i, c.numerator * (alpha // c.denominator)) for i, c in enumerate(config.anti_k) if c
-        ]
-        k = [sum(a * gh[i][j] for i, a in terms) for j in range(len(gh))]
-        g = math.gcd(alpha, *k)
-        data = _IntegerData(mu, gh, alpha // g, tuple(x // g for x in k))
-        _integer_cache[config] = data
-    return data
-
-
-def _integer_gram(config: SurfaceConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """mu and the integer matrix mu * gram."""
-    data = _integer_data(config)
-    return data.mu, data.gh
-
-
 def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
     """All index subsets whose Gram submatrix is negative definite.
 
@@ -118,7 +72,7 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
     """
     if config in _nd_cache:
         return _nd_cache[config]
-    _, gh = _integer_gram(config)
+    gh = config.int_gram
     n = len(gh)
     out: list[tuple[int, ...]] = [()]
 
@@ -136,7 +90,7 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
 
 
 def _subset_states(
-    config: SurfaceConfig, gh: list[list[int]], rhs: Sequence[Sequence[int]]
+    config: SurfaceConfig, gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], int]]:
     """(subset, columns, d) for every negative-definite subset, in order.
 
@@ -238,9 +192,21 @@ class SubsetTable:
         self.config_name = config.name
         self.curve_names = config.curve_names
         self.flag = flag
-        _, gh, rho, r0 = _integer_data(config)
+        gh = config.int_gram
         n = len(gh)
         fi = config.index(flag)
+        # (-K).C is summed here, not read from the configuration: with
+        # alpha * anti_k = a integral, k_j = sum_i a_i * gh[i][j] is
+        # mu * alpha * (-K).C_j, so r0 = k / g is mu * rho * (-K).C_j for
+        # g = gcd(alpha, k_0, ..., k_{n-1}) and rho = alpha / g.
+        alpha = math.lcm(*(c.denominator for c in config.anti_k))
+        terms = [
+            (i, c.numerator * (alpha // c.denominator)) for i, c in enumerate(config.anti_k) if c
+        ]
+        k = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]
+        g = math.gcd(alpha, *k)
+        rho = alpha // g
+        r0 = [x // g for x in k]
         r1 = [-rho * gh[fi][j] for j in range(n)]
 
         rows: list[_TableRow] = []
@@ -307,7 +273,7 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
         raise ValueError(
             f"brute force supports at most {_MAX_BRUTE_FORCE_CURVES} curves, got {n}"
         )
-    _, gh = _integer_gram(config)
+    gh = config.int_gram
     lam = math.lcm(*(c.denominator for c in d.coeffs))
     terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]
     b = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]  # mu * lam * d.D_j

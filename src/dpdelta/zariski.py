@@ -8,11 +8,13 @@ coefficient is an affine polynomial and P(v)^2 is a quadratic. The sweep
 starts at v = 0 and pivots the support at each breakpoint until P^2 hits 0
 at the pseudoeffective threshold tau.
 
-The pivot loop decides on integer rows. Each support system is solved by
-`linalg.solve` on the integer Gram matrix mu * gram, cached per
-configuration; the solution is scaled to integers over one denominator, and
-one pass of integer dot products over the support's Gram rows gives P.C for
-every curve C as an integer affine numerator over one positive denominator.
+The pivot loop decides on integer rows. The configuration owns the integer
+form: its Gram matrix as mu * gram (`int_gram`) and its (-K).C row over one
+denominator, both built with the configuration. Each support system is
+solved by `linalg.solve` on those Gram rows; the solution is scaled to
+integers over one denominator, and one pass of integer dot products over
+the support's Gram rows gives P.C for every curve C as an integer affine
+numerator over one positive denominator.
 Drops, adds and the chamber's end are decided by integer signs and
 comparisons at v = p/q. `Poly` and `Fraction` objects are built only for
 the support the loop converges on, once per chamber, and
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -188,51 +189,15 @@ def _support_text(support: Sequence[str]) -> str:
 # -- integer rows ----------------------------------------------------------
 
 
-class _IntegerGram:
-    """mu, the lcm of a configuration's Gram denominators, and the rows of
-    mu * gram as integers, each converted the first time it is read.
-
-    It holds the Gram matrix, never the configuration, so the weakly keyed
-    cache entry does not keep its own key alive.
-    """
-
-    def __init__(self, gram: tuple[tuple[Fraction, ...], ...]):
-        self.gram = gram
-        self.mu = math.lcm(*(x.denominator for row in gram for x in row))
-        self.rows: dict[int, list[int]] = {}
-
-    def row(self, i: int) -> list[int]:
-        row = self.rows.get(i)
-        if row is None:
-            mu = self.mu
-            row = self.rows[i] = [x.numerator * (mu // x.denominator) for x in self.gram[i]]
-        return row
-
-
-_gram_cache: "weakref.WeakKeyDictionary[SurfaceConfig, _IntegerGram]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _integer_gram(config: SurfaceConfig) -> _IntegerGram:
-    """The configuration's integer Gram rows, cached on first use."""
-    gram = _gram_cache.get(config)
-    if gram is None:
-        gram = _gram_cache[config] = _IntegerGram(config.gram)
-    return gram
-
-
 class _Direction(NamedTuple):
     """D(v) = anti_k - v*flag on one configuration, as integer rows.
 
     mu * scale * D(v).C_j = b0[j] + b1[j]*v for every curve j, where mu is
-    the Gram denominator and scale clears the denominators of (-K).C_j.
+    the configuration's Gram denominator and scale = `anti_k_dots_den`.
     """
 
     config: SurfaceConfig
     flag: int
-    gram: _IntegerGram
-    scale: int
     b0: list[int]
     b1: list[int]
     d_sq: IntQuadratic
@@ -240,15 +205,13 @@ class _Direction(NamedTuple):
 
 def _direction(config: SurfaceConfig, flag: str) -> _Direction:
     fi = config.index(flag)
-    gram = _integer_gram(config)
-    dots = config.anti_k_dots
-    scale = math.lcm(*(x.denominator for x in dots))
-    b0 = [gram.mu * x.numerator * (scale // x.denominator) for x in dots]
-    b1 = [-scale * g for g in gram.row(fi)]
-    d_coeffs = (config.norm, -2 * dots[fi], config.gram[fi][fi])
+    mu, scale = config.mu, config.anti_k_dots_den
+    b0 = [mu * k for k in config.int_anti_k_dots]
+    b1 = [-scale * g for g in config.int_gram[fi]]
+    d_coeffs = (config.norm, -2 * config.anti_k_dots[fi], config.gram[fi][fi])
     d_den = math.lcm(*(x.denominator for x in d_coeffs))
     d_sq = IntQuadratic(*(x.numerator * (d_den // x.denominator) for x in d_coeffs), d_den)
-    return _Direction(config, fi, gram, scale, b0, b1, d_sq)
+    return _Direction(config, fi, b0, b1, d_sq)
 
 
 class _Rows(NamedTuple):
@@ -284,14 +247,15 @@ def _rows(
     x1 = [y.numerator * (lcm // y.denominator) for y in y1]
     c0 = [lcm * b for b in direction.b0]
     c1 = [lcm * b for b in direction.b1]
+    config = direction.config
     for s, a0, a1 in zip(support, x0, x1):
-        g = direction.gram.row(s)
+        g = config.int_gram[s]
         if a0:
             c0 = [c - a0 * x for c, x in zip(c0, g)]
         if a1:
             c1 = [c - a1 * x for c, x in zip(c1, g)]
-    scale = lcm * direction.scale
-    return _Rows(tuple(support), x0, x1, scale, c0, c1, scale * direction.gram.mu)
+    scale = lcm * config.anti_k_dots_den
+    return _Rows(tuple(support), x0, x1, scale, c0, c1, scale * config.mu)
 
 
 def _sign_after(c0: int, c1: int, p: int, q: int) -> int:
@@ -312,8 +276,8 @@ def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows | N
     """
     if not support:
         return _rows(direction, (), (), ())
-    row = direction.gram.row
-    matrix = [[row(a)[b] for b in support] for a in support]
+    gram = direction.config.int_gram
+    matrix = [[gram[a][b] for b in support] for a in support]
     rhs = [[direction.b0[a] for a in support], [direction.b1[a] for a in support]]
     try:
         y0, y1 = solve(matrix, rhs)
@@ -394,7 +358,7 @@ def _positive_part(direction: _Direction, rows: _Rows) -> IntQuadratic:
         q0 += a0 * b0
         q1 += a0 * b1 + a1 * b0
         q2 += a1 * b1
-    den = rows.n_den * direction.gram.mu * direction.scale
+    den = rows.n_den * direction.config.mu * direction.config.anti_k_dots_den
     d0, d1, d2, d_den = direction.d_sq
     return IntQuadratic(
         d0 * den - q0 * d_den, d1 * den - q1 * d_den, d2 * den - q2 * d_den, d_den * den
@@ -485,66 +449,77 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
     Only the support sets and their coefficients are trusted; every derived
     quantity is recomputed from the configuration and cross-checked against
     the stored `p_sq` and `p_dot` rows, so a stale or tampered file raises
-    SchemaError instead of round-tripping silently.
+    SchemaError instead of round-tripping silently. The error names the
+    configuration, the flag and the index of the chamber at fault.
     """
     flag = str(data["flag"])
+    where = f"config {config.name}, flag {flag}"
     if flag not in config.curve_names:
-        raise SchemaError(f"unknown flag curve {flag!r} on {config.name}")
+        raise SchemaError(f"unknown flag curve {flag!r}; {where}")
     if "config" in data and data["config"] != config.name:
-        raise SchemaError(
-            f"decomposition belongs to {data['config']!r}, not {config.name!r}"
-        )
+        raise SchemaError(f"decomposition belongs to {data['config']!r}; {where}")
+    try:
+        tau = parse_rational(data["tau"])
+    except SchemaError as exc:
+        raise SchemaError(f"tau: {exc}; {where}") from exc
     direction = _direction(config, flag)
-    scale = direction.scale
+    scale = config.anti_k_dots_den
     chambers: list[Chamber] = []
-    for raw in data["chambers"]:
-        support = tuple(str(name) for name in raw["support"])
-        unknown = [name for name in support if name not in config.curve_names]
-        if unknown or set(raw["n_coeffs"]) != set(support):
-            raise SchemaError(f"support/coefficient mismatch in chamber of {flag}")
-        n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
-        if any(p.degree > 1 for p in n_polys.values()):
-            raise SchemaError(f"non-affine negative-part coefficient in chamber of {flag}")
-        rows = _rows(
-            direction,
-            [config.index(name) for name in n_polys],
-            [p.coeff(0) * scale for p in n_polys.values()],
-            [p.coeff(1) * scale for p in n_polys.values()],
-        )
-        p_dot = _p_dot(config.curve_names, rows)
-        p_sq_rows = _positive_part(direction, rows)
-        p_sq = p_sq_rows.poly()
-        if p_sq != Poly.from_strings(raw["p_sq"]):
+    try:
+        for raw in data["chambers"]:
+            lo, hi = parse_rational(raw["lo"]), parse_rational(raw["hi"])
+            span = f"[{format_rational(lo)}, {format_rational(hi)}]"
+            if lo >= hi:
+                raise SchemaError(f"empty or reversed chamber {span}")
+            support = tuple(str(name) for name in raw["support"])
+            unknown = [name for name in support if name not in config.curve_names]
+            if unknown or set(raw["n_coeffs"]) != set(support):
+                raise SchemaError(f"support/coefficient mismatch on {span}")
+            n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
+            if any(p.degree > 1 for p in n_polys.values()):
+                raise SchemaError(f"non-affine negative-part coefficient on {span}")
+            rows = _rows(
+                direction,
+                [config.index(name) for name in n_polys],
+                [p.coeff(0) * scale for p in n_polys.values()],
+                [p.coeff(1) * scale for p in n_polys.values()],
+            )
+            p_dot = _p_dot(config.curve_names, rows)
+            p_sq_rows = _positive_part(direction, rows)
+            p_sq = p_sq_rows.poly()
+            if p_sq != Poly.from_strings(raw["p_sq"]):
+                raise SchemaError(f"stored P^2 disagrees with the recomputed one on {span}")
+            if p_dot[flag] != Poly.from_strings(raw["p_dot"]):
+                raise SchemaError(
+                    f"stored P.{flag} disagrees with the recomputed one on {span}"
+                )
+            chambers.append(
+                Chamber(
+                    lo=lo,
+                    hi=hi,
+                    support=support,
+                    n_coeffs=n_polys,
+                    p_sq=p_sq,
+                    p_dot=p_dot,
+                    rows=rows,
+                    p_sq_rows=p_sq_rows,
+                )
+            )
+        if not chambers:
+            raise SchemaError("no chambers stored")
+    except SchemaError as exc:
+        raise SchemaError(f"{exc}; {where}, chamber {len(chambers)}") from exc
+    last = len(chambers) - 1
+    if chambers[0].lo != 0:
+        raise SchemaError(f"chambers do not cover [0, tau]; {where}, chamber 0")
+    if chambers[-1].hi != tau:
+        raise SchemaError(f"chambers do not cover [0, tau]; {where}, chamber {last}")
+    for i in range(1, len(chambers)):
+        if chambers[i - 1].hi != chambers[i].lo:
             raise SchemaError(
-                f"stored P^2 disagrees with the recomputed one for flag {flag} "
-                f"on [{raw['lo']}, {raw['hi']}]"
+                f"chambers leave a gap at {format_rational(chambers[i - 1].hi)}; "
+                f"{where}, chamber {i}"
             )
-        if p_dot[flag] != Poly.from_strings(raw["p_dot"]):
-            raise SchemaError(
-                f"stored P.{flag} disagrees with the recomputed one "
-                f"on [{raw['lo']}, {raw['hi']}]"
-            )
-        chambers.append(
-            Chamber(
-                lo=parse_rational(raw["lo"]),
-                hi=parse_rational(raw["hi"]),
-                support=support,
-                n_coeffs=n_polys,
-                p_sq=p_sq,
-                p_dot=p_dot,
-                rows=rows,
-                p_sq_rows=p_sq_rows,
-            )
-        )
-    tau = parse_rational(data["tau"])
-    if not chambers:
-        raise SchemaError(f"no chambers stored for flag {flag}")
-    if chambers[0].lo != 0 or chambers[-1].hi != tau:
-        raise SchemaError(f"chambers of {flag} do not cover [0, tau]")
-    for left, right in zip(chambers, chambers[1:]):
-        if left.hi != right.lo:
-            raise SchemaError(f"chambers of {flag} leave a gap at {left.hi}")
     if chambers[-1].p_sq(tau) != 0:
-        raise SchemaError(f"P^2 does not vanish at the stored tau for flag {flag}")
+        raise SchemaError(f"P^2 does not vanish at the stored tau; {where}, chamber {last}")
     return Decomposition(config, flag, tuple(chambers), tau)
-

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from dpdelta.config import dumps_canonical, intersect, validate
 from dpdelta.errors import DimensionMismatch
 
 F = Fraction
+
+CATALOG = Path(__file__).resolve().parents[1] / "src" / "dpdelta" / "catalog"
 
 
 def nodal(**overrides) -> SurfaceConfig:
@@ -271,6 +275,20 @@ class TestJson:
         path.write_text(dumps_canonical(data), encoding="utf-8")
         with pytest.raises(SchemaError, match="invalid config: anti_k norm"):
             load(path)
+
+    def test_catalog_files_round_trip_byte_for_byte(self):
+        paths = sorted(CATALOG.glob("*/config_*.json"))
+        assert len(paths) == 42
+        for path in paths:
+            config = load(path)
+            assert dumps_canonical(config_to_json(config)) == path.read_text(encoding="utf-8")
+            # the integer form, recomputed from the Fraction Gram matrix
+            mu = math.lcm(*(x.denominator for row in config.gram for x in row))
+            assert config.mu == mu, path
+            assert all((x * mu).denominator == 1 for row in config.gram for x in row), path
+            assert config.int_gram == tuple(
+                tuple(int(x * mu) for x in row) for row in config.gram
+            ), path
 
     def test_dumps_canonical_shape(self):
         text = dumps_canonical({"a": 1})

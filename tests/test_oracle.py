@@ -39,7 +39,6 @@ from dpdelta.oracle import (
     EquivalenceReport,
     SubsetTable,
     _accepted_interval,
-    _integer_gram,
     _RowIndex,
     _TableRow,
 )
@@ -113,7 +112,7 @@ def _per_subset_rows(config: SurfaceConfig, flag: str) -> tuple[_TableRow, ...]:
     Each subset gets its own augmented system [mu*gram_S | r0_S, r1_S],
     eliminated from scratch, and its residuals are summed column by column.
     """
-    mu, gh = _integer_gram(config)
+    mu, gh = config.mu, config.int_gram
     n = len(gh)
     fi = config.index(flag)
     w0 = [sum(config.anti_k[i] * config.gram[i][j] for i in range(n)) for j in range(n)]

@@ -1,15 +1,17 @@
 """Randomized algebraic invariants of the exact-arithmetic layer."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpdelta import PiecewisePoly, Poly
+from dpdelta import CurveRecord, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
 from dpdelta.delta import h_quadratic
 from dpdelta.oracle import sample_parameters
 from dpdelta.poly import IntQuadratic, integrate_pieces, min_positive_root, nonnegative_on
+from dpdelta.rationals import parse_rational
 from dpdelta.zariski import _sign_after
 
 F = Fraction
@@ -185,6 +187,61 @@ class TestIntegerSigns:
         c0, c1, v = case
         expected = _fraction_sign_after(c0, c1, v)
         assert _sign_after(c0, c1, v.numerator, v.denominator) == expected
+
+
+def _spellings(x: Fraction) -> list:
+    """Ways a configuration may be handed the rational x, canonical or not."""
+    p, q = x.numerator, x.denominator
+    out = [x, f"{p}/{q}", f"{2 * p}/{2 * q}", f" {x} "]
+    if q == 1:
+        out.append(p)
+    return out
+
+
+rational_inputs = small.flatmap(lambda x: st.sampled_from(_spellings(x)))
+
+
+@st.composite
+def gram_and_anti_k(draw):
+    """A square matrix and a vector of mixed int, Fraction and str entries."""
+    n = draw(st.integers(1, 5))
+    gram = [[draw(rational_inputs) for _ in range(n)] for _ in range(n)]
+    return gram, [draw(rational_inputs) for _ in range(n)]
+
+
+def _assert_integer_form(config: SurfaceConfig) -> None:
+    gram, n, mu = config.gram, len(config.gram), config.mu
+    entries = [x for row in gram for x in row]
+    # mu is the least positive integer clearing every Gram denominator
+    assert all((mu * x).denominator == 1 for x in entries)
+    assert not any(all((d * x).denominator == 1 for x in entries) for d in range(1, mu))
+    assert config.int_gram == tuple(tuple(mu * x for x in row) for row in gram)
+    assert all(type(x) is int for row in config.int_gram for x in row)
+    anti_k = config.anti_k
+    dots = tuple(sum((a * gram[i][j] for i, a in enumerate(anti_k)), F(0)) for j in range(n))
+    assert config.anti_k_dots == dots
+    den = config.anti_k_dots_den
+    assert den == math.lcm(*(x.denominator for x in dots))
+    assert tuple(F(k, den) for k in config.int_anti_k_dots) == dots
+
+
+class TestIntegerForm:
+    @settings(max_examples=100, deadline=None)
+    @given(data=gram_and_anti_k())
+    def test_matches_the_fraction_gram(self, data):
+        gram, anti_k = data
+        config = SurfaceConfig(
+            name="random",
+            norm=1,
+            curves=[CurveRecord(f"C{i}", row[i], "other") for i, row in enumerate(gram)],
+            gram=gram,
+            anti_k=anti_k,
+        )
+        assert config.gram == tuple(tuple(parse_rational(x) for x in row) for row in gram)
+        assert config.anti_k == tuple(parse_rational(x) for x in anti_k)
+        _assert_integer_form(config)
+        _assert_integer_form(config.with_points([PointSpec("p", "C0")]))
+        _assert_integer_form(blowup(config, PointSpec("p", "C0")).config)
 
 
 class TestSampling:

@@ -250,6 +250,13 @@ class TestErrorContext:
         assert message.endswith(where), message
 
 
+def _refused(config, data, match: str) -> None:
+    """decomposition_from_json raises SchemaError matching `match`, naming the config."""
+    with pytest.raises(SchemaError, match=match) as caught:
+        decomposition_from_json(config, data)
+    assert f"config {config.name}, flag " in str(caught.value)
+
+
 class TestSerialization:
     def test_emitted_json(self, nodal_decomp, records):
         data = decomposition_to_json(nodal_decomp)
@@ -293,62 +300,58 @@ class TestSerialization:
         data = decomposition_to_json(nodal_decomp)
         bad = copy.deepcopy(data)
         bad["chambers"][1]["n_coeffs"]["C"] = ["-1", "3"]
-        with pytest.raises(SchemaError, match="stored P\\^2 disagrees"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "stored P\\^2 disagrees")
 
     def test_non_affine_coefficient_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][1]["n_coeffs"]["C"] = ["-1", "2", "1"]
-        with pytest.raises(SchemaError, match="non-affine negative-part coefficient"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "non-affine negative-part coefficient")
 
     def test_tampered_p_sq_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][0]["p_sq"] = ["1", "0", "-3"]
-        with pytest.raises(SchemaError, match="stored P\\^2 disagrees"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "stored P\\^2 disagrees")
 
     def test_tampered_p_dot_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][0]["p_dot"] = ["1", "2"]
-        with pytest.raises(SchemaError, match="stored P.E disagrees"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "stored P.E disagrees")
 
     def test_tampered_tau_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["tau"] = "2"
-        with pytest.raises(SchemaError, match="do not cover"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "do not cover \\[0, tau\\]; config A1-nodal, flag E, chamber 1$")
+
+    def test_reversed_chamber_is_caught(self, a1_nodal, nodal_decomp):
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        bad["chambers"][0]["hi"] = bad["chambers"][1]["lo"] = "5"
+        where = "config A1-nodal, flag E, chamber 1$"
+        _refused(a1_nodal, bad, "empty or reversed chamber \\[5, 1\\]; " + where)
 
     def test_chamber_gap_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][1]["lo"] = "3/5"
-        with pytest.raises(SchemaError, match="leave a gap"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "leave a gap at 1/2; config A1-nodal, flag E, chamber 1$")
 
     def test_wrong_config_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["config"] = "other"
-        with pytest.raises(SchemaError, match="belongs to 'other'"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "belongs to 'other'")
 
     def test_unknown_flag_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["flag"] = "Z"
-        with pytest.raises(SchemaError, match="unknown flag curve 'Z'"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "unknown flag curve 'Z'")
 
     def test_support_mismatch_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][1]["support"] = ["C", "E"]
-        with pytest.raises(SchemaError, match="support/coefficient mismatch"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "support/coefficient mismatch")
 
     def test_empty_chambers_are_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"] = []
-        with pytest.raises(SchemaError, match="no chambers stored"):
-            decomposition_from_json(a1_nodal, bad)
+        _refused(a1_nodal, bad, "no chambers stored")
 
     def test_same_decomposition_distinguishes(self, nodal_decomp, records, same_decomposition):
         other_cfg = records["A2-nodal"].config("base")
