@@ -115,6 +115,7 @@ class SurfaceConfig:
     discrepancy: Mapping[str, Fraction]
     smooth_surface: bool
     points: tuple[PointSpec, ...]
+    curve_names: tuple[str, ...] = field(repr=False)
     _index: dict = field(repr=False)
     anti_k_dots: tuple[Fraction, ...] = field(repr=False)
     mu: int = field(repr=False)
@@ -166,6 +167,7 @@ class SurfaceConfig:
         )
         object.__setattr__(self, "smooth_surface", bool(smooth_surface))
         object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "curve_names", tuple(names))
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(names)})
         mu = math.lcm(*{x.denominator for row in self.gram for x in row})
         int_gram = tuple(
@@ -190,10 +192,6 @@ class SurfaceConfig:
         )
 
     # -- basis helpers -------------------------------------------------
-
-    @property
-    def curve_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.curves)
 
     def index(self, curve: str) -> int:
         try:
@@ -292,11 +290,13 @@ def validate(config: SurfaceConfig) -> ValidationReport:
     entries: list[ValidationEntry] = []
     n = len(config.curves)
 
+    # int_gram is mu * gram, so comparing integers gives the same verdict
+    gram = config.int_gram
     bad_sym = [
         (config.curves[i].name, config.curves[j].name)
         for i in range(n)
         for j in range(i + 1, n)
-        if config.gram[i][j] != config.gram[j][i]
+        if gram[i][j] != gram[j][i]
     ]
     entries.append(
         ValidationEntry("gram symmetric", not bad_sym, f"asymmetric at {bad_sym}" if bad_sym else "")

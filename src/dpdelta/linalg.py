@@ -1,21 +1,19 @@
-"""Exact linear algebra over the rationals, on one fraction-free pivot step.
+"""Exact integer linear algebra on one fraction-free pivot step.
 
 Systems here are tiny (support sets have at most ~10 curves). `extend` is
 one step of Bareiss's integer-preserving Gauss-Jordan elimination
 (E. H. Bareiss, Sylvester's identity and multistep integer-preserving
 Gaussian elimination, Math. Comp. 22, 1968): every intermediate entry is a
-minor of the input, so all divisions are exact and no Fraction is built
-inside the loop. A state can be extended by any later index, so callers
-that visit index subsets in depth-first order share each prefix's
-elimination; `eliminate` pivots on every index in turn.
+minor of the input, so all divisions are exact and every number stays an
+integer. A state can be extended by any later index, so callers that visit
+index subsets in depth-first order share each prefix's elimination;
+`eliminate` pivots on every index in turn, and `solve` returns its
+solutions as integer numerators over |det A|.
 """
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Sequence
 
-Matrix = Sequence[Sequence[Fraction]]
 State = tuple[list[list[int]], int]
 
 
@@ -74,20 +72,20 @@ def eliminate(rows: list[list[int]]) -> int:
     return state[1]
 
 
-def solve(matrix: Matrix, rhs_columns: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Solve A x = b for several right-hand sides at once.
+def solve(
+    matrix: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """Solve A x = b on integers for several right-hand sides at once.
 
-    Entries may be int or Fraction. Returns one solution vector per entry of
-    `rhs_columns`. Raises ValueError if the matrix is singular.
+    Returns (d, columns) with d = |det A| > 0 and, for each entry b of
+    `rhs_columns`, the integer column d * x. A 0 x 0 system has d = 1.
+    Raises ValueError if the matrix is singular.
     """
     n = len(matrix)
-    rows = []
-    for i in range(n):
-        row = list(matrix[i]) + [col[i] for col in rhs_columns]
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    rows = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
     det = eliminate(rows)
     if det == 0:
         raise ValueError("singular matrix")
     # only the right-hand-side block is meaningful after elimination
-    return [[Fraction(rows[i][n + j], det) for i in range(n)] for j in range(len(rhs_columns))]
+    sign = 1 if det > 0 else -1
+    return abs(det), [[sign * row[n + j] for row in rows] for j in range(len(rhs_columns))]

@@ -28,10 +28,11 @@ every row that contains the parameter.
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
 divisor, never reads the table, and is spot checked against it. Both run on
-the pivot step of `linalg`, which the sweep's `solve` shares; the
-acceptance gate checks the sweep's output by substitution alone. The
-quadrature check applies Simpson's rule in exact arithmetic, independently
-of the antiderivatives `PiecewisePoly` integrates with.
+the pivot step of `linalg`, which the sweep reaches through the integer
+`linalg.solve`; the acceptance gate checks the sweep's output by
+substitution alone. The quadrature check applies Simpson's rule in exact
+arithmetic, independently of the antiderivatives `PiecewisePoly`
+integrates with.
 """
 from __future__ import annotations
 

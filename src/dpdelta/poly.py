@@ -3,8 +3,9 @@
 These carry all the parametric data of the decomposition sweep: negative-part
 coefficients (affine in the sweep parameter v), volumes P(v)^2 (quadratic),
 and the local h(v) integrands. Everything is exact. `IntQuadratic` is a
-quadratic as integer numerators over one denominator, integrated in closed
-form with one Fraction per piece.
+quadratic as integer numerators over one denominator: it is integrated in
+closed form with one Fraction per piece, and its first root after a point
+and its sign on an interval are decided on integers.
 """
 from __future__ import annotations
 
@@ -130,60 +131,6 @@ def _as_poly(x: "Poly | RatLike") -> Poly:
     if isinstance(x, Poly):
         return x
     return Poly([_as_fraction(x)])
-
-
-def _sqrt_exact(x: Fraction) -> Fraction | None:
-    """The exact rational square root of x >= 0, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-def min_positive_root(p: Poly, lo: RatLike) -> Fraction | None:
-    """Smallest rational root of p that is >= lo, for deg(p) <= 2.
-
-    Returns None when no real root >= lo exists. Raises IrrationalRoot when a
-    real root >= lo exists but is not rational: breakpoints are required to be
-    exact, never approximated.
-    """
-    lo = _as_fraction(lo)
-    if p.degree > 2:
-        raise ValueError(f"min_positive_root supports degree <= 2, got {p.degree}")
-    if p.is_zero():
-        return lo  # every point is a root
-    if p.degree <= 0:
-        return None
-    if p.degree == 1:
-        b, a = p.coeff(0), p.coeff(1)
-        root = -b / a
-        return root if root >= lo else None
-    c, b, a = p.coeff(0), p.coeff(1), p.coeff(2)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return None
-    sq = _sqrt_exact(disc)
-    if sq is not None:
-        r1 = (-b - sq) / (2 * a)
-        r2 = (-b + sq) / (2 * a)
-        candidates = sorted(r for r in (r1, r2) if r >= lo)
-        return candidates[0] if candidates else None
-    # Both roots are irrational conjugates; decide exactly whether either is
-    # >= lo by comparing sqrt(disc) against +-(2*a*lo + b).
-    t = 2 * a * lo + b
-    if a > 0:
-        # larger root (-b + sqrt)/2a >= lo  <=>  sqrt(disc) >= t
-        exists = t <= 0 or disc >= t * t
-    else:
-        # roots in decreasing order; larger root is (-b - sqrt)/2a
-        # (-b - sqrt)/(2a) >= lo  <=>  -sqrt <= t  <=>  sqrt >= -t
-        exists = t >= 0 or disc >= t * t
-    if exists:
-        raise IrrationalRoot(f"irrational root of {p.render()} at or beyond {lo}")
-    return None
 
 
 def nonnegative_on(p: Poly, lo: RatLike, hi: RatLike) -> bool:
@@ -342,6 +289,49 @@ class IntQuadratic(NamedTuple):
     def scaled_at(self, u: int, w: int) -> int:
         """den * w^2 times the value at v = u/w."""
         return (self.a0 * w + self.a1 * u) * w + self.a2 * u * u
+
+    def positive_on(self, lo: Fraction, hi: Fraction) -> bool:
+        """Whether the value is > 0 everywhere on [lo, hi], decided on integers."""
+        u_lo, w_lo, u_hi, w_hi = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if self.scaled_at(u_lo, w_lo) <= 0 or self.scaled_at(u_hi, w_hi) <= 0:
+            return False
+        a0, a1, a2 = self.a0, self.a1, self.a2
+        # positive at both ends; only a convex quadratic can dip in between,
+        # at its vertex -a1 / (2*a2), and it stays positive there iff disc < 0
+        vertex_inside = a2 > 0 and 2 * a2 * u_lo + a1 * w_lo < 0 < 2 * a2 * u_hi + a1 * w_hi
+        return not vertex_inside or a1 * a1 < 4 * a0 * a2
+
+    def first_root(self, lo: Fraction) -> Fraction | None:
+        """The smallest real root >= lo; None if there is none.
+
+        The zero quadratic vanishes everywhere and returns lo. Raises
+        IrrationalRoot when a real root >= lo exists but is irrational:
+        roots are exact, never approximated.
+        """
+        a0, a1, a2 = self.a0, self.a1, self.a2
+        u, w = lo.numerator, lo.denominator
+        if a2 == 0:
+            if a1 == 0:
+                return lo if a0 == 0 else None
+            roots = [(-a0, a1) if a1 > 0 else (a0, -a1)]
+        else:
+            disc = a1 * a1 - 4 * a0 * a2
+            if disc < 0:
+                return None
+            root = math.isqrt(disc)
+            if root * root != disc:
+                # the larger root, vertex + sqrt(disc) / (2|a2|), is >= lo iff
+                # lo <= vertex or t^2 <= disc * w^2, with t = 2*a2*(lo - vertex)*w
+                t = 2 * a2 * u + a1 * w
+                if a2 * t <= 0 or disc * w * w >= t * t:
+                    raise IrrationalRoot(
+                        f"irrational root of {self.poly().render()} at or beyond {lo}"
+                    )
+                return None
+            # (-a1 -+ root) / (2*a2), in ascending order over a positive denominator
+            b, q = (-a1, 2 * a2) if a2 > 0 else (a1, -2 * a2)
+            roots = [(b - root, q), (b + root, q)]
+        return next((Fraction(p, q) for p, q in roots if p * w >= u * q), None)
 
     def integrate(self, lo: Fraction, hi: Fraction) -> Fraction:
         """The exact integral over [lo, hi], as one Fraction.

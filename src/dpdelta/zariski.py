@@ -8,19 +8,22 @@ coefficient is an affine polynomial and P(v)^2 is a quadratic. The sweep
 starts at v = 0 and pivots the support at each breakpoint until P^2 hits 0
 at the pseudoeffective threshold tau.
 
-The pivot loop decides on integer rows. The configuration owns the integer
-form: its Gram matrix as mu * gram (`int_gram`) and its (-K).C row over one
-denominator, both built with the configuration. Each support system is
-solved by `linalg.solve` on those Gram rows; the solution is scaled to
-integers over one denominator, and one pass of integer dot products over
-the support's Gram rows gives P.C for every curve C as an integer affine
-numerator over one positive denominator.
-Drops, adds and the chamber's end are decided by integer signs and
-comparisons at v = p/q. `Poly` and `Fraction` objects are built only for
-the support the loop converges on, once per chamber, and
-`decomposition_from_json` rebuilds P.C through the same rows. Each chamber
-keeps its rows and its P^2 as an integer quadratic, outside equality and
-repr, so `delta` integrates S and S(W;O) on integers.
+The sweep decides on integers end to end. The configuration owns the
+integer form: its Gram matrix as mu * gram (`int_gram`) and its (-K).C row
+over one denominator, both built with the configuration. Each support
+system is solved by the integer `linalg.solve` on those Gram rows, which
+gives the negative part as integer numerators over |det|, and one pass of
+integer dot products over the support's Gram rows gives P.C for every curve
+C as an integer affine numerator over one positive denominator. Each
+breakpoint's pivot starts from the rows of the chamber just left, so that
+support is never solved twice. Drops, adds and the chamber's end are decided
+by integer signs and comparisons at v = p/q, and the threshold tau (or an
+irrational root) by `math.isqrt` and sign tests on P^2 as an integer
+quadratic. `Poly` and `Fraction` objects are built only for the chamber's
+ends and the support the loop converges on, once per chamber, and for error
+messages; `decomposition_from_json` rebuilds P.C through the same rows. Each
+chamber keeps its rows and its P^2 as an integer quadratic, outside equality
+and repr, so `delta` integrates S and S(W;O) on integers.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
 from .linalg import solve
-from .poly import IntQuadratic, PiecewisePoly, Poly, min_positive_root, nonnegative_on
+from .poly import IntQuadratic, PiecewisePoly, Poly
 from .rationals import RatLike, format_rational, parse_rational
 
 _MAX_PIVOTS = 4096
@@ -122,26 +125,22 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
 
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
-    seed: tuple[int, ...] = ()
+    rows = _rows(direction, (), [], [], 1)  # the empty support: N = 0
     support: tuple[str, ...] = ()
     try:
         while len(chambers) < _MAX_CHAMBERS:
-            rows = _pivot(direction, seed, v_cur)
-            seed = rows.support
-            support = tuple(names[s] for s in seed)
-            n_polys = _n_polys(names, rows)
-            p_dot = _p_dot(names, rows)
+            rows = _pivot(direction, rows, v_cur)
+            support = tuple(names[s] for s in rows.support)
             p_sq_rows = _positive_part(direction, rows)
-            p_sq = p_sq_rows.poly()
-            hi, is_tau = _chamber_end(rows, support, p_sq, v_cur)
+            hi, is_tau = _chamber_end(rows, support, p_sq_rows, v_cur)
             chambers.append(
                 Chamber(
                     lo=v_cur,
                     hi=hi,
                     support=support,
-                    n_coeffs=n_polys,
-                    p_sq=p_sq,
-                    p_dot=p_dot,
+                    n_coeffs=_n_polys(names, rows),
+                    p_sq=p_sq_rows.poly(),
+                    p_dot=_p_dot(names, rows),
                     rows=rows,
                     p_sq_rows=p_sq_rows,
                 )
@@ -233,20 +232,17 @@ class _Rows(NamedTuple):
 def _rows(
     direction: _Direction,
     support: Sequence[int],
-    y0: Sequence[Fraction],
-    y1: Sequence[Fraction],
+    x0: list[int],
+    x1: list[int],
+    d: int,
 ) -> _Rows:
-    """The rows of the negative part with scale * N_s(v) = y0[i] + y1[i]*v.
+    """The rows of the negative part with scale * N_s(v) = (x0[i] + x1[i]*v) / d.
 
-    y is scaled to integers x over one denominator L, and then
-    L * mu * scale * P.C_j = L * b_j - sum_s x_s * (mu * C_s.C_j) for every
+    d * mu * scale * P.C_j = d * b_j - sum_s x_s * (mu * C_s.C_j) for every
     j: one pass of integer dot products over the support's Gram rows.
     """
-    lcm = math.lcm(*(y.denominator for y in y0), *(y.denominator for y in y1))
-    x0 = [y.numerator * (lcm // y.denominator) for y in y0]
-    x1 = [y.numerator * (lcm // y.denominator) for y in y1]
-    c0 = [lcm * b for b in direction.b0]
-    c1 = [lcm * b for b in direction.b1]
+    c0 = [d * b for b in direction.b0]
+    c1 = [d * b for b in direction.b1]
     config = direction.config
     for s, a0, a1 in zip(support, x0, x1):
         g = config.int_gram[s]
@@ -254,8 +250,8 @@ def _rows(
             c0 = [c - a0 * x for c, x in zip(c0, g)]
         if a1:
             c1 = [c - a1 * x for c, x in zip(c1, g)]
-    scale = lcm * config.anti_k_dots_den
-    return _Rows(tuple(support), x0, x1, scale, c0, c1, scale * config.mu)
+    n_den = d * config.anti_k_dots_den
+    return _Rows(tuple(support), x0, x1, n_den, c0, c1, n_den * config.mu)
 
 
 def _sign_after(c0: int, c1: int, p: int, q: int) -> int:
@@ -269,34 +265,32 @@ def _sign_after(c0: int, c1: int, p: int, q: int) -> int:
     return (c1 > 0) - (c1 < 0)
 
 
-def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows | None:
-    """Rows of the solution of gram_S N = D_S on the support S; None if singular.
+def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows:
+    """Rows of the solution of gram_S N = D_S on the support S.
 
-    The system is solved as (mu * gram_S) y = mu * scale * D_S, so y = scale * N.
+    The system is solved as (mu * gram_S) y = mu * scale * D_S, so
+    y = scale * N. Raises ValueError if gram_S is singular.
     """
-    if not support:
-        return _rows(direction, (), (), ())
     gram = direction.config.int_gram
     matrix = [[gram[a][b] for b in support] for a in support]
     rhs = [[direction.b0[a] for a in support], [direction.b1[a] for a in support]]
-    try:
-        y0, y1 = solve(matrix, rhs)
-    except ValueError:
-        return None
-    return _rows(direction, support, y0, y1)
+    d, (x0, x1) = solve(matrix, rhs)
+    return _rows(direction, support, x0, x1, d)
 
 
-def _pivot(direction: _Direction, seed: Sequence[int], v: Fraction) -> _Rows:
-    """Find the valid support just right of v, starting from a seed guess.
+def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
+    """Find the valid support just right of v, starting from a seed's rows.
 
     Validity is checked on the lexicographic pair (value at v, slope), in
     integers: a support coefficient must be positive immediately after v
     and a non-support curve must meet the residual nonnegatively
-    immediately after v. Returns the rows of the support it converges on.
+    immediately after v. The seed is the previous chamber's rows, so its
+    support is not solved again. Returns the rows of the support it
+    converges on.
     """
     names = direction.config.curve_names
     p, q = v.numerator, v.denominator
-    support = sorted(seed)
+    rows, support = seed, seed.support
     seen: set[tuple[int, ...]] = set()
     for _ in range(_MAX_PIVOTS):
         key = tuple(support)
@@ -306,12 +300,14 @@ def _pivot(direction: _Direction, seed: Sequence[int], v: Fraction) -> _Rows:
                 f"{_support_text([names[s] for s in key])}"
             )
         seen.add(key)
-        rows = _solve_support(direction, key)
-        if rows is None:
-            raise NotPseudoEffective(
-                f"singular Gram matrix at v = {format_rational(v)}, "
-                f"{_support_text([names[s] for s in key])}"
-            )
+        if key != rows.support:  # only the seed's rows are given
+            try:
+                rows = _solve_support(direction, key)
+            except ValueError:
+                raise NotPseudoEffective(
+                    f"singular Gram matrix at v = {format_rational(v)}, "
+                    f"{_support_text([names[s] for s in key])}"
+                ) from None
         drop = {s for s, a0, a1 in zip(key, rows.x0, rows.x1) if _sign_after(a0, a1, p, q) <= 0}
         inside = set(key)
         add = {
@@ -381,28 +377,27 @@ def _first_root_after(rows: _Rows, lo: Fraction) -> Fraction | None:
 def _chamber_end(
     rows: _Rows,
     support: Sequence[str],
-    p_sq: Poly,
+    p_sq: IntQuadratic,
     lo: Fraction,
 ) -> tuple[Fraction, bool]:
     """Smallest v > lo at which the support changes or P^2 vanishes.
 
     Returns (hi, is_tau). Support-change candidates come from the sign flips
     of the chamber's affine rows (N_i on the support, P.C off it), which
-    always happen at rational points; the pseudoeffective threshold itself
-    must be rational or the sweep raises IrrationalRoot, except when a
-    support change occurs first and protects the chamber.
+    always happen at rational points. If P^2 stays positive up to the first
+    of them, the chamber ends there. Otherwise the first root of P^2 at or
+    after lo is the pseudoeffective threshold if it comes no later than the
+    change; it must be rational or the sweep raises IrrationalRoot. Both are
+    decided on the chamber's integer quadratic.
     """
     affine_next = _first_root_after(rows, lo)
-
+    if affine_next is not None and p_sq.positive_on(lo, affine_next):
+        return affine_next, False
     try:
-        tau = min_positive_root(p_sq, lo)
+        tau = p_sq.first_root(lo)
     except IrrationalRoot as exc:
-        if affine_next is not None and nonnegative_on(p_sq, lo, affine_next) and p_sq(
-            affine_next
-        ) > 0:
-            return affine_next, False
         raise IrrationalRoot(f"{exc}, {_support_text(support)}") from exc
-    if tau is not None and tau == lo:
+    if tau == lo:
         raise NotPseudoEffective(
             f"P^2 already vanishes at v = {format_rational(lo)}, {_support_text(support)}"
         )
@@ -472,17 +467,22 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
             if lo >= hi:
                 raise SchemaError(f"empty or reversed chamber {span}")
             support = tuple(str(name) for name in raw["support"])
+            if len(set(support)) != len(support):
+                raise SchemaError(f"duplicate support curve on {span}")
             unknown = [name for name in support if name not in config.curve_names]
             if unknown or set(raw["n_coeffs"]) != set(support):
                 raise SchemaError(f"support/coefficient mismatch on {span}")
             n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
             if any(p.degree > 1 for p in n_polys.values()):
                 raise SchemaError(f"non-affine negative-part coefficient on {span}")
+            # scale * N_s = x_s / d with one denominator d over every coefficient
+            d = math.lcm(*(c.denominator for p in n_polys.values() for c in p.coeffs))
             rows = _rows(
                 direction,
                 [config.index(name) for name in n_polys],
-                [p.coeff(0) * scale for p in n_polys.values()],
-                [p.coeff(1) * scale for p in n_polys.values()],
+                [int(p.coeff(0) * d * scale) for p in n_polys.values()],
+                [int(p.coeff(1) * d * scale) for p in n_polys.values()],
+                d,
             )
             p_dot = _p_dot(config.curve_names, rows)
             p_sq_rows = _positive_part(direction, rows)

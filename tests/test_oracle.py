@@ -167,9 +167,14 @@ def _fraction_brute_force(config: SurfaceConfig, d: DivisorClass) -> NegativePar
     ]
     accepted: list[tuple[Fraction, ...]] = []
     for subset in negative_definite_subsets(config):
-        matrix = [[config.gram[i][j] for j in subset] for i in subset]
-        sol = solve(matrix, [[d_dot[i] for i in subset]])
-        coeffs = sol[0]
+        # scaling a row of the augmented system by an integer keeps its solution
+        system = []
+        for i in subset:
+            row = [config.gram[i][j] for j in subset] + [d_dot[i]]
+            scale = math.lcm(*(x.denominator for x in row))
+            system.append([x.numerator * (scale // x.denominator) for x in row])
+        det, (col,) = solve([row[:-1] for row in system], [[row[-1] for row in system]])
+        coeffs = [Fraction(x, det) for x in col]
         if any(c < 0 for c in coeffs):
             continue
         ok = True

@@ -7,7 +7,7 @@ import pytest
 
 from dpdelta import OutOfDomain, PiecewisePoly, Poly
 from dpdelta.errors import IrrationalRoot
-from dpdelta.poly import min_positive_root, nonnegative_on
+from dpdelta.poly import IntQuadratic, nonnegative_on
 
 F = Fraction
 
@@ -72,35 +72,44 @@ class TestPoly:
 
 
 class TestMinPositiveRoot:
+    """`IntQuadratic.first_root`: the smallest root at or after lo, exactly."""
+
     def test_linear(self):
-        p = Poly([-1, 2])
-        assert min_positive_root(p, 0) == F(1, 2)
-        assert min_positive_root(p, "3/4") is None
+        q = IntQuadratic(-1, 2, 0, 3)  # (2v - 1)/3
+        assert q.first_root(F(0)) == F(1, 2)
+        assert q.first_root(F(3, 4)) is None
+        assert IntQuadratic(1, -2, 0, 1).first_root(F(0)) == F(1, 2)  # falling
 
     def test_quadratic_rational_roots(self):
-        p = Poly([2, -4, 2])  # 2(1-v)^2
-        assert min_positive_root(p, 0) == 1
-        q = Poly([1, 0, -1])  # (1-v)(1+v)
-        assert min_positive_root(q, 0) == 1
-        assert min_positive_root(q, -2) == -1
+        p = IntQuadratic(2, -4, 2, 1)  # 2(1-v)^2
+        assert p.first_root(F(0)) == 1
+        q = IntQuadratic(1, 0, -1, 1)  # (1-v)(1+v)
+        assert q.first_root(F(0)) == 1
+        assert q.first_root(F(-2)) == -1
+        assert IntQuadratic(-1, 0, 1, 4).first_root(F(-2)) == -1  # convex: same roots
+        assert IntQuadratic(3, -8, 4, 1).first_root(F(1, 2)) == F(1, 2)  # root at lo
 
     def test_no_real_root(self):
-        assert min_positive_root(Poly([1, 0, 1]), 0) is None
-        assert min_positive_root(Poly([7]), 0) is None
+        assert IntQuadratic(1, 0, 1, 1).first_root(F(0)) is None
+        assert IntQuadratic(7, 0, 0, 1).first_root(F(0)) is None
 
     def test_zero_poly_roots_everywhere(self):
-        assert min_positive_root(Poly(), F(1, 3)) == F(1, 3)
+        assert IntQuadratic(0, 0, 0, 5).first_root(F(1, 3)) == F(1, 3)
 
     def test_irrational_root_refuses_to_approximate(self):
-        p = Poly([1, 0, -2])  # roots +-1/sqrt(2)
-        with pytest.raises(IrrationalRoot):
-            min_positive_root(p, 0)
+        p = IntQuadratic(1, 0, -2, 3)  # roots +-1/sqrt(2)
+        message = r"^irrational root of 1/3 - 2/3\*v\^2 at or beyond 0$"
+        with pytest.raises(IrrationalRoot, match=message):
+            p.first_root(F(0))
         # both real roots lie below 1, so no root >= 1 exists at all
-        assert min_positive_root(p, 1) is None
-
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            min_positive_root(Poly([0, 0, 0, 1]), 0)
+        assert p.first_root(F(1)) is None
+        # between the roots only the larger one is at or after lo
+        with pytest.raises(IrrationalRoot, match="at or beyond -1/2$"):
+            p.first_root(F(-1, 2))
+        convex = IntQuadratic(-1, 0, 2, 1)
+        with pytest.raises(IrrationalRoot):
+            convex.first_root(F(-1))
+        assert convex.first_root(F(1)) is None
 
 
 class TestNonnegativeOn:

@@ -5,12 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpdelta import CurveRecord, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
 from dpdelta.delta import h_quadratic
 from dpdelta.oracle import sample_parameters
-from dpdelta.poly import IntQuadratic, integrate_pieces, min_positive_root, nonnegative_on
+from dpdelta.errors import IrrationalRoot
+from dpdelta.poly import IntQuadratic, integrate_pieces, nonnegative_on
 from dpdelta.rationals import parse_rational
 from dpdelta.zariski import _sign_after
 
@@ -48,13 +49,47 @@ class TestPolyAlgebra:
         assert Poly.from_strings(p.to_strings()) == p
 
 
+def _int_quadratic(p: Poly) -> IntQuadratic:
+    """p as integer numerators over the lcm of its denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return IntQuadratic(*(int(p.coeff(k) * den) for k in range(3)), den)
+
+
 class TestRootFinding:
-    @settings(max_examples=50, deadline=None)
-    @given(a=nonzero, roots=st.tuples(positive, positive))
-    def test_constructed_roots_are_recovered(self, a, roots):
-        r1, r2 = sorted(roots)
-        q = Poly([a * r1 * r2, -a * (r1 + r2), a])
-        assert min_positive_root(q, 0) == r1
+    @settings(max_examples=100, deadline=None)
+    @given(a=nonzero, roots=st.tuples(small, small), lo=small)
+    @example(a=F(1), roots=(F(1, 2), F(3, 2)), lo=F(0))
+    def test_constructed_roots_are_recovered(self, a, roots, lo):
+        r1, r2 = roots
+        q = _int_quadratic(Poly([a * r1 * r2, -a * (r1 + r2), a]))
+        after = [r for r in roots if r >= lo]
+        assert q.first_root(lo) == (min(after) if after else None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=nonzero, m=small, k=nonzero, lo=small)
+    def test_irrational_roots_raise_only_at_or_after_lo(self, a, m, k, lo):
+        # roots m -+ |k|*sqrt(2) are irrational, so never equal to lo
+        q = _int_quadratic(Poly([a * (m * m - 2 * k * k), -2 * a * m, a]))
+        if m + abs(k) * math.sqrt(2) > lo:
+            with pytest.raises(IrrationalRoot):
+                q.first_root(lo)
+        else:
+            assert q.first_root(lo) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=quadratics, ends=st.tuples(small, small))
+    @example(p=Poly([2, -4, 2]), ends=(F(0), F(2)))  # touches 0 at its vertex
+    @example(p=Poly([1, -3, 2]), ends=(F(0), F(2)))  # dips below 0 inside
+    @example(p=Poly([1, -1, 1]), ends=(F(0), F(1)))  # vertex inside, above 0
+    def test_positivity_matches_candidate_minimum(self, p, ends):
+        lo, hi = sorted(ends)
+        candidates = [p(lo), p(hi)]
+        a = p.coeff(2)
+        if a != 0:
+            vertex = -p.coeff(1) / (2 * a)
+            if lo <= vertex <= hi:
+                candidates.append(p(vertex))
+        assert _int_quadratic(p).positive_on(lo, hi) == (min(candidates) > 0)
 
     @settings(max_examples=50, deadline=None)
     @given(p=quadratics, ends=st.tuples(small, small))

@@ -4,6 +4,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from dpdelta import (
 )
 from dpdelta.catalog import decompose_flag
 from dpdelta import zariski
-from dpdelta.errors import IrrationalRoot, NotPseudoEffective
+from dpdelta.errors import DpDeltaError, IrrationalRoot, NotPseudoEffective
 
 F = Fraction
 
@@ -296,6 +297,36 @@ class TestSerialization:
         golden = (Path(__file__).parent / "data" / "decompositions.sha256").read_text()
         assert digest.hexdigest() == golden.strip()
 
+    def test_every_curve_sweep_matches_the_golden_hash(self, records):
+        # sha256 over one line per curve of every configuration of every
+        # case: the decomposition's JSON plus every chamber's full P.C map,
+        # or "<ExceptionType>: <message>" for a sweep that raises
+        digest = hashlib.sha256()
+        outcomes: Counter[str] = Counter()
+        for name in sorted(records):
+            record = records[name]
+            for config_id in record.config_order:
+                config = record.config(config_id)
+                for flag in config.curve_names:
+                    try:
+                        decomp = parametric_decompose(config, flag)
+                    except DpDeltaError as exc:
+                        line = f"{type(exc).__name__}: {exc}"
+                        outcomes[type(exc).__name__] += 1
+                    else:
+                        p_dot = [
+                            {c: poly.to_strings() for c, poly in ch.p_dot.items()}
+                            for ch in decomp.chambers
+                        ]
+                        line = json.dumps(
+                            [decomposition_to_json(decomp), p_dot], sort_keys=True
+                        )
+                        outcomes["finished"] += 1
+                    digest.update(line.encode() + b"\n")
+        assert outcomes == {"finished": 244, "IrrationalRoot": 128}
+        golden = (Path(__file__).parent / "data" / "all_curve_sweeps.sha256").read_text()
+        assert digest.hexdigest() == golden.strip()
+
     def test_tampered_coefficients_are_caught(self, a1_nodal, nodal_decomp):
         data = decomposition_to_json(nodal_decomp)
         bad = copy.deepcopy(data)
@@ -347,6 +378,10 @@ class TestSerialization:
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][1]["support"] = ["C", "E"]
         _refused(a1_nodal, bad, "support/coefficient mismatch")
+        # a repeated curve still matches the coefficients as a set
+        bad["chambers"][1]["support"] = ["C", "C"]
+        where = "config A1-nodal, flag E, chamber 1$"
+        _refused(a1_nodal, bad, "duplicate support curve on \\[1/2, 1\\]; " + where)
 
     def test_empty_chambers_are_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
