@@ -169,10 +169,14 @@ class SurfaceConfig:
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "curve_names", tuple(names))
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(names)})
-        mu = math.lcm(*{x.denominator for row in self.gram for x in row})
-        int_gram = tuple(
-            tuple(x.numerator * (mu // x.denominator) for x in row) for row in self.gram
-        )
+        # Equal parsed strings share one Fraction, so mu and each integer
+        # entry are taken once per distinct object and then looked up by id.
+        distinct: dict[int, Fraction] = {}
+        for row in self.gram:
+            distinct.update(zip(map(id, row), row))
+        mu = math.lcm(*{x.denominator for x in distinct.values()})
+        as_int = {i: x.numerator * (mu // x.denominator) for i, x in distinct.items()}
+        int_gram = tuple(tuple(map(as_int.__getitem__, map(id, row))) for row in self.gram)
         # With alpha * anti_k = a integral, k_j = sum_i a_i * int_gram[i][j]
         # is mu * alpha * (-K).C_j; anti_k is sparse on wide configurations.
         alpha = math.lcm(*(a.denominator for a in self.anti_k))

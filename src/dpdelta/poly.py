@@ -99,10 +99,6 @@ class Poly:
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Sequence[RatLike]) -> "Poly":
-        return cls(items)
-
     def render(self, var: str = "v") -> str:
         """Human-readable form like "1 - 2*v^2"."""
         if self.is_zero():
@@ -257,7 +253,7 @@ class PiecewisePoly:
     def from_json(cls, data: dict, continuous: bool = True) -> "PiecewisePoly":
         return cls(
             [parse_rational(b) for b in data["breakpoints"]],
-            [Poly.from_strings(p) for p in data["pieces"]],
+            [Poly(p) for p in data["pieces"]],
             continuous=continuous,
         )
 

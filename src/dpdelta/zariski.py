@@ -19,11 +19,12 @@ breakpoint's pivot starts from the rows of the chamber just left, so that
 support is never solved twice. Drops, adds and the chamber's end are decided
 by integer signs and comparisons at v = p/q, and the threshold tau (or an
 irrational root) by `math.isqrt` and sign tests on P^2 as an integer
-quadratic. `Poly` and `Fraction` objects are built only for the chamber's
-ends and the support the loop converges on, once per chamber, and for error
-messages; `decomposition_from_json` rebuilds P.C through the same rows. Each
-chamber keeps its rows and its P^2 as an integer quadratic, outside equality
-and repr, so `delta` integrates S and S(W;O) on integers.
+quadratic. A chamber is its two ends and these integer rows, nothing else:
+`delta` integrates S and S(W;O) on them, and the `Poly` views of a chamber
+(its support names, N coefficients, P^2 and P.C) are built from the rows
+only when read, once each. The sweep itself builds no `Poly`, and Fractions
+only for the chamber ends and error messages. `decomposition_from_json`
+rebuilds every chamber through the same rows.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
@@ -51,24 +53,47 @@ class NegativePart:
     coeffs: Mapping[str, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Chamber:
     """One maximal interval [lo, hi] with constant negative-part support.
 
-    `n_coeffs` holds the affine coefficient of each support curve,
-    `p_sq` the quadratic P(v)^2, and `p_dot` the affine P(v).C for every
-    curve C of the configuration. `rows` and `p_sq_rows` are the same data
-    as integer rows; they are not compared.
+    A chamber stores only the sweep's integer rows: `rows` (N on the support
+    and P.C for every curve, as affine numerators) and `p_sq_rows` (P^2 as an
+    integer quadratic), which `delta` integrates. `support`, `n_coeffs` (the
+    affine coefficient of each support curve), `p_sq` (the quadratic P(v)^2)
+    and `p_dot` (the affine P(v).C for every curve C) are views built from
+    the rows on first read. Chambers compare by identity.
     """
 
     lo: Fraction
     hi: Fraction
-    support: tuple[str, ...]
-    n_coeffs: Mapping[str, Poly]
-    p_sq: Poly
-    p_dot: Mapping[str, Poly]
-    rows: _Rows = field(compare=False, repr=False)
-    p_sq_rows: IntQuadratic = field(compare=False, repr=False)
+    rows: _Rows = field(repr=False)
+    p_sq_rows: IntQuadratic
+
+    @cached_property
+    def support(self) -> tuple[str, ...]:
+        names = self.rows.curve_names
+        return tuple(names[s] for s in self.rows.support)
+
+    @cached_property
+    def n_coeffs(self) -> dict[str, Poly]:
+        rows = self.rows
+        return {
+            name: _affine(a0, a1, rows.n_den)
+            for name, a0, a1 in zip(self.support, rows.x0, rows.x1)
+        }
+
+    @cached_property
+    def p_sq(self) -> Poly:
+        return self.p_sq_rows.poly()
+
+    @cached_property
+    def p_dot(self) -> dict[str, Poly]:
+        rows = self.rows
+        return {
+            name: _affine(c0, c1, rows.p_den)
+            for name, c0, c1 in zip(rows.curve_names, rows.c0, rows.c1)
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +114,6 @@ class Decomposition:
         for ch in self.chambers:
             if v <= ch.hi:
                 return ch
-        return self.chambers[-1]
 
     def negative_at(self, v: RatLike) -> NegativePart:
         v = parse_rational(v)
@@ -121,36 +145,21 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
     flag and the index of the chamber being built.
     """
     direction = _direction(config, flag)
-    names = config.curve_names
-
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
     rows = _rows(direction, (), [], [], 1)  # the empty support: N = 0
-    support: tuple[str, ...] = ()
     try:
         while len(chambers) < _MAX_CHAMBERS:
             rows = _pivot(direction, rows, v_cur)
-            support = tuple(names[s] for s in rows.support)
             p_sq_rows = _positive_part(direction, rows)
-            hi, is_tau = _chamber_end(rows, support, p_sq_rows, v_cur)
-            chambers.append(
-                Chamber(
-                    lo=v_cur,
-                    hi=hi,
-                    support=support,
-                    n_coeffs=_n_polys(names, rows),
-                    p_sq=p_sq_rows.poly(),
-                    p_dot=_p_dot(names, rows),
-                    rows=rows,
-                    p_sq_rows=p_sq_rows,
-                )
-            )
+            hi, is_tau = _chamber_end(rows, p_sq_rows, v_cur)
+            chambers.append(Chamber(v_cur, hi, rows, p_sq_rows))
             if is_tau:
                 return Decomposition(config, flag, tuple(chambers), hi)
             v_cur = hi
         raise NotPseudoEffective(
             f"chamber sweep did not terminate after v = {format_rational(v_cur)}, "
-            f"{_support_text(support)}"
+            f"{_support_text(rows.curve_names, rows.support)}"
         )
     except (NotPseudoEffective, IrrationalRoot) as exc:
         raise type(exc)(
@@ -181,8 +190,8 @@ def decomposition_for(
     return decomp
 
 
-def _support_text(support: Sequence[str]) -> str:
-    return f"support ({', '.join(support)})"
+def _support_text(names: Sequence[str], support: Iterable[int]) -> str:
+    return f"support ({', '.join(names[s] for s in support)})"
 
 
 # -- integer rows ----------------------------------------------------------
@@ -217,9 +226,11 @@ class _Rows(NamedTuple):
     """One support's affine rows as integer numerators over positive denominators.
 
     N_s(v) = (x0[i] + x1[i]*v) / n_den for the i-th support index s, and
-    P(v).C_j = (c0[j] + c1[j]*v) / p_den for every curve j.
+    P(v).C_j = (c0[j] + c1[j]*v) / p_den for every curve j, named
+    `curve_names[j]` (the configuration's own tuple).
     """
 
+    curve_names: tuple[str, ...]
     support: tuple[int, ...]
     x0: list[int]
     x1: list[int]
@@ -251,7 +262,7 @@ def _rows(
         if a1:
             c1 = [c - a1 * x for c, x in zip(c1, g)]
     n_den = d * config.anti_k_dots_den
-    return _Rows(tuple(support), x0, x1, n_den, c0, c1, n_den * config.mu)
+    return _Rows(config.curve_names, tuple(support), x0, x1, n_den, c0, c1, n_den * config.mu)
 
 
 def _sign_after(c0: int, c1: int, p: int, q: int) -> int:
@@ -297,7 +308,7 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
         if key in seen:
             raise NotPseudoEffective(
                 f"support pivoting cycled at v = {format_rational(v)}, "
-                f"{_support_text([names[s] for s in key])}"
+                f"{_support_text(names, key)}"
             )
         seen.add(key)
         if key != rows.support:  # only the seed's rows are given
@@ -306,7 +317,7 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
             except ValueError:
                 raise NotPseudoEffective(
                     f"singular Gram matrix at v = {format_rational(v)}, "
-                    f"{_support_text([names[s] for s in key])}"
+                    f"{_support_text(names, key)}"
                 ) from None
         drop = {s for s, a0, a1 in zip(key, rows.x0, rows.x1) if _sign_after(a0, a1, p, q) <= 0}
         inside = set(key)
@@ -320,30 +331,13 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
         support = sorted((inside - drop) | add)
     raise NotPseudoEffective(
         f"support pivoting did not converge at v = {format_rational(v)}, "
-        f"{_support_text([names[s] for s in support])}"
+        f"{_support_text(names, support)}"
     )
 
 
-def _n_polys(names: Sequence[str], rows: _Rows) -> dict[str, Poly]:
-    """Affine N_s of every support curve, as polynomials."""
-    den = rows.n_den
-    return {
-        names[s]: Poly([Fraction(a0, den), Fraction(a1, den)])
-        for s, a0, a1 in zip(rows.support, rows.x0, rows.x1)
-    }
-
-
-def _p_dot(names: Sequence[str], rows: _Rows) -> dict[str, Poly]:
-    """Affine P.C of every curve C, as polynomials; equal rows share one."""
-    den = rows.p_den
-    polys: dict[tuple[int, int], Poly] = {}
-    out: dict[str, Poly] = {}
-    for name, pair in zip(names, zip(rows.c0, rows.c1)):
-        poly = polys.get(pair)
-        if poly is None:
-            poly = polys[pair] = Poly([Fraction(pair[0], den), Fraction(pair[1], den)])
-        out[name] = poly
-    return out
+def _affine(a0: int, a1: int, den: int) -> Poly:
+    """(a0 + a1*v) / den as a polynomial."""
+    return Poly([Fraction(a0, den), Fraction(a1, den)])
 
 
 def _positive_part(direction: _Direction, rows: _Rows) -> IntQuadratic:
@@ -374,12 +368,7 @@ def _first_root_after(rows: _Rows, lo: Fraction) -> Fraction | None:
     return None if best is None else Fraction(*best)
 
 
-def _chamber_end(
-    rows: _Rows,
-    support: Sequence[str],
-    p_sq: IntQuadratic,
-    lo: Fraction,
-) -> tuple[Fraction, bool]:
+def _chamber_end(rows: _Rows, p_sq: IntQuadratic, lo: Fraction) -> tuple[Fraction, bool]:
     """Smallest v > lo at which the support changes or P^2 vanishes.
 
     Returns (hi, is_tau). Support-change candidates come from the sign flips
@@ -396,16 +385,18 @@ def _chamber_end(
     try:
         tau = p_sq.first_root(lo)
     except IrrationalRoot as exc:
-        raise IrrationalRoot(f"{exc}, {_support_text(support)}") from exc
+        raise IrrationalRoot(f"{exc}, {_support_text(rows.curve_names, rows.support)}") from exc
     if tau == lo:
         raise NotPseudoEffective(
-            f"P^2 already vanishes at v = {format_rational(lo)}, {_support_text(support)}"
+            f"P^2 already vanishes at v = {format_rational(lo)}, "
+            f"{_support_text(rows.curve_names, rows.support)}"
         )
     if tau is not None and (affine_next is None or tau <= affine_next):
         return tau, True
     if affine_next is None:
         raise NotPseudoEffective(
-            f"no chamber end found after v = {format_rational(lo)}, {_support_text(support)}"
+            f"no chamber end found after v = {format_rational(lo)}, "
+            f"{_support_text(rows.curve_names, rows.support)}"
         )
     return affine_next, False
 
@@ -443,9 +434,10 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
 
     Only the support sets and their coefficients are trusted; every derived
     quantity is recomputed from the configuration and cross-checked against
-    the stored `p_sq` and `p_dot` rows, so a stale or tampered file raises
-    SchemaError instead of round-tripping silently. The error names the
-    configuration, the flag and the index of the chamber at fault.
+    the stored `p_sq` and `p_dot` rows, and P must meet every support curve
+    in 0, so a stale or tampered file raises SchemaError instead of
+    round-tripping silently. The error names the configuration, the flag and
+    the index of the chamber at fault.
     """
     flag = str(data["flag"])
     where = f"config {config.name}, flag {flag}"
@@ -458,7 +450,7 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
     except SchemaError as exc:
         raise SchemaError(f"tau: {exc}; {where}") from exc
     direction = _direction(config, flag)
-    scale = config.anti_k_dots_den
+    fi, scale = direction.flag, config.anti_k_dots_den
     chambers: list[Chamber] = []
     try:
         for raw in data["chambers"]:
@@ -472,39 +464,34 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
             unknown = [name for name in support if name not in config.curve_names]
             if unknown or set(raw["n_coeffs"]) != set(support):
                 raise SchemaError(f"support/coefficient mismatch on {span}")
-            n_polys = {name: Poly.from_strings(raw["n_coeffs"][name]) for name in support}
-            if any(p.degree > 1 for p in n_polys.values()):
+            n_polys = [Poly(raw["n_coeffs"][name]) for name in support]
+            if any(p.degree > 1 for p in n_polys):
                 raise SchemaError(f"non-affine negative-part coefficient on {span}")
             # scale * N_s = x_s / d with one denominator d over every coefficient
-            d = math.lcm(*(c.denominator for p in n_polys.values() for c in p.coeffs))
+            d = math.lcm(*(c.denominator for p in n_polys for c in p.coeffs))
             rows = _rows(
                 direction,
-                [config.index(name) for name in n_polys],
-                [int(p.coeff(0) * d * scale) for p in n_polys.values()],
-                [int(p.coeff(1) * d * scale) for p in n_polys.values()],
+                [config.index(name) for name in support],
+                [int(p.coeff(0) * d * scale) for p in n_polys],
+                [int(p.coeff(1) * d * scale) for p in n_polys],
                 d,
             )
-            p_dot = _p_dot(config.curve_names, rows)
-            p_sq_rows = _positive_part(direction, rows)
-            p_sq = p_sq_rows.poly()
-            if p_sq != Poly.from_strings(raw["p_sq"]):
+            ch = Chamber(lo, hi, rows, _positive_part(direction, rows))
+            if ch.p_sq != Poly(raw["p_sq"]):
                 raise SchemaError(f"stored P^2 disagrees with the recomputed one on {span}")
-            if p_dot[flag] != Poly.from_strings(raw["p_dot"]):
+            if _affine(rows.c0[fi], rows.c1[fi], rows.p_den) != Poly(raw["p_dot"]):
                 raise SchemaError(
                     f"stored P.{flag} disagrees with the recomputed one on {span}"
                 )
-            chambers.append(
-                Chamber(
-                    lo=lo,
-                    hi=hi,
-                    support=support,
-                    n_coeffs=n_polys,
-                    p_sq=p_sq,
-                    p_dot=p_dot,
-                    rows=rows,
-                    p_sq_rows=p_sq_rows,
-                )
-            )
+            for s in rows.support:
+                if rows.c0[s] or rows.c1[s]:
+                    name = config.curve_names[s]
+                    p_dot = _affine(rows.c0[s], rows.c1[s], rows.p_den).render()
+                    raise SchemaError(
+                        f"negative part not orthogonal to P: P.{name} = {p_dot} "
+                        f"on support curve {name} on {span}"
+                    )
+            chambers.append(ch)
         if not chambers:
             raise SchemaError("no chambers stored")
     except SchemaError as exc:

@@ -1,7 +1,6 @@
 """Expected vanishing orders, localized bounds and minimum certification."""
 from __future__ import annotations
 
-import copy
 from fractions import Fraction
 
 import pytest
@@ -13,14 +12,13 @@ from dpdelta import (
     PointSpec,
     SchemaError,
     certify_minimum,
-    decomposition_from_json,
-    decomposition_to_json,
     flag_report,
     local_h,
     parametric_decompose,
     s_flag,
     s_w_point,
 )
+from dpdelta import zariski
 from dpdelta.catalog import decompose_flag
 from dpdelta.poly import Poly
 
@@ -154,23 +152,22 @@ class TestPolyReference:
         assert s_w_point(cfg, "E", "tangent", decomp) == F(2, 3)
 
 
-def _tampered_first_chamber(config, decomp, curve: str, coeff: Fraction) -> dict:
-    """The decomposition's JSON with the negative part `coeff * curve` on
-    its first chamber, whose stored support is empty, and that chamber's
-    P^2 = D^2 - N.D and P.F rows recomputed to match, so that
-    `decomposition_from_json` accepts it."""
-    f, c = config.index(decomp.flag), config.index(curve)
-    gram, dots = config.gram, config.anti_k_dots
-    d_sq = Poly([config.norm, -2 * dots[f], gram[f][f]])
-    d_dot_c = Poly([dots[c], -gram[f][c]])
-    data = copy.deepcopy(decomposition_to_json(decomp))
-    first = data["chambers"][0]
-    assert first["support"] == []
-    first["support"] = [curve]
-    first["n_coeffs"] = {curve: [str(coeff)]}
-    first["p_sq"] = (d_sq - coeff * d_dot_c).to_strings()
-    first["p_dot"] = (Poly.from_strings(first["p_dot"]) - coeff * gram[c][f]).to_strings()
-    return data
+def _with_first_chamber_negative_part(config, decomp, curve: str, coeff: Fraction):
+    """The decomposition with the constant negative part `coeff * curve` on
+    its first chamber, whose support is empty, built from the integer rows
+    as the sweep builds them. P^2 = D^2 - N.D and P.C follow from the rows.
+    `decomposition_from_json` refuses such a chamber when P.curve != 0."""
+    direction = zariski._direction(config, decomp.flag)
+    first = decomp.chambers[0]
+    assert first.support == ()
+    # scale * N = x / d with coeff = p / q: x = scale * p over d = q
+    scale = config.anti_k_dots_den
+    rows = zariski._rows(
+        direction, [config.index(curve)], [scale * coeff.numerator], [0], coeff.denominator
+    )
+    chamber = zariski.Chamber(first.lo, first.hi, rows, zariski._positive_part(direction, rows))
+    chambers = (chamber,) + decomp.chambers[1:]
+    return zariski.Decomposition(config, decomp.flag, chambers, decomp.tau)
 
 
 class TestDiscontinuity:
@@ -178,8 +175,7 @@ class TestDiscontinuity:
         # N = E/4 on [0, 1/2] and N = (-1 + 2v) C on [1/2, 1]: P^2 reads
         # 1/4 from the left and 1/2 from the right of v = 1/2, and P.E
         # reads 3/2 and 1
-        data = _tampered_first_chamber(a1_nodal, nodal_decomp, "E", F(1, 4))
-        tampered = decomposition_from_json(a1_nodal, data)
+        tampered = _with_first_chamber_negative_part(a1_nodal, nodal_decomp, "E", F(1, 4))
         left, right = tampered.chambers
         assert (left.p_sq(F(1, 2)), right.p_sq(F(1, 2))) == (F(1, 4), F(1, 2))
         assert (left.p_dot["E"](F(1, 2)), right.p_dot["E"](F(1, 2))) == (F(3, 2), 1)

@@ -46,7 +46,7 @@ class TestPolyAlgebra:
     @settings(max_examples=50, deadline=None)
     @given(p=polys)
     def test_string_round_trip(self, p):
-        assert Poly.from_strings(p.to_strings()) == p
+        assert Poly(p.to_strings()) == p
 
 
 def _int_quadratic(p: Poly) -> IntQuadratic:

@@ -20,6 +20,7 @@ from dpdelta import (
     decomposition_to_json,
     parametric_decompose,
     s_flag,
+    s_w_point,
 )
 from dpdelta.catalog import decompose_flag
 from dpdelta import zariski
@@ -121,6 +122,31 @@ class TestSweep:
         assert p_sq(1) == 0
         p_dot = nodal_decomp.piecewise(lambda ch: ch.p_dot["E"])
         assert p_dot.integrate(0, 1) == F(1, 2)
+
+    def test_a_sweep_builds_no_poly(self, records, monkeypatch):
+        # a chamber stores integer rows only; S and S(W;O) integrate them,
+        # and a Poly view is built on its first read, once
+        cfg = records["A3"].config("base")
+        built: list[Poly] = []
+        init = Poly.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, "__init__", counting_init)
+        decomp = parametric_decompose(cfg, "E1")
+        assert s_flag(cfg, "E1", decomp) == F(7, 12)
+        points = cfg.points_on("E1")
+        assert points and len(decomp.chambers) == 2
+        for point in points:
+            s_w_point(cfg, "E1", point, decomp)
+        assert built == []
+        ch = decomp.chambers[-1]
+        p_dot = ch.p_dot
+        n_built = len(built)
+        assert n_built > 0
+        assert ch.p_dot is p_dot and len(built) == n_built
 
     def test_irrational_threshold_is_refused(self):
         cfg = SurfaceConfig(
@@ -332,6 +358,21 @@ class TestSerialization:
         bad = copy.deepcopy(data)
         bad["chambers"][1]["n_coeffs"]["C"] = ["-1", "3"]
         _refused(a1_nodal, bad, "stored P\\^2 disagrees")
+
+    def test_negative_part_not_orthogonal_to_p_is_caught(self, a1_nodal, nodal_decomp):
+        # N = (-2 + 3v) C on [1/2, 1] with P^2 and P.E recomputed to match:
+        # every stored row agrees, but P.C = -1 + v on C itself
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        second = bad["chambers"][1]
+        second["n_coeffs"]["C"] = ["-2", "3"]
+        second["p_sq"] = ["3", "-7", "4"]
+        second["p_dot"] = ["4", "-4"]
+        _refused(
+            a1_nodal,
+            bad,
+            r"^negative part not orthogonal to P: P\.C = -1 \+ v on support curve C "
+            r"on \[1/2, 1\]; config A1-nodal, flag E, chamber 1$",
+        )
 
     def test_non_affine_coefficient_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
