@@ -21,7 +21,7 @@ from .blowup import blowup
 from .config import SurfaceConfig, config_to_json, load
 from .delta import FlagReport, certify_minimum, flag_report, local_h
 from .errors import NotCertified, SchemaError
-from .poly import PiecewisePoly, nonnegative_on
+from .poly import IntQuadratic, PiecewisePoly, Poly
 from .rationals import format_rational, parse_rational
 from .zariski import Decomposition, decomposition_to_json, parametric_decompose
 
@@ -214,7 +214,7 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
                 config_id=cid,
                 flag=str(raw["flag"]),
                 value=parse_rational(raw["value"]),
-                envelope=PiecewisePoly.from_json(raw["envelope"], continuous=False),
+                envelope=_envelope(name, raw["envelope"]),
                 covers=tuple(str(pid) for pid in raw.get("covers", ())),
             )
         )
@@ -229,6 +229,22 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
         class_bounds=tuple(class_bounds),
         delta=parse_rational(data["delta"]),
     )
+
+
+def _envelope(case: str, data: Mapping) -> PiecewisePoly:
+    """A stored envelope as integer pieces; it may jump at its breakpoints."""
+    pieces = []
+    for coeffs in data["pieces"]:
+        p = Poly(coeffs)
+        if p.degree > 2:
+            raise SchemaError(
+                f"envelope piece {p.render()} in case {case} has degree {p.degree}, not <= 2"
+            )
+        pieces.append(IntQuadratic.from_fractions([p.coeff(k) for k in range(3)]))
+    try:
+        return PiecewisePoly(map(parse_rational, data["breakpoints"]), pieces, continuous=False)
+    except ValueError as exc:
+        raise SchemaError(f"envelope in case {case}: {exc}") from None
 
 
 def _check_on_flag(
@@ -388,29 +404,30 @@ def _check_class_bound(
     rows: list[CheckRow] = []
 
     domain_ok = env.lo == 0 and env.hi == decomp.tau
-    integral = Fraction(2, 1) * env.integrate(env.lo, env.hi) / cfg.norm
+    mismatch = (
+        f"envelope domain [{format_rational(env.lo)}, {format_rational(env.hi)}] "
+        f"is not [0, {format_rational(decomp.tau)}]"
+    )
+    integral = 2 * env.integrate() / cfg.norm
     rows.append(
         CheckRow(
             label=f"class_bound({bound.flag})={format_rational(bound.value)}",
             expected=format_rational(bound.value),
-            actual=format_rational(integral) if domain_ok else "envelope domain mismatch",
+            actual=format_rational(integral) if domain_ok else mismatch,
             passed=domain_ok and integral == bound.value,
         )
     )
     for pid in bound.covers:
-        h = local_h(decomp, cfg.point(pid))
-        diff = env - h
-        dominated = all(
-            nonnegative_on(piece, lo, hi)
-            for piece, (lo, hi) in zip(
-                diff.pieces, zip(diff.breakpoints, diff.breakpoints[1:])
-            )
-        )
+        if domain_ok:
+            dominated = env.dominates(local_h(decomp, cfg.point(pid)))
+            actual = "dominates" if dominated else "falls below local h"
+        else:
+            dominated, actual = False, mismatch
         rows.append(
             CheckRow(
                 label=f"class_bound({bound.flag}) covers {pid}",
                 expected="envelope dominates local h",
-                actual="dominates" if dominated else "falls below local h",
+                actual=actual,
                 passed=dominated,
             )
         )

@@ -9,6 +9,7 @@ entries, nonzero differents); nothing is ever derived from equations.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -229,16 +230,11 @@ class SurfaceConfig:
         return self.discrepancy.get(curve, Fraction(1))
 
     def with_points(self, points: Sequence[PointSpec]) -> "SurfaceConfig":
-        return SurfaceConfig(
-            name=self.name,
-            norm=self.norm,
-            curves=self.curves,
-            gram=self.gram,
-            anti_k=self.anti_k,
-            discrepancy=self.discrepancy,
-            smooth_surface=self.smooth_surface,
-            points=tuple(points),
-        )
+        """A new configuration with these points that shares everything else,
+        the parsed Gram matrix and its integer form included."""
+        config = copy.copy(self)
+        object.__setattr__(config, "points", tuple(points))
+        return config
 
 
 def intersect(config: SurfaceConfig, d1: DivisorClass, d2: DivisorClass) -> Fraction:

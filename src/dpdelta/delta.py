@@ -8,13 +8,14 @@ h(v) = (P.F)(v) * (N.F)_O(v) + (P.F)(v)^2 / 2, gives the lower-bound ratio
 A_O / S(W; O) where A_O = 1 - different(O). A flag certifies delta when every
 point ratio is at least A(F)/S(F).
 
-Both integrals are taken on the integer rows each chamber keeps from the
-sweep. P^2 is already an integer quadratic over one denominator. For h, the
-flag's P.F row and the point's N.F row (the support rows weighted by the
-point's incidences) are integer affine numerators, so h times
-2 * p_den^2 * n_den is an integer quadratic. Each chamber's quadratic is
-integrated in closed form as one Fraction, after an integer check that
-adjacent chambers agree at their shared breakpoint.
+Both integrands are `PiecewisePoly`s built on the integer rows each chamber
+keeps from the sweep, one integer quadratic per chamber. P^2 is the
+chamber's `p_sq_rows`. For h, the flag's P.F row and the point's N.F row
+(the support rows weighted by the point's incidences) are integer affine
+numerators, so h times 2 * p_den^2 * n_den is an integer quadratic. Building
+the piecewise quadratic checks on integers that adjacent chambers agree at
+their shared breakpoint, and its integral is one closed-form Fraction per
+chamber.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .config import PointSpec, SurfaceConfig
 from .errors import NotCertified, SchemaError
-from .poly import IntQuadratic, PiecewisePoly, integrate_pieces
+from .poly import IntQuadratic, PiecewisePoly
 from .rationals import format_rational
 from .zariski import Decomposition, decomposition_for
 
@@ -90,8 +91,7 @@ def s_flag(
 ) -> Fraction:
     """Expected vanishing order S(flag) = (1/norm) * int_0^tau P(v)^2 dv."""
     decomp = decomposition_for(config, flag, decomp)
-    pieces = [ch.p_sq_rows for ch in decomp.chambers]
-    return integrate_pieces(decomp.breakpoints(), pieces) / config.norm
+    return decomp.p_sq_piecewise().integrate() / config.norm
 
 
 def h_quadratic(c0: int, c1: int, p_den: int, m0: int, m1: int, n_den: int) -> IntQuadratic:
@@ -110,8 +110,9 @@ def h_quadratic(c0: int, c1: int, p_den: int, m0: int, m1: int, n_den: int) -> I
     )
 
 
-def _h_pieces(decomp: Decomposition, point: PointSpec | str) -> list[IntQuadratic]:
-    """h(v) at one point class of the flag, one integer quadratic per chamber.
+def local_h(decomp: Decomposition, point: PointSpec | str) -> PiecewisePoly:
+    """The integrand h(v) = (P.F)(N.F)_O + (P.F)^2/2 at one point class,
+    one integer quadratic per chamber.
 
     A point that does not lie on the flag raises SchemaError naming the
     configuration, the flag, the point and the curve it lies on.
@@ -137,12 +138,7 @@ def _h_pieces(decomp: Decomposition, point: PointSpec | str) -> list[IntQuadrati
                 m0 += m * x0
                 m1 += m * x1
         pieces.append(h_quadratic(rows.c0[fi], rows.c1[fi], rows.p_den, m0, m1, rows.n_den))
-    return pieces
-
-
-def local_h(decomp: Decomposition, point: PointSpec | str) -> PiecewisePoly:
-    """The integrand h(v) = (P.F)(N.F)_O + (P.F)^2/2 at one point class."""
-    return PiecewisePoly(decomp.breakpoints(), [q.poly() for q in _h_pieces(decomp, point)])
+    return PiecewisePoly(decomp.breakpoints(), pieces)
 
 
 def s_w_point(
@@ -156,8 +152,7 @@ def s_w_point(
     A point that does not lie on the flag raises SchemaError.
     """
     decomp = decomposition_for(config, flag, decomp)
-    integral = integrate_pieces(decomp.breakpoints(), _h_pieces(decomp, point))
-    return 2 * integral / config.norm
+    return 2 * local_h(decomp, point).integrate() / config.norm
 
 
 def flag_report(

@@ -6,7 +6,7 @@ class DpDeltaError(Exception):
 
 
 class OutOfDomain(DpDeltaError):
-    """Evaluation or integration outside a piecewise polynomial's domain."""
+    """A sweep parameter outside a decomposition's domain [0, tau]."""
 
 
 class IrrationalRoot(DpDeltaError):

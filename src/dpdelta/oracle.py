@@ -30,9 +30,9 @@ at a single divisor, on integers scaled from the Gram matrix and the
 divisor, never reads the table, and is spot checked against it. Both run on
 the pivot step of `linalg`, which the sweep reaches through the integer
 `linalg.solve`; the acceptance gate checks the sweep's output by
-substitution alone. The quadrature check applies Simpson's rule in exact
-arithmetic, independently of the antiderivatives `PiecewisePoly`
-integrates with.
+substitution alone. The quadrature check evaluates each piece as a `Poly`
+and applies Simpson's rule in exact arithmetic, independent of the
+antiderivatives `PiecewisePoly` integrates with.
 """
 from __future__ import annotations
 
@@ -316,20 +316,16 @@ class QuadratureReport:
 
 
 def quadrature_check(pp: PiecewisePoly, tol: float = 1e-9) -> QuadratureReport:
-    """Simpson's rule, one exact panel per piece, against the exact integral.
+    """Simpson's rule, one exact panel per piece, against the closed-form integral.
 
-    Simpson's rule is exact for polynomials of degree <= 3, so on valid
-    input the two values agree exactly; a piece of higher degree raises
-    ValueError.
+    Simpson's rule is exact for polynomials of degree <= 3, so the two
+    values agree exactly on every piecewise quadratic.
     """
     numeric = Fraction(0)
     for piece, lo, hi in zip(pp.pieces, pp.breakpoints, pp.breakpoints[1:]):
-        if piece.degree > 3:
-            raise ValueError(
-                f"Simpson quadrature is exact only up to degree 3, got {piece.render()}"
-            )
-        numeric += (hi - lo) / 6 * (piece(lo) + 4 * piece((lo + hi) / 2) + piece(hi))
-    exact = pp.integrate(pp.lo, pp.hi)
+        p = piece.poly()
+        numeric += (hi - lo) / 6 * (p(lo) + 4 * p((lo + hi) / 2) + p(hi))
+    exact = pp.integrate()
     return QuadratureReport(exact=exact, numeric=numeric, error=abs(exact - numeric), tol=tol)
 
 

@@ -1,20 +1,28 @@
-"""Exact univariate polynomials and piecewise polynomials over the rationals.
+"""Exact univariate polynomials and piecewise quadratics over the rationals.
 
-These carry all the parametric data of the decomposition sweep: negative-part
-coefficients (affine in the sweep parameter v), volumes P(v)^2 (quadratic),
-and the local h(v) integrands. Everything is exact. `IntQuadratic` is a
-quadratic as integer numerators over one denominator: it is integrated in
-closed form with one Fraction per piece, and its first root after a point
-and its sign on an interval are decided on integers.
+`Poly` has Fraction coefficients. It is the readable form of the sweep's
+data: the chamber views (affine negative-part coefficients and P.C, the
+quadratic P(v)^2), decomposition JSON, CLI text and the applications.
+
+`IntQuadratic` is a quadratic as integer numerators over one denominator,
+and it does the arithmetic: its first root after a point and its sign on an
+interval are decided on integers, and its integral over an interval is one
+Fraction in closed form. `PiecewisePoly` joins one `IntQuadratic` per
+interval. P(v)^2, the local integrands h(v) and the stored class-level
+envelopes all take this one form: it checks continuity on integers when
+built, integrates over its whole domain, and tests whether it dominates
+another piecewise quadratic.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import IrrationalRoot, OutOfDomain
+from .errors import IrrationalRoot
 from .rationals import RatLike, format_rational, parse_rational
 
 _ZERO = Fraction(0)
@@ -129,147 +137,6 @@ def _as_poly(x: "Poly | RatLike") -> Poly:
     return Poly([_as_fraction(x)])
 
 
-def nonnegative_on(p: Poly, lo: RatLike, hi: RatLike) -> bool:
-    """Exact check that a degree <= 2 polynomial is >= 0 on [lo, hi]."""
-    lo, hi = _as_fraction(lo), _as_fraction(hi)
-    if p.degree > 2:
-        raise ValueError("nonnegative_on supports degree <= 2 only")
-    if p(lo) < 0 or p(hi) < 0:
-        return False
-    a = p.coeff(2)
-    if a > 0:
-        vertex = -p.coeff(1) / (2 * a)
-        if lo < vertex < hi and p(vertex) < 0:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class PiecewisePoly:
-    """Piecewise polynomial on consecutive intervals [b_i, b_{i+1}].
-
-    When `continuous` is set, adjacent pieces must agree exactly at the
-    shared breakpoints (asserted at construction and on evaluation).
-    """
-
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Poly, ...]
-    continuous: bool = True
-
-    def __init__(
-        self,
-        breakpoints: Iterable[RatLike],
-        pieces: Iterable[Poly | RatLike],
-        continuous: bool = True,
-    ):
-        bps = tuple(_as_fraction(b) for b in breakpoints)
-        ps = tuple(_as_poly(p) for p in pieces)
-        if len(bps) < 2 or len(ps) != len(bps) - 1:
-            raise ValueError("need k+1 breakpoints for k >= 1 pieces")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
-        if continuous:
-            for i in range(len(ps) - 1):
-                left, right = ps[i](bps[i + 1]), ps[i + 1](bps[i + 1])
-                if left != right:
-                    raise ValueError(
-                        f"discontinuity at {format_rational(bps[i + 1])}: "
-                        f"{format_rational(left)} != {format_rational(right)}"
-                    )
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "pieces", ps)
-        object.__setattr__(self, "continuous", continuous)
-
-    @property
-    def lo(self) -> Fraction:
-        return self.breakpoints[0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.breakpoints[-1]
-
-    def _piece_index(self, v: Fraction) -> int:
-        """Index of the governing piece; interior breakpoints go left."""
-        if v < self.lo or v > self.hi:
-            raise OutOfDomain(
-                f"{format_rational(v)} outside "
-                f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
-            )
-        if v == self.lo:
-            return 0
-        for i in range(1, len(self.breakpoints)):
-            if v <= self.breakpoints[i]:
-                return i - 1
-        raise AssertionError("unreachable")
-
-    def eval(self, v: RatLike) -> Fraction:
-        v = _as_fraction(v)
-        i = self._piece_index(v)
-        value = self.pieces[i](v)
-        if self.continuous and v == self.breakpoints[i + 1] and i + 1 < len(self.pieces):
-            assert self.pieces[i + 1](v) == value, "continuity violated"
-        return value
-
-    __call__ = eval
-
-    def integrate(self, a: RatLike, b: RatLike) -> Fraction:
-        a, b = _as_fraction(a), _as_fraction(b)
-        if a > b:
-            raise ValueError("integration bounds out of order")
-        if a < self.lo or b > self.hi:
-            raise OutOfDomain(
-                f"[{format_rational(a)}, {format_rational(b)}] outside "
-                f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
-            )
-        total = _ZERO
-        for i, piece in enumerate(self.pieces):
-            seg_lo = max(a, self.breakpoints[i])
-            seg_hi = min(b, self.breakpoints[i + 1])
-            if seg_lo < seg_hi:
-                total += piece.integrate(seg_lo, seg_hi)
-        return total
-
-    def refine(self, breakpoints: Sequence[RatLike]) -> "PiecewisePoly":
-        """The same function on a finer breakpoint grid."""
-        bps = [_as_fraction(b) for b in breakpoints]
-        if bps[0] != self.lo or bps[-1] != self.hi or not set(self.breakpoints) <= set(bps):
-            raise ValueError("refinement must contain the original breakpoints")
-        pieces = []
-        for i in range(len(bps) - 1):
-            mid = (bps[i] + bps[i + 1]) / 2
-            pieces.append(self.pieces[self._piece_index(mid)])
-        return PiecewisePoly(bps, pieces, self.continuous)
-
-    def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        """Difference on the union of both breakpoint grids."""
-        if (self.lo, self.hi) != (other.lo, other.hi):
-            raise ValueError("piecewise domains differ")
-        merged = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-        a, b = self.refine(merged), other.refine(merged)
-        pieces = [pa - pb for pa, pb in zip(a.pieces, b.pieces)]
-        return PiecewisePoly(merged, pieces, continuous=a.continuous and b.continuous)
-
-    @classmethod
-    def from_json(cls, data: dict, continuous: bool = True) -> "PiecewisePoly":
-        return cls(
-            [parse_rational(b) for b in data["breakpoints"]],
-            [Poly(p) for p in data["pieces"]],
-            continuous=continuous,
-        )
-
-    def render(self, var: str = "v") -> str:
-        rows = []
-        for i, piece in enumerate(self.pieces):
-            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
-            rows.append(
-                f"{piece.render(var)} on [{format_rational(lo)}, {format_rational(hi)}]"
-            )
-        return "; ".join(rows)
-
-    def __repr__(self) -> str:
-        return f"PiecewisePoly({self.render()})"
-
-
 class IntQuadratic(NamedTuple):
     """(a0 + a1*v + a2*v^2) / den with integer coefficients and den > 0."""
 
@@ -286,16 +153,36 @@ class IntQuadratic(NamedTuple):
         """den * w^2 times the value at v = u/w."""
         return (self.a0 * w + self.a1 * u) * w + self.a2 * u * u
 
-    def positive_on(self, lo: Fraction, hi: Fraction) -> bool:
-        """Whether the value is > 0 everywhere on [lo, hi], decided on integers."""
+    @classmethod
+    def from_fractions(cls, coeffs: Sequence[Fraction]) -> "IntQuadratic":
+        """c0 + c1*v + c2*v^2 over the lcm of the coefficients' denominators."""
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return cls(*(c.numerator * (den // c.denominator) for c in coeffs), den)
+
+    def __sub__(self, other: "IntQuadratic") -> "IntQuadratic":
+        d, e = self.den, other.den
+        return IntQuadratic(
+            self.a0 * e - other.a0 * d, self.a1 * e - other.a1 * d, self.a2 * e - other.a2 * d, d * e
+        )
+
+    def sign_on(self, lo: Fraction, hi: Fraction) -> int:
+        """Sign of the minimum on [lo, hi], decided on integers: 1 if the
+        value is > 0 throughout, 0 if it is >= 0 and touches 0, else -1."""
         u_lo, w_lo, u_hi, w_hi = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        if self.scaled_at(u_lo, w_lo) <= 0 or self.scaled_at(u_hi, w_hi) <= 0:
-            return False
+        at_lo = self.scaled_at(u_lo, w_lo)
+        if at_lo < 0:
+            return -1
+        at_hi = self.scaled_at(u_hi, w_hi)
+        if at_hi < 0:
+            return -1
         a0, a1, a2 = self.a0, self.a1, self.a2
-        # positive at both ends; only a convex quadratic can dip in between,
-        # at its vertex -a1 / (2*a2), and it stays positive there iff disc < 0
-        vertex_inside = a2 > 0 and 2 * a2 * u_lo + a1 * w_lo < 0 < 2 * a2 * u_hi + a1 * w_hi
-        return not vertex_inside or a1 * a1 < 4 * a0 * a2
+        # >= 0 at both ends; only a convex quadratic can dip in between, at
+        # its vertex -a1 / (2*a2), where den * 4*a2 times the value is -disc
+        if a2 > 0 and 2 * a2 * u_lo + a1 * w_lo < 0 < 2 * a2 * u_hi + a1 * w_hi:
+            disc = a1 * a1 - 4 * a0 * a2
+            if disc >= 0:
+                return -1 if disc else 0
+        return 1 if at_lo and at_hi else 0
 
     def first_root(self, lo: Fraction) -> Fraction | None:
         """The smallest real root >= lo; None if there is none.
@@ -345,32 +232,91 @@ class IntQuadratic(NamedTuple):
         return Fraction(top, 6 * self.den * cube_lo * cube_hi)
 
 
-def integrate_pieces(
-    breakpoints: Sequence[Fraction], pieces: Sequence[IntQuadratic]
-) -> Fraction:
-    """Integral of a continuous piecewise quadratic over its whole domain.
+@dataclass(frozen=True)
+class PiecewisePoly:
+    """A piecewise quadratic: one `IntQuadratic` on each interval [b_i, b_{i+1}].
 
-    The same checks as a continuous `PiecewisePoly`: breakpoints strictly
-    increasing, and adjacent pieces equal at each interior breakpoint,
-    compared by integer cross-multiplication.
+    Construction checks in one pass that there is one piece per interval,
+    that the breakpoints strictly increase and, when `continuous` is set,
+    that adjacent pieces agree at their shared breakpoint, compared by
+    integer cross-multiplication.
     """
-    if len(breakpoints) < 2 or len(pieces) != len(breakpoints) - 1:
-        raise ValueError("need k+1 breakpoints for k >= 1 pieces")
-    total = _ZERO
-    for i, piece in enumerate(pieces):
-        lo, hi = breakpoints[i], breakpoints[i + 1]
-        if lo >= hi:
-            raise ValueError("breakpoints must be strictly increasing")
-        if i:
-            left = pieces[i - 1]
+
+    breakpoints: tuple[Fraction, ...]
+    pieces: tuple[IntQuadratic, ...]
+    continuous: bool = True
+
+    def __init__(
+        self,
+        breakpoints: Iterable[RatLike],
+        pieces: Iterable[IntQuadratic],
+        continuous: bool = True,
+    ):
+        bps = tuple(map(_as_fraction, breakpoints))
+        ps = tuple(pieces)
+        if len(bps) < 2 or len(ps) != len(bps) - 1:
+            raise ValueError("need k+1 breakpoints for k >= 1 pieces")
+        for i, piece in enumerate(ps):
+            lo, hi = bps[i], bps[i + 1]
             u, w = lo.numerator, lo.denominator
-            at_left, at_right = left.scaled_at(u, w), piece.scaled_at(u, w)
-            if at_left * piece.den != at_right * left.den:
-                scale = w * w
-                raise ValueError(
-                    f"discontinuity at {format_rational(lo)}: "
-                    f"{format_rational(Fraction(at_left, left.den * scale))} != "
-                    f"{format_rational(Fraction(at_right, piece.den * scale))}"
-                )
-        total += piece.integrate(lo, hi)
-    return total
+            if u * hi.denominator >= hi.numerator * w:
+                raise ValueError("breakpoints must be strictly increasing")
+            if continuous and i:
+                left = ps[i - 1]
+                at_left, at_right = left.scaled_at(u, w), piece.scaled_at(u, w)
+                if at_left * piece.den != at_right * left.den:
+                    scale = w * w
+                    raise ValueError(
+                        f"discontinuity at {format_rational(lo)}: "
+                        f"{format_rational(Fraction(at_left, left.den * scale))} != "
+                        f"{format_rational(Fraction(at_right, piece.den * scale))}"
+                    )
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "pieces", ps)
+        object.__setattr__(self, "continuous", continuous)
+
+    @property
+    def lo(self) -> Fraction:
+        return self.breakpoints[0]
+
+    @property
+    def hi(self) -> Fraction:
+        return self.breakpoints[-1]
+
+    def integrate(self) -> Fraction:
+        """The exact integral over the whole domain, one closed form per piece."""
+        bps = self.breakpoints
+        return functools.reduce(
+            operator.add, map(IntQuadratic.integrate, self.pieces, bps, bps[1:])
+        )
+
+    def dominates(self, other: "PiecewisePoly") -> bool:
+        """Whether self >= other everywhere on their common domain.
+
+        Each cell of the merged breakpoint grid takes the difference of the
+        two pieces that govern it and decides its sign on integers.
+        """
+        if (self.lo, self.hi) != (other.lo, other.hi):
+            raise ValueError("piecewise domains differ")
+        grid = sorted(set(self.breakpoints) | set(other.breakpoints))
+        i = j = 0
+        for lo, hi in zip(grid, grid[1:]):
+            while self.breakpoints[i + 1] <= lo:
+                i += 1
+            while other.breakpoints[j + 1] <= lo:
+                j += 1
+            if (self.pieces[i] - other.pieces[j]).sign_on(lo, hi) < 0:
+                return False
+        return True
+
+    def render(self, var: str = "v") -> str:
+        rows = []
+        for i, piece in enumerate(self.pieces):
+            lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
+            rows.append(
+                f"{piece.poly().render(var)} on [{format_rational(lo)}, {format_rational(hi)}]"
+            )
+        return "; ".join(rows)
+
+    def __repr__(self) -> str:
+        return f"PiecewisePoly({self.render()})"

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
@@ -126,12 +126,9 @@ class Decomposition:
         """The chamber ends, from 0 to tau."""
         return [self.chambers[0].lo] + [ch.hi for ch in self.chambers]
 
-    def piecewise(self, piece: Callable[[Chamber], Poly]) -> PiecewisePoly:
-        """One polynomial per chamber, joined on the chamber breakpoints."""
-        return PiecewisePoly(self.breakpoints(), [piece(ch) for ch in self.chambers])
-
     def p_sq_piecewise(self) -> PiecewisePoly:
-        return self.piecewise(lambda ch: ch.p_sq)
+        """P(v)^2 on [0, tau], each chamber's integer quadratic."""
+        return PiecewisePoly(self.breakpoints(), [ch.p_sq_rows for ch in self.chambers])
 
 
 # -- parametric sweep ---------------------------------------------------
@@ -217,9 +214,7 @@ def _direction(config: SurfaceConfig, flag: str) -> _Direction:
     b0 = [mu * k for k in config.int_anti_k_dots]
     b1 = [-scale * g for g in config.int_gram[fi]]
     d_coeffs = (config.norm, -2 * config.anti_k_dots[fi], config.gram[fi][fi])
-    d_den = math.lcm(*(x.denominator for x in d_coeffs))
-    d_sq = IntQuadratic(*(x.numerator * (d_den // x.denominator) for x in d_coeffs), d_den)
-    return _Direction(config, fi, b0, b1, d_sq)
+    return _Direction(config, fi, b0, b1, IntQuadratic.from_fractions(d_coeffs))
 
 
 class _Rows(NamedTuple):
@@ -380,7 +375,7 @@ def _chamber_end(rows: _Rows, p_sq: IntQuadratic, lo: Fraction) -> tuple[Fractio
     decided on the chamber's integer quadratic.
     """
     affine_next = _first_root_after(rows, lo)
-    if affine_next is not None and p_sq.positive_on(lo, affine_next):
+    if affine_next is not None and p_sq.sign_on(lo, affine_next) > 0:
         return affine_next, False
     try:
         tau = p_sq.first_root(lo)

@@ -14,7 +14,6 @@ import pytest
 from dpdelta import (
     CaseRecord,
     Decomposition,
-    PiecewisePoly,
     PointSpec,
     Poly,
     SurfaceConfig,
@@ -74,35 +73,36 @@ def same_decomposition() -> Callable[[Decomposition, Decomposition], bool]:
 
 
 class PolyReference:
-    """S(F), h and S(W;O) built from `Poly` products and antiderivatives.
+    """S(F), h and S(W;O) from `Poly` products and `Poly.integrate` alone.
 
     This is the path `delta` took before it integrated on the chambers'
     integer rows; the tests keep it as the reference the integer path must
-    equal exactly.
+    equal exactly. It reads only the chambers' `Poly` views and keeps one
+    polynomial per chamber, in chamber order.
     """
 
     @staticmethod
     def s_flag(decomp: Decomposition) -> Fraction:
-        return decomp.p_sq_piecewise().integrate(0, decomp.tau) / decomp.config.norm
+        total = sum((ch.p_sq.integrate(ch.lo, ch.hi) for ch in decomp.chambers), Fraction(0))
+        return total / decomp.config.norm
 
     @staticmethod
-    def h(decomp: Decomposition, point: PointSpec) -> PiecewisePoly:
-        p_dot = decomp.piecewise(lambda ch: ch.p_dot[decomp.flag])
-        n_dot = decomp.piecewise(
-            lambda ch: sum(
+    def h(decomp: Decomposition, point: PointSpec) -> list[Poly]:
+        pieces = []
+        for ch in decomp.chambers:
+            p_dot = ch.p_dot[decomp.flag]
+            n_dot = sum(
                 (ch.n_coeffs[name] * point.incidences.get(name, 0) for name in ch.support),
                 start=Poly([0]),
             )
-        )
-        return PiecewisePoly(
-            p_dot.breakpoints,
-            [p * n + p * p * Fraction(1, 2) for p, n in zip(p_dot.pieces, n_dot.pieces)],
-        )
+            pieces.append(p_dot * n_dot + p_dot * p_dot * Fraction(1, 2))
+        return pieces
 
     @classmethod
     def s_w_point(cls, decomp: Decomposition, point: PointSpec) -> Fraction:
-        h = cls.h(decomp, point)
-        return 2 * h.integrate(0, decomp.tau) / decomp.config.norm
+        pieces = zip(cls.h(decomp, point), decomp.chambers)
+        total = sum((h.integrate(ch.lo, ch.hi) for h, ch in pieces), Fraction(0))
+        return 2 * total / decomp.config.norm
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from dpdelta.blowup import blowup
 from dpdelta.catalog import decompose_flag
 from dpdelta.config import intersect, validate
 from dpdelta.delta import local_h
-from dpdelta.poly import Poly, nonnegative_on
+from dpdelta.poly import Poly
 from dpdelta.zariski import decomposition_to_json
 
 F = Fraction
@@ -179,16 +179,14 @@ def test_local_bounds(records):
     cfg = record.config(bound.config_id)
     decomp = decompose_flag(record, _spec(record, bound.config_id, bound.flag))
     env = bound.envelope
-    integral = F(2) * env.integrate(env.lo, env.hi) / cfg.norm
+    integral = F(2) * env.integrate() / cfg.norm
     if bound.value != F(14, 27) or integral != F(14, 27):
         failures.append(
             f"class envelope on A2-nodal/E1: required integral 14/27, "
             f"engine computes {integral}"
         )
     for pid in bound.covers:
-        diff = env - local_h(decomp, cfg.point(pid))
-        pairs = zip(diff.pieces, zip(diff.breakpoints, diff.breakpoints[1:]))
-        if not all(nonnegative_on(p, lo, hi) for p, (lo, hi) in pairs):
+        if not env.dominates(local_h(decomp, cfg.point(pid))):
             failures.append(f"class envelope fails to dominate h at {pid}")
     if failures:
         pytest.fail("\n".join(failures))

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +48,18 @@ ALL_CASES = (
     "E7",
     "E8",
 )
+
+
+def _tampered_envelope(tmp_path, **changes) -> Path:
+    """A catalog root holding a copy of A2-nodal whose class-bound envelope
+    has the given `breakpoints` or `pieces`."""
+    target = tmp_path / "A2-nodal"
+    shutil.copytree(catalog_root() / "A2-nodal", target)
+    expected = target / "expected.json"
+    data = json.loads(expected.read_text(encoding="utf-8"))
+    data["class_bounds"][0]["envelope"].update(changes)
+    expected.write_text(json.dumps(data), encoding="utf-8")
+    return tmp_path
 
 
 class TestLayout:
@@ -153,6 +166,19 @@ class TestVerification:
         labels = [row.label for row in verify_case(records["A4"]).rows]
         assert "S_W(at_lt;EP[blowup])<=1/6" in labels
         assert "S_W(at_e3t;EP[blowup])=11/15" in labels
+
+    def test_envelope_below_h_fails_the_covers_rows(self, tmp_path):
+        # v^2 instead of 9/8 v^2 on [0, 2/3], where h is 9/8 v^2 at both points
+        pieces = [["0", "0", "1"], ["3/2", "0", "-3/2"]]
+        record = load_case("A2-nodal", root=_tampered_envelope(tmp_path, pieces=pieces))
+        failing = [row.render() for row in verify_case(record).rows if not row.passed]
+        assert failing == [
+            "class_bound(E1)=14/27 FAIL (expected 14/27, got 40/81)",
+            "class_bound(E1) covers at_c FAIL "
+            "(expected envelope dominates local h, got falls below local h)",
+            "class_bound(E1) covers generic FAIL "
+            "(expected envelope dominates local h, got falls below local h)",
+        ]
 
     def test_verify_all_shape(self):
         reports = verify_all()
@@ -292,6 +318,22 @@ class TestLoaderSchema:
         expected.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(SchemaError, match="lies on E1, not on flag 'C'"):
             load_case("A2-nodal", root=tmp_path)
+
+    def test_envelope_piece_of_degree_three(self, tmp_path):
+        root = _tampered_envelope(tmp_path, pieces=[["0", "0", "9/8", "1"], ["3/2", "0", "-3/2"]])
+        with pytest.raises(
+            SchemaError,
+            match=r"envelope piece 9/8\*v\^2 \+ v\^3 in case A2-nodal has degree 3",
+        ):
+            load_case("A2-nodal", root=root)
+
+    def test_envelope_breakpoints_out_of_order(self, tmp_path):
+        root = _tampered_envelope(tmp_path, breakpoints=["0", "1", "2/3"])
+        with pytest.raises(
+            SchemaError,
+            match="envelope in case A2-nodal: breakpoints must be strictly increasing",
+        ):
+            load_case("A2-nodal", root=root)
 
     def test_bad_relation(self, tmp_path):
         expected, data = self.copy_case(tmp_path)

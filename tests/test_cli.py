@@ -173,6 +173,29 @@ class TestVerify:
         assert out.splitlines()[-1] == "1 of 1 cases FAILED"
 
 
+    def test_envelope_domain_mismatch_fails_without_a_traceback(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "A2-nodal"
+        shutil.copytree(catalog_root() / "A2-nodal", target)
+        expected = target / "expected.json"
+        data = json.loads(expected.read_text(encoding="utf-8"))
+        data["class_bounds"][0]["envelope"]["breakpoints"][-1] = "3/2"
+        expected.write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
+
+        assert main(["verify", "--case", "A2-nodal"]) == 1
+        out = capsys.readouterr().out
+        mismatch = "envelope domain [0, 3/2] is not [0, 1]"
+        assert f"class_bound(E1)=14/27 FAIL (expected 14/27, got {mismatch})" in out
+        for pid in ("at_c", "generic"):
+            assert (
+                f"class_bound(E1) covers {pid} FAIL "
+                f"(expected envelope dominates local h, got {mismatch})"
+            ) in out
+        assert out.splitlines()[-1] == "1 of 1 cases FAILED"
+
+
 class TestTable:
     def test_full_table(self, capsys):
         assert main(["table"]) == 0

@@ -115,6 +115,15 @@ class TestSurfaceConfig:
         assert tuple(p.id for p in trimmed.points) == ("generic",)
         assert trimmed.gram == cfg.gram
 
+    def test_with_points_shares_the_parsed_form(self, a2_nodal):
+        cfg = a2_nodal.config("base")
+        trimmed = cfg.with_points(cfg.points[:1])
+        assert trimmed.points == cfg.points[:1] and len(cfg.points) > 1
+        assert trimmed.int_gram is cfg.int_gram and trimmed.gram is cfg.gram
+        copy = cfg.with_points(cfg.points)
+        assert copy is not cfg
+        assert config_to_json(copy) == config_to_json(cfg)
+
 
 class TestIntersection:
     def test_gram_bilinear_form(self):

@@ -18,9 +18,9 @@ import dpdelta
 from dpdelta import (
     CurveRecord,
     DivisorClass,
+    IntQuadratic,
     NegativePart,
     PiecewisePoly,
-    Poly,
     SurfaceConfig,
     brute_force_negative_part,
     load_case,
@@ -417,15 +417,8 @@ class TestQuadrature:
         assert report.exact == report.numeric == F(1, 2)
         assert report.error == 0
 
-    def test_quartic_piece_is_refused(self):
-        cubic = PiecewisePoly([0, "1/2", 1], [Poly([0, 0, 0, 1]), Poly([0, 0, 0, 1])])
-        assert quadrature_check(cubic).numeric == F(1, 4)
-        quartic = PiecewisePoly([0, 1, 2], [Poly([1]), Poly([0, 0, 0, 0, 1])])
-        with pytest.raises(ValueError, match="exact only up to degree 3"):
-            quadrature_check(quartic)
-
     def test_zero_piece(self):
-        pp = PiecewisePoly([0, 1], [Poly()])
+        pp = PiecewisePoly([0, 1], [IntQuadratic(0, 0, 0, 1)])
         report = quadrature_check(pp)
         assert report.ok and report.exact == 0 and report.numeric == 0
 

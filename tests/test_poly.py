@@ -1,13 +1,12 @@
-"""Exact polynomial and piecewise-polynomial arithmetic."""
+"""Exact polynomials, integer quadratics and piecewise quadratics."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
 
-from dpdelta import OutOfDomain, PiecewisePoly, Poly
+from dpdelta import IntQuadratic, PiecewisePoly, Poly
 from dpdelta.errors import IrrationalRoot
-from dpdelta.poly import IntQuadratic, nonnegative_on
 
 F = Fraction
 
@@ -112,90 +111,74 @@ class TestMinPositiveRoot:
         assert convex.first_root(F(1)) is None
 
 
-class TestNonnegativeOn:
+class TestSignOn:
     def test_endpoints_and_vertex(self):
-        assert nonnegative_on(Poly([2, -4, 2]), 0, 2)  # 2(1-v)^2
-        assert not nonnegative_on(Poly([-1, 0, 1]), 0, 2)  # v^2-1 < 0 at 0
-        assert not nonnegative_on(Poly([0, -1, 1]), 0, 1)  # dips at v=1/2
-        assert nonnegative_on(Poly([0, -1, 1]), 1, 2)
-        assert nonnegative_on(Poly(), 0, 1)
+        touching = IntQuadratic(2, -4, 2, 1)  # 2(1-v)^2
+        assert touching.sign_on(F(0), F(2)) == 0
+        assert touching.sign_on(F(0), F(1, 2)) == 1
+        assert IntQuadratic(-1, 0, 1, 1).sign_on(F(0), F(2)) == -1  # v^2-1 < 0 at 0
+        dip = IntQuadratic(0, -1, 1, 1)  # v^2 - v: 0 at both ends of [0, 1]
+        assert dip.sign_on(F(0), F(1)) == -1  # dips at v=1/2
+        assert dip.sign_on(F(1), F(2)) == 0
+        assert IntQuadratic(1, -1, 1, 3).sign_on(F(0), F(1)) == 1  # vertex inside, above 0
+        assert IntQuadratic(-1, 0, -1, 1).sign_on(F(-1), F(1)) == -1  # concave
+        assert IntQuadratic(0, 0, 0, 1).sign_on(F(0), F(1)) == 0
 
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            nonnegative_on(Poly([0, 0, 0, 1]), 0, 1)
+    def test_difference_and_common_denominator(self):
+        q = IntQuadratic.from_fractions([F(1, 2), F(0), F(-2, 3)])
+        assert q == IntQuadratic(3, 0, -4, 6)
+        diff = q - IntQuadratic(1, 1, 0, 4)  # (1/2 - 2/3 v^2) - (1 + v)/4
+        assert diff.poly() == Poly([F(1, 4), F(-1, 4), F(-2, 3)])
+        assert diff.den > 0
+
+
+def _q(*coeffs) -> IntQuadratic:
+    return IntQuadratic.from_fractions([F(c) for c in coeffs])
 
 
 class TestPiecewisePoly:
     def tent(self) -> PiecewisePoly:
-        return PiecewisePoly([0, "1/2", 1], [Poly([0, 1]), Poly([1, -1])])
+        return PiecewisePoly([0, F(1, 2), 1], [_q(0, 1, 0), _q(1, -1, 0)])
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
             PiecewisePoly([0], [])
         with pytest.raises(ValueError):
-            PiecewisePoly([0, 1], [Poly([1]), Poly([2])])
-        with pytest.raises(ValueError):
-            PiecewisePoly([0, 1, 1], [Poly([1]), Poly([1])])
+            PiecewisePoly([0, 1], [_q(1, 0, 0), _q(2, 0, 0)])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewisePoly([0, 1, 1], [_q(1, 0, 0), _q(1, 0, 0)])
 
     def test_continuity_is_asserted(self):
         with pytest.raises(ValueError, match="discontinuity at 1: 0 != 1"):
-            PiecewisePoly([0, 1, 2], [Poly([0]), Poly([1])])
-        jump = PiecewisePoly([0, 1, 2], [Poly([0]), Poly([1])], continuous=False)
-        assert jump.eval(1) == 0  # breakpoints resolve to the left piece
-
-    def test_eval_and_domain(self):
-        pp = self.tent()
-        assert pp.lo == 0 and pp.hi == 1
-        assert pp("1/4") == F(1, 4)
-        assert pp(F(3, 4)) == F(1, 4)
-        assert pp(F(1, 2)) == F(1, 2)
-        assert pp(0) == 0 and pp(1) == 0
-        with pytest.raises(OutOfDomain):
-            pp(F(-1, 10))
-        with pytest.raises(OutOfDomain):
-            pp(F(3, 2))
+            PiecewisePoly([0, 1, 2], [_q(0, 0, 0), _q(1, 0, 0)])
+        with pytest.raises(ValueError, match="discontinuity at 1/2: 1/2 != 3/4"):
+            PiecewisePoly([0, F(1, 2), 1], [IntQuadratic(0, 1, 0, 1), IntQuadratic(3, 0, 0, 4)])
+        jump = PiecewisePoly([0, 1, 2], [_q(0, 0, 0), _q(1, 0, 0)], continuous=False)
+        assert not jump.continuous
+        assert jump.integrate() == 1
 
     def test_integration(self):
         pp = self.tent()
-        assert pp.integrate(0, 1) == F(1, 4)
-        assert pp.integrate("1/4", "3/4") == F(3, 16)
-        assert pp.integrate(F(1, 2), F(1, 2)) == 0
-        with pytest.raises(ValueError):
-            pp.integrate(1, 0)
-        with pytest.raises(OutOfDomain):
-            pp.integrate(0, 2)
+        assert pp.lo == 0 and pp.hi == 1
+        assert pp.integrate() == F(1, 4)
+        # int of 3/2 v^2 over [1/3, 1/2] is (1/8 - 1/27) / 2
+        assert PiecewisePoly([F(1, 3), F(1, 2)], [IntQuadratic(0, 0, 3, 2)]).integrate() == F(19, 432)
 
-    def test_refine_preserves_values(self):
-        pp = self.tent()
-        fine = pp.refine([0, "1/4", "1/2", "7/8", 1])
-        for v in (0, "1/8", "1/2", "9/16", 1):
-            assert fine(v) == pp(v)
-        with pytest.raises(ValueError):
-            pp.refine([0, "1/4", 1])  # drops the original breakpoint 1/2
-
-    def test_arithmetic_aligns_breakpoints(self):
-        pp = self.tent()
-        other = PiecewisePoly([0, "1/4", 1], [Poly([1]), Poly([1])])
-        diff = pp - other
-        assert diff.breakpoints == (F(0), F(1, 4), F(1, 2), F(1))
-        assert diff("1/8") == F(-7, 8)
-        assert diff("3/4") == F(-3, 4)
-        assert (pp - pp).integrate(0, 1) == 0
-        jump = PiecewisePoly([0, "1/4", 1], [Poly([0]), Poly([1])], continuous=False)
-        assert not (pp - jump).continuous
-        mismatched = PiecewisePoly([0, 2], [Poly([1])])
-        with pytest.raises(ValueError):
-            pp - mismatched
-
-    def test_json_round_trip(self):
-        pp = self.tent()
-        data = {
-            "breakpoints": ["0", "1/2", "1"],
-            "pieces": [["0", "1"], ["1", "-1"]],
-        }
-        back = PiecewisePoly.from_json(data)
-        assert back.breakpoints == pp.breakpoints
-        assert back.pieces == pp.pieces
+    def test_dominates_on_the_merged_grid(self):
+        pp = self.tent()  # peaks at 1/2 when v = 1/2
+        half = PiecewisePoly([0, F(1, 4), 1], [_q("1/2", 0, 0), _q("1/2", 0, 0)])
+        assert half.dominates(pp)  # touches at v = 1/2
+        assert not pp.dominates(half)
+        assert not PiecewisePoly([0, 1], [_q("1/3", 0, 0)]).dominates(pp)
+        jump = PiecewisePoly([0, F(1, 4), 1], [_q("1/4", 0, 0), _q(1, 0, 0)], continuous=False)
+        assert jump.dominates(pp)
+        assert not pp.dominates(jump)
+        zero = PiecewisePoly([0, 1], [_q(0, 0, 0)])
+        dip = PiecewisePoly([0, 1], [_q(0, -1, 1)])  # v^2 - v is 0 at both ends
+        assert zero.dominates(dip)
+        assert not dip.dominates(zero)  # decided at the vertex
+        with pytest.raises(ValueError, match="piecewise domains differ"):
+            pp.dominates(PiecewisePoly([0, 2], [_q(1, 0, 0)]))
 
     def test_render(self):
         assert self.tent().render() == "v on [0, 1/2]; 1 - v on [1/2, 1]"

@@ -7,12 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpdelta import CurveRecord, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
+from dpdelta import CurveRecord, IntQuadratic, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
 from dpdelta.delta import h_quadratic
 from dpdelta.oracle import sample_parameters
 from dpdelta.errors import IrrationalRoot
-from dpdelta.poly import IntQuadratic, integrate_pieces, nonnegative_on
-from dpdelta.rationals import parse_rational
+from dpdelta.rationals import format_rational, parse_rational
 from dpdelta.zariski import _sign_after
 
 F = Fraction
@@ -55,6 +54,16 @@ def _int_quadratic(p: Poly) -> IntQuadratic:
     return IntQuadratic(*(int(p.coeff(k) * den) for k in range(3)), den)
 
 
+def _minimum_on(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    """The least value of a quadratic on [lo, hi]: at an end or the vertex."""
+    candidates = [p(lo), p(hi)]
+    if p.coeff(2) != 0:
+        vertex = -p.coeff(1) / (2 * p.coeff(2))
+        if lo <= vertex <= hi:
+            candidates.append(p(vertex))
+    return min(candidates)
+
+
 class TestRootFinding:
     @settings(max_examples=100, deadline=None)
     @given(a=nonzero, roots=st.tuples(small, small), lo=small)
@@ -83,33 +92,22 @@ class TestRootFinding:
     @example(p=Poly([1, -1, 1]), ends=(F(0), F(1)))  # vertex inside, above 0
     def test_positivity_matches_candidate_minimum(self, p, ends):
         lo, hi = sorted(ends)
-        candidates = [p(lo), p(hi)]
-        a = p.coeff(2)
-        if a != 0:
-            vertex = -p.coeff(1) / (2 * a)
-            if lo <= vertex <= hi:
-                candidates.append(p(vertex))
-        assert _int_quadratic(p).positive_on(lo, hi) == (min(candidates) > 0)
+        assert (_int_quadratic(p).sign_on(lo, hi) > 0) == (_minimum_on(p, lo, hi) > 0)
 
     @settings(max_examples=50, deadline=None)
     @given(p=quadratics, ends=st.tuples(small, small))
     def test_nonnegativity_matches_candidate_minimum(self, p, ends):
         lo, hi = sorted(ends)
-        candidates = [p(lo), p(hi)]
-        a = p.coeff(2)
-        if a != 0:
-            vertex = -p.coeff(1) / (2 * a)
-            if lo <= vertex <= hi:
-                candidates.append(p(vertex))
-        assert nonnegative_on(p, lo, hi) == (min(candidates) >= 0)
+        assert (_int_quadratic(p).sign_on(lo, hi) >= 0) == (_minimum_on(p, lo, hi) >= 0)
 
 
 class TestPiecewise:
     @staticmethod
-    def tent(mid, c0, s1, s2):
+    def tent(mid, c0, s1, s2) -> tuple[IntQuadratic, IntQuadratic]:
         join = c0 + s1 * mid
-        return PiecewisePoly(
-            [0, mid, 1], [Poly([c0, s1]), Poly([join - s2 * mid, s2])]
+        return (
+            IntQuadratic.from_fractions([c0, s1, F(0)]),
+            IntQuadratic.from_fractions([join - s2 * mid, s2, F(0)]),
         )
 
     @settings(max_examples=50, deadline=None)
@@ -121,24 +119,43 @@ class TestPiecewise:
         split=st.fractions(min_value=F(0), max_value=F(1), max_denominator=16),
     )
     def test_split_integral_is_additive(self, mid, c0, s1, s2, split):
-        pp = self.tent(mid, c0, s1, s2)
-        total = pp.integrate(0, 1)
-        assert pp.integrate(0, split) + pp.integrate(split, 1) == total
+        first, second = self.tent(mid, c0, s1, s2)
+        total = PiecewisePoly([0, mid, 1], [first, second]).integrate()
+        grid = sorted({F(0), mid, split, F(1)})
+        pieces = [first if hi <= mid else second for hi in grid[1:]]
+        assert PiecewisePoly(grid, pieces).integrate() == total
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        mid=st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8),
-        c0=small,
-        s1=small,
-        s2=small,
-        x=st.fractions(min_value=F(0), max_value=F(1), max_denominator=16),
+        upper=st.lists(quadratics, min_size=1, max_size=3),
+        lower=st.lists(quadratics, min_size=1, max_size=3),
+        cuts=st.lists(
+            st.fractions(min_value=F(1, 16), max_value=F(15, 16), max_denominator=16),
+            min_size=4,
+            max_size=4,
+            unique=True,
+        ),
     )
-    def test_refinement_preserves_values_and_integral(self, mid, c0, s1, s2, x):
-        pp = self.tent(mid, c0, s1, s2)
-        extra = sorted({F(0), F(1, 3), mid, F(2, 3), F(1)})
-        fine = pp.refine(extra)
-        assert fine(x) == pp(x)
-        assert fine.integrate(0, 1) == pp.integrate(0, 1)
+    @example(  # equal at both ends of [0, 1]; the difference v - v^2 decides at its vertex
+        upper=[Poly()], lower=[Poly([0, -1, 1])], cuts=[F(1, 4), F(1, 2), F(3, 4), F(7, 8)]
+    )
+    def test_dominates_matches_the_candidate_minima(self, upper, lower, cuts):
+        def piecewise(polys, inner):
+            grid = [F(0), *sorted(inner), F(1)]
+            return grid, PiecewisePoly(
+                grid, [_int_quadratic(p) for p in polys], continuous=False
+            )
+
+        up_grid, up = piecewise(upper, cuts[: len(upper) - 1])
+        low_grid, low = piecewise(lower, cuts[2 : len(lower) + 1])
+        merged = sorted(set(up_grid) | set(low_grid))
+        expected = True
+        for lo, hi in zip(merged, merged[1:]):
+            mid = (lo + hi) / 2
+            above = next(p for p, end in zip(upper, up_grid[1:]) if mid < end)
+            below = next(p for p, end in zip(lower, low_grid[1:]) if mid < end)
+            expected = expected and _minimum_on(above - below, lo, hi) >= 0
+        assert up.dominates(low) == expected
 
 
 integers = st.integers(-10**6, 10**6)
@@ -185,14 +202,18 @@ class TestClosedFormIntegral:
                 den,
             )
         pieces = [first.poly(), second.poly()]
-        try:
-            expected = PiecewisePoly([lo, mid, hi], pieces).integrate(lo, hi)
-        except ValueError as exc:
+        left, right = pieces[0](mid), pieces[1](mid)
+        if left != right:
+            message = (
+                f"discontinuity at {format_rational(mid)}: "
+                f"{format_rational(left)} != {format_rational(right)}"
+            )
             with pytest.raises(ValueError) as caught:
-                integrate_pieces([lo, mid, hi], [first, second])
-            assert str(caught.value) == str(exc)
+                PiecewisePoly([lo, mid, hi], [first, second])
+            assert str(caught.value) == message
         else:
-            assert integrate_pieces([lo, mid, hi], [first, second]) == expected
+            expected = pieces[0].integrate(lo, mid) + pieces[1].integrate(mid, hi)
+            assert PiecewisePoly([lo, mid, hi], [first, second]).integrate() == expected
 
 
 def _fraction_sign_after(c0: int, c1: int, v: Fraction) -> int:

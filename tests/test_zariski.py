@@ -118,10 +118,10 @@ class TestSweep:
     def test_piecewise_views(self, nodal_decomp):
         p_sq = nodal_decomp.p_sq_piecewise()
         assert p_sq.breakpoints == (F(0), F(1, 2), F(1))
-        assert p_sq.integrate(0, 1) == F(1, 2)
-        assert p_sq(1) == 0
-        p_dot = nodal_decomp.piecewise(lambda ch: ch.p_dot["E"])
-        assert p_dot.integrate(0, 1) == F(1, 2)
+        assert p_sq.pieces == tuple(ch.p_sq_rows for ch in nodal_decomp.chambers)
+        assert [q.poly() for q in p_sq.pieces] == [ch.p_sq for ch in nodal_decomp.chambers]
+        assert p_sq.integrate() == F(1, 2)
+        assert p_sq.pieces[-1].poly()(1) == 0
 
     def test_a_sweep_builds_no_poly(self, records, monkeypatch):
         # a chamber stores integer rows only; S and S(W;O) integrate them,
