@@ -148,7 +148,13 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
     data = json.loads(expected.read_text(encoding="utf-8"))
     if data.get("case") != name:
         raise SchemaError(f"expected.json in {path} names case {data.get('case')!r}")
+    try:
+        return _case_from_json(name, path, data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{expected}: malformed case ({exc!r})") from exc
 
+
+def _case_from_json(name: str, path: Path, data: Mapping) -> CaseRecord:
     configs: dict[str, SurfaceConfig] = {}
     order: list[str] = []
     blowups: list[BlowupSpec] = []

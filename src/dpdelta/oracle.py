@@ -22,9 +22,11 @@ solutions are computed once per (config, flag) pair as integer affine
 functions of the sweep parameter, so checking hundreds of random parameter
 values stays fast. Building the table scans each subset's conditions (its
 coefficients, then one residual per curve off the subset) on integers and
-stops at the first one that empties its interval; the accepted rows are
-indexed by their sorted endpoints, so a lookup is one bisect and still sees
-every row that contains the parameter.
+stops at the first one that empties its interval or shrinks it to {0}. A
+subset accepted at v = 0 alone repeats N(0): Zariski chambers are closed
+intervals and the decomposition is unique, so the row of the first
+chamber's support already gives N(0) on [0, hi]. The table keeps only rows
+a lookup can read (a few dozen per flag), and a lookup scans them all.
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
 divisor, never reads the table, and is spot checked against it. Both run on
@@ -36,7 +38,6 @@ antiderivatives `PiecewisePoly` integrates with.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -123,10 +124,12 @@ class _TableRow:
 def _accepted_interval(
     conds: Iterable[tuple[int, int]],
 ) -> tuple[Fraction, Fraction | None] | None:
-    """The v >= 0 with c0 + c1*v >= 0 for every condition, or None if empty.
+    """The v >= 0 with c0 + c1*v >= 0 for every condition, or None if that
+    set is empty or only {0}.
 
     Endpoints are kept as integer (numerator, positive denominator) pairs,
-    and the scan stops at the first condition that empties the interval.
+    and the scan stops at the first condition that empties the interval or
+    bounds it by 0 from above.
     """
     ln, ld = 0, 1
     hn, hd = 0, 0  # hd == 0: unbounded above
@@ -136,6 +139,8 @@ def _accepted_interval(
                 continue
             ln, ld = -c0, c1
         elif c1 < 0:
+            if c0 <= 0:
+                return None  # empty, or only {0}
             if hd and c0 * hd >= -c1 * hn:
                 continue
             hn, hd = c0, -c1
@@ -148,34 +153,6 @@ def _accepted_interval(
     return Fraction(ln, ld), (Fraction(hn, hd) if hd else None)
 
 
-class _RowIndex:
-    """Closed intervals [lo, hi] indexed for point lookups.
-
-    The sorted distinct endpoints e_0 < ... < e_{m-1} cut the line into
-    2m + 1 slots: slot 2i + 1 is the point e_i, slot 2i the open gap just
-    below it, and slot 2m the gap above e_{m-1}. Each slot lists every row
-    that covers it, so a lookup is one bisect and sees every covering row.
-    """
-
-    def __init__(self, rows: Sequence[_TableRow]):
-        ends = sorted({row.lo for row in rows} | {row.hi for row in rows if row.hi is not None})
-        slot_of = {e: 2 * i + 1 for i, e in enumerate(ends)}
-        slots: list[list[_TableRow]] = [[] for _ in range(2 * len(ends) + 1)]
-        for row in rows:
-            last = 2 * len(ends) if row.hi is None else slot_of[row.hi]
-            for s in range(slot_of[row.lo], last + 1):
-                slots[s].append(row)
-        self.ends = ends
-        self.slots = [tuple(rows_here) for rows_here in slots]
-
-    def covering(self, v: Fraction) -> tuple[_TableRow, ...]:
-        """Every row with lo <= v <= hi."""
-        i = bisect.bisect_left(self.ends, v)
-        if i < len(self.ends) and self.ends[i] == v:
-            return self.slots[2 * i + 1]
-        return self.slots[2 * i]
-
-
 class SubsetTable:
     """Per-flag acceptance intervals for every negative-definite subset.
 
@@ -183,8 +160,11 @@ class SubsetTable:
     denominator; a subset's row represents the unique solution of its
     orthogonality system together with the exact v-interval on which that
     solution has nonnegative coefficients and nef residual. Each subset's
-    conditions are scanned in integers until one empties the interval, and
-    the accepted rows are indexed by their endpoints for lookups.
+    conditions are scanned in integers until one empties the interval or
+    leaves only {0}. Only rows a lookup can read are kept: a subset accepted
+    at v = 0 alone repeats N(0), which the first chamber's support gives on
+    [0, hi]. Rows that are single points v > 0 stay, since a sample can land
+    on one and must then meet the ambiguity check. A lookup scans the rows.
     """
 
     def __init__(self, config: SurfaceConfig, flag: str):
@@ -223,7 +203,6 @@ class SubsetTable:
                 x1 = tuple(b1[i] for i in subset)
                 rows.append(_TableRow(subset, *interval, x0, x1, rho * d))
         self.rows = tuple(rows)
-        self.index = _RowIndex(self.rows)
 
     def negative_part(self, v: RatLike) -> NegativePart:
         """The unique accepted negative part at one parameter value."""
@@ -231,11 +210,14 @@ class SubsetTable:
         names = self.curve_names
         p, q = v.numerator, v.denominator
         vectors = set()
-        for row in self.index.covering(v):
-            full = [Fraction(0)] * len(names)
-            for i, idx in enumerate(row.subset):
-                full[idx] = Fraction(row.num0[i] * q + row.num1[i] * p, row.den * q)
-            vectors.add(tuple(full))
+        for row in self.rows:
+            if row.lo <= v and (row.hi is None or v <= row.hi):
+                # the nonzero coefficients keyed by curve index, in curve order
+                vectors.add(tuple(
+                    (idx, c)
+                    for idx, a, b in zip(row.subset, row.num0, row.num1)
+                    if (c := Fraction(a * q + b * p, row.den * q))
+                ))
         if not vectors:
             raise NoSolution(
                 f"no negative-definite support accepts v = {format_rational(v)} "
@@ -246,8 +228,8 @@ class SubsetTable:
                 f"{len(vectors)} distinct negative parts at v = {format_rational(v)} "
                 f"for flag {self.flag} on {self.config_name}"
             )
-        (full,) = vectors
-        coeffs = {names[i]: c for i, c in enumerate(full) if c != 0}
+        (vector,) = vectors
+        coeffs = {names[i]: c for i, c in vector}
         return NegativePart(tuple(sorted(coeffs)), coeffs)
 
 

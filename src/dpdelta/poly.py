@@ -137,8 +137,22 @@ def _as_poly(x: "Poly | RatLike") -> Poly:
     return Poly([_as_fraction(x)])
 
 
+def _tuple_operator(symbol: str):
+    """A method that refuses a tuple operator: on a quadratic, `+` would
+    concatenate its fields and `*` would repeat them."""
+
+    def refuse(self, other):
+        raise TypeError(f"IntQuadratic does not support {symbol}; only - is defined")
+
+    return refuse
+
+
 class IntQuadratic(NamedTuple):
-    """(a0 + a1*v + a2*v^2) / den with integer coefficients and den > 0."""
+    """(a0 + a1*v + a2*v^2) / den with integer coefficients and den > 0.
+
+    It is a tuple, so `+` and `*` raise TypeError rather than act on the
+    fields; `-` is the difference of the two quadratics.
+    """
 
     a0: int
     a1: int
@@ -164,6 +178,9 @@ class IntQuadratic(NamedTuple):
         return IntQuadratic(
             self.a0 * e - other.a0 * d, self.a1 * e - other.a1 * d, self.a2 * e - other.a2 * d, d * e
         )
+
+    __add__ = __radd__ = _tuple_operator("+")
+    __mul__ = __rmul__ = _tuple_operator("*")
 
     def sign_on(self, lo: Fraction, hi: Fraction) -> int:
         """Sign of the minimum on [lo, hi], decided on integers: 1 if the

@@ -196,6 +196,21 @@ class TestVerify:
         assert out.splitlines()[-1] == "1 of 1 cases FAILED"
 
 
+    def test_malformed_expected_json_is_a_schema_error(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "A2-nodal"
+        shutil.copytree(catalog_root() / "A2-nodal", target)
+        expected = target / "expected.json"
+        data = json.loads(expected.read_text(encoding="utf-8"))
+        del data["class_bounds"][0]["envelope"]["pieces"]
+        expected.write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
+
+        assert main(["verify", "--case", "A2-nodal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}: malformed case (KeyError('pieces'))\n"
+
+
 class TestTable:
     def test_full_table(self, capsys):
         assert main(["table"]) == 0

@@ -131,6 +131,19 @@ class TestSignOn:
         assert diff.poly() == Poly([F(1, 4), F(-1, 4), F(-2, 3)])
         assert diff.den > 0
 
+    def test_tuple_operators_raise(self):
+        q = IntQuadratic(1, 0, 0, 1)
+        for op in (
+            lambda: IntQuadratic(1, 0, 0, 1) + IntQuadratic(1, 0, 0, 1),
+            lambda: q * 2,
+            lambda: 2 * q,
+            lambda: (0,) + q,
+            lambda: q + (0,),
+        ):
+            with pytest.raises(TypeError, match="IntQuadratic does not support"):
+                op()
+        assert q - q == IntQuadratic(0, 0, 0, 1)
+
 
 def _q(*coeffs) -> IntQuadratic:
     return IntQuadratic.from_fractions([F(c) for c in coeffs])
