@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 
 from .catalog import case_names, catalog_root, load_case
 from .errors import MissingFlag, SchemaError
-from .poly import Poly
 from .rationals import format_rational
 
 SMOOTH_DELTA_CUSPIDAL = Fraction(15, 7)
@@ -289,21 +288,24 @@ def smooth_delta(has_cuspidal_anticanonical: bool) -> Fraction:
 # -- threefold applications ----------------------------------------------
 
 
+def _cube_integral(a: int, b: int) -> Fraction:
+    """int_a^b (2-u)^3 du = ((2-a)^4 - (2-b)^4) / 4."""
+    return Fraction((2 - a) ** 4 - (2 - b) ** 4, 4)
+
+
 def multiplier_family_1_11() -> Fraction:
     """Slope relating surface and threefold expected orders for the sextic
     double solid fibered by halfanticanonical surfaces: the nef part is
     (2-u) times the surface class on [0, 2] and the flag integral rescales
     by (3/8) * int_0^2 (2-u)^3 du."""
-    cube = Poly([2, -1]) * Poly([2, -1]) * Poly([2, -1])
-    return Fraction(3, 8) * cube.integrate(0, 2)
+    return Fraction(3, 8) * _cube_integral(0, 2)
 
 
 def multiplier_family_2_1() -> Fraction:
     """Same slope for the blowup along a smooth halfanticanonical-pencil
     base curve: the nef part is unscaled on [0, 1] and (2-u) times a
     pullback on [1, 2], giving (3/4) * (1 + int_1^2 (2-u)^3 du)."""
-    cube = Poly([2, -1]) * Poly([2, -1]) * Poly([2, -1])
-    return Fraction(3, 4) * (Poly([1]).integrate(0, 1) + cube.integrate(1, 2))
+    return Fraction(3, 4) * (1 + _cube_integral(1, 2))
 
 
 def threefold_delta_bound(multiplier: Fraction, surface_delta: Fraction) -> Fraction:

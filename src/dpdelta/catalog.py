@@ -145,7 +145,12 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
     expected = path / "expected.json"
     if not expected.is_file():
         raise SchemaError(f"no case named {name!r} under {base}")
-    data = json.loads(expected.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(expected.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{expected}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(data, dict):
+        raise SchemaError(f"{expected}: malformed case (a {type(data).__name__}, not an object)")
     if data.get("case") != name:
         raise SchemaError(f"expected.json in {path} names case {data.get('case')!r}")
     try:

@@ -32,9 +32,9 @@ at a single divisor, on integers scaled from the Gram matrix and the
 divisor, never reads the table, and is spot checked against it. Both run on
 the pivot step of `linalg`, which the sweep reaches through the integer
 `linalg.solve`; the acceptance gate checks the sweep's output by
-substitution alone. The quadrature check evaluates each piece as a `Poly`
-and applies Simpson's rule in exact arithmetic, independent of the
-antiderivatives `PiecewisePoly` integrates with.
+substitution alone. The quadrature check applies Simpson's rule to each
+piece's exact values (`IntQuadratic.value_at`), independent of the closed
+form `PiecewisePoly` integrates with.
 """
 from __future__ import annotations
 
@@ -305,8 +305,8 @@ def quadrature_check(pp: PiecewisePoly, tol: float = 1e-9) -> QuadratureReport:
     """
     numeric = Fraction(0)
     for piece, lo, hi in zip(pp.pieces, pp.breakpoints, pp.breakpoints[1:]):
-        p = piece.poly()
-        numeric += (hi - lo) / 6 * (p(lo) + 4 * p((lo + hi) / 2) + p(hi))
+        at = piece.value_at
+        numeric += (hi - lo) / 6 * (at(lo) + 4 * at((lo + hi) / 2) + at(hi))
     exact = pp.integrate()
     return QuadratureReport(exact=exact, numeric=numeric, error=abs(exact - numeric), tol=tol)
 

@@ -1,17 +1,17 @@
 """Exact univariate polynomials and piecewise quadratics over the rationals.
 
-`Poly` has Fraction coefficients. It is the readable form of the sweep's
-data: the chamber views (affine negative-part coefficients and P.C, the
-quadratic P(v)^2), decomposition JSON, CLI text and the applications.
-
 `IntQuadratic` is a quadratic as integer numerators over one denominator,
-and it does the arithmetic: its first root after a point and its sign on an
-interval are decided on integers, and its integral over an interval is one
-Fraction in closed form. `PiecewisePoly` joins one `IntQuadratic` per
-interval. P(v)^2, the local integrands h(v) and the stored class-level
-envelopes all take this one form: it checks continuity on integers when
-built, integrates over its whole domain, and tests whether it dominates
-another piecewise quadratic.
+and it does all the arithmetic: its value at a point, its first root after
+a point and its sign on an interval are decided on integers, and its
+integral over an interval is one Fraction in closed form. `PiecewisePoly`
+joins one `IntQuadratic` per interval. P(v)^2, the local integrands h(v)
+and the stored class-level envelopes all take this one form: it checks
+continuity on integers when built, integrates over its whole domain, and
+tests whether it dominates another piecewise quadratic.
+
+`Poly` has Fraction coefficients and computes nothing: it parses and prints
+the chamber views in decomposition JSON and CLI text, the stored envelopes,
+and quadratics in messages.
 """
 from __future__ import annotations
 
@@ -25,16 +25,14 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import IrrationalRoot
 from .rationals import RatLike, format_rational, parse_rational
 
-_ZERO = Fraction(0)
-
-
 def _as_fraction(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else parse_rational(x)
 
 
 @dataclass(frozen=True)
 class Poly:
-    """A polynomial with Fraction coefficients in ascending degree order.
+    """A polynomial with Fraction coefficients in ascending degree order,
+    for parsing and printing.
 
     Trailing zeros are stripped; the zero polynomial has an empty tuple.
     """
@@ -55,54 +53,8 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, v: RatLike) -> Fraction:
-        v = _as_fraction(v)
-        result = _ZERO
-        for c in reversed(self.coeffs):
-            result = result * v + c
-        return result
-
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else _ZERO
-
-    def __add__(self, other: "Poly | RatLike") -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Poly | RatLike") -> "Poly":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other: RatLike) -> "Poly":
-        return _as_poly(other) - self
-
-    def __mul__(self, other: "Poly | RatLike") -> "Poly":
-        other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def antiderivative(self) -> "Poly":
-        """The antiderivative with zero constant term."""
-        return Poly([_ZERO] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
-    def integrate(self, a: RatLike, b: RatLike) -> Fraction:
-        anti = self.antiderivative()
-        return anti(b) - anti(a)
+        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
@@ -129,12 +81,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
-
-
-def _as_poly(x: "Poly | RatLike") -> Poly:
-    if isinstance(x, Poly):
-        return x
-    return Poly([_as_fraction(x)])
 
 
 def _tuple_operator(symbol: str):
@@ -166,6 +112,11 @@ class IntQuadratic(NamedTuple):
     def scaled_at(self, u: int, w: int) -> int:
         """den * w^2 times the value at v = u/w."""
         return (self.a0 * w + self.a1 * u) * w + self.a2 * u * u
+
+    def value_at(self, v: Fraction) -> Fraction:
+        """The exact value at v."""
+        w = v.denominator
+        return Fraction(self.scaled_at(v.numerator, w), self.den * w * w)
 
     @classmethod
     def from_fractions(cls, coeffs: Sequence[Fraction]) -> "IntQuadratic":

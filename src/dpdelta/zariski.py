@@ -20,11 +20,12 @@ support is never solved twice. Drops, adds and the chamber's end are decided
 by integer signs and comparisons at v = p/q, and the threshold tau (or an
 irrational root) by `math.isqrt` and sign tests on P^2 as an integer
 quadratic. A chamber is its two ends and these integer rows, nothing else:
-`delta` integrates S and S(W;O) on them, and the `Poly` views of a chamber
-(its support names, N coefficients, P^2 and P.C) are built from the rows
-only when read, once each. The sweep itself builds no `Poly`, and Fractions
-only for the chamber ends and error messages. `decomposition_from_json`
-rebuilds every chamber through the same rows.
+`delta` integrates S and S(W;O) on them, `negative_at` evaluates N on them,
+and the `Poly` views of a chamber (its support names, N coefficients, P^2
+and P.C) are built from the rows only for JSON and CLI text, once each. The
+sweep itself builds no `Poly`, and Fractions only for the chamber ends and
+error messages. `decomposition_from_json` rebuilds every chamber through
+the same rows and checks P^2(tau) = 0 on them.
 """
 from __future__ import annotations
 
@@ -116,10 +117,15 @@ class Decomposition:
                 return ch
 
     def negative_at(self, v: RatLike) -> NegativePart:
+        """The nonzero negative-part coefficients at v, read off the chamber's rows."""
         v = parse_rational(v)
-        ch = self.chamber_at(v)
-        coeffs = {name: p(v) for name, p in ch.n_coeffs.items()}
-        coeffs = {name: c for name, c in coeffs.items() if c != 0}
+        rows = self.chamber_at(v).rows
+        p, q, names = v.numerator, v.denominator, rows.curve_names
+        coeffs = {
+            names[s]: c
+            for s, x0, x1 in zip(rows.support, rows.x0, rows.x1)
+            if (c := Fraction(x0 * q + x1 * p, rows.n_den * q))
+        }
         return NegativePart(tuple(sorted(coeffs)), coeffs)
 
     def breakpoints(self) -> list[Fraction]:
@@ -502,6 +508,6 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
                 f"chambers leave a gap at {format_rational(chambers[i - 1].hi)}; "
                 f"{where}, chamber {i}"
             )
-    if chambers[-1].p_sq(tau) != 0:
+    if chambers[-1].p_sq_rows.scaled_at(tau.numerator, tau.denominator):
         raise SchemaError(f"P^2 does not vanish at the stored tau; {where}, chamber {last}")
     return Decomposition(config, flag, tuple(chambers), tau)

@@ -15,11 +15,11 @@ from dpdelta import (
     CaseRecord,
     Decomposition,
     PointSpec,
-    Poly,
     SurfaceConfig,
     case_names,
     load_case,
 )
+from refpoly import RefPoly, ref
 
 
 @pytest.fixture(scope="session")
@@ -73,27 +73,28 @@ def same_decomposition() -> Callable[[Decomposition, Decomposition], bool]:
 
 
 class PolyReference:
-    """S(F), h and S(W;O) from `Poly` products and `Poly.integrate` alone.
+    """S(F), h and S(W;O) from reference polynomial products and integrals.
 
     This is the path `delta` took before it integrated on the chambers'
     integer rows; the tests keep it as the reference the integer path must
-    equal exactly. It reads only the chambers' `Poly` views and keeps one
-    polynomial per chamber, in chamber order.
+    equal exactly. It reads only the chambers' `Poly` views, computes on
+    them as `RefPoly`, and keeps one polynomial per chamber, in chamber
+    order.
     """
 
     @staticmethod
     def s_flag(decomp: Decomposition) -> Fraction:
-        total = sum((ch.p_sq.integrate(ch.lo, ch.hi) for ch in decomp.chambers), Fraction(0))
+        total = sum((ref(ch.p_sq).integrate(ch.lo, ch.hi) for ch in decomp.chambers), Fraction(0))
         return total / decomp.config.norm
 
     @staticmethod
-    def h(decomp: Decomposition, point: PointSpec) -> list[Poly]:
+    def h(decomp: Decomposition, point: PointSpec) -> list[RefPoly]:
         pieces = []
         for ch in decomp.chambers:
-            p_dot = ch.p_dot[decomp.flag]
+            p_dot = ref(ch.p_dot[decomp.flag])
             n_dot = sum(
-                (ch.n_coeffs[name] * point.incidences.get(name, 0) for name in ch.support),
-                start=Poly([0]),
+                (ref(ch.n_coeffs[name]) * point.incidences.get(name, 0) for name in ch.support),
+                start=RefPoly(),
             )
             pieces.append(p_dot * n_dot + p_dot * p_dot * Fraction(1, 2))
         return pieces
@@ -107,5 +108,5 @@ class PolyReference:
 
 @pytest.fixture(scope="session")
 def poly_reference() -> type[PolyReference]:
-    """The `Poly`-product reference for S(F), h and S(W;O)."""
+    """The reference-polynomial path for S(F), h and S(W;O)."""
     return PolyReference

@@ -32,6 +32,7 @@ from dpdelta.config import intersect, validate
 from dpdelta.delta import local_h
 from dpdelta.poly import Poly
 from dpdelta.zariski import decomposition_to_json
+from refpoly import ref
 
 F = Fraction
 
@@ -288,16 +289,17 @@ def test_structural_invariants(records):
                     failures.append(f"{label}: support not negative definite")
                 for v in (ch.lo, ch.hi):
                     for name in cfg.curve_names:
-                        if name in ch.support and ch.n_coeffs[name](v) < 0:
+                        if name in ch.support and ref(ch.n_coeffs[name])(v) < 0:
                             failures.append(f"{label}: N_{name} < 0 at v = {v}")
-                        if name not in ch.support and ch.p_dot[name](v) < 0:
+                        if name not in ch.support and ref(ch.p_dot[name])(v) < 0:
                             failures.append(f"{label}: P.{name} < 0 at v = {v}")
-                slope = ch.p_sq.derivative()
+                p_sq = ref(ch.p_sq)
+                slope = p_sq.derivative()
                 if slope(ch.lo) > 0 or slope(ch.hi) > 0:
                     failures.append(f"{label}: P^2 increases inside a chamber")
-                if ch.p_sq(ch.lo) < 0 or ch.p_sq(ch.hi) < 0:
+                if p_sq(ch.lo) < 0 or p_sq(ch.hi) < 0:
                     failures.append(f"{label}: P^2 negative inside the domain")
-            if decomp.chambers[-1].p_sq(decomp.tau) != 0:
+            if ref(decomp.chambers[-1].p_sq)(decomp.tau) != 0:
                 failures.append(f"{label}: P^2 does not vanish at tau")
             quad = quadrature_check(decomp.p_sq_piecewise())
             if quad.numeric != quad.exact:

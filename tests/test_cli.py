@@ -1,9 +1,12 @@
 """End-to-end runs of the command-line interface, in process."""
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
+
+import pytest
 
 from dpdelta import catalog_root, load as load_config
 from dpdelta.cli import main
@@ -35,6 +38,21 @@ class TestGolden:
         assert main(["table"]) == 0
         golden = (DATA / "table_stdout.txt").read_text(encoding="utf-8")
         assert capsys.readouterr().out == golden
+
+    def test_decompose_text_of_every_designated_flag(self, capsys, records):
+        # sha256 over the `decompose` text of every catalog flag, in case
+        # and flag-row order
+        digest = hashlib.sha256()
+        flags = 0
+        for name in sorted(records):
+            for spec in records[name].flag_specs:
+                argv = ["decompose", "--case", name, "--variant", spec.config_id]
+                assert main(argv + ["--flag", spec.flag]) == 0
+                digest.update(capsys.readouterr().out.encode())
+                flags += 1
+        assert flags == 95
+        golden = (DATA / "decompose_text.sha256").read_text()
+        assert digest.hexdigest() == golden.strip()
 
 
 class TestDecompose:
@@ -209,6 +227,27 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {expected}: malformed case (KeyError('pieces'))\n"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[]", ": malformed case (a list, not an object)"),
+            ("{\n", ":2: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ],
+    )
+    def test_expected_json_that_is_no_case_names_the_file(
+        self, text, reason, capsys, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "A2-nodal"
+        shutil.copytree(catalog_root() / "A2-nodal", target)
+        expected = target / "expected.json"
+        expected.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
+
+        assert main(["verify", "--case", "A2-nodal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}{reason}\n"
 
 
 class TestTable:

@@ -27,33 +27,8 @@ class TestPoly:
         p = Poly(["1/2", 3, F(-1, 4)])
         assert p.coeffs == (F(1, 2), F(3), F(-1, 4))
 
-    def test_evaluation_is_exact(self):
-        p = Poly([1, 0, -2])  # 1 - 2v^2
-        assert p(F(1, 3)) == F(7, 9)
-        assert p("1/2") == F(1, 2)
-        assert Poly()(F(7)) == 0
-
     def test_coeff_beyond_length_is_zero(self):
         assert Poly([1, 2]).coeff(5) == 0
-
-    def test_ring_operations(self):
-        p, q = Poly([1, 1]), Poly([1, -1])
-        assert p * q == Poly([1, 0, -1])
-        assert p + q == Poly([2])
-        assert p - q == Poly([0, 2])
-        assert -p == Poly([-1, -1])
-        assert 2 * p == Poly([2, 2])
-        assert p * 0 == Poly()
-        assert "1/2" + q == Poly(["3/2", -1])
-        assert 1 - q == Poly([0, 1])
-
-    def test_calculus(self):
-        p = Poly([0, 0, 3])  # 3v^2
-        assert p.antiderivative() == Poly([0, 0, 0, 1])
-        assert p.derivative() == Poly([0, 6])
-        assert p.integrate(0, 1) == 1
-        assert p.integrate("1/2", 1) == F(7, 8)
-        assert Poly().derivative() == Poly()
 
     def test_string_round_trip_keeps_interior_zeros(self):
         p = Poly([1, 0, -2])
@@ -68,6 +43,16 @@ class TestPoly:
         assert Poly([-1, 2]).render() == "-1 + 2*v"
         assert Poly([0, "5/3"]).render() == "5/3*v"
         assert Poly([0, 0, 1]).render("u") == "u^2"
+
+
+class TestValueAt:
+    def test_evaluation_is_exact(self):
+        p = IntQuadratic(1, 0, -2, 1)  # 1 - 2v^2
+        assert p.value_at(F(1, 3)) == F(7, 9)
+        assert p.value_at(F(1, 2)) == F(1, 2)
+        assert IntQuadratic(0, 0, 0, 1).value_at(F(7)) == 0
+        # (1 - 2v^2) / 3 at v = -3/2 over the common denominator 3 * 4
+        assert IntQuadratic(1, 0, -2, 3).value_at(F(-3, 2)) == F(-7, 6)
 
 
 class TestMinPositiveRoot:

@@ -18,13 +18,19 @@ from dpdelta import (
     SurfaceConfig,
     decomposition_from_json,
     decomposition_to_json,
+    local_h,
+    multiplier_family_1_11,
+    multiplier_family_2_1,
     parametric_decompose,
+    quadrature_check,
+    random_equivalence,
     s_flag,
     s_w_point,
 )
 from dpdelta.catalog import decompose_flag
 from dpdelta import zariski
 from dpdelta.errors import DpDeltaError, IrrationalRoot, NotPseudoEffective
+from refpoly import ref
 
 F = Fraction
 
@@ -91,7 +97,7 @@ class TestSweep:
         }
         assert second.p_sq == Poly([4, -8, 4])
 
-        by_hand = first.p_sq.integrate(0, F(3, 4)) + second.p_sq.integrate(F(3, 4), 1)
+        by_hand = ref(first.p_sq).integrate(0, F(3, 4)) + ref(second.p_sq).integrate(F(3, 4), 1)
         assert by_hand == F(3, 4) - F(3, 16) + F(1, 48) == F(7, 12)
         assert s_flag(cfg, flag, d) == F(7, 12)
 
@@ -121,11 +127,13 @@ class TestSweep:
         assert p_sq.pieces == tuple(ch.p_sq_rows for ch in nodal_decomp.chambers)
         assert [q.poly() for q in p_sq.pieces] == [ch.p_sq for ch in nodal_decomp.chambers]
         assert p_sq.integrate() == F(1, 2)
-        assert p_sq.pieces[-1].poly()(1) == 0
+        assert ref(p_sq.pieces[-1].poly())(1) == 0
 
     def test_a_sweep_builds_no_poly(self, records, monkeypatch):
         # a chamber stores integer rows only; S and S(W;O) integrate them,
-        # and a Poly view is built on its first read, once
+        # the oracle's engine side reads them, quadrature and the threefold
+        # multipliers compute on integers, and a Poly view is built on its
+        # first read, once
         cfg = records["A3"].config("base")
         built: list[Poly] = []
         init = Poly.__init__
@@ -141,6 +149,16 @@ class TestSweep:
         assert points and len(decomp.chambers) == 2
         for point in points:
             s_w_point(cfg, "E1", point, decomp)
+        for name in ("A1-nodal", "A2-nodal", "A3", "D4"):
+            record = records[name]
+            for spec in record.flag_specs:
+                flag_cfg = record.config(spec.config_id)
+                swept = decompose_flag(record, spec)
+                assert random_equivalence(flag_cfg, spec.flag, trials=20, decomp=swept).ok
+                assert quadrature_check(swept.p_sq_piecewise()).ok
+                for point in flag_cfg.points_on(spec.flag):
+                    assert quadrature_check(local_h(swept, point)).ok
+        assert (multiplier_family_1_11(), multiplier_family_2_1()) == (F(3, 2), F(15, 16))
         assert built == []
         ch = decomp.chambers[-1]
         p_dot = ch.p_dot
@@ -177,12 +195,12 @@ class TestSweep:
                     for v in (ch.lo, (ch.lo + ch.hi) / 2, ch.hi):
                         divisor = [a - v * (i == fi) for i, a in enumerate(config.anti_k)]
                         for name, n in ch.n_coeffs.items():
-                            divisor[config.index(name)] -= n(v)
+                            divisor[config.index(name)] -= ref(n)(v)
                         for j, name in enumerate(names):
                             expected = sum(
                                 (c * config.gram[i][j] for i, c in enumerate(divisor)), F(0)
                             )
-                            assert ch.p_dot[name](v) == expected, (
+                            assert ref(ch.p_dot[name])(v) == expected, (
                                 f"{record.name}/{spec.config_id}/{spec.flag} at v = {v}, "
                                 f"P.{name}"
                             )
@@ -358,6 +376,18 @@ class TestSerialization:
         bad = copy.deepcopy(data)
         bad["chambers"][1]["n_coeffs"]["C"] = ["-1", "3"]
         _refused(a1_nodal, bad, "stored P\\^2 disagrees")
+
+    def test_tau_where_p_sq_does_not_vanish_is_caught(self, a1_nodal, nodal_decomp):
+        # the chambers still cover [0, tau]; P^2 = 2 - 4v + 2v^2 is 1/8 at
+        # v = 3/4, and on the first chamber alone P^2 = 1 - 2v^2 is -1 at 1
+        data = decomposition_to_json(nodal_decomp)
+        late = copy.deepcopy(data)
+        late["tau"] = late["chambers"][1]["hi"] = "3/4"
+        _refused(a1_nodal, late, r"P\^2 does not vanish at the stored tau; .*, chamber 1$")
+        short = copy.deepcopy(data)
+        short["chambers"] = short["chambers"][:1]
+        short["chambers"][0]["hi"] = "1"
+        _refused(a1_nodal, short, r"P\^2 does not vanish at the stored tau; .*, chamber 0$")
 
     def test_negative_part_not_orthogonal_to_p_is_caught(self, a1_nodal, nodal_decomp):
         # N = (-2 + 3v) C on [1/2, 1] with P^2 and P.E recomputed to match:
