@@ -124,6 +124,7 @@ def _cmd_decompose(args) -> int:
         print(json.dumps(decomposition_to_json(decomp), indent=2))
         return 0
     print(f"{cfg.name}: anti_k - v*{args.flag}, tau = {format_rational(decomp.tau)}")
+    fi = cfg.index(args.flag)
     for ch in decomp.chambers:
         support = (
             ", ".join(
@@ -137,7 +138,7 @@ def _cmd_decompose(args) -> int:
         )
         print(
             f"      P^2 = {ch.p_sq.render()}, "
-            f"P.{args.flag} = {ch.p_dot[args.flag].render()}"
+            f"P.{args.flag} = {ch.p_dot_at(fi).render()}"
         )
     return 0
 

@@ -8,11 +8,15 @@ accepted candidates a hard invariant (violations raise Ambiguous).
 
 All subset systems of one configuration share one elimination tree. The
 subsets come out of the enumeration in depth-first preorder, so each is its
-prefix plus one index, and one Bareiss step (`linalg.extend`) takes the
-prefix's state to the subset's. The states are kept on a stack of depth at
-most the curve count. Each state carries the whole augmented matrix, so it
-gives the subset's solution and, without further sums, every off-subset
-residual.
+parent (its prefix) plus one index, and one Bareiss step (`linalg.extend`)
+takes the parent's state to the subset's. A subset's solution and its
+off-subset residuals are entries of its own state, and each entry is one
+Bareiss update of two entries of the parent's state. So a subset is read
+off its parent, one entry at a time and only as far as its conditions are
+checked, and a whole state is pivoted only for a subset with children,
+which its children read in turn. Those states are kept on a stack of depth
+at most the curve count; about half the subsets are leaves and cost no
+pivot.
 
 The integer Gram matrix mu * gram is the one the configuration owns
 (`SurfaceConfig.int_gram`, built with the configuration). The oracle sums
@@ -21,28 +25,30 @@ none of the sweep's data and not the configuration's (-K).C row. Subset
 solutions are computed once per (config, flag) pair as integer affine
 functions of the sweep parameter, so checking hundreds of random parameter
 values stays fast. Building the table scans each subset's conditions (its
-coefficients, then one residual per curve off the subset) on integers and
-stops at the first one that empties its interval or shrinks it to {0}. A
-subset accepted at v = 0 alone repeats N(0): Zariski chambers are closed
-intervals and the decomposition is unique, so the row of the first
-chamber's support already gives N(0) on [0, hi]. The table keeps only rows
-a lookup can read (a few dozen per flag), and a lookup scans them all.
+coefficients, the new one first, then one residual per curve off it) on
+integers, computing each only when the scan reaches it, and stops at the
+first one that empties its interval or shrinks it to {0}. A subset
+accepted at v = 0 alone repeats N(0): Zariski chambers are closed intervals
+and the decomposition is unique, so the row of the first chamber's support
+already gives N(0) on [0, hi]. The table keeps only rows a lookup can read
+(a few dozen per flag), and a lookup scans them all, comparing v with each
+row's ends on integers.
+
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
-divisor, never reads the table, and is spot checked against it. Both run on
-the pivot step of `linalg`, which the sweep reaches through the integer
-`linalg.solve`; the acceptance gate checks the sweep's output by
-substitution alone. The quadrature check applies Simpson's rule to each
-piece's exact values (`IntQuadratic.value_at`), independent of the closed
-form `PiecewisePoly` integrates with.
+divisor, with the same lazy reads. It never reads the table and is spot
+checked against it. Both run on the pivot step of `linalg`, which the sweep
+reaches through the integer `linalg.solve`; the acceptance gate checks the
+sweep's output by substitution alone. The quadrature check applies
+Simpson's rule to each piece's exact values (`IntQuadratic.value_at`),
+independent of the closed form `PiecewisePoly` integrates with.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -91,24 +97,47 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
     return result
 
 
-def _subset_states(
-    config: SurfaceConfig, gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]
-) -> Iterator[tuple[tuple[int, ...], list[list[int]], int]]:
-    """(subset, columns, d) for every negative-definite subset, in order.
+def _root_columns(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The columns of [a | -rhs] with a = -gh: the empty subset's state."""
+    return [[-x for x in col] for col in zip(*gh)] + [[-x for x in col] for col in rhs]
 
-    The columns are those of [a | -rhs] with a = -gh after pivoting on the
-    subset S: d = det(a_S) > 0, each right-hand-side column holds d*x on S,
-    where gh_S x = rhs_S, and -d times the residual rhs_j - (gh x)_j off S.
-    The subsets come in depth-first preorder, so a subset's prefix is the
-    last state on the stack one level up and each state costs one pivot.
+
+def _subset_states(
+    config: SurfaceConfig, root: list[list[int]]
+) -> Iterator[tuple[tuple[int, ...], list[list[int]], int, int]]:
+    """(subset, columns, prev, j) for every nonempty negative-definite subset, in order.
+
+    (columns, prev) is the `linalg.extend` state of the parent subset[:-1],
+    pivoted from the root columns [a | -rhs] with a = -gh, and j is
+    subset[-1]. The subset's own state is one Bareiss step away, and a
+    caller reads off it only the entries it needs: with fcol = columns[j]
+    and p = fcol[j] = det(a_S) > 0, entry r of a column col past j is
+    (p*col[r] - fcol[r]*col[j]) // prev, and entry j is col[j]. On a
+    right-hand-side column that is p*x_r for r in S, where gh_S x = rhs_S,
+    and -p times the residual rhs_r - (gh x)_r off S.
+
+    The subsets come in depth-first preorder, so a subset has children
+    exactly when the next subset is longer. Only then does the walk pivot
+    (one `extend`) and keep the subset's state on a stack of depth at most
+    the curve count, where its children find it as their parent.
     """
-    a = [[-x for x in col] for col in zip(*gh)] + [[-x for x in col] for col in rhs]
-    stack: list[State] = [(a, 1)]
-    for subset in negative_definite_subsets(config):
+    subsets = negative_definite_subsets(config)
+    stack: list[State] = [(root, 1)]
+    for t in range(1, len(subsets)):
+        subset = subsets[t]
         k = len(subset)
-        if k:
-            stack[k:] = [extend(stack[k - 1], subset[-1])]
-        yield subset, *stack[k]
+        parent = stack[k - 1]
+        yield subset, *parent, subset[-1]
+        if t + 1 < len(subsets) and len(subsets[t + 1]) > k:
+            stack[k:] = [extend(parent, subset[-1])]
+
+
+def _pivoted(
+    col: Sequence[int], fcol: Sequence[int], prev: int, j: int, rows: Iterable[int]
+) -> tuple[int, ...]:
+    """Entries `rows` of `col` after the pivot on j (the step of `linalg.extend`)."""
+    p, y = fcol[j], col[j]
+    return tuple(y if r == j else (p * col[r] - fcol[r] * y) // prev for r in rows)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,6 +148,13 @@ class _TableRow:
     num0: tuple[int, ...]
     num1: tuple[int, ...]
     den: int
+    # (lo numerator, lo denominator, hi numerator, hi denominator), hi's
+    # denominator 0 when unbounded: a lookup compares on these integers
+    ends: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hi = (0, 0) if self.hi is None else (self.hi.numerator, self.hi.denominator)
+        object.__setattr__(self, "ends", (self.lo.numerator, self.lo.denominator, *hi))
 
 
 def _accepted_interval(
@@ -151,6 +187,33 @@ def _accepted_interval(
         if hd and ln * hd > hn * ld:
             return None
     return Fraction(ln, ld), (Fraction(hn, hd) if hd else None)
+
+
+def _conditions(
+    subset: tuple[int, ...],
+    b0: Sequence[int],
+    b1: Sequence[int],
+    fcol: Sequence[int],
+    prev: int,
+    n: int,
+) -> Iterator[tuple[int, int]]:
+    """A subset's conditions c0 + c1*v >= 0, each read off its parent's state when asked.
+
+    (b0, b1) are the parent's right-hand-side columns and fcol its column
+    j = subset[-1]; each condition is one Bareiss update (`_subset_states`).
+    The new coefficient x_j comes first, as it needs no update, then the
+    rest of the subset's coefficients, then one residual per curve off it.
+    """
+    j = subset[-1]
+    p, y0, y1 = fcol[j], b0[j], b1[j]
+    yield y0, y1
+    for i in subset[:-1]:
+        f = fcol[i]
+        yield (p * b0[i] - f * y0) // prev, (p * b1[i] - f * y1) // prev
+    for r in range(n):
+        if r not in subset:
+            f = fcol[r]
+            yield (f * y0 - p * b0[r]) // prev, (f * y1 - p * b1[r]) // prev
 
 
 class SubsetTable:
@@ -190,18 +253,19 @@ class SubsetTable:
         r0 = [x // g for x in k]
         r1 = [-rho * gh[fi][j] for j in range(n)]
 
+        root = _root_columns(gh, (r0, r1))
         rows: list[_TableRow] = []
-        for subset, work, d in _subset_states(config, gh, (r0, r1)):
-            b0, b1 = work[n], work[n + 1]
-            conds = itertools.chain(
-                ((b0[i], b1[i]) for i in subset),
-                ((-b0[j], -b1[j]) for j in range(n) if j not in subset),
-            )
-            interval = _accepted_interval(conds)
+        # the empty subset: every curve is off it, with residual rhs
+        interval = _accepted_interval((-c0, -c1) for c0, c1 in zip(root[n], root[n + 1]))
+        if interval is not None:
+            rows.append(_TableRow((), *interval, (), (), rho))
+        for subset, cols, prev, j in _subset_states(config, root):
+            b0, b1, fcol = cols[n], cols[n + 1], cols[j]
+            interval = _accepted_interval(_conditions(subset, b0, b1, fcol, prev, n))
             if interval is not None:
-                x0 = tuple(b0[i] for i in subset)
-                x1 = tuple(b1[i] for i in subset)
-                rows.append(_TableRow(subset, *interval, x0, x1, rho * d))
+                x0 = _pivoted(b0, fcol, prev, j, subset)
+                x1 = _pivoted(b1, fcol, prev, j, subset)
+                rows.append(_TableRow(subset, *interval, x0, x1, rho * fcol[j]))
         self.rows = tuple(rows)
 
     def negative_part(self, v: RatLike) -> NegativePart:
@@ -209,15 +273,18 @@ class SubsetTable:
         v = parse_rational(v)
         names = self.curve_names
         p, q = v.numerator, v.denominator
-        vectors = set()
+        vectors: list[tuple[tuple[int, Fraction], ...]] = []
         for row in self.rows:
-            if row.lo <= v and (row.hi is None or v <= row.hi):
+            ln, ld, hn, hd = row.ends
+            if ln * q <= p * ld and (not hd or p * hd <= hn * q):
                 # the nonzero coefficients keyed by curve index, in curve order
-                vectors.add(tuple(
+                vector = tuple(
                     (idx, c)
                     for idx, a, b in zip(row.subset, row.num0, row.num1)
                     if (c := Fraction(a * q + b * p, row.den * q))
-                ))
+                )
+                if vector not in vectors:
+                    vectors.append(vector)
         if not vectors:
             raise NoSolution(
                 f"no negative-definite support accepts v = {format_rational(v)} "
@@ -260,16 +327,22 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
     lam = math.lcm(*(c.denominator for c in d.coeffs))
     terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]
     b = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]  # mu * lam * d.D_j
+    root = _root_columns(gh, (b,))
     accepted: list[tuple[Fraction, ...]] = []
-    for subset, work, det in _subset_states(config, gh, (b,)):
-        y = work[n]  # det * y on the subset, -det * residual off it
-        if any(y[i] < 0 for i in subset):
+    if all(y <= 0 for y in root[n]):  # the empty subset: every residual b_j >= 0
+        accepted.append((Fraction(0),) * n)
+    for subset, cols, prev, j in _subset_states(config, root):
+        col, fcol = cols[n], cols[j]
+        p, yj = fcol[j], col[j]  # p = det, yj = det * y_j
+        if yj < 0:
             continue
-        if any(y[j] > 0 for j in range(n) if j not in subset):
+        if any((p * col[i] - fcol[i] * yj) // prev < 0 for i in subset[:-1]):
+            continue
+        if any((p * col[r] - fcol[r] * yj) // prev > 0 for r in range(n) if r not in subset):
             continue
         full = [Fraction(0)] * n
-        for idx in subset:
-            full[idx] = Fraction(y[idx], det * lam)
+        for idx, y in zip(subset, _pivoted(col, fcol, prev, j, subset)):
+            full[idx] = Fraction(y, p * lam)
         accepted.append(tuple(full))
     if not accepted:
         raise NoSolution(f"no accepted support for {d.coeffs} on {config.name}")

@@ -63,7 +63,8 @@ class Chamber:
     integer quadratic), which `delta` integrates. `support`, `n_coeffs` (the
     affine coefficient of each support curve), `p_sq` (the quadratic P(v)^2)
     and `p_dot` (the affine P(v).C for every curve C) are views built from
-    the rows on first read. Chambers compare by identity.
+    the rows on first read; `p_dot_at` builds one curve's P.C row alone,
+    for callers that print only the flag's. Chambers compare by identity.
     """
 
     lo: Fraction
@@ -90,11 +91,12 @@ class Chamber:
 
     @cached_property
     def p_dot(self) -> dict[str, Poly]:
+        return {name: self.p_dot_at(j) for j, name in enumerate(self.rows.curve_names)}
+
+    def p_dot_at(self, j: int) -> Poly:
+        """P(v).C for the curve of index j alone, built without the `p_dot` view."""
         rows = self.rows
-        return {
-            name: _affine(c0, c1, rows.p_den)
-            for name, c0, c1 in zip(rows.curve_names, rows.c0, rows.c1)
-        }
+        return _affine(rows.c0[j], rows.c1[j], rows.p_den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,6 +414,7 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
     the flag curve only, since every other row can be recomputed from the
     support coefficients.
     """
+    fi = decomp.config.index(decomp.flag)
     return {
         "config": decomp.config.name,
         "flag": decomp.flag,
@@ -423,7 +426,7 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
                 "support": list(ch.support),
                 "n_coeffs": {name: ch.n_coeffs[name].to_strings() for name in ch.support},
                 "p_sq": ch.p_sq.to_strings(),
-                "p_dot": ch.p_dot[decomp.flag].to_strings(),
+                "p_dot": ch.p_dot_at(fi).to_strings(),
             }
             for ch in decomp.chambers
         ],
@@ -480,14 +483,14 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
             ch = Chamber(lo, hi, rows, _positive_part(direction, rows))
             if ch.p_sq != Poly(raw["p_sq"]):
                 raise SchemaError(f"stored P^2 disagrees with the recomputed one on {span}")
-            if _affine(rows.c0[fi], rows.c1[fi], rows.p_den) != Poly(raw["p_dot"]):
+            if ch.p_dot_at(fi) != Poly(raw["p_dot"]):
                 raise SchemaError(
                     f"stored P.{flag} disagrees with the recomputed one on {span}"
                 )
             for s in rows.support:
                 if rows.c0[s] or rows.c1[s]:
                     name = config.curve_names[s]
-                    p_dot = _affine(rows.c0[s], rows.c1[s], rows.p_den).render()
+                    p_dot = ch.p_dot_at(s).render()
                     raise SchemaError(
                         f"negative part not orthogonal to P: P.{name} = {p_dot} "
                         f"on support curve {name} on {span}"

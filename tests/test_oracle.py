@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpdelta
 from dpdelta import (
@@ -31,6 +32,7 @@ from dpdelta import (
     sample_parameters,
     subset_table,
 )
+from dpdelta import oracle
 from dpdelta.catalog import decompose_flag
 from dpdelta.errors import Ambiguous, NoSolution
 from dpdelta.linalg import eliminate, solve
@@ -194,6 +196,38 @@ def _fraction_brute_force(config: SurfaceConfig, d: DivisorClass) -> NegativePar
     full = accepted[0]
     coeffs = {names[i]: c for i, c in enumerate(full) if c != 0}
     return NegativePart(tuple(sorted(coeffs)), coeffs)
+
+
+def _nef_pair() -> SurfaceConfig:
+    """Two curves of squares 0 and 1: no curve is negative, so () is the only definite subset."""
+    return SurfaceConfig(
+        name="nef",
+        norm=1,
+        curves=[CurveRecord("F", 0, "other"), CurveRecord("H", 1, "other")],
+        gram=[[0, 1], [1, 1]],
+        anti_k=[1, 1],
+    )
+
+
+@st.composite
+def _small_configs(draw) -> SurfaceConfig:
+    """3 to 6 curves with a small symmetric integer Gram matrix and rational anti_k."""
+    n = draw(st.integers(3, 6))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = draw(st.integers(-4, 1))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-1, 2))
+    anti_k = draw(st.lists(
+        st.fractions(min_value=-1, max_value=2, max_denominator=3), min_size=n, max_size=n
+    ))
+    return SurfaceConfig(
+        name="random",
+        norm=1,
+        curves=[CurveRecord(f"X{i}", gram[i][i], "other") for i in range(n)],
+        gram=gram,
+        anti_k=anti_k,
+    )
 
 
 def _outcome(fn, config, d):
@@ -401,6 +435,81 @@ class TestBruteForce:
         )
         with pytest.raises(ValueError, match="at most 16 curves, got 17"):
             brute_force_negative_part(cfg, cfg.anti_k_divisor)
+
+
+class TestPivotWalk:
+    """The table and brute force read each subset off its parent's pivot state."""
+
+    def test_one_pivot_per_subset_with_children(self, catalog_flags, monkeypatch):
+        """A state is pivoted only for a subset that some later subset extends.
+
+        In preorder a subset has children exactly when the next one is
+        longer. The empty subset's state is the root columns, so it costs
+        no pivot.
+        """
+        by_config: dict = {}
+        for _, cfg, flag, tau in catalog_flags:
+            by_config.setdefault(cfg, (flag, tau))
+        assert len(by_config) == 42
+        parents = {}
+        for cfg in by_config:
+            nd = negative_definite_subsets(cfg)  # before counting: its DFS pivots too
+            parents[cfg] = sum(len(nd[t + 1]) > len(nd[t]) for t in range(1, len(nd) - 1))
+        calls = []
+        real = oracle.extend
+
+        def counting(state, j):
+            calls.append(j)
+            return real(state, j)
+
+        monkeypatch.setattr(oracle, "extend", counting)
+        for cfg, (flag, tau) in by_config.items():
+            calls.clear()
+            SubsetTable(cfg, flag)
+            assert len(calls) == parents[cfg], f"table of {cfg.name}"
+            calls.clear()
+            d = cfg.anti_k_divisor - cfg.basis_vector(flag).scale(tau / 2)
+            brute_force_negative_part(cfg, d)
+            assert len(calls) == parents[cfg], f"brute force on {cfg.name}"
+        assert sum(parents.values()) > 0
+
+    @pytest.mark.parametrize("make", [_semidefinite_pair, _nef_pair])
+    def test_edge_configurations_match_the_references(self, make):
+        cfg = make()
+        for flag in cfg.curve_names:
+            assert SubsetTable(cfg, flag).rows == _per_subset_rows(cfg, flag), flag
+            for v in (F(0), F(1, 3), F(1), F(5, 2)):
+                d = cfg.anti_k_divisor - cfg.basis_vector(flag).scale(v)
+                got = _outcome(brute_force_negative_part, cfg, d)
+                assert got == _outcome(_fraction_brute_force, cfg, d), f"{flag} at {v}"
+
+    def test_only_the_empty_subset(self):
+        cfg = _nef_pair()
+        assert negative_definite_subsets(cfg) == ((),)
+        (row,) = SubsetTable(cfg, "F").rows  # D.F = 1 and D.H = 2 - v for D = -K - v*F
+        assert (row.subset, row.lo, row.hi) == ((), 0, 2)
+        d = DivisorClass([F(1), F(-1)])  # d.F = -1: no support is accepted
+        assert _outcome(brute_force_negative_part, cfg, d)[0] is NoSolution
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cfg=_small_configs(),
+        fi=st.integers(0, 5),
+        v=st.fractions(min_value=0, max_value=3, max_denominator=12),
+        coeffs=st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=6, max_size=6
+        ),
+    )
+    def test_random_gram_matrices_match_the_references(self, cfg, fi, v, coeffs):
+        n = len(cfg.curve_names)
+        flag = cfg.curve_names[fi % n]
+        assert SubsetTable(cfg, flag).rows == _per_subset_rows(cfg, flag)
+        for d in (
+            cfg.anti_k_divisor - cfg.basis_vector(flag).scale(v),
+            DivisorClass(coeffs[:n]),
+        ):
+            got = _outcome(brute_force_negative_part, cfg, d)
+            assert got == _outcome(_fraction_brute_force, cfg, d)
 
 
 class TestQuadrature:
