@@ -9,6 +9,12 @@ integer. A state can be extended by any later index, so callers that visit
 index subsets in depth-first order share each prefix's elimination;
 `eliminate` pivots on every index in turn, and `solve` returns its
 solutions as integer numerators over |det A|.
+
+Gram matrices of curve configurations are sparse, as most curves meet few
+others, so most columns a pivot updates miss its row. `extend` rescales
+such a column instead of updating it, and shares it unchanged when the
+pivot also keeps the scale. States therefore share column lists, and the
+columns are never mutated, with one exception: `eliminate`'s row swap.
 """
 from __future__ import annotations
 
@@ -31,8 +37,16 @@ def extend(state: State, j: int) -> State:
       det A_{S+r, S+c}, so (j, j) for j > s_k is det A_{S+j}.
     Only the columns past j are updated: the next pivot is always past j,
     so the columns up to j are never read again and are shared with
-    `state`. Returns a new state and leaves `state` as it was, so one state
-    can be extended by several indices.
+    `state`. A column past j whose entry j is 0 misses the pivot row, and
+    its update (p*x - f*0) // prev is p*x // prev, exact for the same
+    reason. When also p == prev the column is unchanged, and the new state
+    holds the very list `state` holds. Returns a new state and leaves
+    `state` as it was, so one state can be extended by several indices.
+
+    Sharing contract: a state's column lists may also belong to the state
+    it came from, and to that state's other extensions, so no caller may
+    write to them. The one writer is `eliminate`, whose row swap runs on
+    columns it built itself and touches only states it never reads again.
     """
     cols, prev = state
     fcol = cols[j]
@@ -40,6 +54,9 @@ def extend(state: State, j: int) -> State:
     out = cols[: j + 1]
     for col in cols[j + 1 :]:
         y = col[j]
+        if y == 0:  # the column misses the pivot row: only the scale changes
+            out.append(col if pivot == prev else [pivot * x // prev for x in col])
+            continue
         new = [(pivot * x - f * y) // prev for x, f in zip(col, fcol)]
         new[j] = y  # the pivot row is not updated
         out.append(new)
@@ -65,7 +82,10 @@ def eliminate(rows: list[list[int]]) -> int:
             if swap is None:
                 state = (cols, 0)
                 break
-            for col in cols[i:]:  # earlier columns are never read again
+            # the columns are copies made above, and a column shared with an
+            # earlier state changes only states never read again; earlier
+            # columns are never read again either
+            for col in cols[i:]:
                 col[i], col[swap] = col[swap], col[i]
         state = extend(state, i)
     rows[:] = [list(row) for row in zip(*state[0])]

@@ -16,7 +16,13 @@ off its parent, one entry at a time and only as far as its conditions are
 checked, and a whole state is pivoted only for a subset with children,
 which its children read in turn. Those states are kept on a stack of depth
 at most the curve count; about half the subsets are leaves and cost no
-pivot.
+pivot. A pivot, in turn, costs little per column on the catalog's sparse
+Gram matrices: on one acceptance-gate pass two in three of the columns
+`linalg.extend` updates miss the pivot row, and it only rescales those; a
+third of them also keep their scale and are shared with the parent's
+state as they are. A pivot's time is now split between the full update
+of the columns that meet the pivot row, the rescaled columns, and the
+loop over the columns itself.
 
 The integer Gram matrix mu * gram is the one the configuration owns
 (`SurfaceConfig.int_gram`, built with the configuration). The oracle sums
@@ -59,7 +65,8 @@ from .poly import PiecewisePoly
 from .rationals import RatLike, format_rational, parse_rational
 from .zariski import Decomposition, NegativePart, decomposition_for
 
-_MAX_BRUTE_FORCE_CURVES = 16
+# the subsets of a wider configuration are too many to enumerate
+_MAX_ORACLE_CURVES = 16
 
 _nd_cache: "weakref.WeakKeyDictionary[SurfaceConfig, tuple[tuple[int, ...], ...]]" = (
     weakref.WeakKeyDictionary()
@@ -95,6 +102,16 @@ def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], .
     result = tuple(out)
     _nd_cache[config] = result
     return result
+
+
+def _check_curve_count(config: SurfaceConfig) -> None:
+    """Refuse a configuration with too many curves for the subset enumeration."""
+    n = len(config.curve_names)
+    if n > _MAX_ORACLE_CURVES:
+        raise ValueError(
+            f"the subset oracle supports at most {_MAX_ORACLE_CURVES} curves, "
+            f"got {n} on config {config.name}"
+        )
 
 
 def _root_columns(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -231,6 +248,7 @@ class SubsetTable:
     """
 
     def __init__(self, config: SurfaceConfig, flag: str):
+        _check_curve_count(config)
         # names only: a table that held its configuration would keep the
         # configuration's own entry in the weakly keyed table cache alive
         self.config_name = config.name
@@ -317,12 +335,9 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
     decided by integer signs; all accepted candidates must agree. It never
     reads the parametric table.
     """
+    _check_curve_count(config)
     names = config.curve_names
     n = len(names)
-    if n > _MAX_BRUTE_FORCE_CURVES:
-        raise ValueError(
-            f"brute force supports at most {_MAX_BRUTE_FORCE_CURVES} curves, got {n}"
-        )
     gh = config.int_gram
     lam = math.lcm(*(c.denominator for c in d.coeffs))
     terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]
@@ -387,6 +402,9 @@ def quadrature_check(pp: PiecewisePoly, tol: float = 1e-9) -> QuadratureReport:
 # -- randomized engine/oracle agreement ----------------------------------
 
 
+_MAX_DENOMINATOR = 10_000  # of a sampled parameter
+
+
 @dataclass(frozen=True)
 class EquivalenceMismatch:
     v: Fraction
@@ -410,20 +428,28 @@ class EquivalenceReport:
 
 
 def sample_parameters(tau: Fraction, trials: int, seed: int) -> list[Fraction]:
-    """Deterministic rational samples in (0, tau) with denominator <= 10^4."""
+    """Deterministic rational samples in (0, tau) with denominator <= 10^4.
+
+    Each draw picks a denominator 2 <= q <= 10^4, then a numerator
+    1 <= p < q * tau, bounding p by integer division; a q that admits no p
+    is skipped. Some q admits one exactly when tau > 1/10^4, so a smaller
+    tau raises ValueError instead of drawing forever.
+    """
+    if tau * _MAX_DENOMINATOR <= 1:
+        raise ValueError(
+            f"no sample with denominator <= {_MAX_DENOMINATOR} lies in (0, tau) "
+            f"for tau = {format_rational(tau)}; tau must exceed 1/{_MAX_DENOMINATOR}"
+        )
     rng = random.Random(seed)
+    num, den = tau.numerator, tau.denominator
     out: list[Fraction] = []
     while len(out) < trials:
-        q = rng.randint(2, 10_000)
-        top = q * tau
-        p_max = top.numerator // top.denominator
-        if top.denominator == 1:
+        q = rng.randint(2, _MAX_DENOMINATOR)
+        p_max, rem = divmod(q * num, den)
+        if rem == 0:  # p = q * tau itself is not below tau
             p_max -= 1
-        if p_max < 1:
-            continue
-        v = Fraction(rng.randint(1, p_max), q)
-        if 0 < v < tau:
-            out.append(v)
+        if p_max >= 1:
+            out.append(Fraction(rng.randint(1, p_max), q))
     return out
 
 
@@ -438,12 +464,14 @@ def random_equivalence(
 
     Every sampled v must yield the identical negative part from both sides,
     with no subset ambiguity; the first sample is additionally checked
-    against the pointwise brute force.
+    against the pointwise brute force. Like the table and brute force, it
+    refuses a configuration of more than 16 curves with ValueError, before
+    any sweep or pivot.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    decomp = decomposition_for(config, flag, decomp)
     table = subset_table(config, flag)
+    decomp = decomposition_for(config, flag, decomp)
     mismatches: list[EquivalenceMismatch] = []
     ambiguous = 0
     samples = sample_parameters(decomp.tau, trials, seed)

@@ -135,3 +135,97 @@ def test_extend_pivots_on_the_subsystem(system):
             if j not in subset:
                 residual = b[j][t] - sum((a[j][s] * x_s for s, x_s in zip(subset, x)), start=F(0))
                 assert col[j] == -d * residual
+
+
+def _dense_step(state, j):
+    """The Bareiss step updating every column past j, with the exactness it relies on."""
+    cols, prev = state
+    fcol = cols[j]
+    pivot = fcol[j]
+    out = [list(col) for col in cols[: j + 1]]
+    for col in cols[j + 1 :]:
+        y = col[j]
+        new = []
+        for x, f in zip(col, fcol):
+            q, r = divmod(pivot * x - f * y, prev)
+            assert r == 0
+            new.append(q)
+        new[j] = y
+        out.append(new)
+    return out, pivot
+
+
+@st.composite
+def sparse_systems(draw):
+    """A block-diagonal negative definite A with its indices shuffled, sparse B, a subset.
+
+    Blocks are (-1)-points, (-2)-chains (the negated A_k Cartan matrices) and
+    small dense -(M^T M + I). A pivot on a (-1)-point keeps the pivot value,
+    and a pivot on a chain changes it; a column of another block misses the
+    pivot row either way.
+    """
+    kinds = st.lists(st.sampled_from(["point", "chain", "dense"]), min_size=1, max_size=4)
+    pieces = []
+    for kind in draw(kinds):
+        if kind == "point":
+            pieces.append([[-1]])
+            continue
+        k = draw(st.integers(min_value=1, max_value=3))
+        if kind == "chain":
+            pieces.append(
+                [[-2 if i == j else int(abs(i - j) == 1) for j in range(k)] for i in range(k)]
+            )
+        else:
+            m = [[draw(st.integers(min_value=-2, max_value=2)) for _ in range(k)] for _ in range(k)]
+            mtm = [[sum(m[t][i] * m[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+            pieces.append([[-mtm[i][j] - (i == j) for j in range(k)] for i in range(k)])
+    n = sum(len(piece) for piece in pieces)
+    a = [[0] * n for _ in range(n)]
+    at = 0
+    for piece in pieces:
+        for i, row in enumerate(piece):
+            a[at + i][at : at + len(piece)] = row
+        at += len(piece)
+    order = draw(st.permutations(range(n)))
+    a = [[a[order[i]][order[j]] for j in range(n)] for i in range(n)]
+    r = draw(st.integers(min_value=1, max_value=2))
+    sparse = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9))
+    b = [[draw(sparse) for _ in range(r)] for _ in range(n)]
+    subset = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)))
+    return a, b, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=sparse_systems())
+# a chain pivot, then a point: the pivot value changes, then stays
+@example(system=([[-2, 0, 1], [0, -1, 0], [1, 0, -2]], [[0], [3], [1]], [0, 1, 2]))
+def test_extend_matches_the_dense_step_on_sparse_systems(system):
+    a, b, subset = system
+    n = len(a)
+    cols = [[-a[i][c] for i in range(n)] for c in range(n)]
+    state = (cols + [[-row[t] for row in b] for t in range(len(b[0]))], 1)
+    for j in subset:
+        before = copy.deepcopy(state)
+        nxt = extend(state, j)
+        assert state == before  # a state stays valid for its other extensions
+        assert nxt == _dense_step(state, j)
+        pivot, prev = nxt[1], state[1]
+        for old, new in zip(state[0][j + 1 :], nxt[0][j + 1 :]):
+            # a column that misses the pivot row and keeps its scale is shared
+            assert (new is old) == (old[j] == 0 and pivot == prev)
+        state = nxt
+
+
+def test_extend_shares_a_column_it_leaves_unchanged():
+    # a (-1)-point at 0, a (-2)-chain at 1 and 2; two right-hand sides
+    cols = [[1, 0, 0], [0, 2, -1], [0, -1, 2], [0, 4, 3], [0, 0, 3]]
+    state = (cols, 1)
+    one = extend(state, 0)  # pivot 1 == prev 1, and no column past 0 meets row 0
+    assert one[1] == 1
+    assert all(new is old for new, old in zip(one[0], cols))
+    two = extend(one, 1)  # pivot 2 != prev 1
+    assert two[1] == 2
+    assert two[0][2] == [0, -1, 3] and two[0][3] == [0, 4, 10]
+    assert two[0][4] == [0, 0, 6]  # misses row 1, so only rescaled
+    assert all(col is not old for col, old in zip(two[0][2:], cols[2:]))
+    assert state == ([[1, 0, 0], [0, 2, -1], [0, -1, 2], [0, 4, 3], [0, 0, 3]], 1)

@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import random
 import subprocess
 import sys
 import weakref
@@ -436,6 +437,35 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="at most 16 curves, got 17"):
             brute_force_negative_part(cfg, cfg.anti_k_divisor)
 
+    def test_curve_count_cap_comes_before_any_pivot(self, monkeypatch):
+        """The table refuses a configuration too wide for it as brute force does."""
+        n = 17
+        cfg = SurfaceConfig(
+            name="wide",
+            norm=1,
+            curves=[CurveRecord(f"X{i}", -2, "minus_two") for i in range(n)],
+            gram=[[-2 if i == j else 0 for j in range(n)] for i in range(n)],
+            anti_k=[0] * n,
+        )
+        calls = []
+        real = oracle.extend
+
+        def counting(state, j):
+            calls.append(j)
+            return real(state, j)
+
+        monkeypatch.setattr(oracle, "extend", counting)
+        message = "at most 16 curves, got 17 on config wide"
+        for build in (
+            lambda: random_equivalence(cfg, "X0", trials=5),
+            lambda: subset_table(cfg, "X0"),
+            lambda: SubsetTable(cfg, "X1"),
+            lambda: brute_force_negative_part(cfg, cfg.anti_k_divisor),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+        assert calls == []
+
 
 class TestPivotWalk:
     """The table and brute force read each subset off its parent's pivot state."""
@@ -544,6 +574,41 @@ class TestSampling:
             for v in sample_parameters(tau, 50, seed=0):
                 assert 0 < v < tau
                 assert v.denominator <= 10_000
+
+    @staticmethod
+    def _fraction_sampler(tau, trials, seed):
+        """The sampler as it was on Fractions, with its range filter."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < trials:
+            q = rng.randint(2, 10_000)
+            top = q * tau
+            p_max = top.numerator // top.denominator
+            if top.denominator == 1:
+                p_max -= 1
+            if p_max < 1:
+                continue
+            v = F(rng.randint(1, p_max), q)
+            if 0 < v < tau:
+                out.append(v)
+        return out
+
+    # integer tau always lands q * tau on an integer, 3/2 and 5/6 on some q
+    # only, and 7/10007 on none (no q up to 10^4 is a multiple of 10007)
+    @pytest.mark.parametrize("tau", [F(1), F(4), F(3, 2), F(5, 6), F(7, 3), F(1, 50), F(7, 10007)])
+    def test_matches_the_fraction_sampler(self, tau):
+        for seed in range(200):
+            assert sample_parameters(tau, 20, seed) == self._fraction_sampler(tau, 20, seed)
+
+    @pytest.mark.parametrize("tau", [F(1, 10_000), F(1, 20_000), F(0), F(-1, 2)])
+    def test_too_small_tau_is_refused(self, tau):
+        # no denominator up to 10^4 leaves a sample in (0, tau): it would draw forever
+        with pytest.raises(ValueError, match=f"for tau = {tau}; tau must exceed 1/10000"):
+            sample_parameters(tau, 3, 0)
+
+    def test_tau_just_above_the_bound_samples(self):
+        # only q = 10^4 admits a numerator, and only p = 1
+        assert sample_parameters(F(1, 9_999), 3, 0) == [F(1, 10_000)] * 3
 
 
 class TestRandomEquivalence:
