@@ -27,6 +27,16 @@ from .applications import (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpdelta",
@@ -86,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True)
     p.add_argument("--flag", required=True)
     p.add_argument("--variant", help="configuration id inside the case")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle)
 

@@ -6,23 +6,24 @@ the candidates whose coefficients are nonnegative and whose residual is nef
 against all curves. Uniqueness of the decomposition makes agreement of all
 accepted candidates a hard invariant (violations raise Ambiguous).
 
-All subset systems of one configuration share one elimination tree. The
-subsets come out of the enumeration in depth-first preorder, so each is its
-parent (its prefix) plus one index, and one Bareiss step (`linalg.extend`)
-takes the parent's state to the subset's. A subset's solution and its
-off-subset residuals are entries of its own state, and each entry is one
-Bareiss update of two entries of the parent's state. So a subset is read
-off its parent, one entry at a time and only as far as its conditions are
-checked, and a whole state is pivoted only for a subset with children,
-which its children read in turn. Those states are kept on a stack of depth
-at most the curve count; about half the subsets are leaves and cost no
-pivot. A pivot, in turn, costs little per column on the catalog's sparse
-Gram matrices: on one acceptance-gate pass two in three of the columns
-`linalg.extend` updates miss the pivot row, and it only rescales those; a
-third of them also keep their scale and are shared with the parent's
-state as they are. A pivot's time is now split between the full update
-of the columns that meet the pivot row, the rescaled columns, and the
-loop over the columns itself.
+All subset systems of one configuration share one elimination tree, which
+one depth-first walk enumerates. Each subset is its parent (its prefix)
+plus one index, and one Bareiss step (`linalg.extend`) takes the parent's
+state to the subset's. A subset's determinant (positive exactly when the
+subset is negative definite, its parent being so, by Sylvester's
+criterion), its solution and its off-subset residuals are entries of its
+own state, and each entry is one Bareiss update of two entries of the
+parent's state. So a subset is read off its parent, one entry at a time and
+only as far as its conditions are checked, and a whole state is pivoted
+only for a subset with children, which its children read in turn. Those
+states are kept on a stack of depth at most the curve count; about half the
+subsets are leaves and cost no pivot. A pivot, in turn, costs little per
+column on the catalog's sparse Gram matrices: on one acceptance-gate pass
+two in three of the columns `linalg.extend` updates miss the pivot row, and
+it only rescales those; a third of them also keep their scale and are
+shared with the parent's state as they are. A pivot's time is now split
+between the full update of the columns that meet the pivot row, the
+rescaled columns, and the loop over the columns itself.
 
 The integer Gram matrix mu * gram is the one the configuration owns
 (`SurfaceConfig.int_gram`, built with the configuration). The oracle sums
@@ -59,8 +60,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import DivisorClass, SurfaceConfig
-from .errors import Ambiguous, NoSolution
-from .linalg import State, extend, solve  # noqa: F401 - the bench tracer tests read oracle.solve
+from .errors import Ambiguous, DimensionMismatch, NoSolution
+from .linalg import extend, solve  # noqa: F401 - the bench tracer tests read oracle.solve
 from .poly import PiecewisePoly
 from .rationals import RatLike, format_rational, parse_rational
 from .zariski import Decomposition, NegativePart, decomposition_for
@@ -68,40 +69,7 @@ from .zariski import Decomposition, NegativePart, decomposition_for
 # the subsets of a wider configuration are too many to enumerate
 _MAX_ORACLE_CURVES = 16
 
-_nd_cache: "weakref.WeakKeyDictionary[SurfaceConfig, tuple[tuple[int, ...], ...]]" = (
-    weakref.WeakKeyDictionary()
-)
 _table_cache: "weakref.WeakKeyDictionary[SurfaceConfig, dict]" = weakref.WeakKeyDictionary()
-
-
-def negative_definite_subsets(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
-    """All index subsets whose Gram submatrix is negative definite.
-
-    Uses Sylvester's criterion incrementally: a DFS in ascending index order
-    extends a subset by j exactly when the new leading principal minor of
-    the negated Gram matrix stays positive, which a `linalg.extend` state
-    exposes as the pivot candidate at j. Includes the empty subset. The
-    subsets come in DFS preorder: each nonempty subset's `subset[:-1]` is
-    the most recent earlier subset of that length, which `_subset_states`
-    relies on.
-    """
-    if config in _nd_cache:
-        return _nd_cache[config]
-    gh = config.int_gram
-    n = len(gh)
-    out: list[tuple[int, ...]] = [()]
-
-    def dfs(subset: tuple[int, ...], state: State) -> None:
-        cols = state[0]
-        for j in range(subset[-1] + 1 if subset else 0, n):
-            if cols[j][j] > 0:
-                out.append(subset + (j,))
-                dfs(subset + (j,), extend(state, j))
-
-    dfs((), ([[-x for x in col] for col in zip(*gh)], 1))
-    result = tuple(out)
-    _nd_cache[config] = result
-    return result
 
 
 def _check_curve_count(config: SurfaceConfig) -> None:
@@ -122,7 +90,7 @@ def _root_columns(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> 
 def _subset_states(
     config: SurfaceConfig, root: list[list[int]]
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], int, int]]:
-    """(subset, columns, prev, j) for every nonempty negative-definite subset, in order.
+    """(subset, columns, prev, j) for every nonempty negative-definite subset.
 
     (columns, prev) is the `linalg.extend` state of the parent subset[:-1],
     pivoted from the root columns [a | -rhs] with a = -gh, and j is
@@ -133,20 +101,35 @@ def _subset_states(
     right-hand-side column that is p*x_r for r in S, where gh_S x = rhs_S,
     and -p times the residual rhs_r - (gh x)_r off S.
 
-    The subsets come in depth-first preorder, so a subset has children
-    exactly when the next subset is longer. Only then does the walk pivot
-    (one `extend`) and keep the subset's state on a stack of depth at most
-    the curve count, where its children find it as their parent.
+    The walk runs depth first in ascending index order. subset + (j,) is
+    negative definite exactly when the parent's columns[j][j] > 0
+    (Sylvester), and it has children exactly when a later diagonal entry of
+    its own state is positive, read up to the first one. Only then is it
+    pivoted (one `extend`), and its state waits on a stack of depth at most
+    the curve count while its children are walked.
     """
-    subsets = negative_definite_subsets(config)
-    stack: list[State] = [(root, 1)]
-    for t in range(1, len(subsets)):
-        subset = subsets[t]
-        k = len(subset)
-        parent = stack[k - 1]
-        yield subset, *parent, subset[-1]
-        if t + 1 < len(subsets) and len(subsets[t + 1]) > k:
-            stack[k:] = [extend(parent, subset[-1])]
+    n = len(config.int_gram)
+    frames = [((), (root, 1), 0)]  # (subset, its state, next index to try)
+    while frames:
+        subset, state, j = frames.pop()
+        cols, prev = state
+        while j < n:
+            fcol = cols[j]
+            p = fcol[j]
+            if p > 0:
+                child = subset + (j,)
+                yield child, cols, prev, j
+                for k in range(j + 1, n):
+                    ck = cols[k]
+                    if (p * ck[k] - fcol[k] * ck[j]) // prev > 0:  # child + (k,) is definite
+                        frames.append((subset, state, j + 1))
+                        subset, state, j = child, extend(state, j), k
+                        cols, prev = state
+                        break
+                else:
+                    j += 1
+            else:
+                j += 1
 
 
 def _pivoted(
@@ -333,11 +316,16 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
     solution is y / (det * lam) where y is the eliminated right-hand side.
     Keeps candidates with nonnegative coefficients and nef residual, both
     decided by integer signs; all accepted candidates must agree. It never
-    reads the parametric table.
+    reads the parametric table. Raises DimensionMismatch when d has not one
+    coefficient per curve.
     """
     _check_curve_count(config)
     names = config.curve_names
     n = len(names)
+    if len(d) != n:
+        raise DimensionMismatch(
+            f"expected a divisor of length {n} on config {config.name}, got {len(d)}"
+        )
     gh = config.int_gram
     lam = math.lcm(*(c.denominator for c in d.coeffs))
     terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]

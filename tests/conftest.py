@@ -1,8 +1,8 @@
 """Shared fixtures for the test suite.
 
-The frozen catalog is loaded once per session: the per-config caches
-(negative-definite subsets, oracle tables) key on object identity, so
-sharing the loaded records keeps the oracle-heavy tests fast.
+The frozen catalog is loaded once per session: the oracle's table cache
+keys on object identity, so sharing the loaded records keeps the
+oracle-heavy tests fast.
 """
 from __future__ import annotations
 

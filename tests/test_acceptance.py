@@ -18,7 +18,6 @@ from dpdelta import (
     main_theorem_delta,
     multiplier_family_1_11,
     multiplier_family_2_1,
-    negative_definite_subsets,
     quadrature_check,
     random_equivalence,
     s_flag,
@@ -33,6 +32,7 @@ from dpdelta.delta import local_h
 from dpdelta.poly import Poly
 from dpdelta.zariski import decomposition_to_json
 from refpoly import ref
+from refsubsets import negative_definite_subsets
 
 F = Fraction
 

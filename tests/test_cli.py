@@ -366,6 +366,16 @@ class TestOracle:
             == "error: case A1-nodal stores no flag row for 'C'\n"
         )
 
+    @pytest.mark.parametrize("trials", ["0", "-3", "x"])
+    def test_trials_must_be_positive(self, capsys, trials):
+        rc = main(["oracle", "--case", "A1-nodal", "--flag", "E", "--trials", trials])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"dpdelta oracle: error: argument --trials: expected a positive integer, "
+            f"got '{trials}'\n"
+        )
+
 
 class TestParsing:
     def test_unknown_command(self, capsys):

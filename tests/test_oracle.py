@@ -26,7 +26,6 @@ from dpdelta import (
     SurfaceConfig,
     brute_force_negative_part,
     load_case,
-    negative_definite_subsets,
     parametric_decompose,
     quadrature_check,
     random_equivalence,
@@ -35,7 +34,7 @@ from dpdelta import (
 )
 from dpdelta import oracle
 from dpdelta.catalog import decompose_flag
-from dpdelta.errors import Ambiguous, NoSolution
+from dpdelta.errors import Ambiguous, DimensionMismatch, NoSolution
 from dpdelta.linalg import eliminate, solve
 from dpdelta.oracle import (
     EquivalenceMismatch,
@@ -44,6 +43,7 @@ from dpdelta.oracle import (
     _accepted_interval,
     _TableRow,
 )
+from refsubsets import negative_definite_subsets
 
 F = Fraction
 
@@ -239,47 +239,52 @@ def _outcome(fn, config, d):
         return type(exc), str(exc)
 
 
+def _walk(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
+    """The nonempty subsets the table and brute-force walk visits, in its order."""
+    root = oracle._root_columns(config.int_gram, ())
+    return tuple(subset for subset, *_ in oracle._subset_states(config, root))
+
+
 def _gate_samples(label, tau):
     """The 100 parameters the acceptance gate samples for one flag."""
     return sample_parameters(tau, 100, zlib.crc32(label.encode()))
 
 
 class TestNegativeDefiniteSubsets:
+    """The walk finds the subsets the reference enumeration lists, in its order."""
+
     def test_small_config(self, a1_nodal):
-        subsets = negative_definite_subsets(a1_nodal)
         # index 0 is C, index 1 is E; together they span a hyperbolic plane
-        assert set(subsets) == {(), (0,), (1,)}
+        assert _walk(a1_nodal) == ((0,), (1,))
 
     def test_includes_chains(self, a2_nodal):
-        subsets = set(negative_definite_subsets(a2_nodal.config("base")))
+        subsets = set(_walk(a2_nodal.config("base")))
         assert (1, 2) in subsets  # the two (-2)-curves
         assert (0, 1, 2) not in subsets  # the full Gram matrix is indefinite
 
-    def test_cached_per_config(self, a1_nodal):
-        assert negative_definite_subsets(a1_nodal) is negative_definite_subsets(a1_nodal)
-
     def test_fractional_gram(self, a1_cuspidal):
-        subsets = set(negative_definite_subsets(a1_cuspidal))
+        subsets = set(_walk(a1_cuspidal))
         assert (0,) in subsets and (1,) in subsets
         assert (0, 1) not in subsets  # det = 3/4 - 1 < 0
 
     def test_semidefinite_pair(self):
         # only the two singletons are definite
-        assert set(negative_definite_subsets(_semidefinite_pair())) == {(), (0,), (1,)}
+        assert _walk(_semidefinite_pair()) == ((0,), (1,))
 
-    def test_each_prefix_is_the_last_subset_of_its_length(self, catalog_flags):
-        """The preorder the table and brute-force walks extend along."""
+    def test_walk_matches_the_reference(self, catalog_flags):
         configs = {id(cfg): cfg for _, cfg, _, _ in catalog_flags}
         assert len(configs) == 42
-        for cfg in [*configs.values(), _semidefinite_pair()]:
+        total = 0
+        for cfg in [*configs.values(), _semidefinite_pair(), _nef_pair()]:
             subsets = negative_definite_subsets(cfg)
-            assert subsets[0] == ()
-            last: dict[int, tuple[int, ...]] = {}
-            for subset in subsets:
-                if subset:
-                    assert last[len(subset) - 1] == subset[:-1], f"{cfg.name}: {subset}"
-                    assert list(subset) == sorted(set(subset))
-                last[len(subset)] = subset
+            assert ((),) + _walk(cfg) == subsets, cfg.name
+            total += len(subsets)
+        assert total == 27_005 + 3 + 1  # the catalog's, then the two edge configurations'
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_small_configs())
+    def test_walk_matches_the_reference_on_random_gram_matrices(self, cfg):
+        assert ((),) + _walk(cfg) == negative_definite_subsets(cfg)
 
 
 class TestSubsetTable:
@@ -425,6 +430,14 @@ class TestBruteForce:
         assert got[0] is Ambiguous and got[1].startswith("2 distinct negative parts")
         assert got == _outcome(_fraction_brute_force, cfg, d)
 
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_divisor_of_the_wrong_length(self, a2_nodal, length):
+        cfg = a2_nodal.config("base")  # three curves
+        d = DivisorClass([F(1)] * length)
+        message = f"expected a divisor of length 3 on config A2-nodal, got {length}"
+        with pytest.raises(DimensionMismatch, match=message):
+            brute_force_negative_part(cfg, d)
+
     def test_curve_count_cap(self):
         n = 17
         cfg = SurfaceConfig(
@@ -471,20 +484,18 @@ class TestPivotWalk:
     """The table and brute force read each subset off its parent's pivot state."""
 
     def test_one_pivot_per_subset_with_children(self, catalog_flags, monkeypatch):
-        """A state is pivoted only for a subset that some later subset extends.
+        """A state is pivoted only for a subset that some other subset extends.
 
-        In preorder a subset has children exactly when the next one is
-        longer. The empty subset's state is the root columns, so it costs
-        no pivot.
+        The empty subset's state is the root columns, so it costs no pivot.
         """
         by_config: dict = {}
         for _, cfg, flag, tau in catalog_flags:
             by_config.setdefault(cfg, (flag, tau))
         assert len(by_config) == 42
-        parents = {}
-        for cfg in by_config:
-            nd = negative_definite_subsets(cfg)  # before counting: its DFS pivots too
-            parents[cfg] = sum(len(nd[t + 1]) > len(nd[t]) for t in range(1, len(nd) - 1))
+        parents = {
+            cfg: len({s[:-1] for s in negative_definite_subsets(cfg) if len(s) > 1})
+            for cfg in by_config
+        }
         calls = []
         real = oracle.extend
 
@@ -515,7 +526,7 @@ class TestPivotWalk:
 
     def test_only_the_empty_subset(self):
         cfg = _nef_pair()
-        assert negative_definite_subsets(cfg) == ((),)
+        assert negative_definite_subsets(cfg) == ((),) and _walk(cfg) == ()
         (row,) = SubsetTable(cfg, "F").rows  # D.F = 1 and D.H = 2 - v for D = -K - v*F
         assert (row.subset, row.lo, row.hi) == ((), 0, 2)
         d = DivisorClass([F(1), F(-1)])  # d.F = -1: no support is accepted

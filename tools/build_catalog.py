@@ -25,7 +25,6 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dpdelta.catalog import case_names, load_case, verify_case  # noqa: E402
 from dpdelta.config import CurveRecord, PointSpec, SurfaceConfig, save  # noqa: E402
-from dpdelta.poly import Poly  # noqa: E402
 from dpdelta.rationals import format_rational  # noqa: E402
 
 CATALOG = ROOT / "src" / "dpdelta" / "catalog"
@@ -40,8 +39,11 @@ def fr(x) -> str:
 
 
 def P(*coeffs) -> list[str]:
-    """Ascending coefficient strings, normalized exactly like the engine."""
-    return Poly([Fraction(str(c)) for c in coeffs]).to_strings()
+    """Ascending coefficient strings, trailing zeros stripped, as the engine writes them."""
+    cs = [Fraction(str(c)) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return [format_rational(c) for c in cs]
 
 
 def pt(pid: str, on: str, inc: dict | None = None, diff=0) -> tuple:
