@@ -22,7 +22,7 @@ from .config import SurfaceConfig, config_to_json, load
 from .delta import FlagReport, certify_minimum, flag_report, local_h
 from .errors import NotCertified, SchemaError
 from .poly import IntQuadratic, PiecewisePoly, Poly
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, json_list, parse_rational
 from .zariski import Decomposition, decomposition_to_json, parametric_decompose
 
 _RELATIONS = ("=", "<=")
@@ -245,15 +245,16 @@ def _case_from_json(name: str, path: Path, data: Mapping) -> CaseRecord:
 def _envelope(case: str, data: Mapping) -> PiecewisePoly:
     """A stored envelope as integer pieces; it may jump at its breakpoints."""
     pieces = []
-    for coeffs in data["pieces"]:
-        p = Poly(coeffs)
+    for coeffs in json_list(data["pieces"], f"envelope pieces in case {case}"):
+        p = Poly(json_list(coeffs, f"envelope piece in case {case}"))
         if p.degree > 2:
             raise SchemaError(
                 f"envelope piece {p.render()} in case {case} has degree {p.degree}, not <= 2"
             )
         pieces.append(IntQuadratic.from_fractions([p.coeff(k) for k in range(3)]))
+    breakpoints = json_list(data["breakpoints"], f"envelope breakpoints in case {case}")
     try:
-        return PiecewisePoly(map(parse_rational, data["breakpoints"]), pieces, continuous=False)
+        return PiecewisePoly(map(parse_rational, breakpoints), pieces, continuous=False)
     except ValueError as exc:
         raise SchemaError(f"envelope in case {case}: {exc}") from None
 

@@ -372,7 +372,7 @@ def validate(config: SurfaceConfig) -> ValidationReport:
         for name, mult in p.incidences.items():
             if name not in config._index:
                 bad_points.append(f"{p.id}: unknown incident curve {name}")
-            elif not (isinstance(mult, int) and mult > 0):
+            elif type(mult) is not int or mult <= 0:  # a bool is no multiplicity
                 bad_points.append(f"{p.id}: incidence with {name} must be a positive integer")
             elif mult > config.gram[config.index(name)][fi]:
                 bad_points.append(
@@ -418,15 +418,16 @@ def config_from_json(data: dict, source: str = "<memory>") -> SurfaceConfig:
         curves = [
             CurveRecord(c["name"], c["self_int"], c["kind"]) for c in data["curves"]
         ]
-        points = [
-            PointSpec(
-                p["id"],
-                p["on_curve"],
-                {k: int(v) for k, v in p.get("incidences", {}).items()},
-                p.get("different", 0),
-            )
-            for p in data.get("points", [])
-        ]
+        points = []
+        for p in data.get("points", []):
+            incidences = p.get("incidences", {})
+            for name, mult in incidences.items():
+                if type(mult) is not int:  # int() would read a JSON 1.9 or true as 1
+                    raise SchemaError(
+                        f"point {p['id']}: incidence with {name} must be an integer, "
+                        f"got {mult!r}"
+                    )
+            points.append(PointSpec(p["id"], p["on_curve"], incidences, p.get("different", 0)))
         return SurfaceConfig(
             name=data["name"],
             norm=data["norm"],

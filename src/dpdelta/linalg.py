@@ -6,15 +6,16 @@ one step of Bareiss's integer-preserving Gauss-Jordan elimination
 Gaussian elimination, Math. Comp. 22, 1968): every intermediate entry is a
 minor of the input, so all divisions are exact and every number stays an
 integer. A state can be extended by any later index, so callers that visit
-index subsets in depth-first order share each prefix's elimination;
-`eliminate` pivots on every index in turn, and `solve` returns its
-solutions as integer numerators over |det A|.
+index subsets in depth-first order share each prefix's elimination. `solve`
+pivots on every index in turn and returns its solutions as integer
+numerators over |det A|.
 
 Gram matrices of curve configurations are sparse, as most curves meet few
 others, so most columns a pivot updates miss its row. `extend` rescales
 such a column instead of updating it, and shares it unchanged when the
 pivot also keeps the scale. States therefore share column lists, and the
-columns are never mutated, with one exception: `eliminate`'s row swap.
+columns are never mutated, with one exception: `solve`'s row swap, on the
+columns it copied from its input.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ def extend(state: State, j: int) -> State:
 
     Sharing contract: a state's column lists may also belong to the state
     it came from, and to that state's other extensions, so no caller may
-    write to them. The one writer is `eliminate`, whose row swap runs on
-    columns it built itself and touches only states it never reads again.
+    write to them. The one writer is `solve`, whose row swap runs on
+    columns it copied from its input and touches only states it never reads
+    again.
     """
     cols, prev = state
     fcol = cols[j]
@@ -63,35 +65,6 @@ def extend(state: State, j: int) -> State:
     return out, pivot
 
 
-def eliminate(rows: list[list[int]]) -> int:
-    """Fraction-free Gauss-Jordan on n augmented integer rows, in place.
-
-    The first n columns hold the square matrix A, the rest any number of
-    right-hand sides B. Pivots run through `extend` on 0, ..., n-1, and
-    rows are swapped only past a zero pivot. Returns d = +-det(A), the sign
-    flipped once per swap; when d != 0 the right-hand-side block of the
-    rows ends as d*A^-1 B, and the first n columns hold leftovers, not
-    d*I. Returns 0, with the rows partly reduced, when A is singular.
-    """
-    n = len(rows)
-    state = ([list(col) for col in zip(*rows)], 1)
-    for i in range(n):
-        cols = state[0]
-        if cols[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if cols[i][r] != 0), None)
-            if swap is None:
-                state = (cols, 0)
-                break
-            # the columns are copies made above, and a column shared with an
-            # earlier state changes only states never read again; earlier
-            # columns are never read again either
-            for col in cols[i:]:
-                col[i], col[swap] = col[swap], col[i]
-        state = extend(state, i)
-    rows[:] = [list(row) for row in zip(*state[0])]
-    return state[1]
-
-
 def solve(
     matrix: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]]:
@@ -100,12 +73,25 @@ def solve(
     Returns (d, columns) with d = |det A| > 0 and, for each entry b of
     `rhs_columns`, the integer column d * x. A 0 x 0 system has d = 1.
     Raises ValueError if the matrix is singular.
+
+    Pivots run through `extend` on 0, ..., n-1 over copies of the columns
+    of [A | B], and rows are swapped only past a zero pivot. A swap flips
+    the sign of the determinant but leaves the solution as it is, so the
+    right-hand-side columns end as p * x, where the last pivot p is +-det A.
     """
     n = len(matrix)
-    rows = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    det = eliminate(rows)
-    if det == 0:
-        raise ValueError("singular matrix")
-    # only the right-hand-side block is meaningful after elimination
+    state = ([list(col) for col in zip(*matrix)] + [list(b) for b in rhs_columns], 1)
+    for i in range(n):
+        cols = state[0]
+        if cols[i][i] == 0:
+            swap = next((r for r in range(i + 1, n) if cols[i][r] != 0), None)
+            if swap is None:
+                raise ValueError("singular matrix")
+            # a column shared with an earlier state changes only states never
+            # read again, and the columns before i are never read again either
+            for col in cols[i:]:
+                col[i], col[swap] = col[swap], col[i]
+        state = extend(state, i)
+    cols, det = state
     sign = 1 if det > 0 else -1
-    return abs(det), [[sign * row[n + j] for row in rows] for j in range(len(rhs_columns))]
+    return abs(det), [[sign * x for x in col] for col in cols[n:]]

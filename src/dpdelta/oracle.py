@@ -28,18 +28,18 @@ rescaled columns, and the loop over the columns itself.
 The integer Gram matrix mu * gram is the one the configuration owns
 (`SurfaceConfig.int_gram`, built with the configuration). The oracle sums
 its own (-K).C row from those rows and `anti_k` for each table, so it reads
-none of the sweep's data and not the configuration's (-K).C row. Subset
-solutions are computed once per (config, flag) pair as integer affine
+none of the sweep's data and not the configuration's (-K).C row. A table
+holds one (config, flag) pair's subset solutions as integer affine
 functions of the sweep parameter, so checking hundreds of random parameter
-values stays fast. Building the table scans each subset's conditions (its
-coefficients, the new one first, then one residual per curve off it) on
-integers, computing each only when the scan reaches it, and stops at the
-first one that empties its interval or shrinks it to {0}. A subset
-accepted at v = 0 alone repeats N(0): Zariski chambers are closed intervals
-and the decomposition is unique, so the row of the first chamber's support
-already gives N(0) on [0, hi]. The table keeps only rows a lookup can read
-(a few dozen per flag), and a lookup scans them all, comparing v with each
-row's ends on integers.
+values against one table stays fast. Building the table scans each
+subset's conditions (its coefficients, the new one first, then one
+residual per curve off it) on integers, computing each only when the scan
+reaches it, and stops at the first one that empties its interval or
+shrinks it to {0}. A subset accepted at v = 0 alone repeats N(0): Zariski
+chambers are closed intervals and the decomposition is unique, so the row
+of the first chamber's support already gives N(0) on [0, hi]. The table
+keeps only rows a lookup can read (a few dozen per flag), and a lookup
+scans them all, comparing v with each row's ends on integers.
 
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -68,8 +67,6 @@ from .zariski import Decomposition, NegativePart, decomposition_for
 
 # the subsets of a wider configuration are too many to enumerate
 _MAX_ORACLE_CURVES = 16
-
-_table_cache: "weakref.WeakKeyDictionary[SurfaceConfig, dict]" = weakref.WeakKeyDictionary()
 
 
 def _check_curve_count(config: SurfaceConfig) -> None:
@@ -232,8 +229,6 @@ class SubsetTable:
 
     def __init__(self, config: SurfaceConfig, flag: str):
         _check_curve_count(config)
-        # names only: a table that held its configuration would keep the
-        # configuration's own entry in the weakly keyed table cache alive
         self.config_name = config.name
         self.curve_names = config.curve_names
         self.flag = flag
@@ -301,19 +296,12 @@ class SubsetTable:
         return NegativePart(tuple(sorted(coeffs)), coeffs)
 
 
-def subset_table(config: SurfaceConfig, flag: str) -> SubsetTable:
-    per_config = _table_cache.setdefault(config, {})
-    if flag not in per_config:
-        per_config[flag] = SubsetTable(config, flag)
-    return per_config[flag]
-
-
 def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
     """Reference Zariski negative part by exhaustive subset search.
 
     Solves every negative-definite subset's orthogonality system at the one
     divisor d, on integers: with mu * gram and lam * d integral, a subset's
-    solution is y / (det * lam) where y is the eliminated right-hand side.
+    solution is y / (det * lam) where y is the pivoted right-hand side.
     Keeps candidates with nonnegative coefficients and nef residual, both
     decided by integer signs; all accepted candidates must agree. It never
     reads the parametric table. Raises DimensionMismatch when d has not one
@@ -458,7 +446,7 @@ def random_equivalence(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    table = subset_table(config, flag)
+    table = SubsetTable(config, flag)
     decomp = decomposition_for(config, flag, decomp)
     mismatches: list[EquivalenceMismatch] = []
     ambiguous = 0

@@ -40,7 +40,7 @@ from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
 from .linalg import solve
 from .poly import IntQuadratic, PiecewisePoly, Poly
-from .rationals import RatLike, format_rational, parse_rational
+from .rationals import RatLike, format_rational, json_list, parse_rational
 
 _MAX_PIVOTS = 4096
 _MAX_CHAMBERS = 64
@@ -457,18 +457,21 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
     fi, scale = direction.flag, config.anti_k_dots_den
     chambers: list[Chamber] = []
     try:
-        for raw in data["chambers"]:
+        for raw in json_list(data["chambers"], "chambers"):
             lo, hi = parse_rational(raw["lo"]), parse_rational(raw["hi"])
             span = f"[{format_rational(lo)}, {format_rational(hi)}]"
             if lo >= hi:
                 raise SchemaError(f"empty or reversed chamber {span}")
-            support = tuple(str(name) for name in raw["support"])
+            support = tuple(str(name) for name in json_list(raw["support"], f"support on {span}"))
             if len(set(support)) != len(support):
                 raise SchemaError(f"duplicate support curve on {span}")
             unknown = [name for name in support if name not in config.curve_names]
             if unknown or set(raw["n_coeffs"]) != set(support):
                 raise SchemaError(f"support/coefficient mismatch on {span}")
-            n_polys = [Poly(raw["n_coeffs"][name]) for name in support]
+            n_polys = [
+                Poly(json_list(raw["n_coeffs"][name], f"coefficient of {name} on {span}"))
+                for name in support
+            ]
             if any(p.degree > 1 for p in n_polys):
                 raise SchemaError(f"non-affine negative-part coefficient on {span}")
             # scale * N_s = x_s / d with one denominator d over every coefficient
@@ -481,9 +484,9 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
                 d,
             )
             ch = Chamber(lo, hi, rows, _positive_part(direction, rows))
-            if ch.p_sq != Poly(raw["p_sq"]):
+            if ch.p_sq != Poly(json_list(raw["p_sq"], f"P^2 on {span}")):
                 raise SchemaError(f"stored P^2 disagrees with the recomputed one on {span}")
-            if ch.p_dot_at(fi) != Poly(raw["p_dot"]):
+            if ch.p_dot_at(fi) != Poly(json_list(raw["p_dot"], f"P.{flag} on {span}")):
                 raise SchemaError(
                     f"stored P.{flag} disagrees with the recomputed one on {span}"
                 )

@@ -1,8 +1,7 @@
 """Shared fixtures for the test suite.
 
-The frozen catalog is loaded once per session: the oracle's table cache
-keys on object identity, so sharing the loaded records keeps the
-oracle-heavy tests fast.
+The frozen catalog is loaded once per session and shared by every test
+that reads it, so each case file is parsed and validated only once.
 """
 from __future__ import annotations
 

@@ -335,6 +335,23 @@ class TestLoaderSchema:
         ):
             load_case("A2-nodal", root=root)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # one piece on [0, 1], which the string would give
+            (
+                {"breakpoints": "01", "pieces": [["0", "0", "9/8"]]},
+                "envelope breakpoints in case A2-nodal must be a list, got '01'",
+            ),
+            ({"pieces": [["0", "0", "9/8"], "32"]}, "envelope piece in case A2-nodal"),
+        ],
+        ids=["breakpoints", "piece"],
+    )
+    def test_envelope_string_for_a_list(self, tmp_path, changes, message):
+        root = _tampered_envelope(tmp_path, **changes)
+        with pytest.raises(SchemaError, match=message):
+            load_case("A2-nodal", root=root)
+
     def test_bad_relation(self, tmp_path):
         expected, data = self.copy_case(tmp_path)
         data["flags"][0]["points"][0]["relation"] = "<"

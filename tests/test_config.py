@@ -22,6 +22,7 @@ from dpdelta import (
 )
 from dpdelta.config import dumps_canonical, intersect, validate
 from dpdelta.errors import DimensionMismatch
+from dpdelta.rationals import parse_rational
 
 F = Fraction
 
@@ -218,6 +219,12 @@ class TestValidate:
         assert "q3: unknown incident curve Z" in entry.detail
         assert "q4: incidence 3 with C exceeds the global intersection 2" in entry.detail
 
+    def test_bool_multiplicity(self):
+        # True is an int to Python, and it would pass as multiplicity 1
+        report = validate(nodal(points=[PointSpec("q", "E", {"C": True})]))
+        entry = next(e for e in report.failures if e.rule == "point specs consistent")
+        assert entry.detail == "q: incidence with C must be a positive integer"
+
     def test_render_marks_failures(self):
         text = validate(nodal(norm=2)).render()
         assert text.startswith("validation of nodal:")
@@ -257,6 +264,24 @@ class TestJson:
                     "anti_k": ["1"],
                 }
             )
+
+    @pytest.mark.parametrize("value", [1.9, True, "1"])
+    def test_incidence_must_be_an_integer(self, value):
+        data = config_to_json(nodal())
+        data["points"][0]["incidences"]["C"] = value
+        message = f"bad.json: point node: incidence with C must be an integer, got {value!r}"
+        with pytest.raises(SchemaError) as caught:
+            config_from_json(data, source="bad.json")
+        assert str(caught.value) == message
+
+    def test_bool_is_not_a_rational(self):
+        with pytest.raises(SchemaError, match="not a rational: True"):
+            parse_rational(True)
+        data = json.loads((CATALOG / "A1-nodal" / "config_base.json").read_text())
+        assert validate(config_from_json(data)).ok
+        data["norm"] = True  # it would read as 1, the right norm
+        with pytest.raises(SchemaError, match="A1-nodal.json: not a rational: True"):
+            config_from_json(data, source="A1-nodal.json")
 
     def test_save_load_round_trip(self, tmp_path):
         cfg = nodal()

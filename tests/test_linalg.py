@@ -71,12 +71,15 @@ def systems(draw):
 @example(system=([[0, 0], [1, 1]], [[0, 1]]))
 def test_solve_is_exact_or_the_matrix_is_singular(system):
     matrix, rhs = system
+    before = copy.deepcopy(system)
     try:
         d, cols = solve(matrix, rhs)
     except ValueError as exc:
         assert str(exc) == "singular matrix"
         assert _leibniz_det(matrix) == 0
         return
+    finally:
+        assert (matrix, rhs) == before  # the row swap writes to copies only
     assert d == abs(_leibniz_det(matrix)) > 0
     assert len(cols) == len(rhs)
     for b, col in zip(rhs, cols):

@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
 import itertools
 import math
 import random
 import subprocess
 import sys
-import weakref
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -25,17 +23,15 @@ from dpdelta import (
     PiecewisePoly,
     SurfaceConfig,
     brute_force_negative_part,
-    load_case,
     parametric_decompose,
     quadrature_check,
     random_equivalence,
     sample_parameters,
-    subset_table,
 )
 from dpdelta import oracle
 from dpdelta.catalog import decompose_flag
 from dpdelta.errors import Ambiguous, DimensionMismatch, NoSolution
-from dpdelta.linalg import eliminate, solve
+from dpdelta.linalg import solve
 from dpdelta.oracle import (
     EquivalenceMismatch,
     EquivalenceReport,
@@ -105,8 +101,8 @@ def catalog_flags(records):
 def _per_subset_rows(config: SurfaceConfig, flag: str) -> tuple[_TableRow, ...]:
     """The table rows as the per-subset builder made them, kept as a reference.
 
-    Each subset gets its own augmented system [mu*gram_S | r0_S, r1_S],
-    eliminated from scratch, and its residuals are summed column by column.
+    Each subset gets its own system mu*gram_S x = (r0_S, r1_S), solved from
+    scratch, and its residuals are summed column by column.
     """
     mu, gh = config.mu, config.int_gram
     n = len(gh)
@@ -118,12 +114,10 @@ def _per_subset_rows(config: SurfaceConfig, flag: str) -> tuple[_TableRow, ...]:
     rows = []
     for subset in negative_definite_subsets(config):
         k = len(subset)
-        aug = [[gh[i][j] for j in subset] + [r0[i], r1[i]] for i in subset]
-        den = rho * eliminate(aug)
-        sign = 1 if den > 0 else -1
-        den *= sign
-        x0 = tuple(sign * aug[i][k] for i in range(k))
-        x1 = tuple(sign * aug[i][k + 1] for i in range(k))
+        matrix = [[gh[i][j] for j in subset] for i in subset]
+        det, xs = solve(matrix, [[r0[i] for i in subset], [r1[i] for i in subset]])
+        den = rho * det
+        x0, x1 = map(tuple, xs)
         cols = [gh[s] for s in subset]
         residuals = (
             (
@@ -290,24 +284,12 @@ class TestNegativeDefiniteSubsets:
 class TestSubsetTable:
     def test_matches_engine(self, a1_nodal):
         decomp = parametric_decompose(a1_nodal, "E")
-        table = subset_table(a1_nodal, "E")
+        table = SubsetTable(a1_nodal, "E")
         for v in ("1/10", "1/2", "2/3", "99/100"):
             assert table.negative_part(v) == decomp.negative_at(v)
 
-    def test_cached_per_pair(self, a1_nodal):
-        assert subset_table(a1_nodal, "E") is subset_table(a1_nodal, "E")
-        assert subset_table(a1_nodal, "E") is not subset_table(a1_nodal, "C")
-
-    def test_cache_lets_the_configuration_go(self):
-        cfg = load_case("A1-nodal").config("base")
-        subset_table(cfg, "E")
-        gone = weakref.ref(cfg)
-        del cfg
-        gc.collect()
-        assert gone() is None
-
     def test_no_solution_beyond_threshold(self, a1_nodal):
-        table = subset_table(a1_nodal, "E")
+        table = SubsetTable(a1_nodal, "E")
         with pytest.raises(NoSolution, match="no negative-definite support accepts v = 2"):
             table.negative_part(2)
 
@@ -315,14 +297,14 @@ class TestSubsetTable:
         counts = {}
         for label, cfg, flag, _ in catalog_flags:
             case, key = label.split(":", 1)
-            counts.setdefault(case, {})[key] = len(subset_table(cfg, flag).rows)
+            counts.setdefault(case, {})[key] = len(SubsetTable(cfg, flag).rows)
         assert counts == TABLE_ROWS
         assert sum(sum(per.values()) for per in counts.values()) == 582
 
     def test_rows_match_the_per_subset_builder(self, catalog_flags):
         total = 0
         for label, cfg, flag, _ in catalog_flags:
-            rows = subset_table(cfg, flag).rows
+            rows = SubsetTable(cfg, flag).rows
             assert rows == _per_subset_rows(cfg, flag), label
             total += len(rows)
         assert total == 582
@@ -334,7 +316,7 @@ class TestSubsetTable:
         v > 0 live, which random samples rarely hit.
         """
         for label, cfg, flag, tau in catalog_flags:
-            table = subset_table(cfg, flag)
+            table = SubsetTable(cfg, flag)
             decomp = parametric_decompose(cfg, flag)
             ends = sorted(
                 {r.lo for r in table.rows} | {r.hi for r in table.rows if r.hi is not None}
@@ -471,7 +453,7 @@ class TestBruteForce:
         message = "at most 16 curves, got 17 on config wide"
         for build in (
             lambda: random_equivalence(cfg, "X0", trials=5),
-            lambda: subset_table(cfg, "X0"),
+            lambda: SubsetTable(cfg, "X0"),
             lambda: SubsetTable(cfg, "X1"),
             lambda: brute_force_negative_part(cfg, cfg.anti_k_divisor),
         ):

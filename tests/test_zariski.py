@@ -414,6 +414,23 @@ class TestSerialization:
         bad["chambers"][0]["p_sq"] = ["1", "0", "-3"]
         _refused(a1_nodal, bad, "stored P\\^2 disagrees")
 
+    @pytest.mark.parametrize(
+        "chamber, key, text, message",
+        [
+            (0, "p_dot", "02", r"P\.E on \[0, 1/2\] must be a list, got '02'"),
+            (1, "support", "C", r"support on \[1/2, 1\] must be a list, got 'C'"),
+        ],
+        ids=["p_dot", "support"],
+    )
+    def test_string_for_a_list_is_caught(
+        self, a1_nodal, nodal_decomp, chamber, key, text, message
+    ):
+        """A string would read as the list of its characters, which here is the stored list."""
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        assert bad["chambers"][chamber][key] == list(text)
+        bad["chambers"][chamber][key] = text
+        _refused(a1_nodal, bad, f"^{message}; config A1-nodal, flag E, chamber {chamber}$")
+
     def test_tampered_p_dot_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"][0]["p_dot"] = ["1", "2"]
