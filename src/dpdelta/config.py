@@ -428,6 +428,9 @@ def config_from_json(data: dict, source: str = "<memory>") -> SurfaceConfig:
                         f"got {mult!r}"
                     )
             points.append(PointSpec(p["id"], p["on_curve"], incidences, p.get("different", 0)))
+        smooth_surface = data["smooth_surface"]
+        if type(smooth_surface) is not bool:  # bool() would read a JSON "no" as true
+            raise SchemaError(f"smooth_surface must be true or false, got {smooth_surface!r}")
         return SurfaceConfig(
             name=data["name"],
             norm=data["norm"],
@@ -435,7 +438,7 @@ def config_from_json(data: dict, source: str = "<memory>") -> SurfaceConfig:
             gram=data["gram"],
             anti_k=data["anti_k"],
             discrepancy=data.get("discrepancy", {}),
-            smooth_surface=data["smooth_surface"],
+            smooth_surface=smooth_surface,
             points=points,
         )
     except SchemaError as exc:

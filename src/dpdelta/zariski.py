@@ -16,9 +16,13 @@ gives the negative part as integer numerators over |det|, and one pass of
 integer dot products over the support's Gram rows gives P.C for every curve
 C as an integer affine numerator over one positive denominator. Each
 breakpoint's pivot starts from the rows of the chamber just left, so that
-support is never solved twice. Drops, adds and the chamber's end are decided
-by integer signs and comparisons at v = p/q, and the threshold tau (or an
-irrational root) by `math.isqrt` and sign tests on P^2 as an integer
+support is never solved twice, and looks for curves to add only in the tight
+set: the curves that chamber's P meets in 0 at the breakpoint. Every support
+the pivot visits there gives the same N at the breakpoint, so no other curve
+can go negative right after it (`_pivot` has the argument, and tests every
+curve when -K is not nef at v = 0). Drops, adds and the chamber's end are
+decided by integer signs and comparisons at v = p/q, and the threshold tau
+(or an irrational root) by `math.isqrt` and sign tests on P^2 as an integer
 quadratic. A chamber is its two ends and these integer rows, nothing else:
 `delta` integrates S and S(W;O) on them, `negative_at` evaluates N on them,
 and the `Poly` views of a chamber (its support names, N coefficients, P^2
@@ -301,9 +305,25 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
     immediately after v. The seed is the previous chamber's rows, so its
     support is not solved again. Returns the rows of the support it
     converges on.
+
+    Curves are added only from the tight set T: the curves the seed's P
+    meets in 0 at v, found in one pass over the seed's P.C rows. The
+    seed's N is nonnegative at v (it is empty, or the previous chamber's
+    rows at that chamber's end). When its P.C is too, every support the
+    loop visits contains the support of the seed's N(v) and lies inside T,
+    which holds the seed's support. Each solve then gives the seed's N(v)
+    at v, so a curve outside T keeps P(v).C > 0 right after v and is never
+    added: the loop visits exactly the supports, and raises exactly the
+    errors, of a scan over every curve. When some seed P.C is negative at
+    v (-K is not nef at v = 0), T is every curve.
     """
     names = direction.config.curve_names
     p, q = v.numerator, v.denominator
+    values = [c0 * q + c1 * p for c0, c1 in zip(seed.c0, seed.c1)]
+    if min(values) < 0:
+        tight: Sequence[int] = range(len(values))
+    else:
+        tight = [j for j, value in enumerate(values) if not value]
     rows, support = seed, seed.support
     seen: set[tuple[int, ...]] = set()
     for _ in range(_MAX_PIVOTS):
@@ -324,11 +344,8 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
                 ) from None
         drop = {s for s, a0, a1 in zip(key, rows.x0, rows.x1) if _sign_after(a0, a1, p, q) <= 0}
         inside = set(key)
-        add = {
-            j
-            for j, (c0, c1) in enumerate(zip(rows.c0, rows.c1))
-            if j not in inside and _sign_after(c0, c1, p, q) < 0
-        }
+        c0, c1 = rows.c0, rows.c1
+        add = {j for j in tight if j not in inside and _sign_after(c0[j], c1[j], p, q) < 0}
         if not drop and not add:
             return rows
         support = sorted((inside - drop) | add)
@@ -433,6 +450,9 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
     }
 
 
+_CHAMBER_KEYS = frozenset(("lo", "hi", "support", "n_coeffs", "p_sq", "p_dot"))
+
+
 def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decomposition:
     """Rebuild a decomposition from its JSON form against a configuration.
 
@@ -458,6 +478,11 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
     chambers: list[Chamber] = []
     try:
         for raw in json_list(data["chambers"], "chambers"):
+            if not isinstance(raw, Mapping):
+                raise SchemaError(f"chamber must be an object, got {raw!r}")
+            missing = _CHAMBER_KEYS.difference(raw)
+            if missing:
+                raise SchemaError(f"chamber lacks {', '.join(sorted(missing))}")
             lo, hi = parse_rational(raw["lo"]), parse_rational(raw["hi"])
             span = f"[{format_rational(lo)}, {format_rational(hi)}]"
             if lo >= hi:
@@ -465,11 +490,14 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
             support = tuple(str(name) for name in json_list(raw["support"], f"support on {span}"))
             if len(set(support)) != len(support):
                 raise SchemaError(f"duplicate support curve on {span}")
+            n_coeffs = raw["n_coeffs"]
+            if not isinstance(n_coeffs, Mapping):
+                raise SchemaError(f"n_coeffs on {span} must be an object, got {n_coeffs!r}")
             unknown = [name for name in support if name not in config.curve_names]
-            if unknown or set(raw["n_coeffs"]) != set(support):
+            if unknown or set(n_coeffs) != set(support):
                 raise SchemaError(f"support/coefficient mismatch on {span}")
             n_polys = [
-                Poly(json_list(raw["n_coeffs"][name], f"coefficient of {name} on {span}"))
+                Poly(json_list(n_coeffs[name], f"coefficient of {name} on {span}"))
                 for name in support
             ]
             if any(p.degree > 1 for p in n_polys):

@@ -1,0 +1,57 @@
+"""The sweep's pivot with the add test over every curve, the tests' reference.
+
+`dpdelta.zariski._pivot` tests only the tight set, the curves the seed's P
+meets in 0 at the breakpoint, for curves to add. This is the pivot it
+replaced, which tests every curve off the support after every solve, kept
+so that the sweep's iterates are checked against a rule that needs no
+exactness argument.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from dpdelta import zariski
+from dpdelta.errors import NotPseudoEffective
+from dpdelta.rationals import format_rational
+
+
+def full_scan_pivot(direction, seed, v: Fraction):
+    """`zariski._pivot`, with every curve tested for the add set."""
+    names = direction.config.curve_names
+    p, q = v.numerator, v.denominator
+    rows, support = seed, seed.support
+    seen: set[tuple[int, ...]] = set()
+    for _ in range(zariski._MAX_PIVOTS):
+        key = tuple(support)
+        if key in seen:
+            raise NotPseudoEffective(
+                f"support pivoting cycled at v = {format_rational(v)}, "
+                f"{zariski._support_text(names, key)}"
+            )
+        seen.add(key)
+        if key != rows.support:  # only the seed's rows are given
+            try:
+                rows = zariski._solve_support(direction, key)
+            except ValueError:
+                raise NotPseudoEffective(
+                    f"singular Gram matrix at v = {format_rational(v)}, "
+                    f"{zariski._support_text(names, key)}"
+                ) from None
+        drop = {
+            s
+            for s, a0, a1 in zip(key, rows.x0, rows.x1)
+            if zariski._sign_after(a0, a1, p, q) <= 0
+        }
+        inside = set(key)
+        add = {
+            j
+            for j, (c0, c1) in enumerate(zip(rows.c0, rows.c1))
+            if j not in inside and zariski._sign_after(c0, c1, p, q) < 0
+        }
+        if not drop and not add:
+            return rows
+        support = sorted((inside - drop) | add)
+    raise NotPseudoEffective(
+        f"support pivoting did not converge at v = {format_rational(v)}, "
+        f"{zariski._support_text(names, support)}"
+    )

@@ -283,6 +283,18 @@ class TestJson:
         with pytest.raises(SchemaError, match="A1-nodal.json: not a rational: True"):
             config_from_json(data, source="A1-nodal.json")
 
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_smooth_surface_must_be_a_bool(self, value):
+        data = json.loads((CATALOG / "A1-nodal" / "config_base.json").read_text())
+        for flag in (True, False):
+            data["smooth_surface"] = flag
+            assert config_from_json(data).smooth_surface is flag
+        data["smooth_surface"] = value  # bool() would read "no" and "false" as true
+        message = f"A1-nodal.json: smooth_surface must be true or false, got {value!r}"
+        with pytest.raises(SchemaError) as caught:
+            config_from_json(data, source="A1-nodal.json")
+        assert str(caught.value) == message
+
     def test_save_load_round_trip(self, tmp_path):
         cfg = nodal()
         path = tmp_path / "nodal.json"

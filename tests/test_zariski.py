@@ -30,6 +30,7 @@ from dpdelta import (
 from dpdelta.catalog import decompose_flag
 from dpdelta import zariski
 from dpdelta.errors import DpDeltaError, IrrationalRoot, NotPseudoEffective
+from refpivot import full_scan_pivot
 from refpoly import ref
 
 F = Fraction
@@ -239,6 +240,12 @@ _IRRATIONAL = SurfaceConfig(
     name="irrational", norm=2, curves=_curves(("X0", -1), ("F", -1)),
     gram=[[-1, 0], [0, -1]], anti_k=[1, 0],
 )
+# -K.C1 = -3 < 0, so -K is not nef at v = 0 and the first pivot cannot
+# take its add set from the curves -K meets in 0 (there are none).
+_NOT_NEF = SurfaceConfig(
+    name="not-nef", norm=F(13, 3), curves=_curves(("C1", -2), ("C2", -2), ("F", 1)),
+    gram=[[-2, 1, 0], [1, -2, 0], [0, 0, 1]], anti_k=[F(5, 3), F(1, 3), 3],
+)
 
 
 class TestErrorContext:
@@ -293,6 +300,64 @@ class TestErrorContext:
             parametric_decompose(config, flag)
         message = str(caught.value)
         assert message.endswith(where), message
+
+
+class TestPivot:
+    """The pivot adds curves only from the tight set, as a scan of every curve would."""
+
+    def test_not_nef_at_zero_scans_every_curve(self):
+        decomp = parametric_decompose(_NOT_NEF, "F")
+        assert [(ch.lo, ch.hi, ch.support) for ch in decomp.chambers] == [
+            (0, 3, ("C1", "C2"))
+        ]
+        assert decomp.chambers[0].n_coeffs == {"C1": Poly([F(5, 3)]), "C2": Poly([F(1, 3)])}
+        assert decomp.tau == 3
+
+    def test_same_iterates_as_the_full_scan(self, monkeypatch, records):
+        """Every curve sweep of the catalog solves the same systems in the same order.
+
+        Each sweep's outcome (its chambers' ends and integer rows, or its
+        error text) and the systems `zariski.solve` is given must match the
+        reference pivot's, which tests every curve for the add set.
+        """
+        configs = [
+            records[name].config(config_id)
+            for name in sorted(records)
+            for config_id in records[name].config_order
+        ]
+        configs += [_CYCLES, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
+        solved: list[tuple] = []
+        solve = zariski.solve
+
+        def recording_solve(matrix, rhs):
+            solved.append((matrix, rhs))
+            return solve(matrix, rhs)
+
+        monkeypatch.setattr(zariski, "solve", recording_solve)
+
+        def sweeps() -> list[tuple]:
+            out = []
+            for config in configs:
+                for flag in config.curve_names:
+                    solved.clear()
+                    try:
+                        decomp = parametric_decompose(config, flag)
+                    except DpDeltaError as exc:
+                        outcome: object = f"{type(exc).__name__}: {exc}"
+                    else:
+                        outcome = [(ch.lo, ch.hi, ch.rows, ch.p_sq_rows) for ch in decomp.chambers]
+                    out.append((config.name, flag, outcome, list(solved)))
+            return out
+
+        tight = sweeps()
+        monkeypatch.setattr(zariski, "_pivot", full_scan_pivot)
+        full = sweeps()
+        assert len(tight) == 372 + 14
+        assert sum(len(sweep[3]) for sweep in tight) > len(tight)
+        for mine, reference in zip(tight, full):
+            assert mine == reference, f"{mine[0]}/{mine[1]}"
+        finished = sum(isinstance(outcome, list) for _, _, outcome, _ in tight)
+        assert finished == 244 + 1  # the catalog's, and F on the not-nef configuration
 
 
 def _refused(config, data, match: str) -> None:
@@ -430,6 +495,25 @@ class TestSerialization:
         assert bad["chambers"][chamber][key] == list(text)
         bad["chambers"][chamber][key] = text
         _refused(a1_nodal, bad, f"^{message}; config A1-nodal, flag E, chamber {chamber}$")
+
+    def test_chamber_without_lo_is_caught(self, a1_nodal, nodal_decomp):
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        del bad["chambers"][0]["lo"]
+        _refused(a1_nodal, bad, "^chamber lacks lo; config A1-nodal, flag E, chamber 0$")
+
+    def test_string_for_the_coefficients_is_caught(self, a1_nodal, nodal_decomp):
+        """The string "C" has the support's curve names as its set of characters."""
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        assert bad["chambers"][1]["support"] == ["C"]
+        bad["chambers"][1]["n_coeffs"] = "C"
+        message = r"n_coeffs on \[1/2, 1\] must be an object, got 'C'"
+        _refused(a1_nodal, bad, f"^{message}; config A1-nodal, flag E, chamber 1$")
+
+    def test_string_for_a_chamber_is_caught(self, a1_nodal, nodal_decomp):
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        bad["chambers"][1] = "C"
+        message = "chamber must be an object, got 'C'"
+        _refused(a1_nodal, bad, f"^{message}; config A1-nodal, flag E, chamber 1$")
 
     def test_tampered_p_dot_is_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
