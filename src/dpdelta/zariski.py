@@ -20,9 +20,13 @@ support is never solved twice, and looks for curves to add only in the tight
 set: the curves that chamber's P meets in 0 at the breakpoint. Every support
 the pivot visits there gives the same N at the breakpoint, so no other curve
 can go negative right after it (`_pivot` has the argument, and tests every
-curve when -K is not nef at v = 0). Drops, adds and the chamber's end are
-decided by integer signs and comparisons at v = p/q, and the threshold tau
-(or an irrational root) by `math.isqrt` and sign tests on P^2 as an integer
+curve when -K is not nef at v = 0). The one scan of a chamber's rows that
+finds its end also finds that set: every row of a chamber is nonnegative on
+[lo, hi], so the curves P meets in 0 at hi are those whose P.C row is
+identically 0 (the support's among them) and those whose falling P.C row
+has its root at hi. Drops, adds and the chamber's end are decided by
+integer signs and comparisons at v = p/q, and the threshold tau (or an
+irrational root) by `math.isqrt` and sign tests on P^2 as an integer
 quadratic. A chamber is its two ends and these integer rows, nothing else:
 `delta` integrates S and S(W;O) on them, `negative_at` evaluates N on them,
 and the `Poly` views of a chamber (its support names, N coefficients, P^2
@@ -33,7 +37,6 @@ the same rows and checks P^2(tau) = 0 on them.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -157,13 +160,16 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
     chambers: list[Chamber] = []
     v_cur = Fraction(0)
     rows = _rows(direction, (), [], [], 1)  # the empty support: N = 0
+    # P.C = D(0).C at v = 0: every curve is tight if one is negative
+    b0 = direction.b0
+    tight = range(len(b0)) if min(b0) < 0 else [j for j, b in enumerate(b0) if not b]
     try:
         while len(chambers) < _MAX_CHAMBERS:
-            rows = _pivot(direction, rows, v_cur)
+            rows = _pivot(direction, rows, v_cur, tight)
             p_sq_rows = _positive_part(direction, rows)
-            hi, is_tau = _chamber_end(rows, p_sq_rows, v_cur)
+            hi, tight = _chamber_end(rows, p_sq_rows, v_cur)
             chambers.append(Chamber(v_cur, hi, rows, p_sq_rows))
-            if is_tau:
+            if tight is None:  # hi is tau
                 return Decomposition(config, flag, tuple(chambers), hi)
             v_cur = hi
         raise NotPseudoEffective(
@@ -257,13 +263,22 @@ def _rows(
     """The rows of the negative part with scale * N_s(v) = (x0[i] + x1[i]*v) / d.
 
     d * mu * scale * P.C_j = d * b_j - sum_s x_s * (mu * C_s.C_j) for every
-    j: one pass of integer dot products over the support's Gram rows.
+    j: one pass of integer dot products over the support's Gram rows, the
+    first of which also scales b by d. The empty support with d = 1 shares
+    the direction's own b lists, which nothing mutates.
     """
-    c0 = [d * b for b in direction.b0]
-    c1 = [d * b for b in direction.b1]
     config = direction.config
-    for s, a0, a1 in zip(support, x0, x1):
-        g = config.int_gram[s]
+    gram = config.int_gram
+    c0, c1 = direction.b0, direction.b1
+    if support:
+        g, a0, a1 = gram[support[0]], x0[0], x1[0]
+        c0 = [d * b - a0 * x for b, x in zip(c0, g)]
+        c1 = [d * b - a1 * x for b, x in zip(c1, g)]
+    elif d != 1:
+        c0 = [d * b for b in c0]
+        c1 = [d * b for b in c1]
+    for i in range(1, len(support)):
+        g, a0, a1 = gram[support[i]], x0[i], x1[i]
         if a0:
             c0 = [c - a0 * x for c, x in zip(c0, g)]
         if a1:
@@ -296,7 +311,7 @@ def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows:
     return _rows(direction, support, x0, x1, d)
 
 
-def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
+def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]) -> _Rows:
     """Find the valid support just right of v, starting from a seed's rows.
 
     Validity is checked on the lexicographic pair (value at v, slope), in
@@ -306,24 +321,22 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction) -> _Rows:
     support is not solved again. Returns the rows of the support it
     converges on.
 
-    Curves are added only from the tight set T: the curves the seed's P
-    meets in 0 at v, found in one pass over the seed's P.C rows. The
-    seed's N is nonnegative at v (it is empty, or the previous chamber's
-    rows at that chamber's end). When its P.C is too, every support the
-    loop visits contains the support of the seed's N(v) and lies inside T,
-    which holds the seed's support. Each solve then gives the seed's N(v)
-    at v, so a curve outside T keeps P(v).C > 0 right after v and is never
-    added: the loop visits exactly the supports, and raises exactly the
-    errors, of a scan over every curve. When some seed P.C is negative at
-    v (-K is not nef at v = 0), T is every curve.
+    Curves are added only from `tight`, the set T of curves the seed's P
+    meets in 0 at v, which the caller gives; the pivot does not walk the
+    seed's rows for it. At v = 0 the seed is the empty support and T is
+    read off D(0).C: when some value is negative (-K is not nef), T is
+    every curve. At a later v the seed is the previous chamber, whose end
+    scan returns T: every row of that chamber is nonnegative on [lo, v],
+    so T is its identically 0 P.C rows (the support's among them) plus its
+    falling P.C rows with root v. The seed's N and P.C are then both
+    nonnegative at v, so every support the loop visits contains the
+    support of the seed's N(v) and lies inside T. Each solve then gives the
+    seed's N(v) at v, so a curve outside T keeps P(v).C > 0 right after v
+    and is never added: the loop visits exactly the supports, and raises
+    exactly the errors, of a scan over every curve.
     """
     names = direction.config.curve_names
     p, q = v.numerator, v.denominator
-    values = [c0 * q + c1 * p for c0, c1 in zip(seed.c0, seed.c1)]
-    if min(values) < 0:
-        tight: Sequence[int] = range(len(values))
-    else:
-        tight = [j for j, value in enumerate(values) if not value]
     rows, support = seed, seed.support
     seen: set[tuple[int, ...]] = set()
     for _ in range(_MAX_PIVOTS):
@@ -375,33 +388,63 @@ def _positive_part(direction: _Direction, rows: _Rows) -> IntQuadratic:
     )
 
 
-def _first_root_after(rows: _Rows, lo: Fraction) -> Fraction | None:
-    """Smallest root > lo of a falling row: N_s on the support, P.C off it.
+def _first_root_after(rows: _Rows, lo: Fraction) -> tuple[Fraction | None, list[int]]:
+    """Smallest root > lo of a falling row, and the curves whose P.C is 0 there.
 
-    P.C vanishes identically on the support, so its rows there never fall.
+    The rows are N_s on the support and P.C off it; P.C vanishes identically
+    on the support, so its rows there never fall. Every row of a chamber is
+    nonnegative just right of lo, where its support is valid, so every row
+    is nonnegative on [lo, hi] for hi the returned root, and the P.C rows
+    that vanish at hi are exactly the identically 0 ones (the support's
+    among them) and the falling ones whose root is hi. One pass collects
+    both: a falling P.C row that ties the best root so far joins the ties,
+    and a row that beats it starts them over. A falling row whose root is
+    at or before lo is skipped; that is tested only for a row that would
+    beat the best. With no root after lo, the root is None and the set is
+    the zero rows.
     """
     ln, ld = lo.numerator, lo.denominator
-    best: tuple[int, int] | None = None  # the root c0 / -c1 as (numerator, denominator)
-    for c0, c1 in itertools.chain(zip(rows.x0, rows.x1), zip(rows.c0, rows.c1)):
-        if c1 < 0 and c0 * ld > -c1 * ln and (best is None or c0 * best[1] < -c1 * best[0]):
-            best = (c0, -c1)
-    return None if best is None else Fraction(*best)
+    bn, bd = 1, 0  # the best root c0 / -c1 as (numerator, denominator); 1/0 is +infinity
+    for c0, c1 in zip(rows.x0, rows.x1):
+        if c1 < 0 and c0 * bd < -c1 * bn and c0 * ld > -c1 * ln:
+            bn, bd = c0, -c1
+    zero: list[int] = []
+    ties: list[int] = []
+    for j, (c0, c1) in enumerate(zip(rows.c0, rows.c1)):
+        if c1 < 0:
+            beat = c0 * bd + c1 * bn  # the sign of (root - best)
+            if beat < 0:
+                if c0 * ld > -c1 * ln:
+                    bn, bd = c0, -c1
+                    ties = [j]
+            elif not beat:
+                ties.append(j)
+        elif not c1 and not c0:
+            zero.append(j)
+    if not bd:
+        return None, zero
+    return Fraction(bn, bd), zero + ties
 
 
-def _chamber_end(rows: _Rows, p_sq: IntQuadratic, lo: Fraction) -> tuple[Fraction, bool]:
+def _chamber_end(
+    rows: _Rows, p_sq: IntQuadratic, lo: Fraction
+) -> tuple[Fraction, list[int] | None]:
     """Smallest v > lo at which the support changes or P^2 vanishes.
 
-    Returns (hi, is_tau). Support-change candidates come from the sign flips
-    of the chamber's affine rows (N_i on the support, P.C off it), which
-    always happen at rational points. If P^2 stays positive up to the first
-    of them, the chamber ends there. Otherwise the first root of P^2 at or
-    after lo is the pseudoeffective threshold if it comes no later than the
-    change; it must be rational or the sweep raises IrrationalRoot. Both are
-    decided on the chamber's integer quadratic.
+    Returns (hi, tight): tight is None when hi is the pseudoeffective
+    threshold tau, and otherwise the curves the chamber's P meets in 0 at
+    hi, which the next pivot tests for adds (see `_first_root_after`).
+    Support-change candidates come from the sign flips of the chamber's
+    affine rows (N_i on the support, P.C off it), which always happen at
+    rational points. If P^2 stays positive up to the first of them, the
+    chamber ends there. Otherwise the first root of P^2 at or after lo is
+    the threshold if it comes no later than the change; it must be rational
+    or the sweep raises IrrationalRoot. Both are decided on the chamber's
+    integer quadratic.
     """
-    affine_next = _first_root_after(rows, lo)
+    affine_next, tight = _first_root_after(rows, lo)
     if affine_next is not None and p_sq.sign_on(lo, affine_next) > 0:
-        return affine_next, False
+        return affine_next, tight
     try:
         tau = p_sq.first_root(lo)
     except IrrationalRoot as exc:
@@ -412,13 +455,13 @@ def _chamber_end(rows: _Rows, p_sq: IntQuadratic, lo: Fraction) -> tuple[Fractio
             f"{_support_text(rows.curve_names, rows.support)}"
         )
     if tau is not None and (affine_next is None or tau <= affine_next):
-        return tau, True
+        return tau, None
     if affine_next is None:
         raise NotPseudoEffective(
             f"no chamber end found after v = {format_rational(lo)}, "
             f"{_support_text(rows.curve_names, rows.support)}"
         )
-    return affine_next, False
+    return affine_next, tight
 
 
 # -- serialization -------------------------------------------------------
@@ -450,6 +493,7 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
     }
 
 
+_TOP_KEYS = frozenset(("flag", "tau", "chambers"))
 _CHAMBER_KEYS = frozenset(("lo", "hi", "support", "n_coeffs", "p_sq", "p_dot"))
 
 
@@ -461,9 +505,22 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
     the stored `p_sq` and `p_dot` rows, and P must meet every support curve
     in 0, so a stale or tampered file raises SchemaError instead of
     round-tripping silently. The error names the configuration, the flag and
-    the index of the chamber at fault.
+    the index of the chamber at fault; a malformed top level (not an object,
+    without `flag`, `tau` or `chambers`, or with a flag that is not a
+    string) raises SchemaError naming the configuration.
     """
-    flag = str(data["flag"])
+    if not isinstance(data, Mapping):
+        raise SchemaError(
+            f"decomposition must be an object, got {type(data).__name__}; config {config.name}"
+        )
+    missing = _TOP_KEYS.difference(data)
+    if missing:
+        raise SchemaError(
+            f"decomposition lacks {', '.join(sorted(missing))}; config {config.name}"
+        )
+    flag = data["flag"]
+    if not isinstance(flag, str):
+        raise SchemaError(f"flag must be a string, got {flag!r}; config {config.name}")
     where = f"config {config.name}, flag {flag}"
     if flag not in config.curve_names:
         raise SchemaError(f"unknown flag curve {flag!r}; {where}")

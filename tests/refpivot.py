@@ -1,13 +1,16 @@
 """The sweep's pivot with the add test over every curve, the tests' reference.
 
 `dpdelta.zariski._pivot` tests only the tight set, the curves the seed's P
-meets in 0 at the breakpoint, for curves to add. This is the pivot it
-replaced, which tests every curve off the support after every solve, kept
-so that the sweep's iterates are checked against a rule that needs no
-exactness argument.
+meets in 0 at the breakpoint, which the sweep hands it, for curves to add.
+This is the pivot it replaced, which tests every curve off the support
+after every solve, kept so that the sweep's iterates are checked against a
+rule that needs no exactness argument. `first_root_after` is the sweep's
+end scan from before that scan also returned the tight set, kept as the
+reference for the scan's root.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from dpdelta import zariski
@@ -15,8 +18,18 @@ from dpdelta.errors import NotPseudoEffective
 from dpdelta.rationals import format_rational
 
 
-def full_scan_pivot(direction, seed, v: Fraction):
-    """`zariski._pivot`, with every curve tested for the add set."""
+def first_root_after(rows, lo: Fraction) -> Fraction | None:
+    """Smallest root > lo of a falling row, N on the support or P.C, by one plain scan."""
+    ln, ld = lo.numerator, lo.denominator
+    best = None  # the root c0 / -c1 as (numerator, denominator)
+    for c0, c1 in itertools.chain(zip(rows.x0, rows.x1), zip(rows.c0, rows.c1)):
+        if c1 < 0 and c0 * ld > -c1 * ln and (best is None or c0 * best[1] < -c1 * best[0]):
+            best = (c0, -c1)
+    return None if best is None else Fraction(*best)
+
+
+def full_scan_pivot(direction, seed, v: Fraction, tight):
+    """`zariski._pivot`, with every curve tested for the add set; `tight` is ignored."""
     names = direction.config.curve_names
     p, q = v.numerator, v.denominator
     rows, support = seed, seed.support

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpdelta import (
     CurveRecord,
@@ -30,7 +31,7 @@ from dpdelta import (
 from dpdelta.catalog import decompose_flag
 from dpdelta import zariski
 from dpdelta.errors import DpDeltaError, IrrationalRoot, NotPseudoEffective
-from refpivot import full_scan_pivot
+from refpivot import first_root_after, full_scan_pivot
 from refpoly import ref
 
 F = Fraction
@@ -360,6 +361,138 @@ class TestPivot:
         assert finished == 244 + 1  # the catalog's, and F on the not-nef configuration
 
 
+    def test_each_pivot_gets_the_tight_set(self, monkeypatch, records):
+        """The sweep hands each pivot the curves the seed's P meets in 0 at v.
+
+        By definition that is every curve when some seed P.C is negative at
+        v, and otherwise the curves whose P.C is 0 there; the sweep reads it
+        off D(0).C at v = 0 and off the previous chamber's end scan after.
+        """
+        configs = [
+            records[name].config(config_id)
+            for name in sorted(records)
+            for config_id in records[name].config_order
+        ]
+        configs += [_CYCLES, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
+        pivot = zariski._pivot
+        handed: Counter[str] = Counter()
+
+        def checking_pivot(direction, seed, v, tight):
+            p, q = v.numerator, v.denominator
+            values = [c0 * q + c1 * p for c0, c1 in zip(seed.c0, seed.c1)]
+            if min(values) < 0:
+                expected, kind = set(range(len(values))), "every curve"
+            else:
+                expected, kind = {j for j, value in enumerate(values) if not value}, "zero set"
+            assert sorted(tight) == sorted(expected), f"{direction.config.name} at v = {v}"
+            handed[kind] += 1
+            handed["after 0"] += v > 0
+            return pivot(direction, seed, v, tight)
+
+        monkeypatch.setattr(zariski, "_pivot", checking_pivot)
+        sweeps = 0
+        for config in configs:
+            for flag in config.curve_names:
+                try:
+                    parametric_decompose(config, flag)
+                except DpDeltaError:
+                    pass
+                sweeps += 1
+        assert sweeps == 372 + 14
+        # -K meets a curve of every hand-built configuration negatively
+        assert handed["every curve"] == 14
+        assert handed["after 0"] > 0 and handed["zero set"] > sweeps
+
+
+def _scan_rows(n_rows: list[tuple[int, int]], p_rows: list[tuple[int, int]]) -> zariski._Rows:
+    """Synthetic rows for the end scan: N rows (x0, x1) and P.C rows (c0, c1)."""
+    names = tuple(f"C{j}" for j in range(len(p_rows)))
+    x0, x1 = [a for a, _ in n_rows], [b for _, b in n_rows]
+    c0, c1 = [a for a, _ in p_rows], [b for _, b in p_rows]
+    return zariski._Rows(names, (), x0, x1, 1, c0, c1, 1)
+
+
+def _check_scan(rows: zariski._Rows, lo: Fraction) -> tuple[Fraction | None, list[int]]:
+    """The end scan's root is the plain scan's, and its set the P.C rows that vanish there."""
+    hi, tight = zariski._first_root_after(rows, lo)
+    assert hi == first_root_after(rows, lo)
+    assert len(set(tight)) == len(tight)
+    pairs = list(enumerate(zip(rows.c0, rows.c1)))
+    if hi is None:
+        assert set(tight) == {j for j, (c0, c1) in pairs if not c0 and not c1}
+    else:
+        p, q = hi.numerator, hi.denominator
+        assert set(tight) == {j for j, (c0, c1) in pairs if c0 * q + c1 * p == 0}
+    return hi, sorted(tight)
+
+
+@st.composite
+def _scan_row(draw, lo: Fraction) -> tuple[int, int]:
+    """A row that does not rise through 0 after lo; roots drawn from few values, so they tie."""
+    k, m, scale = draw(st.integers(0, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["falling", "rising", "zero", "constant"]))
+    if kind == "zero":
+        return 0, 0
+    if kind == "constant":
+        return scale * k, 0
+    if kind == "rising" and Fraction(k, m) <= lo:
+        return -scale * k, scale * m
+    return scale * k, -scale * m  # falling, with its root k/m before or after lo
+
+
+@st.composite
+def _scans(draw) -> tuple[zariski._Rows, Fraction]:
+    lo = Fraction(draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+    n_rows = draw(st.lists(_scan_row(lo), max_size=4))
+    p_rows = draw(st.lists(_scan_row(lo), min_size=1, max_size=10))
+    return _scan_rows(n_rows, p_rows), lo
+
+
+class TestEndScan:
+    """The chamber's end scan finds its end and the next pivot's tight set in one pass."""
+
+    def test_n_root_and_p_dot_root_at_the_same_v(self):
+        # N falls to 0 at 1/2, as do P.C1 and P.C2; P.C0 is identically 0
+        rows = _scan_rows([(1, -2)], [(0, 0), (1, -2), (3, -2), (2, -4), (1, 1)])
+        assert _check_scan(rows, F(0)) == (F(1, 2), [0, 1, 3])
+
+    def test_an_earlier_n_root_leaves_only_the_zero_rows(self):
+        rows = _scan_rows([(1, -4)], [(0, 0), (1, -2), (2, -4)])
+        assert _check_scan(rows, F(0)) == (F(1, 4), [0])
+
+    def test_a_better_root_starts_the_ties_over(self):
+        # 3/2 ties twice before 1/2 beats it; 1/2 then ties once more
+        rows = _scan_rows([], [(3, -2), (6, -4), (1, -2), (0, 0), (2, -4), (3, -1)])
+        assert _check_scan(rows, F(0)) == (F(1, 2), [2, 3, 4])
+
+    def test_off_support_zero_rows_are_tight(self):
+        # support (C0,): its P.C row is 0, and so is C2's off the support;
+        # C1 falls to 0 at the end, 2
+        rows = _scan_rows([(1, 1)], [(0, 0), (2, -1), (0, 0), (0, 3)])
+        rows = rows._replace(support=(0,))
+        assert _check_scan(rows, F(1)) == (F(2), [0, 1, 2])
+
+    def test_falling_rows_with_root_at_or_before_lo_are_skipped(self):
+        # roots 1/2 and 1 are at or before lo = 1; 3/2 is the end, 1/2 comes after it
+        rows = _scan_rows([(1, -1)], [(1, -2), (3, -2), (1, -1), (1, -2), (0, 0)])
+        assert _check_scan(rows, F(1)) == (F(3, 2), [1, 4])
+
+    def test_no_falling_row(self):
+        rows = _scan_rows([(1, 1)], [(0, 0), (5, 0), (0, 2)])
+        assert _check_scan(rows, F(0)) == (None, [0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scans())
+    def test_matches_the_plain_scan(self, scan):
+        _check_scan(*scan)
+
+    def test_chamber_end_hands_no_set_at_tau(self, nodal_decomp):
+        # P.C = 1 - 2v ends the first chamber; C is curve 0
+        first, last = nodal_decomp.chambers
+        assert zariski._chamber_end(first.rows, first.p_sq_rows, first.lo) == (F(1, 2), [0])
+        assert zariski._chamber_end(last.rows, last.p_sq_rows, last.lo) == (F(1), None)
+
+
 def _refused(config, data, match: str) -> None:
     """decomposition_from_json raises SchemaError matching `match`, naming the config."""
     with pytest.raises(SchemaError, match=match) as caught:
@@ -559,6 +692,30 @@ class TestSerialization:
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
         bad["chambers"] = []
         _refused(a1_nodal, bad, "no chambers stored")
+
+    @pytest.mark.parametrize("key", ["flag", "tau", "chambers"])
+    def test_missing_top_level_key_is_caught(self, a1_nodal, nodal_decomp, key):
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        del bad[key]
+        with pytest.raises(SchemaError, match=f"^decomposition lacks {key}; config A1-nodal$"):
+            decomposition_from_json(a1_nodal, bad)
+
+    @pytest.mark.parametrize(
+        "data, kind", [([], "list"), ("E", "str")], ids=["list", "string"]
+    )
+    def test_top_level_that_is_not_an_object_is_caught(self, a1_nodal, data, kind):
+        message = f"^decomposition must be an object, got {kind}; config A1-nodal$"
+        with pytest.raises(SchemaError, match=message):
+            decomposition_from_json(a1_nodal, data)
+
+    @pytest.mark.parametrize("flag, shown", [(3, "3"), (None, "None")], ids=["number", "null"])
+    def test_flag_that_is_not_a_string_is_caught(self, a1_nodal, nodal_decomp, flag, shown):
+        """A number or null flag is refused, not read as the curve named '3' or 'None'."""
+        bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
+        bad["flag"] = flag
+        message = f"^flag must be a string, got {shown}; config A1-nodal$"
+        with pytest.raises(SchemaError, match=message):
+            decomposition_from_json(a1_nodal, bad)
 
     def test_same_decomposition_distinguishes(self, nodal_decomp, records, same_decomposition):
         other_cfg = records["A2-nodal"].config("base")
