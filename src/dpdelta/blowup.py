@@ -60,7 +60,7 @@ def blowup(
         mult[point.on_curve] = 1
     for curve, m in point.incidences.items():
         config.index(curve)
-        if not (isinstance(m, int) and m >= 1):
+        if type(m) is not int or m < 1:  # a bool is no multiplicity
             raise InconsistentIncidence(
                 f"multiplicity of {curve} at {point.id} must be a positive integer"
             )

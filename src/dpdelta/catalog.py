@@ -22,11 +22,8 @@ from .config import SurfaceConfig, config_to_json, load
 from .delta import FlagReport, certify_minimum, flag_report, local_h
 from .errors import NotCertified, SchemaError
 from .poly import IntQuadratic, PiecewisePoly, Poly
-from .rationals import format_rational, json_list, parse_rational
+from .rationals import format_rational, read_field, read_json, typed
 from .zariski import Decomposition, decomposition_to_json, parametric_decompose
-
-_RELATIONS = ("=", "<=")
-
 
 @dataclass(frozen=True)
 class BlowupSpec:
@@ -58,6 +55,8 @@ class FlagSpec:
     flag: str
     s: Fraction
     points: tuple[PointExpectation, ...]
+    # the stored string "tau" and chamber "list", as `decomposition_to_json`
+    # writes them
     chambers: Mapping | None = None
 
 
@@ -140,135 +139,131 @@ def case_names(root: Path | str | None = None) -> tuple[str, ...]:
 
 
 def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
+    """Read one case; every SchemaError names expected.json and the field path,
+    and also the configuration file when a stored fact does not match it."""
     base = Path(root) if root is not None else catalog_root()
     path = base / name
     expected = path / "expected.json"
     if not expected.is_file():
         raise SchemaError(f"no case named {name!r} under {base}")
-    try:
-        data = json.loads(expected.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{expected}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    if not isinstance(data, dict):
-        raise SchemaError(f"{expected}: malformed case (a {type(data).__name__}, not an object)")
-    if data.get("case") != name:
-        raise SchemaError(f"expected.json in {path} names case {data.get('case')!r}")
-    try:
-        return _case_from_json(name, path, data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{expected}: malformed case ({exc!r})") from exc
+    data = typed(read_json(expected), dict, str(expected))
+    at = f"{expected}: "
+    if (case := read_field(data, "case", str, at)) != name:
+        raise SchemaError(f"{expected} names case {case!r}, not {name!r}")
 
-
-def _case_from_json(name: str, path: Path, data: Mapping) -> CaseRecord:
     configs: dict[str, SurfaceConfig] = {}
-    order: list[str] = []
-    blowups: list[BlowupSpec] = []
-    for entry in data.get("configs", ()):
-        cid = str(entry["id"])
-        if cid in configs:
-            raise SchemaError(f"duplicate configuration id {cid!r} in case {name}")
-        configs[cid] = load(path / entry["file"])
-        order.append(cid)
-        if "blowup" in entry:
-            raw = entry["blowup"]
-            blowups.append(
-                BlowupSpec(
-                    result=cid,
-                    source=str(raw["from"]),
-                    point=str(raw["point"]),
-                    e_p_name=str(raw["e_p_name"]),
-                    name=str(raw["name"]),
-                    a_e_p=parse_rational(raw["a_e_p"]),
-                    pullback_coeff=parse_rational(raw["pullback_coeff"]),
-                )
+    files: dict[str, Path] = {}
+
+    def check_point(cid: str, point_id: str, flag: str | None, where: str) -> None:
+        """A stored point must exist, and lie on the flag it is stored under."""
+        on_curve = next((p.on_curve for p in configs[cid].points if p.id == point_id), None)
+        if on_curve is None:
+            raise SchemaError(
+                f"{where}: unknown point {point_id!r} in configuration {cid!r} ({files[cid]})"
             )
+        if flag is not None and on_curve != flag:
+            raise SchemaError(
+                f"{where}: point {point_id!r} of configuration {cid!r} in case {name} "
+                f"lies on {on_curve}, not on flag {flag!r} ({files[cid]})"
+            )
+
+    def config_and_flag(raw: dict, where: str) -> tuple[str, str]:
+        """The row's configuration id and flag curve, both checked to exist."""
+        cid = read_field(raw, "config", str, where)
+        if cid not in configs:
+            raise SchemaError(f"{where}config: unknown configuration {cid!r}")
+        flag = read_field(raw, "flag", str, where)
+        if flag not in configs[cid].curve_names:
+            raise SchemaError(
+                f"{where}flag: configuration {cid!r} ({files[cid]}) has no curve {flag!r}"
+            )
+        return cid, flag
+
+    blowups: list[BlowupSpec] = []
+    for i, entry in enumerate(read_field(data, "configs", list[dict], at, [])):
+        where = f"{at}configs[{i}]."
+        cid = read_field(entry, "id", str, where)
+        if cid in configs:
+            raise SchemaError(f"{where}id: duplicate configuration id {cid!r}")
+        files[cid] = path / read_field(entry, "file", str, where)
+        if not files[cid].is_file():
+            raise SchemaError(f"{where}file: no such file {files[cid]}")
+        raw = read_field(entry, "blowup", dict, where, None)
+        if raw is not None:
+            where += "blowup."
+            source = read_field(raw, "from", str, where)
+            if source not in configs:
+                raise SchemaError(f"{where}from: no earlier configuration {source!r}")
+            point = read_field(raw, "point", str, where)
+            check_point(source, point, None, f"{where}point")
+            rest = [read_field(raw, key, str, where) for key in ("e_p_name", "name")]
+            rest += [read_field(raw, key, Fraction, where) for key in ("a_e_p", "pullback_coeff")]
+            blowups.append(BlowupSpec(cid, source, point, *rest))
+        configs[cid] = load(files[cid])
     if not configs:
-        raise SchemaError(f"case {name} stores no configurations")
+        raise SchemaError(f"{at}case {name} stores no configurations")
 
     flag_specs: list[FlagSpec] = []
-    for raw in data.get("flags", ()):
-        cid = str(raw["config"])
-        if cid not in configs:
-            raise SchemaError(f"flag row references unknown configuration {cid!r}")
-        cfg = configs[cid]
-        flag = str(raw["flag"])
-        if flag not in cfg.curve_names:
-            raise SchemaError(f"configuration {cid!r} has no curve {flag!r}")
+    for i, raw in enumerate(read_field(data, "flags", list[dict], at, [])):
+        where = f"{at}flags[{i}]."
+        cid, flag = config_and_flag(raw, where)
         points = []
-        for p in raw.get("points", ()):
-            relation = str(p.get("relation", "="))
-            if relation not in _RELATIONS:
-                raise SchemaError(f"unknown relation {relation!r} on point {p['id']!r}")
-            _check_on_flag(name, cid, cfg, str(p["id"]), flag)
-            points.append(PointExpectation(str(p["id"]), parse_rational(p["s_w"]), relation))
-        flag_specs.append(
-            FlagSpec(
-                config_id=cid,
-                flag=flag,
-                s=parse_rational(raw["s"]),
-                points=tuple(points),
-                chambers=raw.get("chambers"),
-            )
-        )
+        for j, p in enumerate(read_field(raw, "points", list[dict], where, [])):
+            at_p = f"{where}points[{j}]."
+            point_id = read_field(p, "id", str, at_p)
+            relation = read_field(p, "relation", str, at_p, "=")
+            if relation not in ("=", "<="):
+                raise SchemaError(f"{at_p}relation: unknown relation {relation!r}")
+            check_point(cid, point_id, flag, f"{at_p}id")
+            s_w = read_field(p, "s_w", Fraction, at_p)
+            points.append(PointExpectation(point_id, s_w, relation))
+        stored = read_field(raw, "chambers", dict, where, None)
+        if stored is not None:
+            kinds = {"tau": str, "list": list}
+            stored = {k: read_field(stored, k, t, f"{where}chambers.") for k, t in kinds.items()}
+        s = read_field(raw, "s", Fraction, where)
+        flag_specs.append(FlagSpec(cid, flag, s, tuple(points), stored))
     if not flag_specs:
-        raise SchemaError(f"case {name} stores no flag rows")
+        raise SchemaError(f"{at}case {name} stores no flag rows")
 
     class_bounds: list[ClassBound] = []
-    for raw in data.get("class_bounds", ()):
-        cid = str(raw["config"])
-        if cid not in configs:
-            raise SchemaError(f"class bound references unknown configuration {cid!r}")
-        for pid in raw.get("covers", ()):
-            _check_on_flag(name, cid, configs[cid], str(pid), str(raw["flag"]))
-        class_bounds.append(
-            ClassBound(
-                config_id=cid,
-                flag=str(raw["flag"]),
-                value=parse_rational(raw["value"]),
-                envelope=_envelope(name, raw["envelope"]),
-                covers=tuple(str(pid) for pid in raw.get("covers", ())),
-            )
-        )
+    for i, raw in enumerate(read_field(data, "class_bounds", list[dict], at, [])):
+        where = f"{at}class_bounds[{i}]."
+        cid, flag = config_and_flag(raw, where)
+        covers = read_field(raw, "covers", list[str], where, [])
+        for j, point_id in enumerate(covers):
+            check_point(cid, point_id, flag, f"{where}covers[{j}]")
+        value = read_field(raw, "value", Fraction, where)
+        envelope = _envelope(read_field(raw, "envelope", dict, where), f"{where}envelope.")
+        class_bounds.append(ClassBound(cid, flag, value, envelope, tuple(covers)))
 
     return CaseRecord(
         name=name,
         path=path,
-        config_order=tuple(order),
+        config_order=tuple(configs),
         configs=configs,
         blowups=tuple(blowups),
         flag_specs=tuple(flag_specs),
         class_bounds=tuple(class_bounds),
-        delta=parse_rational(data["delta"]),
+        delta=read_field(data, "delta", Fraction, at),
     )
 
 
-def _envelope(case: str, data: Mapping) -> PiecewisePoly:
+def _envelope(data: dict, where: str) -> PiecewisePoly:
     """A stored envelope as integer pieces; it may jump at its breakpoints."""
     pieces = []
-    for coeffs in json_list(data["pieces"], f"envelope pieces in case {case}"):
-        p = Poly(json_list(coeffs, f"envelope piece in case {case}"))
+    for j, coeffs in enumerate(read_field(data, "pieces", list[list[Fraction]], where)):
+        p = Poly(coeffs)
         if p.degree > 2:
             raise SchemaError(
-                f"envelope piece {p.render()} in case {case} has degree {p.degree}, not <= 2"
+                f"{where}pieces[{j}]: envelope piece {p.render()} has degree {p.degree}, not <= 2"
             )
         pieces.append(IntQuadratic.from_fractions([p.coeff(k) for k in range(3)]))
-    breakpoints = json_list(data["breakpoints"], f"envelope breakpoints in case {case}")
+    breakpoints = read_field(data, "breakpoints", list[Fraction], where)
     try:
-        return PiecewisePoly(map(parse_rational, breakpoints), pieces, continuous=False)
+        return PiecewisePoly(breakpoints, pieces, continuous=False)
     except ValueError as exc:
-        raise SchemaError(f"envelope in case {case}: {exc}") from None
-
-
-def _check_on_flag(
-    case: str, config_id: str, cfg: SurfaceConfig, point_id: str, flag: str
-) -> None:
-    """A stored point must exist and lie on the flag it is stored under."""
-    on_curve = cfg.point(point_id).on_curve
-    if on_curve != flag:
-        raise SchemaError(
-            f"point {point_id!r} of configuration {config_id!r} in case {case} "
-            f"lies on {on_curve}, not on flag {flag!r}"
-        )
+        raise SchemaError(f"{where}breakpoints: {exc}") from None
 
 
 def _flag_label(record: CaseRecord, spec: FlagSpec) -> str:

@@ -272,10 +272,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DpDeltaError as exc:

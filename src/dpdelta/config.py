@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
-from .rationals import RatLike, format_rational, parse_rational
+from .rationals import RatLike, format_rational, parse_rational, read_field, read_json, typed
 
 CURVE_KINDS = ("minus_one", "minus_two", "anticanonical_transform", "orbifold", "other")
 
@@ -413,38 +413,39 @@ def config_to_json(config: SurfaceConfig) -> dict:
     }
 
 
-def config_from_json(data: dict, source: str = "<memory>") -> SurfaceConfig:
+def config_from_json(data: object, source: str = "<memory>") -> SurfaceConfig:
+    """Read a configuration from its JSON form; every SchemaError names `source`.
+
+    Gram and anti_k entries, 10^5 on a wide configuration, are left to the
+    constructor's memoized parse."""
+    at = f"{source}: "
+    data = typed(data, dict, source)
+    curves = []
+    for i, c in enumerate(read_field(data, "curves", list[dict], at)):
+        where = f"{at}curves[{i}]."
+        curve, kind = (read_field(c, key, str, where) for key in ("name", "kind"))
+        curves.append((curve, read_field(c, "self_int", Fraction, where), kind))
+    points = []
+    for i, p in enumerate(read_field(data, "points", list[dict], at, [])):
+        where = f"{at}points[{i}]."
+        point_id, on_curve = (read_field(p, key, str, where) for key in ("id", "on_curve"))
+        incidences = read_field(p, "incidences", dict[str, int], where, {})
+        different = read_field(p, "different", Fraction, where, 0)
+        points.append(PointSpec(point_id, on_curve, incidences, different))
+    name = read_field(data, "name", str, at)
+    norm = read_field(data, "norm", Fraction, at)
+    gram = read_field(data, "gram", list[list], at)
+    anti_k = read_field(data, "anti_k", list, at)
+    discrepancy = read_field(data, "discrepancy", dict[str, Fraction], at, {})
+    smooth_surface = read_field(data, "smooth_surface", bool, at)
     try:
-        curves = [
-            CurveRecord(c["name"], c["self_int"], c["kind"]) for c in data["curves"]
-        ]
-        points = []
-        for p in data.get("points", []):
-            incidences = p.get("incidences", {})
-            for name, mult in incidences.items():
-                if type(mult) is not int:  # int() would read a JSON 1.9 or true as 1
-                    raise SchemaError(
-                        f"point {p['id']}: incidence with {name} must be an integer, "
-                        f"got {mult!r}"
-                    )
-            points.append(PointSpec(p["id"], p["on_curve"], incidences, p.get("different", 0)))
-        smooth_surface = data["smooth_surface"]
-        if type(smooth_surface) is not bool:  # bool() would read a JSON "no" as true
-            raise SchemaError(f"smooth_surface must be true or false, got {smooth_surface!r}")
-        return SurfaceConfig(
-            name=data["name"],
-            norm=data["norm"],
-            curves=curves,
-            gram=data["gram"],
-            anti_k=data["anti_k"],
-            discrepancy=data.get("discrepancy", {}),
-            smooth_surface=smooth_surface,
-            points=points,
-        )
+        curves = [CurveRecord(*c) for c in curves]
+        return SurfaceConfig(name, norm, curves, gram, anti_k, discrepancy, smooth_surface, points)
     except SchemaError as exc:
-        raise SchemaError(f"{source}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{source}: malformed config ({exc!r})") from exc
+        # a Gram or anti_k entry that is no rational, named by its path
+        typed(gram, list[list[Fraction]], f"{at}gram")
+        typed(anti_k, list[Fraction], f"{at}anti_k")
+        raise SchemaError(f"{at}{exc}") from None
 
 
 def save(config: SurfaceConfig, path: str | Path) -> None:
@@ -452,14 +453,7 @@ def save(config: SurfaceConfig, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> SurfaceConfig:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SchemaError(f"{path}: no such file") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    config = config_from_json(data, source=str(path))
+    config = config_from_json(read_json(path), source=str(path))
     report = validate(config)
     if not report.ok:
         raise SchemaError(

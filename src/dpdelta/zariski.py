@@ -47,7 +47,7 @@ from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
 from .linalg import solve
 from .poly import IntQuadratic, PiecewisePoly, Poly
-from .rationals import RatLike, format_rational, json_list, parse_rational
+from .rationals import RatLike, format_rational, parse_rational, read_field, typed
 
 _MAX_PIVOTS = 4096
 _MAX_CHAMBERS = 64
@@ -493,11 +493,7 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
     }
 
 
-_TOP_KEYS = frozenset(("flag", "tau", "chambers"))
-_CHAMBER_KEYS = frozenset(("lo", "hi", "support", "n_coeffs", "p_sq", "p_dot"))
-
-
-def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decomposition:
+def decomposition_from_json(config: SurfaceConfig, data: object) -> Decomposition:
     """Rebuild a decomposition from its JSON form against a configuration.
 
     Only the support sets and their coefficients are trusted; every derived
@@ -505,100 +501,72 @@ def decomposition_from_json(config: SurfaceConfig, data: Mapping) -> Decompositi
     the stored `p_sq` and `p_dot` rows, and P must meet every support curve
     in 0, so a stale or tampered file raises SchemaError instead of
     round-tripping silently. The error names the configuration, the flag and
-    the index of the chamber at fault; a malformed top level (not an object,
-    without `flag`, `tau` or `chambers`, or with a flag that is not a
-    string) raises SchemaError naming the configuration.
+    the chamber or field path at fault.
     """
-    if not isinstance(data, Mapping):
-        raise SchemaError(
-            f"decomposition must be an object, got {type(data).__name__}; config {config.name}"
-        )
-    missing = _TOP_KEYS.difference(data)
-    if missing:
-        raise SchemaError(
-            f"decomposition lacks {', '.join(sorted(missing))}; config {config.name}"
-        )
-    flag = data["flag"]
-    if not isinstance(flag, str):
-        raise SchemaError(f"flag must be a string, got {flag!r}; config {config.name}")
+    at = f"config {config.name}: "
+    data = typed(data, dict, f"{at}decomposition")
+    flag = read_field(data, "flag", str, at)
     where = f"config {config.name}, flag {flag}"
     if flag not in config.curve_names:
         raise SchemaError(f"unknown flag curve {flag!r}; {where}")
-    if "config" in data and data["config"] != config.name:
+    at = f"{where}: "
+    if read_field(data, "config", str, at, config.name) != config.name:
         raise SchemaError(f"decomposition belongs to {data['config']!r}; {where}")
-    try:
-        tau = parse_rational(data["tau"])
-    except SchemaError as exc:
-        raise SchemaError(f"tau: {exc}; {where}") from exc
+    tau = read_field(data, "tau", Fraction, at)
     direction = _direction(config, flag)
     fi, scale = direction.flag, config.anti_k_dots_den
     chambers: list[Chamber] = []
-    try:
-        for raw in json_list(data["chambers"], "chambers"):
-            if not isinstance(raw, Mapping):
-                raise SchemaError(f"chamber must be an object, got {raw!r}")
-            missing = _CHAMBER_KEYS.difference(raw)
-            if missing:
-                raise SchemaError(f"chamber lacks {', '.join(sorted(missing))}")
-            lo, hi = parse_rational(raw["lo"]), parse_rational(raw["hi"])
-            span = f"[{format_rational(lo)}, {format_rational(hi)}]"
-            if lo >= hi:
-                raise SchemaError(f"empty or reversed chamber {span}")
-            support = tuple(str(name) for name in json_list(raw["support"], f"support on {span}"))
-            if len(set(support)) != len(support):
-                raise SchemaError(f"duplicate support curve on {span}")
-            n_coeffs = raw["n_coeffs"]
-            if not isinstance(n_coeffs, Mapping):
-                raise SchemaError(f"n_coeffs on {span} must be an object, got {n_coeffs!r}")
-            unknown = [name for name in support if name not in config.curve_names]
-            if unknown or set(n_coeffs) != set(support):
-                raise SchemaError(f"support/coefficient mismatch on {span}")
-            n_polys = [
-                Poly(json_list(n_coeffs[name], f"coefficient of {name} on {span}"))
-                for name in support
-            ]
-            if any(p.degree > 1 for p in n_polys):
-                raise SchemaError(f"non-affine negative-part coefficient on {span}")
-            # scale * N_s = x_s / d with one denominator d over every coefficient
-            d = math.lcm(*(c.denominator for p in n_polys for c in p.coeffs))
-            rows = _rows(
-                direction,
-                [config.index(name) for name in support],
-                [int(p.coeff(0) * d * scale) for p in n_polys],
-                [int(p.coeff(1) * d * scale) for p in n_polys],
-                d,
-            )
-            ch = Chamber(lo, hi, rows, _positive_part(direction, rows))
-            if ch.p_sq != Poly(json_list(raw["p_sq"], f"P^2 on {span}")):
-                raise SchemaError(f"stored P^2 disagrees with the recomputed one on {span}")
-            if ch.p_dot_at(fi) != Poly(json_list(raw["p_dot"], f"P.{flag} on {span}")):
-                raise SchemaError(
-                    f"stored P.{flag} disagrees with the recomputed one on {span}"
+
+    def bad(problem: str) -> SchemaError:
+        return SchemaError(f"{problem}; {where}, chamber {len(chambers)}")
+
+    for k, raw in enumerate(read_field(data, "chambers", list[dict], at)):
+        at_k = f"{at}chambers[{k}]."
+        lo, hi = read_field(raw, "lo", Fraction, at_k), read_field(raw, "hi", Fraction, at_k)
+        span = f"[{format_rational(lo)}, {format_rational(hi)}]"
+        if lo >= hi:
+            raise bad(f"empty or reversed chamber {span}")
+        if not chambers and lo != 0:
+            raise bad("chambers do not cover [0, tau]")
+        if chambers and lo != chambers[-1].hi:
+            raise bad(f"chambers leave a gap at {format_rational(chambers[-1].hi)}")
+        support = read_field(raw, "support", list[str], at_k)
+        if len(set(support)) != len(support):
+            raise bad(f"duplicate support curve on {span}")
+        n_coeffs = read_field(raw, "n_coeffs", dict[str, list[Fraction]], at_k)
+        unknown = [name for name in support if name not in config.curve_names]
+        if unknown or set(n_coeffs) != set(support):
+            raise bad(f"support/coefficient mismatch on {span}")
+        n_polys = [Poly(n_coeffs[name]) for name in support]
+        if any(p.degree > 1 for p in n_polys):
+            raise bad(f"non-affine negative-part coefficient on {span}")
+        # scale * N_s = x_s / d with one denominator d over every coefficient
+        d = math.lcm(*(c.denominator for p in n_polys for c in p.coeffs))
+        rows = _rows(
+            direction,
+            [config.index(name) for name in support],
+            [int(p.coeff(0) * d * scale) for p in n_polys],
+            [int(p.coeff(1) * d * scale) for p in n_polys],
+            d,
+        )
+        ch = Chamber(lo, hi, rows, _positive_part(direction, rows))
+        if ch.p_sq != Poly(read_field(raw, "p_sq", list[Fraction], at_k)):
+            raise bad(f"stored P^2 disagrees with the recomputed one on {span}")
+        if ch.p_dot_at(fi) != Poly(read_field(raw, "p_dot", list[Fraction], at_k)):
+            raise bad(f"stored P.{flag} disagrees with the recomputed one on {span}")
+        for s in rows.support:
+            if rows.c0[s] or rows.c1[s]:
+                name = config.curve_names[s]
+                raise bad(
+                    f"negative part not orthogonal to P: P.{name} = "
+                    f"{ch.p_dot_at(s).render()} on support curve {name} on {span}"
                 )
-            for s in rows.support:
-                if rows.c0[s] or rows.c1[s]:
-                    name = config.curve_names[s]
-                    p_dot = ch.p_dot_at(s).render()
-                    raise SchemaError(
-                        f"negative part not orthogonal to P: P.{name} = {p_dot} "
-                        f"on support curve {name} on {span}"
-                    )
-            chambers.append(ch)
-        if not chambers:
-            raise SchemaError("no chambers stored")
-    except SchemaError as exc:
-        raise SchemaError(f"{exc}; {where}, chamber {len(chambers)}") from exc
-    last = len(chambers) - 1
-    if chambers[0].lo != 0:
-        raise SchemaError(f"chambers do not cover [0, tau]; {where}, chamber 0")
+        chambers.append(ch)
+    if not chambers:
+        raise bad("no chambers stored")
+    last = f"{where}, chamber {len(chambers) - 1}"
     if chambers[-1].hi != tau:
-        raise SchemaError(f"chambers do not cover [0, tau]; {where}, chamber {last}")
-    for i in range(1, len(chambers)):
-        if chambers[i - 1].hi != chambers[i].lo:
-            raise SchemaError(
-                f"chambers leave a gap at {format_rational(chambers[i - 1].hi)}; "
-                f"{where}, chamber {i}"
-            )
+        raise SchemaError(f"chambers do not cover [0, tau]; {last}")
     if chambers[-1].p_sq_rows.scaled_at(tau.numerator, tau.denominator):
-        raise SchemaError(f"P^2 does not vanish at the stored tau; {where}, chamber {last}")
+        raise SchemaError(f"P^2 does not vanish at the stored tau; {last}")
     return Decomposition(config, flag, tuple(chambers), tau)

@@ -118,10 +118,11 @@ def test_name_collision(a1_nodal):
 
 
 def test_bad_multiplicities(a1_nodal):
-    with pytest.raises(
-        InconsistentIncidence, match="multiplicity of C at bad must be a positive integer"
-    ):
-        blowup(a1_nodal, PointSpec("bad", "E", {"C": 0}))
+    for m in (0, True):  # True is an int to Python, but no multiplicity
+        with pytest.raises(
+            InconsistentIncidence, match="multiplicity of C at bad must be a positive integer"
+        ):
+            blowup(a1_nodal, PointSpec("bad", "E", {"C": m}))
     with pytest.raises(
         InconsistentIncidence,
         match="flag curve E must pass through bad2 with multiplicity 1",

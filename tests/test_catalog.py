@@ -323,7 +323,8 @@ class TestLoaderSchema:
         root = _tampered_envelope(tmp_path, pieces=[["0", "0", "9/8", "1"], ["3/2", "0", "-3/2"]])
         with pytest.raises(
             SchemaError,
-            match=r"envelope piece 9/8\*v\^2 \+ v\^3 in case A2-nodal has degree 3",
+            match=r"A2-nodal/expected.json: class_bounds\[0\]\.envelope\.pieces\[0\]: "
+            r"envelope piece 9/8\*v\^2 \+ v\^3 has degree 3",
         ):
             load_case("A2-nodal", root=root)
 
@@ -331,7 +332,8 @@ class TestLoaderSchema:
         root = _tampered_envelope(tmp_path, breakpoints=["0", "1", "2/3"])
         with pytest.raises(
             SchemaError,
-            match="envelope in case A2-nodal: breakpoints must be strictly increasing",
+            match=r"A2-nodal/expected.json: class_bounds\[0\]\.envelope\.breakpoints: "
+            "breakpoints must be strictly increasing",
         ):
             load_case("A2-nodal", root=root)
 
@@ -341,9 +343,12 @@ class TestLoaderSchema:
             # one piece on [0, 1], which the string would give
             (
                 {"breakpoints": "01", "pieces": [["0", "0", "9/8"]]},
-                "envelope breakpoints in case A2-nodal must be a list, got '01'",
+                r"class_bounds\[0\]\.envelope\.breakpoints must be a list, got '01'",
             ),
-            ({"pieces": [["0", "0", "9/8"], "32"]}, "envelope piece in case A2-nodal"),
+            (
+                {"pieces": [["0", "0", "9/8"], "32"]},
+                r"class_bounds\[0\]\.envelope\.pieces\[1\] must be a list, got '32'",
+            ),
         ],
         ids=["breakpoints", "piece"],
     )

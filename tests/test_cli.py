@@ -100,6 +100,12 @@ class TestDecompose:
         assert rc == 2
         assert "no such file" in capsys.readouterr().err
 
+    def test_config_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["decompose", "--config", str(path), "--flag", "E"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (byte 0)\n"
+
 
 class TestScalars:
     def test_s(self, capsys):
@@ -226,12 +232,13 @@ class TestVerify:
         assert main(["verify", "--case", "A2-nodal"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {expected}: malformed case (KeyError('pieces'))\n"
+        where = "class_bounds[0].envelope.pieces"
+        assert captured.err == f"error: {expected}: {where} is missing\n"
 
     @pytest.mark.parametrize(
         "text, reason",
         [
-            ("[]", ": malformed case (a list, not an object)"),
+            ("[]", " must be an object, got []"),
             ("{\n", ":2: invalid JSON (Expecting property name enclosed in double quotes)"),
         ],
     )
@@ -248,6 +255,19 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {expected}{reason}\n"
+
+
+    def test_expected_json_that_is_not_utf8(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "A2-nodal"
+        shutil.copytree(catalog_root() / "A2-nodal", target)
+        expected = target / "expected.json"
+        expected.write_bytes(b"\xff\xfe{")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
+
+        assert main(["verify", "--case", "A2-nodal"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}: not UTF-8 text (byte 0)\n"
 
 
 class TestTable:
