@@ -2,12 +2,13 @@
 
 The certified per-case minima, read from the catalog's ``expected.json``
 files, combine into a single table: a surface whose singular points have
-several resolution types takes the minimum of the per-type values, where
-the types whose value depends on extra geometric data (the nodal/cuspidal
-shape of the curves through the point, or the reducibility of the branch
-divisor) contribute one value per completion. The composite answer is only
-defined when every completion yields the same minimum; otherwise the
-missing flag genuinely matters.
+several resolution types takes the minimum of the per-type values. A type
+the catalog splits into a pair of variants (``A1-nodal``/``A1-cuspidal``:
+the shape of the halfanticanonical curves through the point;
+``A7-reducible``/``A7-irreducible``: the branch divisor R) contributes one
+value per variant when its variant is not given. The composite answer is
+only defined when every choice of variants yields the same minimum;
+otherwise the missing variant genuinely matters.
 """
 from __future__ import annotations
 
@@ -29,73 +30,67 @@ SMOOTH_DELTA_GENERAL = Fraction(12, 5)
 
 @dataclass(frozen=True)
 class SingularityEntry:
-    """One singular point type, with its optional extra geometric flags.
+    """One singular point type and, optionally, its variant.
 
-    `cuspidal` records whether some curve of the halfanticanonical pencil
-    through the point is cuspidal (meaningful for A1 and A2 only);
-    `reducible_r` records whether the branch sextic is reducible
-    (meaningful for A7 only). A flag left as None means "not specified".
+    `variant` is the suffix of the catalog case that records it: ``nodal``
+    or ``cuspidal`` for A1 and A2, ``reducible`` or ``irreducible`` for A7.
+    None means "every variant the catalog has for this type".
     """
 
     type: str
-    cuspidal: bool | None = None
-    reducible_r: bool | None = None
+    variant: str | None = None
 
 
-def base_delta(entry: SingularityEntry) -> Fraction:
-    """Certified delta of a surface whose only singularity is `entry`.
-
-    Raises MissingFlag when the value depends on an unspecified flag and
-    SchemaError when a flag is supplied for a type it does not apply to.
-    """
-    values = _candidate_values(entry)
-    if len(values) != 1:
-        raise MissingFlag(
-            f"{entry.type} needs an extra flag to pin down its delta value"
-        )
-    return values[0]
+# each variant's partner: a catalog type splits into both or neither
+_PAIRS = {
+    "nodal": "cuspidal", "cuspidal": "nodal",
+    "irreducible": "reducible", "reducible": "irreducible",
+}
+_ALIASES = {"cusp": "cuspidal", "red": "reducible", "irr": "irreducible", "irred": "irreducible"}
+_ENTRY_RE = re.compile(r"^(\d*)([ADE]\d+)(?::([a-z]+))?$")
+_TYPE_RE = re.compile(r"^[ADE]\d+$")
 
 
 def _candidate_values(entry: SingularityEntry) -> tuple[Fraction, ...]:
-    t = entry.type
     try:
-        field, deltas = _type_deltas(catalog_root())[t]
+        deltas = _type_deltas(catalog_root())[entry.type]
     except KeyError:
-        raise SchemaError(f"unknown singularity type {t!r}") from None
-    for other in _FLAG_NAMES:
-        if other != field and getattr(entry, other) is not None:
-            raise SchemaError(f"{t} takes no {_FLAG_NAMES[other] if field else 'extra'} flag")
-    value = getattr(entry, field) if field else None
-    return tuple(deltas.values()) if value is None else (deltas[value],)
+        raise SchemaError(f"unknown singularity type {entry.type!r}") from None
+    if entry.variant is None:
+        return tuple(deltas.values())
+    if entry.variant not in deltas:
+        raise SchemaError(f"{entry.type} has no {entry.variant} variant")
+    return (deltas[entry.variant],)
 
 
 @functools.lru_cache(maxsize=None)
-def _type_deltas(root: Path) -> dict[str, tuple[str | None, dict[bool | None, Fraction]]]:
-    """Each type's flag field (or None) and its certified delta per flag value,
-    read from the catalog cases named ``<type>`` or ``<type>-<suffix>``."""
-    table: dict = {}
+def _type_deltas(root: Path) -> dict[str, dict[str | None, Fraction]]:
+    """Each type's certified delta per variant (None for an unsplit type),
+    read from the catalog cases named ``<type>`` or ``<type>-<variant>``."""
+    table: dict[str, dict[str | None, Fraction]] = {}
     for name in case_names(root):
         t, _, suffix = name.partition("-")
-        if not _TYPE_RE.match(t) or (suffix and suffix not in _SUFFIXES):
-            raise SchemaError(f"catalog case {name!r} is not <type> or <type>-<suffix>")
-        field, value = _SUFFIXES[suffix] if suffix else (None, None)
-        known, deltas = table.setdefault(t, (field, {}))
-        if known != field or value in deltas:
+        variant = suffix or None
+        if not _TYPE_RE.match(t) or (suffix and suffix not in _PAIRS):
+            raise SchemaError(f"catalog case {name!r} is not <type> or <type>-<variant>")
+        deltas = table.setdefault(t, {})
+        if deltas.keys() - {_PAIRS.get(variant)}:
             raise SchemaError(f"catalog case {name} clashes with another {t} case")
-        deltas[value] = load_case(name, root).delta
-    for t, (field, deltas) in table.items():
-        if field is not None and set(deltas) != {False, True}:
-            raise SchemaError(f"catalog has {t} for only one {_FLAG_NAMES[field]} value")
+        deltas[variant] = load_case(name, root).delta
+    for t, deltas in table.items():
+        for variant in deltas:
+            if variant is not None and _PAIRS[variant] not in deltas:
+                raise SchemaError(f"catalog has {t}-{variant} but no {t}-{_PAIRS[variant]}")
     return table
 
 
 def main_theorem_delta(entries: Sequence[SingularityEntry]) -> Fraction:
     """Delta of a surface with the given singular points.
 
-    Every entry contributes its candidate values (one per completion of its
-    unspecified flags); the answer is min over entries, evaluated for every
-    completion. When all completions agree the common value is returned,
-    otherwise MissingFlag is raised.
+    Every entry contributes its candidate values (one per variant when its
+    variant is not given); the answer is min over entries, evaluated for
+    every choice of variants. When all choices agree the common value is
+    returned, otherwise MissingFlag is raised.
     """
     if not entries:
         raise SchemaError("at least one singularity is required")
@@ -109,83 +104,52 @@ def main_theorem_delta(entries: Sequence[SingularityEntry]) -> Fraction:
     return minima.pop()
 
 
-_ENTRY_RE = re.compile(r"^(\d*)([ADE]\d+)(?::([a-z]+))?$")
-_TYPE_RE = re.compile(r"^[ADE]\d+$")
-_FLAG_NAMES = {"cuspidal": "nodal/cuspidal", "reducible_r": "branch-reducibility"}
-_SUFFIXES = {
-    "nodal": ("cuspidal", False),
-    "cusp": ("cuspidal", True),
-    "cuspidal": ("cuspidal", True),
-    "red": ("reducible_r", True),
-    "reducible": ("reducible_r", True),
-    "irr": ("reducible_r", False),
-    "irred": ("reducible_r", False),
-    "irreducible": ("reducible_r", False),
-}
-
-
 def parse_singularities(text: str) -> tuple[SingularityEntry, ...]:
-    """Parse a '+'-joined singularity list such as ``2A1+A2:cusp`` or ``A7:red``."""
+    """Parse a '+'-joined singularity list such as ``2A1+A2:cusp`` or ``A7:red``.
+
+    A ``:<variant>`` suffix is a catalog case suffix or one of the aliases
+    ``cusp``, ``red``, ``irr`` and ``irred``. Each entry is checked against
+    the catalog as it is read.
+    """
     entries: list[SingularityEntry] = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
         match = _ENTRY_RE.match(chunk)
         if not match:
             raise SchemaError(f"cannot parse singularity {chunk!r}")
-        count = int(match.group(1) or "1")
+        digits, t, suffix = match.groups()
+        count = int(digits or "1")
         if count < 1:
             raise SchemaError(f"bad multiplicity in {chunk!r}")
-        kwargs: dict[str, bool] = {}
-        if match.group(3) is not None:
-            if match.group(3) not in _SUFFIXES:
-                raise SchemaError(f"unknown suffix {match.group(3)!r} in {chunk!r}")
-            field, value = _SUFFIXES[match.group(3)]
-            kwargs[field] = value
-        entry = SingularityEntry(match.group(2), **kwargs)
-        _candidate_values(entry)  # validate type/flag combination eagerly
+        variant = _ALIASES.get(suffix, suffix)
+        if variant is not None and variant not in _PAIRS:
+            raise SchemaError(f"unknown suffix {suffix!r} in {chunk!r}")
+        entry = SingularityEntry(t, variant)
+        _candidate_values(entry)
         entries.extend([entry] * count)
-    if not entries:
-        raise SchemaError("empty singularity list")
     return tuple(entries)
 
 
 @dataclass(frozen=True)
 class TableRow:
     """One printed row: the singularity combinations, an optional side
-    condition on the completion flags, and the common delta value."""
+    condition on the points' variants, and the common delta value."""
 
     combos: tuple[str, ...]
     condition: str | None
     delta: Fraction
 
 
+_A1_COMBOS = tuple(f"{k}A1" if k > 1 else "A1" for k in range(1, 9))
+_A2_COMBOS = (
+    "A2", "A2+A1", "A2+2A1", "A2+3A1", "A2+4A1",
+    "2A2", "2A2+A1", "2A2+2A1", "3A2", "3A2+A1", "4A2",
+)
 MAIN_THEOREM_ROWS: tuple[TableRow, ...] = (
-    TableRow(
-        tuple(f"{k}A1" if k > 1 else "A1" for k in range(1, 9)),
-        "all nodal",
-        Fraction(2),
-    ),
-    TableRow(
-        tuple(f"{k}A1" if k > 1 else "A1" for k in range(1, 9)),
-        "some cuspidal",
-        Fraction(9, 5),
-    ),
-    TableRow(
-        (
-            "A2", "A2+A1", "A2+2A1", "A2+3A1", "A2+4A1",
-            "2A2", "2A2+A1", "2A2+2A1", "3A2", "3A2+A1", "4A2",
-        ),
-        "all A2 nodal",
-        Fraction(12, 7),
-    ),
-    TableRow(
-        (
-            "A2", "A2+A1", "A2+2A1", "A2+3A1", "A2+4A1",
-            "2A2", "2A2+A1", "2A2+2A1", "3A2", "3A2+A1", "4A2",
-        ),
-        "some A2 cuspidal",
-        Fraction(3, 2),
-    ),
+    TableRow(_A1_COMBOS, "all nodal", Fraction(2)),
+    TableRow(_A1_COMBOS, "some cuspidal", Fraction(9, 5)),
+    TableRow(_A2_COMBOS, "all A2 nodal", Fraction(12, 7)),
+    TableRow(_A2_COMBOS, "some A2 cuspidal", Fraction(3, 2)),
     TableRow(
         ("A4", "A4+A1", "A4+2A1", "A4+A2", "A4+A2+A1", "A4+A3", "2A4"),
         None,
@@ -216,48 +180,41 @@ MAIN_THEOREM_ROWS: tuple[TableRow, ...] = (
 )
 
 
-def _combo_types(combo: str) -> tuple[str, ...]:
-    types: list[str] = []
-    for chunk in combo.split("+"):
-        match = _ENTRY_RE.match(chunk.strip())
-        if not match or match.group(3) is not None:
-            raise SchemaError(f"bad combination {combo!r}")
-        types.extend([match.group(2)] * int(match.group(1) or "1"))
-    return tuple(types)
+# printed condition -> the type it constrains, the variant it names, and
+# whether all or any of that type's points must have the variant
+_CONDITIONS = {
+    "all nodal": ("A1", "nodal", all),
+    "some cuspidal": ("A1", "cuspidal", any),
+    "all A2 nodal": ("A2", "nodal", all),
+    "some A2 cuspidal": ("A2", "cuspidal", any),
+    "R irreducible": ("A7", "irreducible", all),
+    "R reducible": ("A7", "reducible", all),
+}
 
 
 def row_assignments(row: TableRow, combo: str) -> Iterator[tuple[SingularityEntry, ...]]:
-    """Every completion of a combination that satisfies the row condition.
+    """Every choice of variants for a combination that satisfies the row
+    condition.
 
-    Types the condition does not constrain are left unflagged, so evaluating
-    the assignment still quantifies over their completions.
+    Points the condition does not constrain keep no variant, so evaluating
+    the assignment still quantifies over their variants.
     """
-    types = _combo_types(combo)
+    entries = parse_singularities(combo)
     if row.condition is None:
-        yield tuple(SingularityEntry(t) for t in types)
+        yield entries
         return
-    if row.condition in ("all nodal", "some cuspidal"):
-        target, need_some = "A1", row.condition == "some cuspidal"
-    elif row.condition in ("all A2 nodal", "some A2 cuspidal"):
-        target, need_some = "A2", row.condition == "some A2 cuspidal"
-    elif row.condition in ("R irreducible", "R reducible"):
-        reducible = row.condition == "R reducible"
-        yield tuple(
-            SingularityEntry(t, reducible_r=reducible) if t == "A7" else SingularityEntry(t)
-            for t in types
-        )
-        return
-    else:
-        raise SchemaError(f"unknown table condition {row.condition!r}")
-    slots = [i for i, t in enumerate(types) if t == target]
-    for cusp_flags in itertools.product((False, True), repeat=len(slots)):
-        if need_some != any(cusp_flags):
-            continue
-        flags = dict(zip(slots, cusp_flags))
-        yield tuple(
-            SingularityEntry(t, cuspidal=flags[i]) if i in flags else SingularityEntry(t)
-            for i, t in enumerate(types)
-        )
+    try:
+        target, variant, quantifier = _CONDITIONS[row.condition]
+    except KeyError:
+        raise SchemaError(f"unknown table condition {row.condition!r}") from None
+    slots = [i for i, e in enumerate(entries) if e.type == target]
+    for choice in itertools.product((_PAIRS[variant], variant), repeat=len(slots)):
+        if quantifier(v == variant for v in choice):
+            chosen = dict(zip(slots, choice))
+            yield tuple(
+                SingularityEntry(e.type, chosen[i]) if i in chosen else e
+                for i, e in enumerate(entries)
+            )
 
 
 def verify_main_theorem_table() -> tuple[str, ...]:
@@ -306,11 +263,6 @@ def multiplier_family_2_1() -> Fraction:
     base curve: the nef part is unscaled on [0, 1] and (2-u) times a
     pullback on [1, 2], giving (3/4) * (1 + int_1^2 (2-u)^3 du)."""
     return Fraction(3, 4) * (1 + _cube_integral(1, 2))
-
-
-def threefold_delta_bound(multiplier: Fraction, surface_delta: Fraction) -> Fraction:
-    """Lower bound on the threefold local delta: ratios divide by the slope."""
-    return surface_delta / multiplier
 
 
 def kstability_verdict(delta: Fraction) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 from .blowup import blowup
 from .catalog import case_names, certified_delta, load_case, verify_case
 from .config import SurfaceConfig, load, save
-from .delta import s_flag, s_w_point
+from .delta import flag_report
 from .errors import DpDeltaError, MissingFlag, NotCertified, SchemaError
 from .oracle import random_equivalence
 from .rationals import format_rational
@@ -155,26 +155,22 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_s(args) -> int:
     cfg = _resolve_source(args)
-    decomp = parametric_decompose(cfg, args.flag)
-    value = s_flag(cfg, args.flag, decomp)
-    a_flag = cfg.discrepancy_of(args.flag)
+    report = flag_report(cfg, args.flag, points=[])
     print(
-        f"S({args.flag}) = {format_rational(value)} on {cfg.name}; "
-        f"A = {format_rational(a_flag)}, A/S = {format_rational(a_flag / value)}"
+        f"S({args.flag}) = {format_rational(report.s_flag)} on {cfg.name}; "
+        f"A = {format_rational(report.a_flag)}, "
+        f"A/S = {format_rational(report.upper_delta)}"
     )
     return 0
 
 
 def _cmd_sw(args) -> int:
     cfg = _resolve_source(args)
-    decomp = parametric_decompose(cfg, args.flag)
-    point = cfg.point(args.point)
-    value = s_w_point(cfg, args.flag, point, decomp)
-    a_local = 1 - point.different
+    (row,) = flag_report(cfg, args.flag, points=[args.point]).point_rows
     print(
-        f"S(W;{point.id}) = {format_rational(value)} on flag {args.flag} of "
-        f"{cfg.name}; A_O = {format_rational(a_local)}, "
-        f"ratio = {format_rational(a_local / value)}"
+        f"S(W;{row.point_id}) = {format_rational(row.s_w)} on flag {args.flag} of "
+        f"{cfg.name}; A_O = {format_rational(row.a_local)}, "
+        f"ratio = {format_rational(row.ratio)}"
     )
     return 0
 

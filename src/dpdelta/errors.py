@@ -54,4 +54,5 @@ class NotCertified(DpDeltaError):
 
 
 class MissingFlag(DpDeltaError):
-    """A singularity entry needs a nodal/cuspidal or reducibility qualifier."""
+    """A composite delta depends on a variant (nodal/cuspidal or
+    reducible/irreducible) that no singularity entry names."""

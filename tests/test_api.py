@@ -21,3 +21,7 @@ def test_removed_names_stay_removed():
         assert not hasattr(dpdelta, name)
         assert not hasattr(dpdelta.oracle, name)
     assert not hasattr(dpdelta.linalg, "eliminate")
+    for name in ("base_delta", "threefold_delta_bound"):
+        assert name not in dpdelta.__all__
+        assert not hasattr(dpdelta, name)
+        assert not hasattr(dpdelta.applications, name)

@@ -13,7 +13,6 @@ from dpdelta import (
     MissingFlag,
     SchemaError,
     SingularityEntry,
-    base_delta,
     catalog_root,
     kstability_verdict,
     load_case,
@@ -22,7 +21,6 @@ from dpdelta import (
     multiplier_family_2_1,
     parse_singularities,
     smooth_delta,
-    threefold_delta_bound,
     verify_case,
     verify_main_theorem_table,
 )
@@ -36,16 +34,16 @@ F = Fraction
 
 # catalog case -> the entry whose certified minimum it records
 CASE_ENTRIES = {
-    "A1-nodal": SingularityEntry("A1", cuspidal=False),
-    "A1-cuspidal": SingularityEntry("A1", cuspidal=True),
-    "A2-nodal": SingularityEntry("A2", cuspidal=False),
-    "A2-cuspidal": SingularityEntry("A2", cuspidal=True),
+    "A1-nodal": SingularityEntry("A1", "nodal"),
+    "A1-cuspidal": SingularityEntry("A1", "cuspidal"),
+    "A2-nodal": SingularityEntry("A2", "nodal"),
+    "A2-cuspidal": SingularityEntry("A2", "cuspidal"),
     "A3": SingularityEntry("A3"),
     "A4": SingularityEntry("A4"),
     "A5": SingularityEntry("A5"),
     "A6": SingularityEntry("A6"),
-    "A7-irreducible": SingularityEntry("A7", reducible_r=False),
-    "A7-reducible": SingularityEntry("A7", reducible_r=True),
+    "A7-irreducible": SingularityEntry("A7", "irreducible"),
+    "A7-reducible": SingularityEntry("A7", "reducible"),
     "A8": SingularityEntry("A8"),
     "D4": SingularityEntry("D4"),
     "D5": SingularityEntry("D5"),
@@ -58,38 +56,50 @@ CASE_ENTRIES = {
 }
 
 
+def single(t: str, variant: str | None = None) -> Fraction:
+    """Delta of a surface whose only singular point is of type `t`."""
+    return main_theorem_delta([SingularityEntry(t, variant)])
+
+
 class TestBaseDelta:
+    """The delta of a surface with one singular point."""
+
     def test_flagged_values(self):
-        assert base_delta(SingularityEntry("A1", cuspidal=False)) == 2
-        assert base_delta(SingularityEntry("A1", cuspidal=True)) == F(9, 5)
-        assert base_delta(SingularityEntry("A2", cuspidal=False)) == F(12, 7)
-        assert base_delta(SingularityEntry("A2", cuspidal=True)) == F(3, 2)
-        assert base_delta(SingularityEntry("A7", reducible_r=False)) == F(18, 17)
-        assert base_delta(SingularityEntry("A7", reducible_r=True)) == 1
+        assert single("A1", "nodal") == 2
+        assert single("A1", "cuspidal") == F(9, 5)
+        assert single("A2", "nodal") == F(12, 7)
+        assert single("A2", "cuspidal") == F(3, 2)
+        assert single("A7", "irreducible") == F(18, 17)
+        assert single("A7", "reducible") == 1
 
     def test_matches_certified_catalog_minima(self, records):
         for case, entry in CASE_ENTRIES.items():
-            assert base_delta(entry) == records[case].delta, case
+            assert main_theorem_delta([entry]) == records[case].delta, case
 
     def test_unspecified_flag(self):
         with pytest.raises(
-            MissingFlag, match="A1 needs an extra flag to pin down its delta value"
+            MissingFlag, match="the composite delta depends on unspecified flags: 2, 9/5"
         ):
-            base_delta(SingularityEntry("A1"))
-        with pytest.raises(MissingFlag):
-            base_delta(SingularityEntry("A7"))
+            single("A1")
+        with pytest.raises(MissingFlag, match="1, 18/17"):
+            single("A7")
 
     def test_flag_on_wrong_type(self):
-        with pytest.raises(SchemaError, match="A1 takes no branch-reducibility flag"):
-            base_delta(SingularityEntry("A1", reducible_r=True))
-        with pytest.raises(SchemaError, match="A7 takes no nodal/cuspidal flag"):
-            base_delta(SingularityEntry("A7", cuspidal=False))
-        with pytest.raises(SchemaError, match="A3 takes no extra flag"):
-            base_delta(SingularityEntry("A3", cuspidal=True))
+        with pytest.raises(SchemaError, match="A1 has no reducible variant"):
+            single("A1", "reducible")
+        with pytest.raises(SchemaError, match="A7 has no nodal variant"):
+            single("A7", "nodal")
+        with pytest.raises(SchemaError, match="A3 has no cuspidal variant"):
+            single("A3", "cuspidal")
+        # aliases belong to the parser, not to the entry
+        with pytest.raises(SchemaError, match="A1 has no cusp variant"):
+            single("A1", "cusp")
 
     def test_unknown_type(self):
         with pytest.raises(SchemaError, match="unknown singularity type 'Z9'"):
-            base_delta(SingularityEntry("Z9"))
+            single("Z9")
+        with pytest.raises(SchemaError, match="unknown singularity type 'A9'"):
+            parse_singularities("A9")
 
 
 @pytest.fixture
@@ -101,27 +111,60 @@ def catalog_copy(tmp_path, monkeypatch):
     return root
 
 
+def copy_case(root, source: str, name: str, delta: str | None = None) -> None:
+    """Store case `source` again as case `name`, optionally with another delta."""
+    shutil.copytree(root / source, root / name)
+    path = root / name / "expected.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["case"] = name
+    if delta is not None:
+        data["delta"] = delta
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
 class TestCatalogSource:
     def test_edited_delta_feeds_the_table_and_fails_verify(self, catalog_copy):
         path = catalog_copy / "A4" / "expected.json"
         data = json.loads(path.read_text(encoding="utf-8"))
         data["delta"] = "5/4"
         path.write_text(json.dumps(data), encoding="utf-8")
-        assert base_delta(SingularityEntry("A4")) == F(5, 4)
+        assert single("A4") == F(5, 4)
         report = verify_case(load_case("A4"))
         assert [row.label for row in report.rows if not row.passed] == ["delta=5/4"]
 
     def test_removed_case_is_an_unknown_type(self, catalog_copy):
         shutil.rmtree(catalog_copy / "D7")
         with pytest.raises(SchemaError, match="unknown singularity type 'D7'"):
-            base_delta(SingularityEntry("D7"))
+            single("D7")
+
+    def test_new_variant_pair_needs_no_code_change(self, catalog_copy):
+        copy_case(catalog_copy, "A5", "A5-nodal")
+        copy_case(catalog_copy, "A5", "A5-cuspidal", delta="1")
+        shutil.rmtree(catalog_copy / "A5")
+        with pytest.raises(MissingFlag, match="unspecified flags: 1, 6/5"):
+            single("A5")
+        assert single("A5", "cuspidal") == 1
+        assert parse_singularities("A5:cusp") == (SingularityEntry("A5", "cuspidal"),)
+        assert main_theorem_delta(parse_singularities("A5:nodal+A1:nodal")) == F(6, 5)
+
+    def test_unpaired_variant_is_refused(self, catalog_copy):
+        copy_case(catalog_copy, "A5", "A5-nodal")
+        shutil.rmtree(catalog_copy / "A5")
+        with pytest.raises(SchemaError, match="catalog has A5-nodal but no A5-cuspidal"):
+            single("A4")
 
     @pytest.mark.parametrize(
         "source, copy, message",
         [
-            ("A1-cuspidal", None, "catalog has A1 for only one nodal/cuspidal value"),
-            ("A3", "A3-weird", "catalog case 'A3-weird' is not <type> or <type>-<suffix>"),
+            ("A1-cuspidal", None, "catalog has A1-nodal but no A1-cuspidal"),
+            ("A3", "A3-weird", "catalog case 'A3-weird' is not <type> or <type>-<variant>"),
             ("A3", "A3-nodal", "catalog case A3-nodal clashes with another A3 case"),
+            ("A1-cuspidal", "A1-cusp", "catalog case 'A1-cusp' is not <type> or <type>-<variant>"),
+            (
+                "A7-reducible",
+                "A1-reducible",
+                "catalog case A1-reducible clashes with another A1 case",
+            ),
         ],
     )
     def test_malformed_catalog_is_refused(self, catalog_copy, source, copy, message):
@@ -130,14 +173,14 @@ class TestCatalogSource:
         else:
             shutil.copytree(catalog_copy / source, catalog_copy / copy)
         with pytest.raises(SchemaError, match=re.escape(message)):
-            base_delta(SingularityEntry("A4"))
+            single("A4")
 
 
 class TestCompositeDelta:
     def test_minimum_over_entries(self):
         entries = [
-            SingularityEntry("A2", cuspidal=True),
-            SingularityEntry("A1", cuspidal=False),
+            SingularityEntry("A2", "cuspidal"),
+            SingularityEntry("A1", "nodal"),
         ]
         assert main_theorem_delta(entries) == F(3, 2)
 
@@ -168,16 +211,17 @@ class TestParser:
         assert entries == (
             SingularityEntry("A1"),
             SingularityEntry("A1"),
-            SingularityEntry("A2", cuspidal=True),
+            SingularityEntry("A2", "cuspidal"),
         )
 
     def test_suffix_table(self):
-        assert parse_singularities("A1:nodal")[0].cuspidal is False
-        assert parse_singularities("A2:cuspidal")[0].cuspidal is True
+        assert parse_singularities("A1:nodal")[0].variant == "nodal"
+        for alias in ("cusp", "cuspidal"):
+            assert parse_singularities(f"A2:{alias}")[0].variant == "cuspidal"
         for alias in ("red", "reducible"):
-            assert parse_singularities(f"A7:{alias}")[0].reducible_r is True
+            assert parse_singularities(f"A7:{alias}")[0].variant == "reducible"
         for alias in ("irr", "irred", "irreducible"):
-            assert parse_singularities(f"A7:{alias}")[0].reducible_r is False
+            assert parse_singularities(f"A7:{alias}")[0].variant == "irreducible"
 
     def test_whitespace_tolerated(self):
         entries = parse_singularities(" A5 + A1 ")
@@ -194,8 +238,10 @@ class TestParser:
             parse_singularities("A1:weird")
 
     def test_flags_validated_eagerly(self):
-        with pytest.raises(SchemaError, match="A3 takes no extra flag"):
+        with pytest.raises(SchemaError, match="A3 has no cuspidal variant"):
             parse_singularities("A3:cusp")
+        with pytest.raises(SchemaError, match="A7 has no nodal variant"):
+            parse_singularities("A7:nodal")
 
 
 class TestTable:
@@ -225,8 +271,34 @@ class TestTable:
     def test_assignment_counts(self):
         all_nodal, some_cusp = MAIN_THEOREM_ROWS[0], MAIN_THEOREM_ROWS[1]
         assert len(list(row_assignments(all_nodal, "2A1"))) == 1
-        # any of FT, TF, TT on the two A1 points
+        # nodal+cuspidal, cuspidal+nodal or cuspidal+cuspidal on the two A1 points
         assert len(list(row_assignments(some_cusp, "2A1"))) == 3
+        # every conditioned row: "all" fixes each of the k points of the type,
+        # "some" picks any nonempty subset of them, 2^k - 1 choices
+        conditions = {
+            "all nodal": ("A1", "nodal"),
+            "some cuspidal": ("A1", "cuspidal"),
+            "all A2 nodal": ("A2", "nodal"),
+            "some A2 cuspidal": ("A2", "cuspidal"),
+            "R irreducible": ("A7", "irreducible"),
+            "R reducible": ("A7", "reducible"),
+        }
+        for row in MAIN_THEOREM_ROWS:
+            if row.condition is None:
+                continue
+            target, variant = conditions.pop(row.condition)
+            some = row.condition.startswith("some")
+            for combo in row.combos:
+                k = sum(e.type == target for e in parse_singularities(combo))
+                assignments = list(row_assignments(row, combo))
+                assert len(assignments) == (2**k - 1 if some else 1), combo
+                assert len(set(assignments)) == len(assignments), combo
+                for entries in assignments:
+                    chosen = [e.variant for e in entries if e.type == target]
+                    assert len(chosen) == k
+                    assert variant in chosen if some else set(chosen) == {variant}
+                    assert all(e.variant is None for e in entries if e.type != target)
+        assert conditions == {}
 
     def test_unconditioned_row_leaves_entries_unflagged(self):
         row = MAIN_THEOREM_ROWS[4]
@@ -236,7 +308,7 @@ class TestTable:
     def test_branch_condition_sets_flag(self):
         row = MAIN_THEOREM_ROWS[8]
         (entries,) = row_assignments(row, "A7+A1")
-        assert entries[0] == SingularityEntry("A7", reducible_r=True)
+        assert entries[0] == SingularityEntry("A7", "reducible")
         assert entries[1] == SingularityEntry("A1")
 
 
@@ -248,11 +320,6 @@ class TestSmoothAndThreefolds:
     def test_multipliers(self):
         assert multiplier_family_1_11() == F(3, 2)
         assert multiplier_family_2_1() == F(15, 16)
-
-    def test_delta_bound(self):
-        assert threefold_delta_bound(F(3, 2), F(2)) == F(4, 3)
-        assert threefold_delta_bound(F(3, 2), F(18, 17)) == F(12, 17)
-        assert threefold_delta_bound(F(15, 16), F(15, 7)) == F(16, 7)
 
     def test_verdicts(self):
         assert kstability_verdict(F(18, 17)) == "stable"

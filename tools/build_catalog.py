@@ -10,11 +10,14 @@ the certified global minimum.
 All numbers here were derived by hand from the intersection data; after
 writing, every case is loaded back and re-verified with the engine, and the
 build aborts on the first failing row, so a typo in this file cannot survive
-a successful run.
+a successful run. The composite delta table is then checked against the new
+catalog, so a case name that is no type or variant, or a variant without its
+pair, fails the build too.
 """
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import sys
 from fractions import Fraction
@@ -23,8 +26,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from dpdelta.applications import verify_main_theorem_table  # noqa: E402
 from dpdelta.catalog import case_names, load_case, verify_case  # noqa: E402
 from dpdelta.config import CurveRecord, PointSpec, SurfaceConfig, save  # noqa: E402
+from dpdelta.errors import SchemaError  # noqa: E402
 from dpdelta.rationals import format_rational  # noqa: E402
 
 CATALOG = ROOT / "src" / "dpdelta" / "catalog"
@@ -2041,6 +2046,19 @@ def main() -> int:
         print(f"{failures} rows FAILED")
         return 1
     print("all rows verified")
+
+    # the composite table reads its deltas from the case names just written
+    os.environ["DPDELTA_CATALOG"] = str(CATALOG)
+    try:
+        table_failures = verify_main_theorem_table()
+    except SchemaError as exc:
+        table_failures = (str(exc),)
+    for failure in table_failures:
+        print(f"  table: {failure}")
+    if table_failures:
+        print("composite table FAILED")
+        return 1
+    print("composite table verified")
     return 0
 
 
