@@ -12,7 +12,6 @@ otherwise the missing variant genuinely matters.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -20,9 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .catalog import case_names, catalog_root, load_case
+from .catalog import case_names, catalog_root
 from .errors import MissingFlag, SchemaError
-from .rationals import format_rational
+from .rationals import format_rational, read_field, read_json, typed
 
 SMOOTH_DELTA_CUSPIDAL = Fraction(15, 7)
 SMOOTH_DELTA_GENERAL = Fraction(12, 5)
@@ -51,9 +50,13 @@ _ENTRY_RE = re.compile(r"^(\d*)([ADE]\d+)(?::([a-z]+))?$")
 _TYPE_RE = re.compile(r"^[ADE]\d+$")
 
 
-def _candidate_values(entry: SingularityEntry) -> tuple[Fraction, ...]:
+# each type's stored delta per variant, None for an unsplit type
+_DeltaTable = dict[str, dict[str | None, Fraction]]
+
+
+def _candidate_values(entry: SingularityEntry, table: _DeltaTable) -> tuple[Fraction, ...]:
     try:
-        deltas = _type_deltas(catalog_root())[entry.type]
+        deltas = table[entry.type]
     except KeyError:
         raise SchemaError(f"unknown singularity type {entry.type!r}") from None
     if entry.variant is None:
@@ -63,12 +66,15 @@ def _candidate_values(entry: SingularityEntry) -> tuple[Fraction, ...]:
     return (deltas[entry.variant],)
 
 
-@functools.lru_cache(maxsize=None)
-def _type_deltas(root: Path) -> dict[str, dict[str | None, Fraction]]:
+def _type_deltas(root: Path | str | None = None) -> _DeltaTable:
     """Each type's certified delta per variant (None for an unsplit type),
-    read from the catalog cases named ``<type>`` or ``<type>-<variant>``."""
-    table: dict[str, dict[str | None, Fraction]] = {}
-    for name in case_names(root):
+    read afresh from the catalog cases named ``<type>`` or ``<type>-<variant>``.
+
+    Only each case's stored delta is read; `verify_case` is what checks it
+    against the engine."""
+    base = Path(root) if root is not None else catalog_root()
+    table: _DeltaTable = {}
+    for name in case_names(base):
         t, _, suffix = name.partition("-")
         variant = suffix or None
         if not _TYPE_RE.match(t) or (suffix and suffix not in _PAIRS):
@@ -76,7 +82,9 @@ def _type_deltas(root: Path) -> dict[str, dict[str | None, Fraction]]:
         deltas = table.setdefault(t, {})
         if deltas.keys() - {_PAIRS.get(variant)}:
             raise SchemaError(f"catalog case {name} clashes with another {t} case")
-        deltas[variant] = load_case(name, root).delta
+        expected = base / name / "expected.json"
+        data = typed(read_json(expected), dict, str(expected))
+        deltas[variant] = read_field(data, "delta", Fraction, f"{expected}: ")
     for t, deltas in table.items():
         for variant in deltas:
             if variant is not None and _PAIRS[variant] not in deltas:
@@ -92,9 +100,13 @@ def main_theorem_delta(entries: Sequence[SingularityEntry]) -> Fraction:
     every choice of variants. When all choices agree the common value is
     returned, otherwise MissingFlag is raised.
     """
+    return _composite_delta(entries, _type_deltas())
+
+
+def _composite_delta(entries: Sequence[SingularityEntry], table: _DeltaTable) -> Fraction:
     if not entries:
         raise SchemaError("at least one singularity is required")
-    candidate_sets = [_candidate_values(e) for e in entries]
+    candidate_sets = [_candidate_values(e, table) for e in entries]
     minima = {min(choice) for choice in itertools.product(*candidate_sets)}
     if len(minima) != 1:
         raise MissingFlag(
@@ -111,6 +123,10 @@ def parse_singularities(text: str) -> tuple[SingularityEntry, ...]:
     ``cusp``, ``red``, ``irr`` and ``irred``. Each entry is checked against
     the catalog as it is read.
     """
+    return _parse_singularities(text, _type_deltas())
+
+
+def _parse_singularities(text: str, table: _DeltaTable) -> tuple[SingularityEntry, ...]:
     entries: list[SingularityEntry] = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -125,7 +141,7 @@ def parse_singularities(text: str) -> tuple[SingularityEntry, ...]:
         if variant is not None and variant not in _PAIRS:
             raise SchemaError(f"unknown suffix {suffix!r} in {chunk!r}")
         entry = SingularityEntry(t, variant)
-        _candidate_values(entry)
+        _candidate_values(entry, table)
         entries.extend([entry] * count)
     return tuple(entries)
 
@@ -199,7 +215,12 @@ def row_assignments(row: TableRow, combo: str) -> Iterator[tuple[SingularityEntr
     Points the condition does not constrain keep no variant, so evaluating
     the assignment still quantifies over their variants.
     """
-    entries = parse_singularities(combo)
+    yield from _assignments(row, parse_singularities(combo))
+
+
+def _assignments(
+    row: TableRow, entries: tuple[SingularityEntry, ...]
+) -> Iterator[tuple[SingularityEntry, ...]]:
     if row.condition is None:
         yield entries
         return
@@ -217,15 +238,17 @@ def row_assignments(row: TableRow, combo: str) -> Iterator[tuple[SingularityEntr
             )
 
 
-def verify_main_theorem_table() -> tuple[str, ...]:
-    """Check every printed row against the composite rule; returns failures."""
+def verify_main_theorem_table(root: Path | str | None = None) -> tuple[str, ...]:
+    """Check every printed row against the composite rule on one read of
+    the catalog under `root` (default `catalog_root()`); returns failures."""
+    table = _type_deltas(root)
     failures: list[str] = []
     for row in MAIN_THEOREM_ROWS:
         for combo in row.combos:
             label = f"{combo} ({row.condition})" if row.condition else combo
-            for entries in row_assignments(row, combo):
+            for entries in _assignments(row, _parse_singularities(combo, table)):
                 try:
-                    value = main_theorem_delta(entries)
+                    value = _composite_delta(entries, table)
                 except MissingFlag as exc:
                     failures.append(f"{label}: {exc}")
                     continue

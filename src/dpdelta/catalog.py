@@ -77,7 +77,6 @@ class CaseRecord:
 
     name: str
     path: Path
-    config_order: tuple[str, ...]
     configs: Mapping[str, SurfaceConfig]
     blowups: tuple[BlowupSpec, ...]
     flag_specs: tuple[FlagSpec, ...]
@@ -240,7 +239,6 @@ def load_case(name: str, root: Path | str | None = None) -> CaseRecord:
     return CaseRecord(
         name=name,
         path=path,
-        config_order=tuple(configs),
         configs=configs,
         blowups=tuple(blowups),
         flag_specs=tuple(flag_specs),
@@ -301,144 +299,69 @@ def certified_delta(record: CaseRecord) -> Fraction:
     return certify_minimum(case_reports(record))
 
 
+def _row(label: str, expected: str, actual: str, passed: bool | None = None) -> CheckRow:
+    """A check row; unless a verdict is given, it passes when it printed what it expected."""
+    return CheckRow(label, expected, actual, expected == actual if passed is None else passed)
+
+
 def verify_case(record: CaseRecord) -> CaseReport:
+    fr = format_rational
     rows: list[CheckRow] = []
 
     for spec in record.blowups:
-        rows.extend(_check_blowup(record, spec))
+        stored = record.config(spec.result)
+        result = blowup(
+            record.config(spec.source), spec.point, e_p_name=spec.e_p_name, name=spec.name
+        )
+        same = config_to_json(result.config.with_points(stored.points)) == config_to_json(stored)
+        actual = "match" if same else "differs from stored file"
+        rows.append(_row(f"blowup({spec.result})", "recomputed configuration", actual, same))
+        for key, want, got in (
+            ("a", spec.a_e_p, result.a_e_p),
+            ("pullback", spec.pullback_coeff, result.pullback_coeff),
+        ):
+            rows.append(_row(f"{key}({spec.e_p_name})={fr(want)}", fr(want), fr(got)))
 
     swept = _sweep_flags(record)
     decomps: dict[tuple[str, str], Decomposition] = {}
     for spec, decomp, report in swept:
         decomps.setdefault((spec.config_id, spec.flag), decomp)
         label = _flag_label(record, spec)
-        s = report.s_flag
-        rows.append(
-            CheckRow(
-                label=f"S({label})={format_rational(spec.s)}",
-                expected=format_rational(spec.s),
-                actual=format_rational(s),
-                passed=s == spec.s,
-            )
-        )
+        rows.append(_row(f"S({label})={fr(spec.s)}", fr(spec.s), fr(report.s_flag)))
         for point, point_row in zip(spec.points, report.point_rows):
-            w = point_row.s_w
-            ok = w == point.s_w if point.relation == "=" else w <= point.s_w
-            rows.append(
-                CheckRow(
-                    label=f"S_W({point.id};{label}){point.relation}{format_rational(point.s_w)}",
-                    expected=f"{point.relation}{format_rational(point.s_w)}",
-                    actual=format_rational(w),
-                    passed=ok,
-                )
-            )
+            # the expected text carries the relation, so each row states its verdict
+            w, bound = point_row.s_w, point.s_w
+            ok = w <= bound if point.relation == "<=" else w == bound
+            want = f"{point.relation}{fr(bound)}"
+            rows.append(_row(f"S_W({point.id};{label}){want}", want, fr(w), ok))
         if spec.chambers is not None:
-            emitted = decomposition_to_json(decomp)
-            ok = (
-                emitted["tau"] == spec.chambers["tau"]
-                and emitted["chambers"] == spec.chambers["list"]
-            )
-            rows.append(
-                CheckRow(
-                    label=f"chambers({label})",
-                    expected=json.dumps(spec.chambers["list"], sort_keys=True),
-                    actual=json.dumps(emitted["chambers"], sort_keys=True),
-                    passed=ok,
-                )
-            )
+            emitted, listed = decomposition_to_json(decomp), spec.chambers["list"]
+            ok = emitted["tau"] == spec.chambers["tau"] and emitted["chambers"] == listed
+            want, got = (json.dumps(x, sort_keys=True) for x in (listed, emitted["chambers"]))
+            rows.append(_row(f"chambers({label})", want, got, ok))
 
+    # a class bound reuses the flag row's sweep of its flag if there is one
     for bound in record.class_bounds:
-        rows.extend(_check_class_bound(record, bound, decomps))
+        cfg = record.config(bound.config_id)
+        decomp = decomps.get((bound.config_id, bound.flag))
+        if decomp is None:
+            decomp = parametric_decompose(cfg, bound.flag)
+        env, label = bound.envelope, f"class_bound({bound.flag})"
+        domain_ok = env.lo == 0 and env.hi == decomp.tau
+        mismatch = f"envelope domain [{fr(env.lo)}, {fr(env.hi)}] is not [0, {fr(decomp.tau)}]"
+        value = fr(2 * env.integrate() / cfg.norm) if domain_ok else mismatch
+        rows.append(_row(f"{label}={fr(bound.value)}", fr(bound.value), value))
+        for pid in bound.covers:
+            ok = domain_ok and env.dominates(local_h(decomp, cfg.point(pid)))
+            got = "dominates" if ok else "falls below local h" if domain_ok else mismatch
+            rows.append(_row(f"{label} covers {pid}", "envelope dominates local h", got, ok))
 
     try:
-        delta = certify_minimum([report for _, _, report in swept])
-        actual = format_rational(delta)
-        passed = delta == record.delta
+        actual = fr(certify_minimum([report for _, _, report in swept]))
     except NotCertified as exc:
         actual = f"NotCertified: {exc}"
-        passed = False
-    rows.append(
-        CheckRow(
-            label=f"delta={format_rational(record.delta)}",
-            expected=format_rational(record.delta),
-            actual=actual,
-            passed=passed,
-        )
-    )
+    rows.append(_row(f"delta={fr(record.delta)}", fr(record.delta), actual))
     return CaseReport(case=record.name, rows=tuple(rows))
-
-
-def _check_blowup(record: CaseRecord, spec: BlowupSpec) -> list[CheckRow]:
-    source = record.config(spec.source)
-    stored = record.config(spec.result)
-    result = blowup(source, spec.point, e_p_name=spec.e_p_name, name=spec.name)
-    recomputed = result.config.with_points(stored.points)
-    same = config_to_json(recomputed) == config_to_json(stored)
-    rows = [
-        CheckRow(
-            label=f"blowup({spec.result})",
-            expected="recomputed configuration",
-            actual="match" if same else "differs from stored file",
-            passed=same,
-        ),
-        CheckRow(
-            label=f"a({spec.e_p_name})={format_rational(spec.a_e_p)}",
-            expected=format_rational(spec.a_e_p),
-            actual=format_rational(result.a_e_p),
-            passed=result.a_e_p == spec.a_e_p,
-        ),
-        CheckRow(
-            label=f"pullback({spec.e_p_name})={format_rational(spec.pullback_coeff)}",
-            expected=format_rational(spec.pullback_coeff),
-            actual=format_rational(result.pullback_coeff),
-            passed=result.pullback_coeff == spec.pullback_coeff,
-        ),
-    ]
-    return rows
-
-
-def _check_class_bound(
-    record: CaseRecord,
-    bound: ClassBound,
-    decomps: Mapping[tuple[str, str], Decomposition],
-) -> list[CheckRow]:
-    """Rows of one class bound; reuses the flag row's sweep of its flag if any."""
-    cfg = record.config(bound.config_id)
-    decomp = decomps.get((bound.config_id, bound.flag))
-    if decomp is None:
-        decomp = parametric_decompose(cfg, bound.flag)
-    env = bound.envelope
-    rows: list[CheckRow] = []
-
-    domain_ok = env.lo == 0 and env.hi == decomp.tau
-    mismatch = (
-        f"envelope domain [{format_rational(env.lo)}, {format_rational(env.hi)}] "
-        f"is not [0, {format_rational(decomp.tau)}]"
-    )
-    integral = 2 * env.integrate() / cfg.norm
-    rows.append(
-        CheckRow(
-            label=f"class_bound({bound.flag})={format_rational(bound.value)}",
-            expected=format_rational(bound.value),
-            actual=format_rational(integral) if domain_ok else mismatch,
-            passed=domain_ok and integral == bound.value,
-        )
-    )
-    for pid in bound.covers:
-        if domain_ok:
-            dominated = env.dominates(local_h(decomp, cfg.point(pid)))
-            actual = "dominates" if dominated else "falls below local h"
-        else:
-            dominated, actual = False, mismatch
-        rows.append(
-            CheckRow(
-                label=f"class_bound({bound.flag}) covers {pid}",
-                expected="envelope dominates local h",
-                actual=actual,
-                passed=dominated,
-            )
-        )
-    return rows
 
 
 def verify_all(root: Path | str | None = None) -> dict[str, CaseReport]:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .blowup import blowup
-from .catalog import case_names, certified_delta, load_case, verify_case
+from .catalog import CaseRecord, case_names, certified_delta, load_case, verify_case
 from .config import SurfaceConfig, load, save
 from .delta import flag_report
 from .errors import DpDeltaError, MissingFlag, NotCertified, SchemaError
@@ -108,7 +108,7 @@ def _resolve_source(args) -> SurfaceConfig:
 
     With --config the file is loaded as-is. With --case the configuration is
     the one named by --variant, or else the one of the first stored flag row
-    matching --flag.
+    matching --flag, or else the case's first configuration.
     """
     if args.config and args.case:
         raise SchemaError("give either --config or --case, not both")
@@ -117,14 +117,17 @@ def _resolve_source(args) -> SurfaceConfig:
     if not args.case:
         raise SchemaError("one of --config or --case is required")
     record = load_case(args.case)
+    config = _case_config(record, args)
+    return config if config is not None else next(iter(record.configs.values()))
+
+
+def _case_config(record: CaseRecord, args) -> SurfaceConfig | None:
+    """The configuration --variant names, else the one of the first stored
+    flag row for --flag; None when no row stores that flag."""
     if args.variant:
         return record.config(args.variant)
-    flag = getattr(args, "flag", None)
-    if flag is not None:
-        for spec in record.flag_specs:
-            if spec.flag == flag:
-                return record.config(spec.config_id)
-    return record.config(record.config_order[0])
+    spec = next((s for s in record.flag_specs if s.flag == args.flag), None)
+    return None if spec is None else record.config(spec.config_id)
 
 
 def _cmd_decompose(args) -> int:
@@ -236,15 +239,9 @@ def _cmd_blowup(args) -> int:
 
 def _cmd_oracle(args) -> int:
     record = load_case(args.case)
-    if args.variant:
-        cfg = record.config(args.variant)
-    else:
-        spec = next((s for s in record.flag_specs if s.flag == args.flag), None)
-        if spec is None:
-            raise SchemaError(
-                f"case {record.name} stores no flag row for {args.flag!r}"
-            )
-        cfg = record.config(spec.config_id)
+    cfg = _case_config(record, args)
+    if cfg is None:
+        raise SchemaError(f"case {record.name} stores no flag row for {args.flag!r}")
     decomp = parametric_decompose(cfg, args.flag)
     report = random_equivalence(
         cfg, args.flag, trials=args.trials, seed=args.seed, decomp=decomp

@@ -288,100 +288,60 @@ class ValidationReport:
 def validate(config: SurfaceConfig) -> ValidationReport:
     """Check every structural invariant; failures become report entries."""
     entries: list[ValidationEntry] = []
-    n = len(config.curves)
 
+    def rule(name: str, offenders: list, detail: str) -> None:
+        entries.append(ValidationEntry(name, not offenders, detail if offenders else ""))
+
+    curves, fr = config.curves, format_rational
     # int_gram is mu * gram, so comparing integers gives the same verdict
     gram = config.int_gram
-    bad_sym = [
-        (config.curves[i].name, config.curves[j].name)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if gram[i][j] != gram[j][i]
+    bad = [
+        (c.name, curves[j].name)
+        for i, (c, row) in enumerate(zip(curves, gram))
+        for j in range(i + 1, len(curves))
+        if row[j] != gram[j][i]
     ]
-    entries.append(
-        ValidationEntry("gram symmetric", not bad_sym, f"asymmetric at {bad_sym}" if bad_sym else "")
-    )
-
-    bad_diag = [
-        c.name for i, c in enumerate(config.curves) if config.gram[i][i] != c.self_int
-    ]
-    entries.append(
-        ValidationEntry(
-            "gram diagonal equals self-intersections",
-            not bad_diag,
-            f"mismatch at {bad_diag}" if bad_diag else "",
-        )
-    )
-
-    bad_kind = [
-        c.name
-        for c in config.curves
-        if (c.kind == "minus_one" and c.self_int != -1)
-        or (c.kind == "minus_two" and c.self_int != -2)
-    ]
-    entries.append(
-        ValidationEntry(
-            "curve kinds match self-intersections",
-            not bad_kind,
-            f"mismatch at {bad_kind}" if bad_kind else "",
-        )
-    )
+    rule("gram symmetric", bad, f"asymmetric at {bad}")
+    bad = [c.name for i, (c, row) in enumerate(zip(curves, config.gram)) if row[i] != c.self_int]
+    rule("gram diagonal equals self-intersections", bad, f"mismatch at {bad}")
+    want_self_int = {"minus_one": -1, "minus_two": -2}
+    bad = [c.name for c in curves if want_self_int.get(c.kind, c.self_int) != c.self_int]
+    rule("curve kinds match self-intersections", bad, f"mismatch at {bad}")
 
     sq = sum((a * d for a, d in zip(config.anti_k, config.anti_k_dots)), Fraction(0))
-    entries.append(
-        ValidationEntry(
-            "anti_k norm",
-            sq == config.norm,
-            f"anti_k^2 = {format_rational(sq)}, expected {format_rational(config.norm)}",
-        )
-    )
+    detail = f"anti_k^2 = {fr(sq)}, expected {fr(config.norm)}"
+    entries.append(ValidationEntry("anti_k norm", sq == config.norm, detail))
 
     if config.smooth_surface:
-        bad_adj = []
-        for c, got in zip(config.curves, config.anti_k_dots):
-            if c.kind not in _ADJUNCTION_KINDS:
-                continue
-            want = c.self_int + 2
-            if got != want:
-                bad_adj.append(f"{c.name}: {format_rational(got)} != {format_rational(want)}")
-        entries.append(
-            ValidationEntry(
-                "adjunction (-K).C = C^2 + 2 on rational curves",
-                not bad_adj,
-                "; ".join(bad_adj),
-            )
-        )
+        bad = [
+            f"{c.name}: {fr(got)} != {fr(c.self_int + 2)}"
+            for c, got in zip(curves, config.anti_k_dots)
+            if c.kind in _ADJUNCTION_KINDS and got != c.self_int + 2
+        ]
+        rule("adjunction (-K).C = C^2 + 2 on rational curves", bad, "; ".join(bad))
 
-    bad_disc = [k for k in config.discrepancy if k not in config._index]
-    entries.append(
-        ValidationEntry(
-            "discrepancy keys are curves",
-            not bad_disc,
-            f"unknown {bad_disc}" if bad_disc else "",
-        )
-    )
+    bad = [k for k in config.discrepancy if k not in config._index]
+    rule("discrepancy keys are curves", bad, f"unknown {bad}")
 
-    bad_points = []
+    bad = []
     for p in config.points:
         if p.on_curve not in config._index:
-            bad_points.append(f"{p.id}: unknown flag curve {p.on_curve}")
+            bad.append(f"{p.id}: unknown flag curve {p.on_curve}")
             continue
         fi = config.index(p.on_curve)
         if not 0 <= p.different < 1:
-            bad_points.append(f"{p.id}: different {format_rational(p.different)} outside [0,1)")
+            bad.append(f"{p.id}: different {fr(p.different)} outside [0,1)")
         for name, mult in p.incidences.items():
             if name not in config._index:
-                bad_points.append(f"{p.id}: unknown incident curve {name}")
+                bad.append(f"{p.id}: unknown incident curve {name}")
             elif type(mult) is not int or mult <= 0:  # a bool is no multiplicity
-                bad_points.append(f"{p.id}: incidence with {name} must be a positive integer")
-            elif mult > config.gram[config.index(name)][fi]:
-                bad_points.append(
+                bad.append(f"{p.id}: incidence with {name} must be a positive integer")
+            elif mult > (meet := config.gram[config.index(name)][fi]):
+                bad.append(
                     f"{p.id}: incidence {mult} with {name} exceeds the global "
-                    f"intersection {format_rational(config.gram[config.index(name)][fi])}"
+                    f"intersection {fr(meet)}"
                 )
-    entries.append(
-        ValidationEntry("point specs consistent", not bad_points, "; ".join(bad_points))
-    )
+    rule("point specs consistent", bad, "; ".join(bad))
 
     return ValidationReport(config.name, tuple(entries))
 

@@ -132,6 +132,24 @@ class TestCatalogSource:
         report = verify_case(load_case("A4"))
         assert [row.label for row in report.rows if not row.passed] == ["delta=5/4"]
 
+    def test_edit_between_two_calls_is_seen(self, catalog_copy, monkeypatch):
+        # a long-lived process sees the catalog as it is at each call
+        assert single("A4") == F(4, 3)
+        assert verify_main_theorem_table() == ()
+        path = catalog_copy / "A4" / "expected.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["delta"] = "5/4"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert single("A4") == F(5, 4)
+        failures = [
+            f"{combo}: got 5/4, table says 4/3"
+            for combo in ("A4", "A4+A1", "A4+2A1", "A4+A2", "A4+A2+A1", "A4+A3", "2A4")
+        ]
+        assert verify_main_theorem_table() == tuple(failures)
+        monkeypatch.delenv("DPDELTA_CATALOG")
+        assert verify_main_theorem_table(catalog_copy) == tuple(failures)
+        assert verify_main_theorem_table() == ()
+
     def test_removed_case_is_an_unknown_type(self, catalog_copy):
         shutil.rmtree(catalog_copy / "D7")
         with pytest.raises(SchemaError, match="unknown singularity type 'D7'"):

@@ -1,6 +1,7 @@
 """The frozen regression catalog: loading, verification, tamper detection."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import shutil
@@ -68,7 +69,7 @@ class TestLayout:
 
     def test_record_structure(self, a2_nodal):
         assert a2_nodal.name == "A2-nodal"
-        assert a2_nodal.config_order == ("base", "blowup")
+        assert tuple(a2_nodal.configs) == ("base", "blowup")
         assert a2_nodal.delta == F(12, 7)
         assert len(a2_nodal.blowups) == 1
         spec = a2_nodal.blowups[0]
@@ -152,6 +153,36 @@ class TestVerification:
         report = verify_case(tampered)
         failing = [row.render() for row in report.rows if not row.passed]
         assert failing == ["pullback(EP)=3 FAIL (expected 3, got 2)"]
+
+    def test_tampered_blowup_rows(self, a2_nodal):
+        renamed = copy.copy(a2_nodal.config("blowup"))
+        object.__setattr__(renamed, "name", "renamed")
+        stored = dataclasses.replace(a2_nodal, configs={**a2_nodal.configs, "blowup": renamed})
+        spec = dataclasses.replace(a2_nodal.blowups[0], a_e_p=F(3))
+        record = dataclasses.replace(stored, blowups=(spec,))
+        failing = [row.render() for row in verify_case(record).rows if not row.passed]
+        assert failing == [
+            "blowup(blowup) FAIL (expected recomputed configuration, got differs from stored file)",
+            "a(EP)=3 FAIL (expected 3, got 2)",
+        ]
+
+    def test_tampered_upper_bound_fails_one_row(self, records):
+        record = records["A4"]
+        spec = record.flag_specs[8]
+        points = tuple(
+            dataclasses.replace(p, s_w=F(1, 7)) if p.id == "at_lt" else p for p in spec.points
+        )
+        specs = list(record.flag_specs)
+        specs[8] = dataclasses.replace(spec, points=points)
+        tampered = dataclasses.replace(record, flag_specs=tuple(specs))
+        failing = [row.render() for row in verify_case(tampered).rows if not row.passed]
+        assert failing == ["S_W(at_lt;EP[blowup])<=1/7 FAIL (expected <=1/7, got 1/6)"]
+
+    def test_uncertified_delta_prints_the_refusal(self, records):
+        record = dataclasses.replace(records["A1-nodal"], flag_specs=())
+        assert [row.render() for row in verify_case(record).rows] == [
+            "delta=2 FAIL (expected 2, got NotCertified: no flag reports supplied)"
+        ]
 
     def test_flag_labels_include_config_for_multi_config_cases(self, records):
         rows = verify_case(records["A2-nodal"]).rows

@@ -231,6 +231,38 @@ class TestValidate:
         assert "[FAIL] anti_k norm" in text
         assert "[ok]" in text
 
+    def test_render_of_every_rule(self):
+        # a passing anti_k norm keeps its detail; the other rules print none
+        assert validate(nodal()).render() == "\n".join([
+            "validation of nodal:",
+            "  [ok] gram symmetric",
+            "  [ok] gram diagonal equals self-intersections",
+            "  [ok] curve kinds match self-intersections",
+            "  [ok] anti_k norm (anti_k^2 = 1, expected 1)",
+            "  [ok] adjunction (-K).C = C^2 + 2 on rational curves",
+            "  [ok] discrepancy keys are curves",
+            "  [ok] point specs consistent",
+        ])
+        broken = nodal(
+            name="broken",
+            norm=5,
+            curves=[CurveRecord("C", -1, "minus_one"), CurveRecord("E", -3, "minus_two")],
+            gram=[[-2, 2], [1, -3]],
+            discrepancy={"Z": 1},
+            points=[PointSpec("q", "Z"), PointSpec("r", "E", {"C": True}, different=1)],
+        )
+        assert validate(broken).render() == "\n".join([
+            "validation of broken:",
+            "  [FAIL] gram symmetric (asymmetric at [('C', 'E')])",
+            "  [FAIL] gram diagonal equals self-intersections (mismatch at ['C'])",
+            "  [FAIL] curve kinds match self-intersections (mismatch at ['E'])",
+            "  [FAIL] anti_k norm (anti_k^2 = -2, expected 5)",
+            "  [FAIL] adjunction (-K).C = C^2 + 2 on rational curves (C: -1 != 1)",
+            "  [FAIL] discrepancy keys are curves (unknown ['Z'])",
+            "  [FAIL] point specs consistent (q: unknown flag curve Z; "
+            "r: different 1 outside [0,1); r: incidence with C must be a positive integer)",
+        ])
+
 
 class TestJson:
     def test_round_trip(self):

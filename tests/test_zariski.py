@@ -321,11 +321,7 @@ class TestPivot:
         error text) and the systems `zariski.solve` is given must match the
         reference pivot's, which tests every curve for the add set.
         """
-        configs = [
-            records[name].config(config_id)
-            for name in sorted(records)
-            for config_id in records[name].config_order
-        ]
+        configs = [config for name in sorted(records) for config in records[name].configs.values()]
         configs += [_CYCLES, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
         solved: list[tuple] = []
         solve = zariski.solve
@@ -368,11 +364,7 @@ class TestPivot:
         v, and otherwise the curves whose P.C is 0 there; the sweep reads it
         off D(0).C at v = 0 and off the previous chamber's end scan after.
         """
-        configs = [
-            records[name].config(config_id)
-            for name in sorted(records)
-            for config_id in records[name].config_order
-        ]
+        configs = [config for name in sorted(records) for config in records[name].configs.values()]
         configs += [_CYCLES, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
         pivot = zariski._pivot
         handed: Counter[str] = Counter()
@@ -547,8 +539,7 @@ class TestSerialization:
         outcomes: Counter[str] = Counter()
         for name in sorted(records):
             record = records[name]
-            for config_id in record.config_order:
-                config = record.config(config_id)
+            for config in record.configs.values():
                 for flag in config.curve_names:
                     try:
                         decomp = parametric_decompose(config, flag)
