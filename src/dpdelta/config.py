@@ -295,13 +295,17 @@ def validate(config: SurfaceConfig) -> ValidationReport:
     curves, fr = config.curves, format_rational
     # int_gram is mu * gram, so comparing integers gives the same verdict
     gram = config.int_gram
-    bad = [
-        (c.name, curves[j].name)
+    # one scan of the pairs i < j serves both pairwise rules
+    odd = [
+        (c.name, curves[j].name, row[j], gram[j][i])
         for i, (c, row) in enumerate(zip(curves, gram))
         for j in range(i + 1, len(curves))
-        if row[j] != gram[j][i]
+        if row[j] != gram[j][i] or row[j] < 0
     ]
+    bad = [(a, b) for a, b, x, y in odd if x != y]
     rule("gram symmetric", bad, f"asymmetric at {bad}")
+    bad = [(a, b) for a, b, x, y in odd if min(x, y) < 0]
+    rule("distinct curves meet nonnegatively", bad, f"negative at {bad}")
     bad = [c.name for i, (c, row) in enumerate(zip(curves, config.gram)) if row[i] != c.self_int]
     rule("gram diagonal equals self-intersections", bad, f"mismatch at {bad}")
     want_self_int = {"minus_one": -1, "minus_two": -2}

@@ -1,10 +1,22 @@
 """Independent cross-checks for the decomposition engine.
 
-The oracle never reuses the sweep: it enumerates every negative-definite
-subset of curves, solves the orthogonality system on each subset, and keeps
-the candidates whose coefficients are nonnegative and whose residual is nef
+The oracle never reuses the sweep: it enumerates negative-definite subsets
+of curves, solves the orthogonality system on each subset, and keeps the
+candidates whose coefficients are nonnegative and whose residual is nef
 against all curves. Uniqueness of the decomposition makes agreement of all
 accepted candidates a hard invariant (violations raise Ambiguous).
+
+It skips only subsets that cannot be accepted. Call a curve r required when
+it meets every other curve nonnegatively (row r of the integer Gram matrix
+has no negative entry off the diagonal) and its right-hand side rhs_r is
+negative at every v > 0: for the table, r0_r + r1_r*v with r0_r, r1_r <= 0
+and one of them < 0; for brute force, b_r < 0. A subset S without r is
+never accepted at any v > 0: where its coefficients x are nonnegative, r's
+residual rhs_r - sum_{i in S} x_i*G[r][i] is at most rhs_r < 0. So a table
+row for S would be empty or the point {0}, which the table drops anyway, and
+brute force rejects S. Every accepted subset therefore contains every
+required curve, and the walk, which adds indices in ascending order, gives
+up on a branch as soon as it passes a required index.
 
 All subset systems of one configuration share one elimination tree, which
 one depth-first walk enumerates. Each subset is its parent (its prefix)
@@ -19,9 +31,9 @@ only for a subset with children, which its children read in turn. Those
 states are kept on a stack of depth at most the curve count; about half the
 subsets are leaves and cost no pivot. A pivot, in turn, costs little per
 column on the catalog's sparse Gram matrices: on one acceptance-gate pass
-two in three of the columns `linalg.extend` updates miss the pivot row, and
-it only rescales those; a third of them also keep their scale and are
-shared with the parent's state as they are. A pivot's time is now split
+about three in five of the columns `linalg.extend` updates miss the pivot
+row, and it only rescales those; a quarter of them also keep their scale
+and are shared with the parent's state as they are. A pivot's time is now split
 between the full update of the columns that meet the pivot row, the
 rescaled columns, and the loop over the columns itself.
 
@@ -84,10 +96,25 @@ def _root_columns(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> 
     return [[-x for x in col] for col in zip(*gh)] + [[-x for x in col] for col in rhs]
 
 
+def _required(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> frozenset[int]:
+    """The required curves (see the module docstring): every accepted subset contains them.
+
+    Curve r is required when row r of gh has no negative entry off the
+    diagonal and its `rhs` entries are all <= 0 and not all 0, so that its
+    right-hand side is negative at every v > 0.
+    """
+    return frozenset(
+        r
+        for r, (row, *ys) in enumerate(zip(gh, *rhs))
+        if max(ys) <= 0 and min(ys) < 0 and all(x >= 0 for i, x in enumerate(row) if i != r)
+    )
+
+
 def _subset_states(
-    config: SurfaceConfig, root: list[list[int]]
+    config: SurfaceConfig, root: list[list[int]], required: frozenset[int]
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], int, int]]:
-    """(subset, columns, prev, j) for every nonempty negative-definite subset.
+    """(subset, columns, prev, j) for every nonempty negative-definite subset
+    that contains each index of `required` below its last index.
 
     (columns, prev) is the `linalg.extend` state of the parent subset[:-1],
     pivoted from the root columns [a | -rhs] with a = -gh, and j is
@@ -104,24 +131,41 @@ def _subset_states(
     its own state is positive, read up to the first one. Only then is it
     pivoted (one `extend`), and its state waits on a stack of depth at most
     the curve count while its children are walked.
+
+    Indices are added in ascending order, so once the walk passes a
+    required index no subset below that point can contain it: a frame ends
+    after the first required index it tries, and a subset is neither
+    pivoted nor descended into when its first definite extension k leaves a
+    required index between its last index and k. With `required` from
+    `_required`, every subset skipped that way is rejected anyway (see the
+    module docstring); with an empty set the walk visits every
+    negative-definite subset, in depth-first preorder.
     """
     n = len(config.int_gram)
+    # stop[j] is one past the first required index >= j (n if there is none):
+    # a frame at j, or a scan for the next definite extension from j, ends there
+    stop = [n] * (n + 1)
+    for r in range(n - 1, -1, -1):
+        stop[r] = r + 1 if r in required else stop[r + 1]
     frames = [((), (root, 1), 0)]  # (subset, its state, next index to try)
     while frames:
         subset, state, j = frames.pop()
         cols, prev = state
-        while j < n:
+        end = stop[j]
+        while j < end:
             fcol = cols[j]
             p = fcol[j]
             if p > 0:
                 child = subset + (j,)
                 yield child, cols, prev, j
-                for k in range(j + 1, n):
+                for k in range(j + 1, stop[j + 1]):
                     ck = cols[k]
                     if (p * ck[k] - fcol[k] * ck[j]) // prev > 0:  # child + (k,) is definite
-                        frames.append((subset, state, j + 1))
+                        if j + 1 < end:  # the frame goes on past j
+                            frames.append((subset, state, j + 1))
                         subset, state, j = child, extend(state, j), k
                         cols, prev = state
+                        end = stop[j]
                         break
                 else:
                     j += 1
@@ -255,7 +299,7 @@ class SubsetTable:
         interval = _accepted_interval((-c0, -c1) for c0, c1 in zip(root[n], root[n + 1]))
         if interval is not None:
             rows.append(_TableRow((), *interval, (), (), rho))
-        for subset, cols, prev, j in _subset_states(config, root):
+        for subset, cols, prev, j in _subset_states(config, root, _required(gh, (r0, r1))):
             b0, b1, fcol = cols[n], cols[n + 1], cols[j]
             interval = _accepted_interval(_conditions(subset, b0, b1, fcol, prev, n))
             if interval is not None:
@@ -322,7 +366,7 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
     accepted: list[tuple[Fraction, ...]] = []
     if all(y <= 0 for y in root[n]):  # the empty subset: every residual b_j >= 0
         accepted.append((Fraction(0),) * n)
-    for subset, cols, prev, j in _subset_states(config, root):
+    for subset, cols, prev, j in _subset_states(config, root, _required(gh, (b,))):
         col, fcol = cols[n], cols[j]
         p, yj = fcol[j], col[j]  # p = det, yj = det * y_j
         if yj < 0:

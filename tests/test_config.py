@@ -178,6 +178,24 @@ class TestValidate:
         assert not report.ok
         assert "gram symmetric" in [e.rule for e in report.failures]
 
+    def test_negative_meeting(self, tmp_path):
+        # A2-nodal's two (-2)-curves E1 and E2 made to meet in -1 instead of 1
+        data = json.loads((CATALOG / "A2-nodal" / "config_base.json").read_text())
+        names = [c["name"] for c in data["curves"]]
+        i, j = names.index("E1"), names.index("E2")
+        data["gram"][i][j] = data["gram"][j][i] = "-1"
+        report = validate(config_from_json(data))
+        failures = {e.rule: e.detail for e in report.failures}
+        assert failures["distinct curves meet nonnegatively"] == "negative at [('E1', 'E2')]"
+        assert "gram symmetric" not in failures
+        path = tmp_path / "A2-nodal.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as caught:
+            load(path)
+        assert str(caught.value).startswith(
+            f"{path}: invalid config: distinct curves meet nonnegatively: negative at [('E1', 'E2')];"
+        )
+
     def test_diagonal_mismatch(self):
         report = validate(nodal(gram=[[-2, 2], [2, -2]]))
         assert "gram diagonal equals self-intersections" in [
@@ -236,6 +254,7 @@ class TestValidate:
         assert validate(nodal()).render() == "\n".join([
             "validation of nodal:",
             "  [ok] gram symmetric",
+            "  [ok] distinct curves meet nonnegatively",
             "  [ok] gram diagonal equals self-intersections",
             "  [ok] curve kinds match self-intersections",
             "  [ok] anti_k norm (anti_k^2 = 1, expected 1)",
@@ -247,17 +266,18 @@ class TestValidate:
             name="broken",
             norm=5,
             curves=[CurveRecord("C", -1, "minus_one"), CurveRecord("E", -3, "minus_two")],
-            gram=[[-2, 2], [1, -3]],
+            gram=[[-2, 2], [-1, -3]],
             discrepancy={"Z": 1},
             points=[PointSpec("q", "Z"), PointSpec("r", "E", {"C": True}, different=1)],
         )
         assert validate(broken).render() == "\n".join([
             "validation of broken:",
             "  [FAIL] gram symmetric (asymmetric at [('C', 'E')])",
+            "  [FAIL] distinct curves meet nonnegatively (negative at [('C', 'E')])",
             "  [FAIL] gram diagonal equals self-intersections (mismatch at ['C'])",
             "  [FAIL] curve kinds match self-intersections (mismatch at ['E'])",
-            "  [FAIL] anti_k norm (anti_k^2 = -2, expected 5)",
-            "  [FAIL] adjunction (-K).C = C^2 + 2 on rational curves (C: -1 != 1)",
+            "  [FAIL] anti_k norm (anti_k^2 = -4, expected 5)",
+            "  [FAIL] adjunction (-K).C = C^2 + 2 on rational curves (C: -3 != 1)",
             "  [FAIL] discrepancy keys are curves (unknown ['Z'])",
             "  [FAIL] point specs consistent (q: unknown flag curve Z; "
             "r: different 1 outside [0,1); r: incidence with C must be a positive integer)",

@@ -233,10 +233,46 @@ def _outcome(fn, config, d):
         return type(exc), str(exc)
 
 
-def _walk(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
+def _walk(
+    config: SurfaceConfig, required: frozenset[int] = frozenset()
+) -> tuple[tuple[int, ...], ...]:
     """The nonempty subsets the table and brute-force walk visits, in its order."""
     root = oracle._root_columns(config.int_gram, ())
-    return tuple(subset for subset, *_ in oracle._subset_states(config, root))
+    return tuple(subset for subset, *_ in oracle._subset_states(config, root, required))
+
+
+def _flag_rhs(config: SurfaceConfig, flag: str) -> list[tuple[Fraction, Fraction]]:
+    """(c0, c1) per curve C with (-K - v*F).C = c0 + c1*v for the flag F."""
+    fi = config.index(flag)
+    return [(c0, -row[fi]) for c0, row in zip(config.anti_k_dots, config.gram)]
+
+
+def _required_curves(
+    config: SurfaceConfig, rhs: list[tuple[Fraction, Fraction]]
+) -> frozenset[int]:
+    """The curves that meet every other curve nonnegatively and whose
+    right-hand side c0 + c1*v is negative at every v > 0.
+
+    No subset that omits one is accepted at any v > 0: where its
+    coefficients are nonnegative, the curve's residual is at most c0 + c1*v.
+    """
+    return frozenset(
+        r
+        for r, (row, (c0, c1)) in enumerate(zip(config.gram, rhs))
+        if all(x >= 0 for i, x in enumerate(row) if i != r)
+        and ((c0 <= 0 and c1 < 0) or (c0 < 0 and c1 <= 0))
+    )
+
+
+def _pruned_reference(
+    config: SurfaceConfig, required: frozenset[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The nonempty reference subsets holding every required index below their last one."""
+    return tuple(
+        s
+        for s in negative_definite_subsets(config)[1:]
+        if all(r in s for r in required if r < s[-1])
+    )
 
 
 def _gate_samples(label, tau):
@@ -279,6 +315,25 @@ class TestNegativeDefiniteSubsets:
     @given(cfg=_small_configs())
     def test_walk_matches_the_reference_on_random_gram_matrices(self, cfg):
         assert ((),) + _walk(cfg) == negative_definite_subsets(cfg)
+
+    def test_pruned_walk_matches_the_filtered_reference(self, catalog_flags):
+        """With each flag's required curves, the walk skips exactly the
+        subsets that omit one below their last index."""
+        total = 0
+        for label, cfg, flag, _ in catalog_flags:
+            required = _required_curves(cfg, _flag_rhs(cfg, flag))
+            subsets = _pruned_reference(cfg, required)
+            assert _walk(cfg, required) == subsets, label
+            total += len(subsets)
+        assert total == 21_366  # of the 95 flags' 72,524 negative-definite subsets
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_small_configs(), required=st.sets(st.integers(0, 5)))
+    def test_pruned_walk_matches_the_filtered_reference_on_random_gram_matrices(
+        self, cfg, required
+    ):
+        required = frozenset(r for r in required if r < len(cfg.curve_names))
+        assert _walk(cfg, required) == _pruned_reference(cfg, required)
 
 
 class TestSubsetTable:
@@ -466,18 +521,26 @@ class TestPivotWalk:
     """The table and brute force read each subset off its parent's pivot state."""
 
     def test_one_pivot_per_subset_with_children(self, catalog_flags, monkeypatch):
-        """A state is pivoted only for a subset that some other subset extends.
+        """A state is pivoted only for a subset that some other visited subset extends.
 
-        The empty subset's state is the root columns, so it costs no pivot.
+        The walk visits the subsets that hold every required curve below
+        their last index; the empty subset's state is the root columns, so
+        it costs no pivot.
         """
         by_config: dict = {}
         for _, cfg, flag, tau in catalog_flags:
             by_config.setdefault(cfg, (flag, tau))
         assert len(by_config) == 42
-        parents = {
-            cfg: len({s[:-1] for s in negative_definite_subsets(cfg) if len(s) > 1})
-            for cfg in by_config
-        }
+
+        def parents(cfg, rhs):
+            subsets = _pruned_reference(cfg, _required_curves(cfg, rhs))
+            return len({s[:-1] for s in subsets if len(s) > 1})
+
+        table_parents, brute_parents = {}, {}
+        for cfg, (flag, tau) in by_config.items():
+            rhs = _flag_rhs(cfg, flag)
+            table_parents[cfg] = parents(cfg, rhs)
+            brute_parents[cfg] = parents(cfg, [(c0 + c1 * tau / 2, 0) for c0, c1 in rhs])
         calls = []
         real = oracle.extend
 
@@ -489,12 +552,13 @@ class TestPivotWalk:
         for cfg, (flag, tau) in by_config.items():
             calls.clear()
             SubsetTable(cfg, flag)
-            assert len(calls) == parents[cfg], f"table of {cfg.name}"
+            assert len(calls) == table_parents[cfg], f"table of {cfg.name}"
             calls.clear()
             d = cfg.anti_k_divisor - cfg.basis_vector(flag).scale(tau / 2)
             brute_force_negative_part(cfg, d)
-            assert len(calls) == parents[cfg], f"brute force on {cfg.name}"
-        assert sum(parents.values()) > 0
+            assert len(calls) == brute_parents[cfg], f"brute force on {cfg.name}"
+        # of the 12,541 negative-definite subsets with children, on each side
+        assert (sum(table_parents.values()), sum(brute_parents.values())) == (3175, 3173)
 
     @pytest.mark.parametrize("make", [_semidefinite_pair, _nef_pair])
     def test_edge_configurations_match_the_references(self, make):
