@@ -51,7 +51,20 @@ shrinks it to {0}. A subset accepted at v = 0 alone repeats N(0): Zariski
 chambers are closed intervals and the decomposition is unique, so the row
 of the first chamber's support already gives N(0) on [0, hi]. The table
 keeps only rows a lookup can read (a few dozen per flag), and a lookup
-scans them all, comparing v with each row's ends on integers.
+(`SubsetTable.rows_at`) scans them all, comparing v with each row's ends on
+integers.
+
+A random trial compares functions before values. The sweep's N(v) is
+affine on each chamber, and so is a table row's on its interval; each side
+writes its vector in the canonical form of `rationals.affine_vector`, equal
+for two vectors exactly when they are equal as functions of v. If v lies in
+at least one row and every row holding v has the form of v's chamber, every
+such row gives the chamber's N(v) at v: the lookup would find one vector
+and no ambiguity, and it would equal the sweep's. The trial agrees without
+building a Fraction. Otherwise, and always at the first sample, which is
+also checked against brute force, the trial evaluates both sides at v as a
+pointwise lookup does, so a mismatch, an ambiguity or a missing row is
+found and reported exactly as before.
 
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
@@ -74,7 +87,7 @@ from .config import DivisorClass, SurfaceConfig
 from .errors import Ambiguous, DimensionMismatch, NoSolution
 from .linalg import extend, solve  # noqa: F401 - the bench tracer tests read oracle.solve
 from .poly import PiecewisePoly
-from .rationals import RatLike, format_rational, parse_rational
+from .rationals import AffineVector, RatLike, affine_vector, format_rational, parse_rational
 from .zariski import Decomposition, NegativePart, decomposition_for
 
 # the subsets of a wider configuration are too many to enumerate
@@ -192,10 +205,15 @@ class _TableRow:
     # (lo numerator, lo denominator, hi numerator, hi denominator), hi's
     # denominator 0 when unbounded: a lookup compares on these integers
     ends: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    # the row's N(v) in the form of `affine_vector`, which a trial compares
+    # with its chamber's `n_affine`
+    n_affine: AffineVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         hi = (0, 0) if self.hi is None else (self.hi.numerator, self.hi.denominator)
         object.__setattr__(self, "ends", (self.lo.numerator, self.lo.denominator, *hi))
+        n_affine = affine_vector(self.subset, self.num0, self.num1, self.den)
+        object.__setattr__(self, "n_affine", n_affine)
 
 
 def _accepted_interval(
@@ -268,7 +286,10 @@ class SubsetTable:
     leaves only {0}. Only rows a lookup can read are kept: a subset accepted
     at v = 0 alone repeats N(0), which the first chamber's support gives on
     [0, hi]. Rows that are single points v > 0 stay, since a sample can land
-    on one and must then meet the ambiguity check. A lookup scans the rows.
+    on one and must then meet the ambiguity check. A lookup (`rows_at`)
+    scans the rows; `negative_part` evaluates the rows it finds at v, and
+    each row's `n_affine` lets a caller compare a row with another affine
+    N without evaluating it.
     """
 
     def __init__(self, config: SurfaceConfig, flag: str):
@@ -308,23 +329,32 @@ class SubsetTable:
                 rows.append(_TableRow(subset, *interval, x0, x1, rho * fcol[j]))
         self.rows = tuple(rows)
 
+    def rows_at(self, v: RatLike) -> list[_TableRow]:
+        """The rows whose interval holds v, comparing v with their ends on integers."""
+        v = parse_rational(v)
+        p, q = v.numerator, v.denominator
+        found = []
+        for row in self.rows:
+            ln, ld, hn, hd = row.ends
+            if ln * q <= p * ld and (not hd or p * hd <= hn * q):
+                found.append(row)
+        return found
+
     def negative_part(self, v: RatLike) -> NegativePart:
         """The unique accepted negative part at one parameter value."""
         v = parse_rational(v)
         names = self.curve_names
         p, q = v.numerator, v.denominator
         vectors: list[tuple[tuple[int, Fraction], ...]] = []
-        for row in self.rows:
-            ln, ld, hn, hd = row.ends
-            if ln * q <= p * ld and (not hd or p * hd <= hn * q):
-                # the nonzero coefficients keyed by curve index, in curve order
-                vector = tuple(
-                    (idx, c)
-                    for idx, a, b in zip(row.subset, row.num0, row.num1)
-                    if (c := Fraction(a * q + b * p, row.den * q))
-                )
-                if vector not in vectors:
-                    vectors.append(vector)
+        for row in self.rows_at(v):
+            # the nonzero coefficients keyed by curve index, in curve order
+            vector = tuple(
+                (idx, c)
+                for idx, a, b in zip(row.subset, row.num0, row.num1)
+                if (c := Fraction(a * q + b * p, row.den * q))
+            )
+            if vector not in vectors:
+                vectors.append(vector)
         if not vectors:
             raise NoSolution(
                 f"no negative-definite support accepts v = {format_rational(v)} "
@@ -484,9 +514,12 @@ def random_equivalence(
 
     Every sampled v must yield the identical negative part from both sides,
     with no subset ambiguity; the first sample is additionally checked
-    against the pointwise brute force. Like the table and brute force, it
-    refuses a configuration of more than 16 curves with ValueError, before
-    any sweep or pivot.
+    against the pointwise brute force. A later sample whose table rows all
+    carry the `n_affine` of its chamber agrees as a function of v and is
+    not evaluated (see the module docstring); every other sample is
+    evaluated on both sides, so a mismatch keeps its v and both negative
+    parts. Like the table and brute force, it refuses a configuration of
+    more than 16 curves with ValueError, before any sweep or pivot.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -496,6 +529,11 @@ def random_equivalence(
     ambiguous = 0
     samples = sample_parameters(decomp.tau, trials, seed)
     for i, v in enumerate(samples):
+        if i:
+            rows = table.rows_at(v)
+            form = decomp.chamber_at(v).n_affine
+            if rows and all(row.n_affine == form for row in rows):
+                continue  # every row gives the sweep's N(v): no mismatch, no ambiguity
         engine = decomp.negative_at(v).coeffs
         try:
             oracle = table.negative_part(v).coeffs

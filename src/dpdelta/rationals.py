@@ -3,18 +3,24 @@
 Every file format and CLI surface in this package writes rationals as
 strings "p/q" (or just "p" when the denominator is 1). Every JSON file is
 read by `read_json` and every field of it by `read_field`, so each schema
-error names the file and the field path.
+error names the file and the field path. `affine_vector` is the one
+canonical form of a vector of rationals affine in a parameter, so that two
+such vectors compare as functions by tuple equality.
 """
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .errors import SchemaError
 
 RatLike = Fraction | int | str
+# the canonical form of a vector affine in a parameter, from `affine_vector`
+AffineVector = tuple[tuple[tuple[int, int, int], ...], int]
 
 
 def parse_rational(value: RatLike) -> Fraction:
@@ -40,6 +46,22 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def affine_vector(
+    indices: Iterable[int], c0: Sequence[int], c1: Sequence[int], den: int
+) -> AffineVector:
+    """The canonical form of the vector {i: (c0_i + c1_i*v) / den}, den > 0.
+
+    With g = gcd(den, every c0_i, every c1_i), it is the (i, c0_i/g, c1_i/g)
+    of the entries not identically 0, sorted by index, and den/g: the
+    coefficients over the lcm of their reduced denominators. Two vectors
+    affine in v are therefore equal as functions of v exactly when their
+    forms are equal.
+    """
+    g = math.gcd(den, *c0, *c1)  # a 0 entry leaves the gcd as it is
+    entries = sorted((i, a // g, b // g) for i, a, b in zip(indices, c0, c1) if a or b)
+    return tuple(entries), den // g
 
 
 def read_json(path: str | Path) -> object:

@@ -47,7 +47,15 @@ from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
 from .linalg import solve
 from .poly import IntQuadratic, PiecewisePoly, Poly
-from .rationals import RatLike, format_rational, parse_rational, read_field, typed
+from .rationals import (
+    AffineVector,
+    RatLike,
+    affine_vector,
+    format_rational,
+    parse_rational,
+    read_field,
+    typed,
+)
 
 _MAX_PIVOTS = 4096
 _MAX_CHAMBERS = 64
@@ -71,7 +79,9 @@ class Chamber:
     affine coefficient of each support curve), `p_sq` (the quadratic P(v)^2)
     and `p_dot` (the affine P(v).C for every curve C) are views built from
     the rows on first read; `p_dot_at` builds one curve's P.C row alone,
-    for callers that print only the flag's. Chambers compare by identity.
+    for callers that print only the flag's. `n_affine` is N(v) in the
+    canonical integer form the oracle compares its table rows with.
+    Chambers compare by identity.
     """
 
     lo: Fraction
@@ -91,6 +101,12 @@ class Chamber:
             name: _affine(a0, a1, rows.n_den)
             for name, a0, a1 in zip(self.support, rows.x0, rows.x1)
         }
+
+    @cached_property
+    def n_affine(self) -> AffineVector:
+        """N(v) on this chamber in the canonical form of `rationals.affine_vector`."""
+        rows = self.rows
+        return affine_vector(rows.support, rows.x0, rows.x1, rows.n_den)
 
     @cached_property
     def p_sq(self) -> Poly:
@@ -116,19 +132,26 @@ class Decomposition:
     tau: Fraction
 
     def chamber_at(self, v: RatLike) -> Chamber:
-        v = parse_rational(v)
-        if not 0 <= v <= self.tau:
+        """The first chamber whose end is at or after v; OutOfDomain off [0, tau]."""
+        return self._chamber(parse_rational(v))
+
+    def _chamber(self, v: Fraction) -> Chamber:
+        """`chamber_at` for a parsed v, comparing v = p/q with each end on integers."""
+        p, q = v.numerator, v.denominator
+        tau = self.tau
+        if p < 0 or p * tau.denominator > tau.numerator * q:
             raise OutOfDomain(
-                f"v = {format_rational(v)} outside [0, {format_rational(self.tau)}]"
+                f"v = {format_rational(v)} outside [0, {format_rational(tau)}]"
             )
         for ch in self.chambers:
-            if v <= ch.hi:
+            hi = ch.hi
+            if p * hi.denominator <= hi.numerator * q:
                 return ch
 
     def negative_at(self, v: RatLike) -> NegativePart:
         """The nonzero negative-part coefficients at v, read off the chamber's rows."""
         v = parse_rational(v)
-        rows = self.chamber_at(v).rows
+        rows = self._chamber(v).rows
         p, q, names = v.numerator, v.denominator, rows.curve_names
         coeffs = {
             names[s]: c

@@ -39,6 +39,8 @@ from dpdelta.oracle import (
     _accepted_interval,
     _TableRow,
 )
+from dpdelta.rationals import affine_vector
+from dpdelta.zariski import Chamber, Decomposition
 from refsubsets import negative_definite_subsets
 
 F = Fraction
@@ -272,6 +274,37 @@ def _pruned_reference(
         s
         for s in negative_definite_subsets(config)[1:]
         if all(r in s for r in required if r < s[-1])
+    )
+
+
+def _evaluating_equivalence(
+    config: SurfaceConfig, flag: str, trials: int, seed: int, decomp: Decomposition
+) -> EquivalenceReport:
+    """The reference for `random_equivalence`: every trial evaluates both sides at v.
+
+    The table is built through `oracle.SubsetTable`, so a test that patches
+    it patches this loop too.
+    """
+    table = oracle.SubsetTable(config, flag)
+    mismatches = []
+    ambiguous = 0
+    for i, v in enumerate(sample_parameters(decomp.tau, trials, seed)):
+        engine = decomp.negative_at(v).coeffs
+        try:
+            found = table.negative_part(v).coeffs
+        except Ambiguous:
+            ambiguous += 1
+            continue
+        if engine != found:
+            mismatches.append(EquivalenceMismatch(v, dict(engine), dict(found)))
+            continue
+        if i == 0:
+            d = config.anti_k_divisor - config.basis_vector(flag).scale(v)
+            reference = brute_force_negative_part(config, d).coeffs
+            if reference != found:
+                mismatches.append(EquivalenceMismatch(v, dict(reference), dict(found)))
+    return EquivalenceReport(
+        config.name, flag, trials, seed, decomp.tau, tuple(mismatches), ambiguous
     )
 
 
@@ -696,6 +729,71 @@ class TestRandomEquivalence:
         with pytest.raises(ValueError, match="trials must be positive"):
             random_equivalence(a1_nodal, "E", trials=0)
 
+    def test_matches_the_evaluating_loop(self, catalog_flags):
+        """The gate seed and one more, on every flag: the same report as the
+        loop that evaluates every trial."""
+        for label, cfg, flag, _ in catalog_flags:
+            decomp = parametric_decompose(cfg, flag)
+            for seed in (zlib.crc32(label.encode()), zlib.crc32(label.encode()) ^ 1):
+                expected = _evaluating_equivalence(cfg, flag, 100, seed, decomp)
+                assert random_equivalence(cfg, flag, 100, seed, decomp) == expected, label
+        assert len(catalog_flags) == 95
+
+    def test_a_tampered_chamber_gives_mismatches(self, a1_nodal):
+        decomp = parametric_decompose(a1_nodal, "E")
+        first, last = decomp.chambers
+        rows = last.rows
+        assert rows.support == (0,)  # C on [1/2, 1]
+        # N_C gains v, so the sweep's side is wrong at every sample in the chamber
+        tampered = Chamber(
+            last.lo, last.hi, rows._replace(x1=[rows.x1[0] + rows.n_den]), last.p_sq_rows
+        )
+        bad = dataclasses.replace(decomp, chambers=(first, tampered))
+        report = random_equivalence(a1_nodal, "E", trials=100, seed=5, decomp=bad)
+        inside = [v for v in sample_parameters(decomp.tau, 100, 5) if v > first.hi]
+        assert len(inside) > 1  # so some are trials after the first
+        assert [m.v for m in report.mismatches] == inside
+        for m in report.mismatches:
+            assert m.engine == {"C": decomp.negative_at(m.v).coeffs["C"] + m.v}
+            assert m.oracle == decomp.negative_at(m.v).coeffs
+        assert report.ambiguous == 0
+        assert report == _evaluating_equivalence(a1_nodal, "E", 100, 5, bad)
+
+    def test_an_overlapping_row_counts_as_ambiguous(self, a1_nodal, monkeypatch):
+        def with_overlap(config, flag):
+            table = SubsetTable(config, flag)
+            (row,) = [r for r in table.rows if r.subset]  # C on [1/2, 1]
+            table.rows += (dataclasses.replace(row, num0=(row.num0[0] + row.den,)),)
+            return table
+
+        monkeypatch.setattr(oracle, "SubsetTable", with_overlap)
+        decomp = parametric_decompose(a1_nodal, "E")
+        report = random_equivalence(a1_nodal, "E", trials=100, seed=5, decomp=decomp)
+        overlapped = [v for v in sample_parameters(decomp.tau, 100, 5) if v >= F(1, 2)]
+        assert report.ambiguous == len(overlapped) > 0
+        assert report.mismatches == ()
+        assert report == _evaluating_equivalence(a1_nodal, "E", 100, 5, decomp)
+
+    def test_a_missing_row_raises_no_solution(self, a1_nodal, monkeypatch):
+        def without_c(config, flag):
+            table = SubsetTable(config, flag)
+            table.rows = tuple(r for r in table.rows if not r.subset)  # [0, 1/2] alone
+            return table
+
+        monkeypatch.setattr(oracle, "SubsetTable", without_c)
+        samples = sample_parameters(F(1), 100, 1)
+        assert samples[0] < F(1, 2) < max(samples)  # the first trial finds its row
+        with pytest.raises(NoSolution, match="no negative-definite support accepts"):
+            random_equivalence(a1_nodal, "E", trials=100, seed=1)
+
+    def test_the_first_sample_meets_brute_force(self, a1_nodal, monkeypatch):
+        wrong = NegativePart(("E",), {"E": F(1)})
+        monkeypatch.setattr(oracle, "brute_force_negative_part", lambda config, d: wrong)
+        report = random_equivalence(a1_nodal, "E", trials=100, seed=5)
+        (v,) = sample_parameters(F(1), 1, 5)
+        found = dict(parametric_decompose(a1_nodal, "E").negative_at(v).coeffs)
+        assert report.mismatches == (EquivalenceMismatch(v, {"E": F(1)}, found),)
+
     def test_report_flags_mismatches(self, a1_nodal):
         bad = EquivalenceReport(
             config_name="x",
@@ -708,3 +806,33 @@ class TestRandomEquivalence:
         )
         assert not bad.ok
         assert not EquivalenceReport("x", "E", 1, 0, F(1), (), 2).ok
+
+
+class TestAffineVector:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        c0=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+        c1=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+        den=st.integers(1, 12),
+        o0=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+        o1=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+        other_den=st.integers(1, 12),
+        scale=st.integers(1, 6),
+    )
+    def test_equal_forms_are_equal_functions(self, c0, c1, den, o0, o1, other_den, scale):
+        """Two forms agree exactly when the vectors agree at v = 0 and v = 1,
+        that is as affine functions; order and a common factor never matter."""
+        form = affine_vector(range(4), c0, c1, den)
+        scaled = [scale * a for a in c0[::-1]], [scale * b for b in c1[::-1]]
+        assert affine_vector(range(3, -1, -1), *scaled, scale * den) == form
+
+        def at(v, x0, x1, d):
+            return [F(a + b * v, d) for a, b in zip(x0, x1)]
+
+        same = all(at(v, c0, c1, den) == at(v, o0, o1, other_den) for v in (0, 1))
+        assert (affine_vector(range(4), o0, o1, other_den) == form) == same
+
+    def test_zero_entries_and_the_zero_vector(self):
+        assert affine_vector((2, 0, 1), (0, 4, 0), (0, -2, 0), 6) == (((0, 2, -1),), 3)
+        assert affine_vector((0, 1), (0, 0), (0, 0), 5) == ((), 1)
+        assert affine_vector((), (), (), 7) == ((), 1)
