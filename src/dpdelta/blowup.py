@@ -7,7 +7,10 @@ by m_C * m_D, and E meets strict C in m_C points (counted with multiplicity).
 The anticanonical data is transported by pullback, so the new anti_k column
 gets the coefficient sum(a_C * m_C) on E and the old coefficients elsewhere.
 Strict transforms of curves through the center no longer satisfy adjunction
-against the pulled-back class and are therefore re-kinded as "other".
+against the pulled-back class alone and are therefore re-kinded as "other".
+E's log discrepancy is stored beside the others, so every curve satisfies
+log adjunction against K = -anti_k + sum (A_D - 1) D, which
+`config.validate` checks.
 """
 from __future__ import annotations
 

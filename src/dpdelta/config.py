@@ -22,10 +22,6 @@ from .rationals import RatLike, format_rational, parse_rational, read_field, rea
 
 CURVE_KINDS = ("minus_one", "minus_two", "anticanonical_transform", "orbifold", "other")
 
-# Kinds whose members are smooth rational curves on a smooth surface, so the
-# adjunction identity (-K).C = C^2 + 2 applies.
-_ADJUNCTION_KINDS = ("minus_one", "minus_two", "anticanonical_transform")
-
 
 @dataclass(frozen=True)
 class CurveRecord:
@@ -316,13 +312,36 @@ def validate(config: SurfaceConfig) -> ValidationReport:
     detail = f"anti_k^2 = {fr(sq)}, expected {fr(config.norm)}"
     entries.append(ValidationEntry("anti_k norm", sq == config.norm, detail))
 
+    # Log adjunction on each curve C, a smooth rational curve: (K + C).C is
+    # -2 plus the degree of the different, the sum over C's stored points,
+    # with K = -anti_k + sum (A_D - 1) D over the stored log discrepancies
+    # (Kollar, Singularities of the Minimal Model Program, 2013, ch. 4).
+    diff = dict.fromkeys(config.curve_names, Fraction(0))
+    for p in config.points:
+        if p.on_curve in diff:
+            diff[p.on_curve] += p.different
+    log = [
+        (config._index[d], a - 1)
+        for d, a in config.discrepancy.items()
+        if d in config._index and a != 1  # an unknown key fails its own rule
+    ]
+    bad = []
+    for j, (c, row) in enumerate(zip(curves, config.gram)):
+        got = row[j] - config.anti_k_dots[j] + sum(w * config.gram[i][j] for i, w in log)
+        if got != diff[c.name] - 2:
+            bad.append(f"{c.name}: {fr(got)} != -2 + {fr(diff[c.name])}")
+    rule("log adjunction (K + C).C = -2 + deg Diff_C", bad, "; ".join(bad))
+    bad = []
     if config.smooth_surface:
-        bad = [
-            f"{c.name}: {fr(got)} != {fr(c.self_int + 2)}"
-            for c, got in zip(curves, config.anti_k_dots)
-            if c.kind in _ADJUNCTION_KINDS and got != c.self_int + 2
-        ]
-        rule("adjunction (-K).C = C^2 + 2 on rational curves", bad, "; ".join(bad))
+        if config.mu != 1:
+            bad = [
+                f"{c.name}.{curves[j].name} = {fr(x)}"
+                for i, (c, row) in enumerate(zip(curves, config.gram))
+                for j, x in enumerate(row[i:], i)
+                if x.denominator != 1
+            ]
+        bad += [f"{p.id}: different {fr(p.different)}" for p in config.points if p.different]
+    rule("smooth surface has integral intersections and no differents", bad, "; ".join(bad))
 
     bad = [k for k in config.discrepancy if k not in config._index]
     rule("discrepancy keys are curves", bad, f"unknown {bad}")

@@ -7,15 +7,14 @@ Gaussian elimination, Math. Comp. 22, 1968): every intermediate entry is a
 minor of the input, so all divisions are exact and every number stays an
 integer. A state can be extended by any later index, so callers that visit
 index subsets in depth-first order share each prefix's elimination. `solve`
-pivots on every index in turn and returns its solutions as integer
-numerators over |det A|.
+pivots on every index in turn, which certifies the system negative definite
+on the way, and returns its solutions as integer numerators over det(-A).
 
 Gram matrices of curve configurations are sparse, as most curves meet few
 others, so most columns a pivot updates miss its row. `extend` rescales
 such a column instead of updating it, and shares it unchanged when the
 pivot also keeps the scale. States therefore share column lists, and the
-columns are never mutated, with one exception: `solve`'s row swap, on the
-columns it copied from its input.
+columns are never mutated.
 """
 from __future__ import annotations
 
@@ -46,9 +45,7 @@ def extend(state: State, j: int) -> State:
 
     Sharing contract: a state's column lists may also belong to the state
     it came from, and to that state's other extensions, so no caller may
-    write to them. The one writer is `solve`, whose row swap runs on
-    columns it copied from its input and touches only states it never reads
-    again.
+    write to them.
     """
     cols, prev = state
     fcol = cols[j]
@@ -68,30 +65,23 @@ def extend(state: State, j: int) -> State:
 def solve(
     matrix: Sequence[Sequence[int]], rhs_columns: Sequence[Sequence[int]]
 ) -> tuple[int, list[list[int]]]:
-    """Solve A x = b on integers for several right-hand sides at once.
+    """Solve A x = b on integers for a symmetric negative definite A, several b at once.
 
-    Returns (d, columns) with d = |det A| > 0 and, for each entry b of
+    Returns (d, columns) with d = det(-A) > 0 and, for each entry b of
     `rhs_columns`, the integer column d * x. A 0 x 0 system has d = 1.
-    Raises ValueError if the matrix is singular.
 
-    Pivots run through `extend` on 0, ..., n-1 over copies of the columns
-    of [A | B], and rows are swapped only past a zero pivot. A swap flips
-    the sign of the determinant but leaves the solution as it is, so the
-    right-hand-side columns end as p * x, where the last pivot p is +-det A.
+    Pivots run through `extend` on 0, ..., n-1 over [-A | -B], in order and
+    with no row swap, so the pivot on i is the leading principal minor of
+    -A of order i + 1. All of them are positive exactly when A is negative
+    definite (Sylvester's criterion), so the solve is its own certificate:
+    it raises ValueError at the first pivot that is not positive.
     """
     n = len(matrix)
-    state = ([list(col) for col in zip(*matrix)] + [list(b) for b in rhs_columns], 1)
+    cols = [[-x for x in col] for col in zip(*matrix)]
+    state = (cols + [[-x for x in b] for b in rhs_columns], 1)
     for i in range(n):
-        cols = state[0]
-        if cols[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if cols[i][r] != 0), None)
-            if swap is None:
-                raise ValueError("singular matrix")
-            # a column shared with an earlier state changes only states never
-            # read again, and the columns before i are never read again either
-            for col in cols[i:]:
-                col[i], col[swap] = col[swap], col[i]
+        if state[0][i][i] <= 0:
+            raise ValueError("matrix not negative definite")
         state = extend(state, i)
     cols, det = state
-    sign = 1 if det > 0 else -1
-    return abs(det), [[sign * x for x in col] for col in cols[n:]]
+    return det, cols[n:]

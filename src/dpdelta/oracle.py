@@ -69,8 +69,10 @@ found and reported exactly as before.
 A pointwise reference (`brute_force_negative_part`) walks the subsets again
 at a single divisor, on integers scaled from the Gram matrix and the
 divisor, with the same lazy reads. It never reads the table and is spot
-checked against it. Both run on the pivot step of `linalg`, which the sweep
-reaches through the integer `linalg.solve`; the acceptance gate checks the
+checked against it. Both run on the pivot step of `linalg`. The sweep
+reaches it through `linalg.solve`, which pivots a whole support in order
+and refuses it at the first pivot that is not positive, the same Sylvester
+test the walk applies one index at a time; the acceptance gate checks the
 sweep's output by substitution alone. The quadrature check applies
 Simpson's rule to each piece's exact values (`IntQuadratic.value_at`),
 independent of the closed form `PiecewisePoly` integrates with.
@@ -518,8 +520,10 @@ def random_equivalence(
     carry the `n_affine` of its chamber agrees as a function of v and is
     not evaluated (see the module docstring); every other sample is
     evaluated on both sides, so a mismatch keeps its v and both negative
-    parts. Like the table and brute force, it refuses a configuration of
-    more than 16 curves with ValueError, before any sweep or pivot.
+    parts. A sample that no table row holds raises NoSolution, naming v,
+    the flag and the configuration. Like the table and brute force, it
+    refuses a configuration of more than 16 curves with ValueError, before
+    any sweep or pivot.
     """
     if trials < 1:
         raise ValueError("trials must be positive")

@@ -11,8 +11,9 @@ at the pseudoeffective threshold tau.
 The sweep decides on integers end to end. The configuration owns the
 integer form: its Gram matrix as mu * gram (`int_gram`) and its (-K).C row
 over one denominator, both built with the configuration. Each support
-system is solved by the integer `linalg.solve` on those Gram rows, which
-gives the negative part as integer numerators over |det|, and one pass of
+system is solved by the integer `linalg.solve` on those Gram rows. Its
+pivots certify the support negative definite, as Zariski supports are,
+and it gives N as integer numerators over det(-gram_S); one pass of
 integer dot products over the support's Gram rows gives P.C for every curve
 C as an integer affine numerator over one positive denominator. Each
 breakpoint's pivot starts from the rows of the chamber just left, so that
@@ -325,7 +326,7 @@ def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows:
     """Rows of the solution of gram_S N = D_S on the support S.
 
     The system is solved as (mu * gram_S) y = mu * scale * D_S, so
-    y = scale * N. Raises ValueError if gram_S is singular.
+    y = scale * N. Raises ValueError if gram_S is not negative definite.
     """
     gram = direction.config.int_gram
     matrix = [[gram[a][b] for b in support] for a in support]
@@ -375,7 +376,7 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
                 rows = _solve_support(direction, key)
             except ValueError:
                 raise NotPseudoEffective(
-                    f"singular Gram matrix at v = {format_rational(v)}, "
+                    f"support not negative definite at v = {format_rational(v)}, "
                     f"{_support_text(names, key)}"
                 ) from None
         drop = {s for s, a0, a1 in zip(key, rows.x0, rows.x1) if _sign_after(a0, a1, p, q) <= 0}

@@ -47,7 +47,7 @@ def full_scan_pivot(direction, seed, v: Fraction, tight):
                 rows = zariski._solve_support(direction, key)
             except ValueError:
                 raise NotPseudoEffective(
-                    f"singular Gram matrix at v = {format_rational(v)}, "
+                    f"support not negative definite at v = {format_rational(v)}, "
                     f"{zariski._support_text(names, key)}"
                 ) from None
         drop = {

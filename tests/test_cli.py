@@ -148,20 +148,22 @@ class TestDeltaCase:
         assert capsys.readouterr().out == "delta(A8) = 1\n"
 
     def test_refused_certification(self, capsys, tmp_path, monkeypatch):
-        target = tmp_path / "A1-nodal"
-        shutil.copytree(catalog_root() / "A1-nodal", target)
+        # p1's different raised to 9/10 puts its ratio at 6/5, below A/S = 9/5;
+        # p2's lowered to 7/20 keeps the sum 5/4 that log adjunction on Ebar asks
+        target = tmp_path / "A1-cuspidal"
+        shutil.copytree(catalog_root() / "A1-cuspidal", target)
         cfg_path = target / "config_base.json"
         data = json.loads(cfg_path.read_text(encoding="utf-8"))
+        differents = {"p1": "9/10", "p2": "7/20"}
         for point in data["points"]:
-            if point["id"] == "node":
-                point["different"] = "9/10"
+            point["different"] = differents.get(point["id"], point["different"])
         cfg_path.write_text(json.dumps(data), encoding="utf-8")
         monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
 
-        assert main(["delta-case", "--case", "A1-nodal"]) == 1
+        assert main(["delta-case", "--case", "A1-cuspidal"]) == 1
         err = capsys.readouterr().err
         assert err == (
-            "not certified: no flag with A/S = 2 has matching point bounds\n"
+            "not certified: no flag with A/S = 9/5 has matching point bounds\n"
         )
 
 

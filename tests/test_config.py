@@ -167,10 +167,11 @@ class TestValidate:
         assert "anti_k norm" in rules
         assert any("adjunction" in r for r in rules)
 
-    def test_orbifold_skips_adjunction(self, a1_cuspidal):
+    def test_orbifold_checks_adjunction(self, a1_cuspidal):
+        # (K + Ebar).Ebar = -3/4 = -2 + 1/2 + 3/4 with K = -anti_k + 2 Ebar
         report = validate(a1_cuspidal)
         assert report.ok
-        assert not any("adjunction" in e.rule for e in report.entries)
+        assert "log adjunction (K + C).C = -2 + deg Diff_C" in [e.rule for e in report.entries]
 
     def test_asymmetric_gram(self):
         # the lopsided pairing also throws off the norm and adjunction rows
@@ -219,6 +220,61 @@ class TestValidate:
         report = validate(nodal(anti_k=[2, 0]))
         assert any("adjunction" in e.rule for e in report.failures)
 
+    def test_adjunction_reads_the_discrepancies(self, tmp_path):
+        # A2-nodal's blowup at E1 and E2's meeting: K = -anti_k + EP, and
+        # without A(EP) = 2 the exceptional curve and both strict transforms fail
+        data = json.loads((CATALOG / "A2-nodal" / "config_blowup.json").read_text())
+        assert validate(config_from_json(data)).ok
+        data["discrepancy"] = {}
+        path = tmp_path / "A2-nodal-blowup.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as caught:
+            load(path)
+        assert str(caught.value) == (
+            f"{path}: invalid config: log adjunction (K + C).C = -2 + deg Diff_C: "
+            "E1: -3 != -2 + 0; E2: -3 != -2 + 0; EP: -1 != -2 + 0"
+        )
+
+    def test_every_blowup_of_the_catalog_validates(self, records):
+        # the strict transforms through the center, of kind "other", included
+        configs = [cfg for record in records.values() for cfg in record.configs.values()]
+        blown = [
+            blowup(cfg, point, e_p_name="EX").config
+            for cfg in configs
+            if cfg.smooth_surface
+            for point in cfg.points
+        ]
+        assert len(blown) == 270
+        assert [b.name for b in blown if not validate(b).ok] == []
+
+    def test_adjunction_reads_the_differents(self, a1_cuspidal):
+        # the different at p2 as it was stored before its repair
+        points = [
+            PointSpec(p.id, p.on_curve, p.incidences, "2/3" if p.id == "p2" else p.different)
+            for p in a1_cuspidal.points
+        ]
+        report = validate(a1_cuspidal.with_points(points))
+        assert report.config_name == "A1-cuspidal"
+        assert {e.rule: e.detail for e in report.failures} == {
+            "log adjunction (K + C).C = -2 + deg Diff_C": "Ebar: -3/4 != -2 + 7/6"
+        }
+        # a different on a smooth surface breaks both rules, each naming where
+        report = validate(nodal(points=[PointSpec("node", "E", {"C": 1}, different="1/2")]))
+        assert {e.rule: e.detail for e in report.failures} == {
+            "log adjunction (K + C).C = -2 + deg Diff_C": "E: -2 != -2 + 1/2",
+            "smooth surface has integral intersections and no differents": "node: different 1/2",
+        }
+
+    def test_a_smooth_surface_has_no_fractions(self, a1_cuspidal):
+        data = config_to_json(a1_cuspidal)
+        data["smooth_surface"] = True
+        report = validate(config_from_json(data))
+        assert {e.rule: e.detail for e in report.failures} == {
+            "smooth surface has integral intersections and no differents": (
+                "Ebar.Ebar = -1/4; p1: different 1/2; p2: different 3/4"
+            )
+        }
+
     def test_unknown_discrepancy_key(self):
         report = validate(nodal(discrepancy={"Z": 1}))
         assert "discrepancy keys are curves" in [e.rule for e in report.failures]
@@ -258,7 +314,8 @@ class TestValidate:
             "  [ok] gram diagonal equals self-intersections",
             "  [ok] curve kinds match self-intersections",
             "  [ok] anti_k norm (anti_k^2 = 1, expected 1)",
-            "  [ok] adjunction (-K).C = C^2 + 2 on rational curves",
+            "  [ok] log adjunction (K + C).C = -2 + deg Diff_C",
+            "  [ok] smooth surface has integral intersections and no differents",
             "  [ok] discrepancy keys are curves",
             "  [ok] point specs consistent",
         ])
@@ -277,7 +334,10 @@ class TestValidate:
             "  [FAIL] gram diagonal equals self-intersections (mismatch at ['C'])",
             "  [FAIL] curve kinds match self-intersections (mismatch at ['E'])",
             "  [FAIL] anti_k norm (anti_k^2 = -4, expected 5)",
-            "  [FAIL] adjunction (-K).C = C^2 + 2 on rational curves (C: -3 != 1)",
+            "  [FAIL] log adjunction (K + C).C = -2 + deg Diff_C "
+            "(C: 1 != -2 + 0; E: -2 != -2 + 1)",
+            "  [FAIL] smooth surface has integral intersections and no differents "
+            "(r: different 1)",
             "  [FAIL] discrepancy keys are curves (unknown ['Z'])",
             "  [FAIL] point specs consistent (q: unknown flag curve Z; "
             "r: different 1 outside [0,1); r: incidence with C must be a positive integer)",

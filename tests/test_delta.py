@@ -219,8 +219,8 @@ class TestFlagReport:
         rows = {row.point_id: row for row in report.point_rows}
         assert rows["p1"].a_local == F(1, 2)
         assert rows["p1"].ratio == 6
-        assert rows["p2"].a_local == F(1, 3)
-        assert rows["p2"].ratio == 4
+        assert rows["p2"].a_local == F(1, 4)
+        assert rows["p2"].ratio == 3
         assert rows["at_cbar"].ratio == 3
         assert report.certified_equal
 

@@ -14,30 +14,34 @@ from dpdelta.linalg import extend, solve
 F = Fraction
 
 small = st.integers(min_value=-9, max_value=9)
-# zero drawn often, so leading entries vanish and rows must be swapped
+# zero drawn often, so leading minors vanish
 entries = st.one_of(st.just(0), small)
 
 
 def test_solve_multiple_right_hand_sides():
-    matrix = [[2, 1], [1, 3]]
-    rhs = [[3, 4], [1, 0]]
+    matrix = [[-2, 1], [1, -3]]
+    rhs = [[-1, -2], [1, 0]]
     d, cols = solve(matrix, rhs)
-    # x = (1, 1) and (3/5, -1/5), as numerators over |det| = 5
-    assert (d, cols) == (5, [[5, 5], [3, -1]])
+    # x = (1, 1) and (-3/5, -1/5), as numerators over det(-A) = 5
+    assert (d, cols) == (5, [[5, 5], [-3, -1]])
     # residuals vanish exactly
     for b, col in zip(rhs, cols):
         for i, row in enumerate(matrix):
             assert sum(a * c for a, c in zip(row, col)) == d * b[i]
 
 
-def test_solve_needs_row_swap():
-    # det = -1: the numerators are over |det| = 1, not over -1
-    assert solve([[0, 1], [1, 0]], [[5, 7]]) == (1, [[7, 5]])
-
-
 def test_solve_singular_matrix():
-    with pytest.raises(ValueError, match="singular matrix"):
-        solve([[1, 2], [2, 4]], [[1, 1]])
+    # negative semidefinite: the first pivot is 1, the second det = 0
+    with pytest.raises(ValueError, match="matrix not negative definite"):
+        solve([[-1, 1], [1, -1]], [[1, 1]])
+
+
+def test_solve_refuses_a_nonsingular_indefinite_matrix():
+    # det = -1, and a row swap would solve it; the first pivot is 0
+    with pytest.raises(ValueError, match="matrix not negative definite"):
+        solve([[0, 1], [1, 0]], [[5, 7]])
+    with pytest.raises(ValueError, match="matrix not negative definite"):
+        solve([[1, 0], [0, 1]], [[5, 7]])
 
 
 def _leibniz_det(matrix):
@@ -52,12 +56,22 @@ def _leibniz_det(matrix):
 
 @st.composite
 def systems(draw):
+    """A square A, either any integers or -(M^T M + D) with D a 0/1 diagonal, and B.
+
+    The second kind is negative semidefinite, and definite unless D leaves
+    a kernel; the last row a combination of the others makes A singular.
+    """
     n = draw(st.integers(min_value=0, max_value=5))
-    matrix = [[draw(entries) for _ in range(n)] for _ in range(n)]
-    if n and draw(st.booleans()):
-        matrix[0][0] = 0
+    if draw(st.booleans()):
+        matrix = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    else:
+        m = [[draw(st.integers(min_value=-3, max_value=3)) for _ in range(n)] for _ in range(n)]
+        diag = [draw(st.integers(min_value=0, max_value=1)) for _ in range(n)]
+        matrix = [
+            [-sum(m[k][i] * m[k][j] for k in range(n)) - (i == j) * diag[i] for j in range(n)]
+            for i in range(n)
+        ]
     if n >= 2 and draw(st.booleans()):
-        # the last row a combination of the others makes the matrix singular
         weights = [draw(small) for _ in range(n - 1)]
         matrix[-1] = [sum(w * row[j] for w, row in zip(weights, matrix)) for j in range(n)]
     rhs = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=1, max_size=3))
@@ -66,21 +80,28 @@ def systems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(system=systems())
-# regular but needs a row swap; singular with a zero row
+# regular, but solvable only with a row swap; singular with a zero row
 @example(system=([[0, 2, 1], [0, 1, 3], [1, 0, 0]], [[1] * 3]))
 @example(system=([[0, 0], [1, 1]], [[0, 1]]))
-def test_solve_is_exact_or_the_matrix_is_singular(system):
+# negative definite; negative semidefinite and singular
+@example(system=([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], [[1, 0, -1], [0, 0, 0]]))
+@example(system=([[-1, 1], [1, -1]], [[0, 1]]))
+def test_solve_is_exact_or_a_leading_minor_is_not_positive(system):
     matrix, rhs = system
     before = copy.deepcopy(system)
+    n = len(matrix)
+    # the leading principal minors of -A, each by Leibniz
+    minors = [_leibniz_det([[-x for x in row[:k]] for row in matrix[:k]]) for k in range(1, n + 1)]
     try:
         d, cols = solve(matrix, rhs)
     except ValueError as exc:
-        assert str(exc) == "singular matrix"
-        assert _leibniz_det(matrix) == 0
+        assert str(exc) == "matrix not negative definite"
+        assert min(minors) <= 0
         return
     finally:
-        assert (matrix, rhs) == before  # the row swap writes to copies only
-    assert d == abs(_leibniz_det(matrix)) > 0
+        assert (matrix, rhs) == before  # solve writes to copies only
+    assert all(m > 0 for m in minors)
+    assert d == _leibniz_det([[-x for x in row] for row in matrix]) > 0
     assert len(cols) == len(rhs)
     for b, col in zip(rhs, cols):
         assert len(col) == len(matrix)

@@ -111,9 +111,6 @@ PASSING = {
         ("config_base.json", "points[2].incidences", "drop"),
         ("expected.json", "flags[0].chambers.list[0].support", "[]"),
         ("expected.json", "flags[0].chambers.list[0].n_coeffs", "{}"),
-        # a point's different (1/2 and 2/3 here) enters no stored value
-        ("config_base.json", "points[1].different", "drop"),
-        ("config_base.json", "points[2].different", "drop"),
         # a configuration no blowup names may take any name
         ("config_base.json", "name", '"x"'),
         # optional records dropped

@@ -219,10 +219,12 @@ def _curves(*pairs: tuple[str, int]) -> list[CurveRecord]:
     return [CurveRecord(name, self_int, "other") for name, self_int in pairs]
 
 
-# Configurations that make the sweep fail at one raise site each, with the
-# flag, the chamber index and the support the error must name.
-_CYCLES = SurfaceConfig(
-    name="cycles", norm=1, curves=_curves(("X0", -1), ("F", 1)),
+# Configurations that make the sweep fail, with the flag, the chamber index
+# and the support the error must name. `indefinite` and `singular` reach the
+# same raise site, the solve's refusal of a support that is not negative
+# definite, through an indefinite and a singular Gram matrix.
+_INDEFINITE = SurfaceConfig(
+    name="indefinite", norm=1, curves=_curves(("X0", -1), ("F", 1)),
     gram=[[-1, 0], [0, 1]], anti_k=[1, -1],
 )
 _SINGULAR = SurfaceConfig(
@@ -256,12 +258,14 @@ class TestErrorContext:
         "config, flag, limits, error, where",
         [
             pytest.param(
-                _CYCLES, "X0", {}, NotPseudoEffective,
-                "support (X0, F); config cycles, flag X0, chamber 0",
-                id="pivot-cycle",
+                _INDEFINITE, "X0", {}, NotPseudoEffective,
+                "support not negative definite at v = 0, "
+                "support (X0, F); config indefinite, flag X0, chamber 0",
+                id="pivot-indefinite",
             ),
             pytest.param(
                 _SINGULAR, "G", {}, NotPseudoEffective,
+                "support not negative definite at v = 0, "
                 "support (X0, X1); config singular, flag G, chamber 0",
                 id="pivot-singular",
             ),
@@ -322,7 +326,7 @@ class TestPivot:
         reference pivot's, which tests every curve for the add set.
         """
         configs = [config for name in sorted(records) for config in records[name].configs.values()]
-        configs += [_CYCLES, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
+        configs += [_INDEFINITE, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
         solved: list[tuple] = []
         solve = zariski.solve
 
@@ -365,7 +369,7 @@ class TestPivot:
         off D(0).C at v = 0 and off the previous chamber's end scan after.
         """
         configs = [config for name in sorted(records) for config in records[name].configs.values()]
-        configs += [_CYCLES, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
+        configs += [_INDEFINITE, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
         pivot = zariski._pivot
         handed: Counter[str] = Counter()
 

@@ -238,10 +238,15 @@ def case_a1_cuspidal() -> dict:
         ],
         edges={("Cbar", "Ebar"): 1},
         anti_k={"Cbar": 1, "Ebar": 4},
+        # Blow up the minimal resolution (C~ (-1) tangent to E (-2), -K = C~ + E)
+        # at the tangency and then at the triple point C~, E, E1; contracting
+        # E (-4) and E1 (-2) leaves Cbar and Ebar (= E2) and two quotient
+        # points of index 2 and 4, whose differents 1/2 and 3/4 sum to the
+        # 5/4 that log adjunction on Ebar asks: (K + Ebar).Ebar = -3/4.
         points=[
             pt("at_cbar", "Ebar", {"Cbar": 1}),
             pt("p1", "Ebar", diff="1/2"),
-            pt("p2", "Ebar", diff="2/3"),
+            pt("p2", "Ebar", diff="3/4"),
             pt("generic", "Ebar"),
         ],
         smooth=False,
