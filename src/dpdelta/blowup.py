@@ -6,8 +6,6 @@ the center: E^2 = -1, (strict C)^2 = C^2 - m_C^2, strict intersections drop
 by m_C * m_D, and E meets strict C in m_C points (counted with multiplicity).
 The anticanonical data is transported by pullback, so the new anti_k column
 gets the coefficient sum(a_C * m_C) on E and the old coefficients elsewhere.
-Strict transforms of curves through the center no longer satisfy adjunction
-against the pulled-back class alone and are therefore re-kinded as "other".
 E's log discrepancy is stored beside the others, so every curve satisfies
 log adjunction against K = -anti_k + sum (A_D - 1) D, which
 `config.validate` checks.
@@ -17,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import CurveRecord, PointSpec, SurfaceConfig
+from .config import PointSpec, SurfaceConfig
 from .errors import InconsistentIncidence, NotSmooth
 from .rationals import format_rational
 
@@ -75,28 +73,19 @@ def blowup(
             continue
         mult[curve] = m
 
-    n = len(config.curves)
-    m_vec = [mult.get(c.name, 0) for c in config.curves]
+    names = config.curve_names
+    n = len(names)
+    m_vec = [mult.get(c, 0) for c in names]
     # Distinct curves cannot meet at the center more often than they meet
     # globally; otherwise the stored incidences are contradictory.
     for i in range(n):
         for j in range(i + 1, n):
             if m_vec[i] and m_vec[j] and config.gram[i][j] < m_vec[i] * m_vec[j]:
                 raise InconsistentIncidence(
-                    f"curves {config.curves[i].name} and {config.curves[j].name} meet "
+                    f"curves {names[i]} and {names[j]} meet "
                     f"{format_rational(config.gram[i][j])} times globally but "
                     f"{m_vec[i] * m_vec[j]} times at {point.id}"
                 )
-
-    curves = []
-    for i, c in enumerate(config.curves):
-        if m_vec[i]:
-            curves.append(
-                CurveRecord(c.name, c.self_int - m_vec[i] ** 2, "other")
-            )
-        else:
-            curves.append(c)
-    curves.append(CurveRecord(e_p_name, -1, "other"))
 
     gram = [
         [config.gram[i][j] - m_vec[i] * m_vec[j] for j in range(n)] + [Fraction(m_vec[i])]
@@ -110,7 +99,7 @@ def blowup(
     anti_k = list(config.anti_k) + [e_coeff]
 
     a_e_p = Fraction(2) + sum(
-        (m_vec[i] * (config.discrepancy_of(config.curves[i].name) - 1) for i in range(n)),
+        (m_vec[i] * (config.discrepancy_of(names[i]) - 1) for i in range(n)),
         start=Fraction(0),
     )
     discrepancy = dict(config.discrepancy)
@@ -119,7 +108,7 @@ def blowup(
     new = SurfaceConfig(
         name=name or f"{config.name}^{point.id}",
         norm=config.norm,
-        curves=curves,
+        curve_names=names + (e_p_name,),
         gram=gram,
         anti_k=anti_k,
         discrepancy=discrepancy,

@@ -72,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_delta_case)
 
     p = sub.add_parser("verify", help="recompute the stored expectations")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", help="verify every case (default)")
-    group.add_argument("--case", help="verify a single case")
+    p.add_argument("--case", help="verify a single case (default: every case)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", help="composite delta table")

@@ -1,17 +1,19 @@
 """Curve-configuration data model: curves, Gram matrix, points, validation.
 
 A `SurfaceConfig` is the complete intersection-theoretic description of one
-surface: named curves with self-intersections, the rational Gram matrix,
-the expansion of the (pullback of the) anticanonical class in that curve
-basis, per-curve log discrepancies, and the point classes used by the local
-delta estimates. Orbifold surfaces are supported as data (fractional Gram
-entries, nonzero differents); nothing is ever derived from equations.
+surface: named curves, the rational Gram matrix (whose diagonal holds the
+self-intersections), the expansion of the (pullback of the) anticanonical
+class in that curve basis, per-curve log discrepancies, and the point
+classes used by the local delta estimates. Orbifold surfaces are supported
+as data (fractional Gram entries, nonzero differents); nothing is ever
+derived from equations.
 """
 from __future__ import annotations
 
 import copy
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -19,25 +21,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, SchemaError
 from .rationals import RatLike, format_rational, parse_rational, read_field, read_json, typed
-
-CURVE_KINDS = ("minus_one", "minus_two", "anticanonical_transform", "orbifold", "other")
-
-
-@dataclass(frozen=True)
-class CurveRecord:
-    """A named curve with its self-intersection and coarse type."""
-
-    name: str
-    self_int: Fraction
-    kind: str
-
-    def __init__(self, name: str, self_int: RatLike, kind: str):
-        if kind not in CURVE_KINDS:
-            raise SchemaError(f"unknown curve kind {kind!r} for {name}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "self_int", parse_rational(self_int))
-        object.__setattr__(self, "kind", kind)
-
 
 @dataclass(frozen=True)
 class PointSpec:
@@ -106,13 +89,12 @@ class SurfaceConfig:
 
     name: str
     norm: Fraction
-    curves: tuple[CurveRecord, ...]
+    curve_names: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     anti_k: tuple[Fraction, ...]
     discrepancy: Mapping[str, Fraction]
     smooth_surface: bool
     points: tuple[PointSpec, ...]
-    curve_names: tuple[str, ...] = field(repr=False)
     _index: dict = field(repr=False)
     anti_k_dots: tuple[Fraction, ...] = field(repr=False)
     mu: int = field(repr=False)
@@ -124,16 +106,15 @@ class SurfaceConfig:
         self,
         name: str,
         norm: RatLike,
-        curves: Sequence[CurveRecord],
+        curve_names: Sequence[str],
         gram: Sequence[Sequence[RatLike]],
         anti_k: Sequence[RatLike],
         discrepancy: Mapping[str, RatLike] | None = None,
         smooth_surface: bool = True,
         points: Sequence[PointSpec] = (),
     ):
-        curves = tuple(curves)
-        n = len(curves)
-        names = [c.name for c in curves]
+        names = tuple(curve_names)
+        n = len(names)
         if len(set(names)) != n:
             raise SchemaError(f"duplicate curve names in {name}")
         if len(gram) != n or any(len(row) != n for row in gram):
@@ -154,7 +135,6 @@ class SurfaceConfig:
 
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "norm", parse_rational(norm))
-        object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "gram", tuple(tuple(map(parse, row)) for row in gram))
         object.__setattr__(self, "anti_k", tuple(map(parse, anti_k)))
         object.__setattr__(
@@ -164,7 +144,7 @@ class SurfaceConfig:
         )
         object.__setattr__(self, "smooth_surface", bool(smooth_surface))
         object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "curve_names", tuple(names))
+        object.__setattr__(self, "curve_names", names)
         object.__setattr__(self, "_index", {nm: i for i, nm in enumerate(names)})
         # Equal parsed strings share one Fraction, so mu and each integer
         # entry are taken once per distinct object and then looked up by id.
@@ -194,14 +174,16 @@ class SurfaceConfig:
 
     # -- basis helpers -------------------------------------------------
 
+    @property
+    def curves(self) -> tuple[str, ...]:
+        """`curve_names` under its older name, kept while bench/instrument.py reads it."""
+        return self.curve_names
+
     def index(self, curve: str) -> int:
         try:
             return self._index[curve]
         except KeyError:
             raise SchemaError(f"unknown curve {curve!r} in config {self.name}") from None
-
-    def curve(self, name: str) -> CurveRecord:
-        return self.curves[self.index(name)]
 
     def point(self, point_id: str) -> PointSpec:
         for p in self.points:
@@ -214,7 +196,7 @@ class SurfaceConfig:
 
     def basis_vector(self, curve: str) -> DivisorClass:
         i = self.index(curve)
-        return DivisorClass(Fraction(int(j == i)) for j in range(len(self.curves)))
+        return DivisorClass(Fraction(int(j == i)) for j in range(len(self.curve_names)))
 
     @property
     def anti_k_divisor(self) -> DivisorClass:
@@ -235,7 +217,7 @@ class SurfaceConfig:
 
 def intersect(config: SurfaceConfig, d1: DivisorClass, d2: DivisorClass) -> Fraction:
     """Intersection number of two divisor classes (Gram bilinear form)."""
-    n = len(config.curves)
+    n = len(config.curve_names)
     if len(d1) != n or len(d2) != n:
         raise DimensionMismatch(
             f"expected vectors of length {n}, got {len(d1)} and {len(d2)}"
@@ -288,25 +270,20 @@ def validate(config: SurfaceConfig) -> ValidationReport:
     def rule(name: str, offenders: list, detail: str) -> None:
         entries.append(ValidationEntry(name, not offenders, detail if offenders else ""))
 
-    curves, fr = config.curves, format_rational
+    names, fr = config.curve_names, format_rational
     # int_gram is mu * gram, so comparing integers gives the same verdict
     gram = config.int_gram
     # one scan of the pairs i < j serves both pairwise rules
     odd = [
-        (c.name, curves[j].name, row[j], gram[j][i])
-        for i, (c, row) in enumerate(zip(curves, gram))
-        for j in range(i + 1, len(curves))
+        (c, names[j], row[j], gram[j][i])
+        for i, (c, row) in enumerate(zip(names, gram))
+        for j in range(i + 1, len(names))
         if row[j] != gram[j][i] or row[j] < 0
     ]
     bad = [(a, b) for a, b, x, y in odd if x != y]
     rule("gram symmetric", bad, f"asymmetric at {bad}")
     bad = [(a, b) for a, b, x, y in odd if min(x, y) < 0]
     rule("distinct curves meet nonnegatively", bad, f"negative at {bad}")
-    bad = [c.name for i, (c, row) in enumerate(zip(curves, config.gram)) if row[i] != c.self_int]
-    rule("gram diagonal equals self-intersections", bad, f"mismatch at {bad}")
-    want_self_int = {"minus_one": -1, "minus_two": -2}
-    bad = [c.name for c in curves if want_self_int.get(c.kind, c.self_int) != c.self_int]
-    rule("curve kinds match self-intersections", bad, f"mismatch at {bad}")
 
     sq = sum((a * d for a, d in zip(config.anti_k, config.anti_k_dots)), Fraction(0))
     detail = f"anti_k^2 = {fr(sq)}, expected {fr(config.norm)}"
@@ -316,7 +293,7 @@ def validate(config: SurfaceConfig) -> ValidationReport:
     # -2 plus the degree of the different, the sum over C's stored points,
     # with K = -anti_k + sum (A_D - 1) D over the stored log discrepancies
     # (Kollar, Singularities of the Minimal Model Program, 2013, ch. 4).
-    diff = dict.fromkeys(config.curve_names, Fraction(0))
+    diff = dict.fromkeys(names, Fraction(0))
     for p in config.points:
         if p.on_curve in diff:
             diff[p.on_curve] += p.different
@@ -326,17 +303,17 @@ def validate(config: SurfaceConfig) -> ValidationReport:
         if d in config._index and a != 1  # an unknown key fails its own rule
     ]
     bad = []
-    for j, (c, row) in enumerate(zip(curves, config.gram)):
+    for j, (c, row) in enumerate(zip(names, config.gram)):
         got = row[j] - config.anti_k_dots[j] + sum(w * config.gram[i][j] for i, w in log)
-        if got != diff[c.name] - 2:
-            bad.append(f"{c.name}: {fr(got)} != -2 + {fr(diff[c.name])}")
+        if got != diff[c] - 2:
+            bad.append(f"{c}: {fr(got)} != -2 + {fr(diff[c])}")
     rule("log adjunction (K + C).C = -2 + deg Diff_C", bad, "; ".join(bad))
     bad = []
     if config.smooth_surface:
         if config.mu != 1:
             bad = [
-                f"{c.name}.{curves[j].name} = {fr(x)}"
-                for i, (c, row) in enumerate(zip(curves, config.gram))
+                f"{c}.{names[j]} = {fr(x)}"
+                for i, (c, row) in enumerate(zip(names, config.gram))
                 for j, x in enumerate(row[i:], i)
                 if x.denominator != 1
             ]
@@ -346,7 +323,8 @@ def validate(config: SurfaceConfig) -> ValidationReport:
     bad = [k for k in config.discrepancy if k not in config._index]
     rule("discrepancy keys are curves", bad, f"unknown {bad}")
 
-    bad = []
+    ids = Counter(p.id for p in config.points)
+    bad = [f"duplicate point id {i}" for i, k in ids.items() if k > 1]
     for p in config.points:
         if p.on_curve not in config._index:
             bad.append(f"{p.id}: unknown flag curve {p.on_curve}")
@@ -377,10 +355,7 @@ def config_to_json(config: SurfaceConfig) -> dict:
         "name": config.name,
         "norm": format_rational(config.norm),
         "smooth_surface": config.smooth_surface,
-        "curves": [
-            {"name": c.name, "self_int": format_rational(c.self_int), "kind": c.kind}
-            for c in config.curves
-        ],
+        "curves": [{"name": c} for c in config.curve_names],
         "gram": [[format_rational(x) for x in row] for row in config.gram],
         "anti_k": [format_rational(x) for x in config.anti_k],
         "discrepancy": {k: format_rational(v) for k, v in sorted(config.discrepancy.items())},
@@ -403,11 +378,10 @@ def config_from_json(data: object, source: str = "<memory>") -> SurfaceConfig:
     constructor's memoized parse."""
     at = f"{source}: "
     data = typed(data, dict, source)
-    curves = []
-    for i, c in enumerate(read_field(data, "curves", list[dict], at)):
-        where = f"{at}curves[{i}]."
-        curve, kind = (read_field(c, key, str, where) for key in ("name", "kind"))
-        curves.append((curve, read_field(c, "self_int", Fraction, where), kind))
+    curves = [
+        read_field(c, "name", str, f"{at}curves[{i}].")
+        for i, c in enumerate(read_field(data, "curves", list[dict], at))
+    ]
     points = []
     for i, p in enumerate(read_field(data, "points", list[dict], at, [])):
         where = f"{at}points[{i}]."
@@ -422,7 +396,6 @@ def config_from_json(data: object, source: str = "<memory>") -> SurfaceConfig:
     discrepancy = read_field(data, "discrepancy", dict[str, Fraction], at, {})
     smooth_surface = read_field(data, "smooth_surface", bool, at)
     try:
-        curves = [CurveRecord(*c) for c in curves]
         return SurfaceConfig(name, norm, curves, gram, anti_k, discrepancy, smooth_surface, points)
     except SchemaError as exc:
         # a Gram or anti_k entry that is no rational, named by its path

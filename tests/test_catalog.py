@@ -247,7 +247,7 @@ class TestVariants:
         permuted = SurfaceConfig(
             name="permuted",
             norm=base.norm,
-            curves=[base.curves[i] for i in idx],
+            curve_names=order,
             gram=[[base.gram[i][j] for j in idx] for i in idx],
             anti_k=[base.anti_k[i] for i in idx],
             discrepancy=base.discrepancy,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from dpdelta import catalog_root, load as load_config
+from dpdelta.catalog import case_names
 from dpdelta.cli import main
 from dpdelta.zariski import decomposition_from_json, parametric_decompose
 
@@ -175,9 +176,10 @@ class TestVerify:
         assert lines[-1] == "1 case, all PASS"
 
     def test_all_cases(self, capsys):
-        assert main(["verify", "--all"]) == 0
+        assert main(["verify"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 20
+        assert [line.split(": ")[0] for line in lines[:-1]] == list(case_names())
         assert lines[-1] == "19 cases, all PASS"
 
     def test_default_is_all(self, capsys):

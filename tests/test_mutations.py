@@ -122,7 +122,7 @@ PASSING = {
 
 
 @pytest.mark.parametrize(
-    "case, size", [("A2-nodal", 1672), ("A1-cuspidal", 618)], ids=["A2-nodal", "A1-cuspidal"]
+    "case, size", [("A2-nodal", 1588), ("A1-cuspidal", 590)], ids=["A2-nodal", "A1-cuspidal"]
 )
 def test_every_catalog_mutation_is_caught(case, size, monkeypatch):
     """Covers blowups, stored chambers, class bounds, discrepancies and orbifold data."""

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 import dpdelta
 from dpdelta import (
-    CurveRecord,
     DivisorClass,
     IntQuadratic,
     NegativePart,
@@ -140,11 +139,7 @@ def _semidefinite_pair() -> SurfaceConfig:
     return SurfaceConfig(
         name="pair",
         norm=1,
-        curves=[
-            CurveRecord("X0", -2, "minus_two"),
-            CurveRecord("X1", -2, "minus_two"),
-            CurveRecord("F", 0, "other"),
-        ],
+        curve_names=["X0", "X1", "F"],
         gram=[[-2, 2, 0], [2, -2, 0], [0, 0, 0]],
         anti_k=[0, 0, 0],
     )
@@ -200,7 +195,7 @@ def _nef_pair() -> SurfaceConfig:
     return SurfaceConfig(
         name="nef",
         norm=1,
-        curves=[CurveRecord("F", 0, "other"), CurveRecord("H", 1, "other")],
+        curve_names=["F", "H"],
         gram=[[0, 1], [1, 1]],
         anti_k=[1, 1],
     )
@@ -221,7 +216,7 @@ def _small_configs(draw) -> SurfaceConfig:
     return SurfaceConfig(
         name="random",
         norm=1,
-        curves=[CurveRecord(f"X{i}", gram[i][i], "other") for i in range(n)],
+        curve_names=[f"X{i}" for i in range(n)],
         gram=gram,
         anti_k=anti_k,
     )
@@ -491,7 +486,7 @@ class TestBruteForce:
         cfg = SurfaceConfig(
             name="crossed",
             norm=1,
-            curves=[CurveRecord("X0", -1, "minus_one"), CurveRecord("X1", -1, "minus_one")],
+            curve_names=["X0", "X1"],
             gram=[[-1, -2], [-2, -1]],
             anti_k=[0, 0],
         )
@@ -513,7 +508,7 @@ class TestBruteForce:
         cfg = SurfaceConfig(
             name="big",
             norm=1,
-            curves=[CurveRecord(f"X{i}", -2, "minus_two") for i in range(n)],
+            curve_names=[f"X{i}" for i in range(n)],
             gram=[[-2 if i == j else 0 for j in range(n)] for i in range(n)],
             anti_k=[0] * n,
         )
@@ -526,7 +521,7 @@ class TestBruteForce:
         cfg = SurfaceConfig(
             name="wide",
             norm=1,
-            curves=[CurveRecord(f"X{i}", -2, "minus_two") for i in range(n)],
+            curve_names=[f"X{i}" for i in range(n)],
             gram=[[-2 if i == j else 0 for j in range(n)] for i in range(n)],
             anti_k=[0] * n,
         )

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpdelta import CurveRecord, IntQuadratic, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
+from dpdelta import IntQuadratic, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
 from dpdelta.delta import h_quadratic
 from dpdelta.oracle import sample_parameters
 from dpdelta.errors import IrrationalRoot
@@ -272,7 +272,7 @@ class TestIntegerForm:
         config = SurfaceConfig(
             name="random",
             norm=1,
-            curves=[CurveRecord(f"C{i}", row[i], "other") for i, row in enumerate(gram)],
+            curve_names=[f"C{i}" for i in range(len(gram))],
             gram=gram,
             anti_k=anti_k,
         )

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpdelta import (
-    CurveRecord,
     OutOfDomain,
     Poly,
     SchemaError,
@@ -172,7 +171,7 @@ class TestSweep:
         cfg = SurfaceConfig(
             name="irr",
             norm=2,
-            curves=[CurveRecord("F", -3, "other")],
+            curve_names=["F"],
             gram=[[-3]],
             anti_k=[1],
         )
@@ -215,38 +214,34 @@ class TestSweep:
 
 
 
-def _curves(*pairs: tuple[str, int]) -> list[CurveRecord]:
-    return [CurveRecord(name, self_int, "other") for name, self_int in pairs]
-
-
 # Configurations that make the sweep fail, with the flag, the chamber index
 # and the support the error must name. `indefinite` and `singular` reach the
 # same raise site, the solve's refusal of a support that is not negative
 # definite, through an indefinite and a singular Gram matrix.
 _INDEFINITE = SurfaceConfig(
-    name="indefinite", norm=1, curves=_curves(("X0", -1), ("F", 1)),
+    name="indefinite", norm=1, curve_names=["X0", "F"],
     gram=[[-1, 0], [0, 1]], anti_k=[1, -1],
 )
 _SINGULAR = SurfaceConfig(
-    name="singular", norm=1, curves=_curves(("X0", -2), ("X1", -2), ("G", 0)),
+    name="singular", norm=1, curve_names=["X0", "X1", "G"],
     gram=[[-2, 2, -1], [2, -2, -1], [-1, -1, 0]], anti_k=[0, 0, 1],
 )
 _VANISHES = SurfaceConfig(
-    name="vanishes", norm=-1, curves=_curves(("X0", -1), ("F", 0)),
+    name="vanishes", norm=-1, curve_names=["X0", "F"],
     gram=[[-1, 0], [0, 0]], anti_k=[1, 0],
 )
 _ENDLESS = SurfaceConfig(
-    name="endless", norm=2, curves=_curves(("X0", -1), ("F", 0)),
+    name="endless", norm=2, curve_names=["X0", "F"],
     gram=[[-1, 0], [0, 0]], anti_k=[1, 0],
 )
 _IRRATIONAL = SurfaceConfig(
-    name="irrational", norm=2, curves=_curves(("X0", -1), ("F", -1)),
+    name="irrational", norm=2, curve_names=["X0", "F"],
     gram=[[-1, 0], [0, -1]], anti_k=[1, 0],
 )
 # -K.C1 = -3 < 0, so -K is not nef at v = 0 and the first pivot cannot
 # take its add set from the curves -K meets in 0 (there are none).
 _NOT_NEF = SurfaceConfig(
-    name="not-nef", norm=F(13, 3), curves=_curves(("C1", -2), ("C2", -2), ("F", 1)),
+    name="not-nef", norm=F(13, 3), curve_names=["C1", "C2", "F"],
     gram=[[-2, 1, 0], [1, -2, 0], [0, 0, 1]], anti_k=[F(5, 3), F(1, 3), 3],
 )
 

@@ -27,7 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dpdelta.applications import verify_main_theorem_table  # noqa: E402
 from dpdelta.catalog import case_names, load_case, verify_case  # noqa: E402
-from dpdelta.config import CurveRecord, PointSpec, SurfaceConfig, save  # noqa: E402
+from dpdelta.config import PointSpec, SurfaceConfig, save  # noqa: E402
 from dpdelta.errors import SchemaError  # noqa: E402
 from dpdelta.rationals import format_rational  # noqa: E402
 
@@ -68,14 +68,14 @@ def config(
     names = [c[0] for c in curves]
     index = {n: i for i, n in enumerate(names)}
     gram = [[Fraction(0)] * len(names) for _ in names]
-    for i, (_, self_int, _) in enumerate(curves):
+    for i, (_, self_int) in enumerate(curves):
         gram[i][i] = Fraction(str(self_int))
     for (a, b), m in edges.items():
         gram[index[a]][index[b]] = gram[index[b]][index[a]] = Fraction(m)
     return SurfaceConfig(
         name=name,
         norm=1,
-        curves=[CurveRecord(n, Fraction(str(s)), k) for n, s, k in curves],
+        curve_names=names,
         gram=gram,
         anti_k=[Fraction(str(anti_k.get(n, 0))) for n in names],
         discrepancy=discrepancy,
@@ -102,12 +102,12 @@ def blocks(
     """
     for i, length in enumerate(partition, 1):
         root = f"B{i}"
-        curves.append((root, -1, "minus_one"))
+        curves.append((root, -1))
         edges[(root, attach)] = 1
         prev = root
         for j in range(1, length):
             tail = f"B{i}T{j}"
-            curves.append((tail, -2, "minus_two"))
+            curves.append((tail, -2))
             edges[(tail, prev)] = 1
             prev = tail
         if points is not None:
@@ -197,7 +197,7 @@ def blowup_spec(source, point, name, a_e_p, pullback, e_p_name="EP") -> dict:
 def case_a1_nodal() -> dict:
     cfg = config(
         "A1-nodal",
-        curves=[("C", -1, "minus_one"), ("E", -2, "minus_two")],
+        curves=[("C", -1), ("E", -2)],
         edges={("C", "E"): 2},
         anti_k={"C": 1, "E": 1},
         points=[pt("node", "E", {"C": 1}), pt("generic", "E")],
@@ -233,8 +233,8 @@ def case_a1_cuspidal() -> dict:
     cfg = config(
         "A1-cuspidal",
         curves=[
-            ("Cbar", -3, "anticanonical_transform"),
-            ("Ebar", "-1/4", "orbifold"),
+            ("Cbar", -3),
+            ("Ebar", "-1/4"),
         ],
         edges={("Cbar", "Ebar"): 1},
         anti_k={"Cbar": 1, "Ebar": 4},
@@ -288,9 +288,9 @@ def _a2_base(name: str, points: list[tuple]) -> SurfaceConfig:
     return config(
         name,
         curves=[
-            ("C", -1, "minus_one"),
-            ("E1", -2, "minus_two"),
-            ("E2", -2, "minus_two"),
+            ("C", -1),
+            ("E1", -2),
+            ("E2", -2),
         ],
         edges={("E1", "E2"): 1, ("C", "E1"): 1, ("C", "E2"): 1},
         anti_k={"C": 1, "E1": 1, "E2": 1},
@@ -316,10 +316,10 @@ def case_a2_nodal() -> dict:
     blown = config(
         "A2-nodal-blowup",
         curves=[
-            ("C", -1, "minus_one"),
-            ("E1", -3, "other"),
-            ("E2", -3, "other"),
-            ("EP", -1, "other"),
+            ("C", -1),
+            ("E1", -3),
+            ("E2", -3),
+            ("EP", -1),
         ],
         edges={
             ("C", "E1"): 1,
@@ -411,10 +411,10 @@ def case_a2_cuspidal() -> dict:
     blown = config(
         "A2-cuspidal-blowup",
         curves=[
-            ("C", -2, "other"),
-            ("E1", -3, "other"),
-            ("E2", -3, "other"),
-            ("EP", -1, "other"),
+            ("C", -2),
+            ("E1", -3),
+            ("E2", -3),
+            ("EP", -1),
         ],
         edges={("EP", "C"): 1, ("EP", "E1"): 1, ("EP", "E2"): 1},
         anti_k={"C": 1, "E1": 1, "E2": 1, "EP": 3},
@@ -472,10 +472,10 @@ def case_a3() -> dict:
     cfg = config(
         "A3",
         curves=[
-            ("C", -1, "minus_one"),
-            ("E1", -2, "minus_two"),
-            ("E2", -2, "minus_two"),
-            ("E3", -2, "minus_two"),
+            ("C", -1),
+            ("E1", -2),
+            ("E2", -2),
+            ("E3", -2),
         ],
         edges={
             ("E1", "E2"): 1,
@@ -544,12 +544,12 @@ _A4_ANTI_K = {"C": 0, "E1": "1/2", "E2": 1, "E3": 1, "E4": "1/2", "L": "1/2"}
 
 def _a4_config(vid: str) -> SurfaceConfig:
     curves = [
-        ("C", -1, "minus_one"),
-        ("E1", -2, "minus_two"),
-        ("E2", -2, "minus_two"),
-        ("E3", -2, "minus_two"),
-        ("E4", -2, "minus_two"),
-        ("L", 0, "other"),
+        ("C", -1),
+        ("E1", -2),
+        ("E2", -2),
+        ("E3", -2),
+        ("E4", -2),
+        ("L", 0),
     ]
     edges = {
         ("E1", "E2"): 1,
@@ -574,12 +574,12 @@ def _a4_config(vid: str) -> SurfaceConfig:
 
 def _a4_blowup_config() -> SurfaceConfig:
     curves = [
-        ("C", -1, "minus_one"),
-        ("E1", -2, "minus_two"),
-        ("E2", -3, "other"),
-        ("E3", -3, "other"),
-        ("E4", -2, "minus_two"),
-        ("L", -1, "other"),
+        ("C", -1),
+        ("E1", -2),
+        ("E2", -3),
+        ("E3", -3),
+        ("E4", -2),
+        ("L", -1),
     ]
     edges = {
         ("E1", "E2"): 1,
@@ -588,7 +588,7 @@ def _a4_blowup_config() -> SurfaceConfig:
         ("C", "E4"): 1,
     }
     blocks(curves, edges, "E2", A4_PARTITIONS["a"])
-    curves.append(("EP", -1, "other"))
+    curves.append(("EP", -1))
     edges.update({("EP", "E2"): 1, ("EP", "E3"): 1, ("EP", "L"): 1})
     anti_k = dict(_A4_ANTI_K)
     anti_k["EP"] = "5/2"
@@ -730,8 +730,8 @@ A5_E2_ROOT_SW = {1: "5/18", 2: "11/36", 3: "1/3"}
 
 
 def _a5_config(vid: str, attach: str, partition: tuple[int, ...]) -> SurfaceConfig:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 6)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 6)
     ]
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 5)}
     edges.update({("C", "E1"): 1, ("C", "E5"): 1})
@@ -789,10 +789,10 @@ A6_ROOT_SW = {1: "101/360", 2: "23/72"}
 
 
 def _a6_config(vid: str) -> SurfaceConfig:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 7)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 7)
     ]
-    curves += [("F3", -1, "minus_one"), ("F4", -1, "minus_one")]
+    curves += [("F3", -1), ("F4", -1)]
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 6)}
     edges.update(
         {("C", "E1"): 1, ("C", "E6"): 1, ("F3", "E3"): 1, ("F4", "E4"): 1}
@@ -855,10 +855,10 @@ A7R_ROOT_SW = {1: "5/18", 2: "1/3"}
 
 
 def _a7r_config(vid: str) -> SurfaceConfig:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 8)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 8)
     ]
-    curves.append(("F4", -1, "minus_one"))
+    curves.append(("F4", -1))
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 7)}
     edges.update({("C", "E1"): 1, ("C", "E7"): 1, ("F4", "E4"): 1})
     points = [
@@ -957,10 +957,10 @@ def case_a7_reducible() -> dict:
 
 
 def case_a7_irreducible() -> dict:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 8)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 8)
     ]
-    curves += [(f"F{i}", -1, "minus_one") for i in (2, 3, 5, 6)]
+    curves += [(f"F{i}", -1) for i in (2, 3, 5, 6)]
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 7)}
     edges.update({("C", "E1"): 1, ("C", "E7"): 1})
     edges.update({(f"F{i}", f"E{i}"): 1 for i in (2, 3, 5, 6)})
@@ -1084,10 +1084,10 @@ def case_a7_irreducible() -> dict:
 
 
 def case_a8() -> dict:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 9)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 9)
     ]
-    curves.append(("F3", -1, "minus_one"))
+    curves.append(("F3", -1))
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 8)}
     edges.update({("C", "E1"): 1, ("C", "E8"): 1, ("F3", "E3"): 1})
     cfg = config(
@@ -1194,11 +1194,11 @@ def case_d4() -> dict:
     cfg = config(
         "D4",
         curves=[
-            ("C", -1, "minus_one"),
-            ("E", -2, "minus_two"),
-            ("E1", -2, "minus_two"),
-            ("E2", -2, "minus_two"),
-            ("E3", -2, "minus_two"),
+            ("C", -1),
+            ("E", -2),
+            ("E1", -2),
+            ("E2", -2),
+            ("E3", -2),
         ],
         edges={
             ("E", "E1"): 1,
@@ -1252,12 +1252,12 @@ D5_ROOT_SW = {1: "17/60", 2: "3/10", 3: "19/60", 4: "1/3"}
 
 def _d5_config(vid: str) -> SurfaceConfig:
     curves = [
-        ("C", -1, "minus_one"),
-        ("E", -2, "minus_two"),
-        ("E1", -2, "minus_two"),
-        ("E2", -2, "minus_two"),
-        ("E3", -2, "minus_two"),
-        ("E4", -2, "minus_two"),
+        ("C", -1),
+        ("E", -2),
+        ("E1", -2),
+        ("E2", -2),
+        ("E3", -2),
+        ("E4", -2),
     ]
     edges = {
         ("E", "E1"): 1,
@@ -1332,8 +1332,8 @@ D6_ROOT_SW = {1: "5/18", 2: "1/3"}
 
 
 def _d6_config(vid: str) -> SurfaceConfig:
-    curves = [("C", -1, "minus_one"), ("E", -2, "minus_two")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 6)
+    curves = [("C", -1), ("E", -2)] + [
+        (f"E{i}", -2) for i in range(1, 6)
     ]
     edges = {
         ("E", "E1"): 1,
@@ -1414,10 +1414,10 @@ def case_d6() -> dict:
 
 
 def case_d7() -> dict:
-    curves = [("C", -1, "minus_one"), ("E", -2, "minus_two")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 7)
+    curves = [("C", -1), ("E", -2)] + [
+        (f"E{i}", -2) for i in range(1, 7)
     ]
-    curves += [("F1", -1, "minus_one"), ("F2", -1, "minus_one")]
+    curves += [("F1", -1), ("F2", -1)]
     edges = {
         ("E", "E1"): 1,
         ("E", "E2"): 1,
@@ -1504,10 +1504,10 @@ def case_d7() -> dict:
 
 
 def case_d8() -> dict:
-    curves = [("C", -1, "minus_one"), ("E", -2, "minus_two")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 8)
+    curves = [("C", -1), ("E", -2)] + [
+        (f"E{i}", -2) for i in range(1, 8)
     ]
-    curves.append(("F1", -1, "minus_one"))
+    curves.append(("F1", -1))
     edges = {
         ("E", "E1"): 1,
         ("E", "E2"): 1,
@@ -1655,10 +1655,10 @@ E6_ROOT_SW = {1: "5/18", 2: "11/36", 3: "1/3"}
 
 
 def _e6_config(vid: str) -> SurfaceConfig:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 6)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 6)
     ]
-    curves.append(("E", -2, "minus_two"))
+    curves.append(("E", -2))
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 5)}
     edges.update({("E", "E3"): 1, ("C", "E"): 1})
     points: list[tuple] = []
@@ -1725,10 +1725,10 @@ E7_ROOT_SW = {1: "5/18", 2: "1/3"}
 
 
 def _e7_config(vid: str) -> SurfaceConfig:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 7)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 7)
     ]
-    curves.append(("E", -2, "minus_two"))
+    curves.append(("E", -2))
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 6)}
     edges.update({("E", "E3"): 1, ("C", "E1"): 1})
     points: list[tuple] = []
@@ -1844,10 +1844,10 @@ def case_e7() -> dict:
 
 
 def case_e8() -> dict:
-    curves = [("C", -1, "minus_one")] + [
-        (f"E{i}", -2, "minus_two") for i in range(1, 8)
+    curves = [("C", -1)] + [
+        (f"E{i}", -2) for i in range(1, 8)
     ]
-    curves.append(("E", -2, "minus_two"))
+    curves.append(("E", -2))
     edges = {(f"E{i}", f"E{i + 1}"): 1 for i in range(1, 7)}
     edges.update({("E", "E3"): 1, ("C", "E7"): 1})
     cfg = config(
