@@ -24,11 +24,9 @@ from .catalog import (
     catalog_root,
     certified_delta,
     load_case,
-    verify_all,
     verify_case,
 )
 from .config import (
-    DivisorClass,
     PointSpec,
     SurfaceConfig,
     config_from_json,
@@ -73,7 +71,6 @@ from .rationals import format_rational, parse_rational
 from .zariski import (
     Chamber,
     Decomposition,
-    NegativePart,
     decomposition_from_json,
     decomposition_to_json,
     parametric_decompose,
@@ -100,9 +97,7 @@ __all__ = [
     "catalog_root",
     "certified_delta",
     "load_case",
-    "verify_all",
     "verify_case",
-    "DivisorClass",
     "PointSpec",
     "SurfaceConfig",
     "config_from_json",
@@ -142,7 +137,6 @@ __all__ = [
     "parse_rational",
     "Chamber",
     "Decomposition",
-    "NegativePart",
     "decomposition_from_json",
     "decomposition_to_json",
     "parametric_decompose",

@@ -363,7 +363,3 @@ def verify_case(record: CaseRecord) -> CaseReport:
     rows.append(_row(f"delta={fr(record.delta)}", fr(record.delta), actual))
     return CaseReport(case=record.name, rows=tuple(rows))
 
-
-def verify_all(root: Path | str | None = None) -> dict[str, CaseReport]:
-    """Verify every case in deterministic order; returns name -> report."""
-    return {name: verify_case(load_case(name, root)) for name in case_names(root)}

@@ -17,9 +17,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import DimensionMismatch, SchemaError
+from .errors import SchemaError
 from .rationals import RatLike, format_rational, parse_rational, read_field, read_json, typed
 
 @dataclass(frozen=True)
@@ -48,33 +48,6 @@ class PointSpec:
         object.__setattr__(self, "on_curve", on_curve)
         object.__setattr__(self, "incidences", dict(incidences or {}))
         object.__setattr__(self, "different", parse_rational(different))
-
-
-@dataclass(frozen=True)
-class DivisorClass:
-    """A divisor class written in a config's curve basis."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[RatLike]):
-        object.__setattr__(self, "coeffs", tuple(parse_rational(c) for c in coeffs))
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self) != len(other):
-            raise DimensionMismatch("divisor lengths differ")
-        return DivisorClass(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self) != len(other):
-            raise DimensionMismatch("divisor lengths differ")
-        return DivisorClass(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def scale(self, factor: RatLike) -> "DivisorClass":
-        f = parse_rational(factor)
-        return DivisorClass(f * c for c in self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,14 +167,6 @@ class SurfaceConfig:
     def points_on(self, flag: str) -> tuple[PointSpec, ...]:
         return tuple(p for p in self.points if p.on_curve == flag)
 
-    def basis_vector(self, curve: str) -> DivisorClass:
-        i = self.index(curve)
-        return DivisorClass(Fraction(int(j == i)) for j in range(len(self.curve_names)))
-
-    @property
-    def anti_k_divisor(self) -> DivisorClass:
-        return DivisorClass(self.anti_k)
-
     def discrepancy_of(self, curve: str) -> Fraction:
         """Stored log discrepancy; defaults to 1 (crepant or on-surface curve)."""
         self.index(curve)
@@ -213,22 +178,6 @@ class SurfaceConfig:
         config = copy.copy(self)
         object.__setattr__(config, "points", tuple(points))
         return config
-
-
-def intersect(config: SurfaceConfig, d1: DivisorClass, d2: DivisorClass) -> Fraction:
-    """Intersection number of two divisor classes (Gram bilinear form)."""
-    n = len(config.curve_names)
-    if len(d1) != n or len(d2) != n:
-        raise DimensionMismatch(
-            f"expected vectors of length {n}, got {len(d1)} and {len(d2)}"
-        )
-    total = Fraction(0)
-    for i, a in enumerate(d1.coeffs):
-        if a == 0:
-            continue
-        row = config.gram[i]
-        total += a * sum(row[j] * b for j, b in enumerate(d2.coeffs) if b != 0)
-    return total
 
 
 # -- validation --------------------------------------------------------

@@ -66,25 +66,6 @@ class FlagReport:
         """True when every point ratio is at least the flag's upper bound."""
         return all(row.ratio >= self.upper_delta for row in self.point_rows)
 
-    def render(self) -> str:
-        lines = [
-            f"flag {self.flag} on {self.config.name}:",
-            f"  A = {format_rational(self.a_flag)}, "
-            f"S = {format_rational(self.s_flag)}, "
-            f"A/S = {format_rational(self.upper_delta)}",
-        ]
-        for row in self.point_rows:
-            lines.append(
-                f"  point {row.point_id}: A_O = {format_rational(row.a_local)}, "
-                f"S(W;O) = {format_rational(row.s_w)}, "
-                f"ratio = {format_rational(row.ratio)}"
-            )
-        lines.append(
-            f"  lower = {format_rational(self.lower_delta)}"
-            + (" (certifies A/S)" if self.certified_equal else "")
-        )
-        return "\n".join(lines)
-
 
 def s_flag(
     config: SurfaceConfig, flag: str, decomp: Decomposition | None = None

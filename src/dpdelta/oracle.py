@@ -85,12 +85,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .config import DivisorClass, SurfaceConfig
+from .config import SurfaceConfig
 from .errors import Ambiguous, DimensionMismatch, NoSolution
 from .linalg import extend, solve  # noqa: F401 - the bench tracer tests read oracle.solve
 from .poly import PiecewisePoly
 from .rationals import AffineVector, RatLike, affine_vector, format_rational, parse_rational
-from .zariski import Decomposition, NegativePart, decomposition_for
+from .zariski import Decomposition, decomposition_for
 
 # the subsets of a wider configuration are too many to enumerate
 _MAX_ORACLE_CURVES = 16
@@ -342,8 +342,9 @@ class SubsetTable:
                 found.append(row)
         return found
 
-    def negative_part(self, v: RatLike) -> NegativePart:
-        """The unique accepted negative part at one parameter value."""
+    def negative_part(self, v: RatLike) -> dict[str, Fraction]:
+        """The unique accepted negative part at one parameter value: its
+        nonzero coefficients in curve order."""
         v = parse_rational(v)
         names = self.curve_names
         p, q = v.numerator, v.denominator
@@ -368,11 +369,12 @@ class SubsetTable:
                 f"for flag {self.flag} on {self.config_name}"
             )
         (vector,) = vectors
-        coeffs = {names[i]: c for i, c in vector}
-        return NegativePart(tuple(sorted(coeffs)), coeffs)
+        return {names[i]: c for i, c in vector}
 
 
-def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
+def brute_force_negative_part(
+    config: SurfaceConfig, d: Sequence[RatLike]
+) -> dict[str, Fraction]:
     """Reference Zariski negative part by exhaustive subset search.
 
     Solves every negative-definite subset's orthogonality system at the one
@@ -380,19 +382,21 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
     solution is y / (det * lam) where y is the pivoted right-hand side.
     Keeps candidates with nonnegative coefficients and nef residual, both
     decided by integer signs; all accepted candidates must agree. It never
-    reads the parametric table. Raises DimensionMismatch when d has not one
-    coefficient per curve.
+    reads the parametric table. d holds one rational per curve, in curve
+    order, and the nonzero coefficients come back in curve order. Raises
+    DimensionMismatch when d has not one coefficient per curve.
     """
     _check_curve_count(config)
     names = config.curve_names
     n = len(names)
+    d = tuple(map(parse_rational, d))
     if len(d) != n:
         raise DimensionMismatch(
             f"expected a divisor of length {n} on config {config.name}, got {len(d)}"
         )
     gh = config.int_gram
-    lam = math.lcm(*(c.denominator for c in d.coeffs))
-    terms = [(i, int(c * lam)) for i, c in enumerate(d.coeffs) if c]
+    lam = math.lcm(*(c.denominator for c in d))
+    terms = [(i, int(c * lam)) for i, c in enumerate(d) if c]
     b = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]  # mu * lam * d.D_j
     root = _root_columns(gh, (b,))
     accepted: list[tuple[Fraction, ...]] = []
@@ -412,14 +416,12 @@ def brute_force_negative_part(config: SurfaceConfig, d: DivisorClass) -> Negativ
             full[idx] = Fraction(y, p * lam)
         accepted.append(tuple(full))
     if not accepted:
-        raise NoSolution(f"no accepted support for {d.coeffs} on {config.name}")
+        raise NoSolution(f"no accepted support for {d} on {config.name}")
     if len(set(accepted)) > 1:
         raise Ambiguous(
-            f"{len(set(accepted))} distinct negative parts for {d.coeffs} on {config.name}"
+            f"{len(set(accepted))} distinct negative parts for {d} on {config.name}"
         )
-    full = accepted[0]
-    coeffs = {names[i]: c for i, c in enumerate(full) if c != 0}
-    return NegativePart(tuple(sorted(coeffs)), coeffs)
+    return {names[i]: c for i, c in enumerate(accepted[0]) if c}
 
 
 # -- quadrature ---------------------------------------------------------
@@ -538,20 +540,21 @@ def random_equivalence(
             form = decomp.chamber_at(v).n_affine
             if rows and all(row.n_affine == form for row in rows):
                 continue  # every row gives the sweep's N(v): no mismatch, no ambiguity
-        engine = decomp.negative_at(v).coeffs
+        engine = decomp.negative_at(v)
         try:
-            oracle = table.negative_part(v).coeffs
+            oracle = table.negative_part(v)
         except Ambiguous:
             ambiguous += 1
             continue
-        if dict(engine) != dict(oracle):
-            mismatches.append(EquivalenceMismatch(v, dict(engine), dict(oracle)))
+        if engine != oracle:
+            mismatches.append(EquivalenceMismatch(v, engine, oracle))
             continue
         if i == 0:
-            d = config.anti_k_divisor - config.basis_vector(flag).scale(v)
-            reference = brute_force_negative_part(config, d).coeffs
-            if dict(reference) != dict(oracle):
-                mismatches.append(EquivalenceMismatch(v, dict(reference), dict(oracle)))
+            fi = config.index(flag)
+            d = [a - v if j == fi else a for j, a in enumerate(config.anti_k)]
+            reference = brute_force_negative_part(config, d)
+            if reference != oracle:
+                mismatches.append(EquivalenceMismatch(v, reference, oracle))
     return EquivalenceReport(
         config_name=config.name,
         flag=flag,

@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
@@ -60,14 +60,6 @@ from .rationals import (
 
 _MAX_PIVOTS = 4096
 _MAX_CHAMBERS = 64
-
-
-@dataclass(frozen=True)
-class NegativePart:
-    """Support and coefficients of the negative part at a single divisor."""
-
-    support: tuple[str, ...]
-    coeffs: Mapping[str, Fraction]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +122,11 @@ class Decomposition:
     config: SurfaceConfig
     flag: str
     chambers: tuple[Chamber, ...]
-    tau: Fraction
+
+    @property
+    def tau(self) -> Fraction:
+        """The pseudoeffective threshold: the last chamber's end."""
+        return self.chambers[-1].hi
 
     def chamber_at(self, v: RatLike) -> Chamber:
         """The first chamber whose end is at or after v; OutOfDomain off [0, tau]."""
@@ -149,17 +145,17 @@ class Decomposition:
             if p * hi.denominator <= hi.numerator * q:
                 return ch
 
-    def negative_at(self, v: RatLike) -> NegativePart:
-        """The nonzero negative-part coefficients at v, read off the chamber's rows."""
+    def negative_at(self, v: RatLike) -> dict[str, Fraction]:
+        """The nonzero negative-part coefficients at v, read off the chamber's
+        rows, in the order of its support (curve order on a sweep)."""
         v = parse_rational(v)
         rows = self._chamber(v).rows
         p, q, names = v.numerator, v.denominator, rows.curve_names
-        coeffs = {
+        return {
             names[s]: c
             for s, x0, x1 in zip(rows.support, rows.x0, rows.x1)
             if (c := Fraction(x0 * q + x1 * p, rows.n_den * q))
         }
-        return NegativePart(tuple(sorted(coeffs)), coeffs)
 
     def breakpoints(self) -> list[Fraction]:
         """The chamber ends, from 0 to tau."""
@@ -194,7 +190,7 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
             hi, tight = _chamber_end(rows, p_sq_rows, v_cur)
             chambers.append(Chamber(v_cur, hi, rows, p_sq_rows))
             if tight is None:  # hi is tau
-                return Decomposition(config, flag, tuple(chambers), hi)
+                return Decomposition(config, flag, tuple(chambers))
             v_cur = hi
         raise NotPseudoEffective(
             f"chamber sweep did not terminate after v = {format_rational(v_cur)}, "
@@ -593,4 +589,4 @@ def decomposition_from_json(config: SurfaceConfig, data: object) -> Decompositio
         raise SchemaError(f"chambers do not cover [0, tau]; {last}")
     if chambers[-1].p_sq_rows.scaled_at(tau.numerator, tau.denominator):
         raise SchemaError(f"P^2 does not vanish at the stored tau; {last}")
-    return Decomposition(config, flag, tuple(chambers), tau)
+    return Decomposition(config, flag, tuple(chambers))

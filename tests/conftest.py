@@ -6,7 +6,7 @@ that reads it, so each case file is parsed and validated only once.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import pytest
 
@@ -63,6 +63,18 @@ def _same_decomposition(a: Decomposition, b: Decomposition) -> bool:
         if dict(ca.p_dot) != dict(cb.p_dot):
             return False
     return True
+
+
+def _intersect(config: SurfaceConfig, d1: Sequence[Fraction], d2: Sequence[Fraction]) -> Fraction:
+    """d1.d2 under the Gram bilinear form, for divisors written in curve order."""
+    rows = zip(d1, config.gram, strict=True)
+    return sum((a * x * b for a, row in rows for x, b in zip(row, d2, strict=True)), Fraction(0))
+
+
+@pytest.fixture(scope="session")
+def intersect() -> Callable[[SurfaceConfig, Sequence[Fraction], Sequence[Fraction]], Fraction]:
+    """The Fraction Gram bilinear form, the reference for (-K).C rows and pullbacks."""
+    return _intersect
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from dpdelta import (
 from dpdelta.applications import row_assignments
 from dpdelta.blowup import blowup
 from dpdelta.catalog import decompose_flag
-from dpdelta.config import intersect, validate
+from dpdelta.config import validate
 from dpdelta.delta import local_h
 from dpdelta.poly import Poly
 from dpdelta.zariski import decomposition_to_json
@@ -263,7 +263,7 @@ def test_oracle_agreement_across_catalog(records):
         pytest.fail("\n".join(failures))
 
 
-def test_structural_invariants(records):
+def test_structural_invariants(records, intersect):
     """Chamber checks by substitution only, independent of the elimination kernel.
 
     On every chamber: P.C = 0 on the support, the support is one of the
@@ -311,13 +311,12 @@ def test_structural_invariants(records):
                 source, bspec.point, e_p_name=bspec.e_p_name, name=bspec.name
             )
             new = result.config
-            ep = new.basis_vector(bspec.e_p_name)
-            ep_idx = new.index(bspec.e_p_name)
+            ep = new.index(bspec.e_p_name)
             pulled = {
-                name: new.basis_vector(name)
-                + ep.scale(new.gram[new.index(name)][ep_idx])
-                for name in source.curve_names
+                name: [int(c == name) for c in new.curve_names] for name in source.curve_names
             }
+            for name, d in pulled.items():
+                d[ep] = new.gram[new.index(name)][ep]  # pi^* C = C + (C.E_p) E_p
             for a in source.curve_names:
                 for b in source.curve_names:
                     want = source.gram[source.index(a)][source.index(b)]

@@ -25,3 +25,18 @@ def test_removed_names_stay_removed():
         assert name not in dpdelta.__all__
         assert not hasattr(dpdelta, name)
         assert not hasattr(dpdelta.applications, name)
+    for module, name in (
+        (dpdelta.zariski, "NegativePart"),
+        (dpdelta.config, "DivisorClass"),
+        (dpdelta.config, "intersect"),
+        (dpdelta.catalog, "verify_all"),
+    ):
+        assert name not in dpdelta.__all__
+        assert not hasattr(dpdelta, name)
+        assert not hasattr(module, name)
+    for cls, name in (
+        (dpdelta.SurfaceConfig, "basis_vector"),
+        (dpdelta.SurfaceConfig, "anti_k_divisor"),
+        (dpdelta.FlagReport, "render"),
+    ):
+        assert not hasattr(cls, name)

@@ -13,7 +13,7 @@ from dpdelta import (
     blowup,
     config_to_json,
 )
-from dpdelta.config import intersect, validate
+from dpdelta.config import validate
 
 F = Fraction
 
@@ -84,7 +84,7 @@ def test_point_spec_and_id_agree(a2_nodal):
     assert config_to_json(by_id.config) == config_to_json(by_spec.config)
 
 
-def test_free_point_blowup(a1_nodal):
+def test_free_point_blowup(a1_nodal, intersect):
     free = PointSpec("free", "")
     result = blowup(a1_nodal, free, e_p_name="E0", name="once")
     cfg = result.config
@@ -93,7 +93,7 @@ def test_free_point_blowup(a1_nodal):
     assert result.pullback_coeff == 0
     assert result.a_e_p == 2
     # pulled-back anti_k misses the new curve, so its square is unchanged
-    assert intersect(cfg, cfg.anti_k_divisor, cfg.anti_k_divisor) == a1_nodal.norm
+    assert intersect(cfg, cfg.anti_k, cfg.anti_k) == a1_nodal.norm
 
 
 def test_smooth_point_on_one_curve(a1_nodal):
@@ -154,21 +154,19 @@ def test_unknown_incident_curve(a1_nodal):
         blowup(a1_nodal, PointSpec("bad", "E", {"Z": 1}))
 
 
-def test_pullbacks_preserve_intersections(a2_nodal):
+def test_pullbacks_preserve_intersections(a2_nodal, intersect):
     """pi^* C_i . pi^* C_j agrees with the source Gram matrix."""
     spec = a2_nodal.blowups[0]
     source = a2_nodal.config(spec.source)
     result = blowup(source, spec.point, e_p_name=spec.e_p_name, name=spec.name)
     new = result.config
-    ep = new.basis_vector(spec.e_p_name)
-    pullbacks = {
-        name: new.basis_vector(name)
-        + ep.scale(new.gram[new.index(name)][new.index(spec.e_p_name)])
-        for name in source.curve_names
-    }
+    ep = new.index(spec.e_p_name)
+    pullbacks = {name: [int(c == name) for c in new.curve_names] for name in source.curve_names}
+    for name, d in pullbacks.items():
+        d[ep] = new.gram[new.index(name)][ep]  # pi^* C = C + (C.E_p) E_p
     for a in source.curve_names:
         for b in source.curve_names:
             want = source.gram[source.index(a)][source.index(b)]
             assert intersect(new, pullbacks[a], pullbacks[b]) == want
     # and the pulled-back anticanonical class keeps its self-intersection
-    assert intersect(new, new.anti_k_divisor, new.anti_k_divisor) == source.norm
+    assert intersect(new, new.anti_k, new.anti_k) == source.norm

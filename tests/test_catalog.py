@@ -21,7 +21,6 @@ from dpdelta import (
     load_case,
     parametric_decompose,
     s_flag,
-    verify_all,
     verify_case,
 )
 from dpdelta.catalog import CheckRow, CaseReport
@@ -212,7 +211,7 @@ class TestVerification:
         ]
 
     def test_verify_all_shape(self):
-        reports = verify_all()
+        reports = {name: verify_case(load_case(name)) for name in case_names()}
         assert tuple(reports) == ALL_CASES
         assert all(r.passed for r in reports.values())
 
@@ -259,9 +258,7 @@ class TestVariants:
         assert shuffled.tau == original.tau
         assert s_flag(permuted, "E1", shuffled) == s_flag(base, "E1", original)
         for v in ("1/3", "7/10", "24/25"):
-            assert dict(shuffled.negative_at(v).coeffs) == dict(
-                original.negative_at(v).coeffs
-            )
+            assert shuffled.negative_at(v) == original.negative_at(v)
 
 
 class TestCatalogRoot:

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from dpdelta import (
-    DivisorClass,
     PointSpec,
     SchemaError,
     SurfaceConfig,
@@ -19,8 +18,7 @@ from dpdelta import (
     load,
     save,
 )
-from dpdelta.config import dumps_canonical, intersect, validate
-from dpdelta.errors import DimensionMismatch
+from dpdelta.config import dumps_canonical, validate
 from dpdelta.rationals import parse_rational
 
 F = Fraction
@@ -52,20 +50,6 @@ class TestPointSpec:
         assert PointSpec("p", "E", different="2/3").different == F(2, 3)
 
 
-class TestDivisorClass:
-    def test_arithmetic(self):
-        a = DivisorClass([1, "1/2"])
-        b = DivisorClass([0, 1])
-        assert (a + b).coeffs == (F(1), F(3, 2))
-        assert (a - b).coeffs == (F(1), F(-1, 2))
-        assert a.scale("2/3").coeffs == (F(2, 3), F(1, 3))
-        assert len(a) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            DivisorClass([1]) + DivisorClass([1, 2])
-
-
 class TestSurfaceConfig:
     def test_constructor_checks_shapes(self):
         with pytest.raises(SchemaError, match="duplicate curve names"):
@@ -81,8 +65,6 @@ class TestSurfaceConfig:
         assert cfg.index("E") == 1
         with pytest.raises(SchemaError, match="unknown curve 'Z' in config nodal"):
             cfg.index("Z")
-        assert cfg.basis_vector("E").coeffs == (F(0), F(1))
-        assert cfg.anti_k_divisor.coeffs == (F(1), F(1))
 
     def test_point_lookups(self):
         cfg = nodal()
@@ -116,15 +98,15 @@ class TestSurfaceConfig:
 
 
 class TestIntersection:
-    def test_gram_bilinear_form(self):
+    def test_gram_bilinear_form(self, intersect):
         cfg = nodal()
-        anti_k = cfg.anti_k_divisor
+        anti_k = cfg.anti_k
         assert intersect(cfg, anti_k, anti_k) == 1
-        assert intersect(cfg, anti_k, cfg.basis_vector("C")) == 1
-        assert intersect(cfg, anti_k, cfg.basis_vector("E")) == 0
+        assert intersect(cfg, anti_k, [1, 0]) == 1
+        assert intersect(cfg, anti_k, [0, 1]) == 0
         assert cfg.anti_k_dots == (1, 0)
 
-    def test_anti_k_row_matches_intersect(self, records):
+    def test_anti_k_row_matches_intersect(self, records, intersect):
         """(-K).C_j is stored once per config and agrees with the Gram form."""
         configs = [cfg for record in records.values() for cfg in record.configs.values()]
         blown = [
@@ -137,14 +119,10 @@ class TestIntersection:
         assert len(configs) == 42 and len(blown) > len(configs)
         for cfg in configs + blown + [zero]:
             for j, name in enumerate(cfg.curve_names):
-                want = intersect(cfg, cfg.anti_k_divisor, cfg.basis_vector(name))
-                assert cfg.anti_k_dots[j] == want, f"{cfg.name}/{name}"
+                unit = [int(i == j) for i in range(len(cfg.curve_names))]
+                assert cfg.anti_k_dots[j] == intersect(cfg, cfg.anti_k, unit), f"{cfg.name}/{name}"
             assert set(config_to_json(cfg)) == set(config_to_json(nodal()))
         assert zero.anti_k_dots == (0, 0)
-
-    def test_dimension_check(self):
-        with pytest.raises(DimensionMismatch):
-            intersect(nodal(), DivisorClass([1]), DivisorClass([1, 2]))
 
 
 class TestValidate:

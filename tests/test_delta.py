@@ -169,7 +169,7 @@ def _with_first_chamber_negative_part(config, decomp, curve: str, coeff: Fractio
     )
     chamber = zariski.Chamber(first.lo, first.hi, rows, zariski._positive_part(direction, rows))
     chambers = (chamber,) + decomp.chambers[1:]
-    return zariski.Decomposition(config, decomp.flag, chambers, decomp.tau)
+    return zariski.Decomposition(config, decomp.flag, chambers)
 
 
 class TestDiscontinuity:
@@ -223,16 +223,6 @@ class TestFlagReport:
         assert rows["p2"].ratio == 3
         assert rows["at_cbar"].ratio == 3
         assert report.certified_equal
-
-    def test_render(self, a1_nodal):
-        text = flag_report(a1_nodal, "E").render()
-        assert text.splitlines() == [
-            "flag E on A1-nodal:",
-            "  A = 1, S = 1/2, A/S = 2",
-            "  point node: A_O = 1, S(W;O) = 1/2, ratio = 2",
-            "  point generic: A_O = 1, S(W;O) = 1/3, ratio = 3",
-            "  lower = 2 (certifies A/S)",
-        ]
 
 
 def synthetic_report(config, flag: str, upper: Fraction, ratios: list[Fraction]) -> FlagReport:

@@ -10,15 +10,14 @@ import sys
 import zlib
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpdelta
 from dpdelta import (
-    DivisorClass,
     IntQuadratic,
-    NegativePart,
     PiecewisePoly,
     SurfaceConfig,
     brute_force_negative_part,
@@ -38,7 +37,7 @@ from dpdelta.oracle import (
     _accepted_interval,
     _TableRow,
 )
-from dpdelta.rationals import affine_vector
+from dpdelta.rationals import affine_vector, format_rational
 from dpdelta.zariski import Chamber, Decomposition
 from refsubsets import negative_definite_subsets
 
@@ -145,13 +144,19 @@ def _semidefinite_pair() -> SurfaceConfig:
     )
 
 
-def _fraction_brute_force(config: SurfaceConfig, d: DivisorClass) -> NegativePart:
-    """The Fraction brute force the integer one replaced, kept as its reference."""
+def _divisor(config: SurfaceConfig, flag: str, v: Fraction) -> list[Fraction]:
+    """-K - v*flag as a list of coefficients in curve order."""
+    return [a - v * (name == flag) for name, a in zip(config.curve_names, config.anti_k)]
+
+
+def _fraction_brute_force(config: SurfaceConfig, d: Sequence[Fraction]) -> dict[str, Fraction]:
+    """The Fraction brute force the integer one replaced, kept as its reference.
+
+    Its messages print d as a tuple of Fractions, as the integer one does."""
     names = config.curve_names
     n = len(names)
-    d_dot = [
-        sum(d.coeffs[i] * config.gram[i][j] for i in range(n)) for j in range(n)
-    ]
+    d = tuple(map(Fraction, d))
+    d_dot = [sum(d[i] * config.gram[i][j] for i in range(n)) for j in range(n)]
     accepted: list[tuple[Fraction, ...]] = []
     for subset in negative_definite_subsets(config):
         # scaling a row of the augmented system by an integer keeps its solution
@@ -180,14 +185,12 @@ def _fraction_brute_force(config: SurfaceConfig, d: DivisorClass) -> NegativePar
                 full[idx] = c
             accepted.append(tuple(full))
     if not accepted:
-        raise NoSolution(f"no accepted support for {d.coeffs} on {config.name}")
+        raise NoSolution(f"no accepted support for {d} on {config.name}")
     if len(set(accepted)) > 1:
         raise Ambiguous(
-            f"{len(set(accepted))} distinct negative parts for {d.coeffs} on {config.name}"
+            f"{len(set(accepted))} distinct negative parts for {d} on {config.name}"
         )
-    full = accepted[0]
-    coeffs = {names[i]: c for i, c in enumerate(full) if c != 0}
-    return NegativePart(tuple(sorted(coeffs)), coeffs)
+    return {names[i]: c for i, c in enumerate(accepted[0]) if c != 0}
 
 
 def _nef_pair() -> SurfaceConfig:
@@ -284,20 +287,19 @@ def _evaluating_equivalence(
     mismatches = []
     ambiguous = 0
     for i, v in enumerate(sample_parameters(decomp.tau, trials, seed)):
-        engine = decomp.negative_at(v).coeffs
+        engine = decomp.negative_at(v)
         try:
-            found = table.negative_part(v).coeffs
+            found = table.negative_part(v)
         except Ambiguous:
             ambiguous += 1
             continue
         if engine != found:
-            mismatches.append(EquivalenceMismatch(v, dict(engine), dict(found)))
+            mismatches.append(EquivalenceMismatch(v, engine, found))
             continue
         if i == 0:
-            d = config.anti_k_divisor - config.basis_vector(flag).scale(v)
-            reference = brute_force_negative_part(config, d).coeffs
+            reference = brute_force_negative_part(config, _divisor(config, flag, v))
             if reference != found:
-                mismatches.append(EquivalenceMismatch(v, dict(reference), dict(found)))
+                mismatches.append(EquivalenceMismatch(v, reference, found))
     return EquivalenceReport(
         config.name, flag, trials, seed, decomp.tau, tuple(mismatches), ambiguous
     )
@@ -407,8 +409,8 @@ class TestSubsetTable:
             ends = [e for e in ends if e <= tau]
             gaps = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
             for v in [F(0), *ends, *gaps, *_gate_samples(label, tau)]:
-                got = table.negative_part(v).coeffs
-                assert got == decomp.negative_at(v).coeffs, f"{label} at v = {v}"
+                got = table.negative_part(v)
+                assert got == decomp.negative_at(v), f"{label} at v = {v}"
         assert len(catalog_flags) == 95
 
     def test_accepted_interval(self):
@@ -424,33 +426,31 @@ class TestSubsetTable:
     def test_overlapping_row_is_ambiguous(self, a1_nodal):
         table = SubsetTable(a1_nodal, "E")
         v = F(3, 4)
-        assert table.negative_part(v).coeffs == {"C": F(1, 2)}
+        assert table.negative_part(v) == {"C": F(1, 2)}
         (row,) = [r for r in table.rows if r.lo <= v and (r.hi is None or v <= r.hi)]
         other = dataclasses.replace(row, num0=(row.num0[0] + row.den,))
         table.rows += (other,)
         with pytest.raises(Ambiguous, match="2 distinct negative parts at v = 3/4 for flag E"):
             table.negative_part(v)
-        assert table.negative_part(F(1, 4)).coeffs == {}
+        assert table.negative_part(F(1, 4)) == {}
 
 
 class TestBruteForce:
     def test_matches_engine(self, a1_nodal):
         decomp = parametric_decompose(a1_nodal, "E")
         for v in (F(1, 7), F(1, 5), F(1, 2), F(4, 5), F(9, 10)):
-            d = a1_nodal.anti_k_divisor - a1_nodal.basis_vector("E").scale(v)
+            d = _divisor(a1_nodal, "E", v)
             assert brute_force_negative_part(a1_nodal, d) == decomp.negative_at(v)
 
     def test_blown_up_config(self, a2_nodal):
         cfg = a2_nodal.config("blowup")
         decomp = parametric_decompose(cfg, "EP")
         v = F(7, 4)
-        d = cfg.anti_k_divisor - cfg.basis_vector("EP").scale(v)
-        assert brute_force_negative_part(cfg, d) == decomp.negative_at(v)
+        assert brute_force_negative_part(cfg, _divisor(cfg, "EP", v)) == decomp.negative_at(v)
 
     def test_no_solution(self, a1_nodal):
-        d = a1_nodal.anti_k_divisor - a1_nodal.basis_vector("E").scale(2)
         with pytest.raises(NoSolution):
-            brute_force_negative_part(a1_nodal, d)
+            brute_force_negative_part(a1_nodal, _divisor(a1_nodal, "E", F(2)))
 
     def test_matches_fraction_reference_across_catalog(self, catalog_flags):
         """Every configuration at 5 values, three with denominators near 10^4.
@@ -472,13 +472,47 @@ class TestBruteForce:
                     else tau if i == 3
                     else tau + F(1, q)
                 )
-                d = cfg.anti_k_divisor - cfg.basis_vector(flag).scale(v)
+                d = _divisor(cfg, flag, v)
                 got = _outcome(brute_force_negative_part, cfg, d)
                 assert got == _outcome(_fraction_brute_force, cfg, d), f"{cfg.name}/{flag} at {v}"
-                outcomes.add(type(got) if isinstance(got, NegativePart) else got[0])
+                outcomes.add(type(got) if isinstance(got, dict) else got[0])
         assert len(by_config) == 42
         assert "A1-cuspidal" in {cfg.name for cfg in by_config}
-        assert outcomes == {NegativePart, NoSolution}
+        assert outcomes == {dict, NoSolution}
+
+    def test_three_negative_parts_are_one_plain_dict_in_curve_order(self, catalog_flags):
+        """Sweep, table and brute force at every chamber end and midpoint.
+
+        Each returns a plain dict of its nonzero coefficients keyed in curve
+        order, and brute force reads a plain list of int, str and Fraction
+        entries.
+        """
+        kinds = (
+            lambda x: x,
+            format_rational,
+            lambda x: int(x) if x.denominator == 1 else x,
+        )
+        entry_types = set()
+        for label, cfg, flag, _ in catalog_flags:
+            decomp = parametric_decompose(cfg, flag)
+            table = SubsetTable(cfg, flag)
+            ends = decomp.breakpoints()
+            for v in [*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:]))]:
+                d = [kinds[j % 3](x) for j, x in enumerate(_divisor(cfg, flag, v))]
+                entry_types.update(map(type, d))
+                parts = (
+                    decomp.negative_at(v),
+                    table.negative_part(v),
+                    brute_force_negative_part(cfg, d),
+                )
+                where = f"{label} at v = {v}"
+                assert all(type(part) is dict for part in parts), where
+                assert parts[0] == parts[1] == parts[2], where
+                names = list(parts[0])
+                assert names == [c for c in cfg.curve_names if c in parts[0]], where
+                assert 0 not in parts[0].values(), where
+        assert len(catalog_flags) == 95
+        assert entry_types == {int, str, Fraction}
 
     def test_ambiguous(self):
         # two (-1)-curves meeting with multiplicity -2 (an indefinite pair):
@@ -490,7 +524,7 @@ class TestBruteForce:
             gram=[[-1, -2], [-2, -1]],
             anti_k=[0, 0],
         )
-        d = DivisorClass([F(1, 3), F(1, 3)])
+        d = [F(1, 3), F(1, 3)]
         got = _outcome(brute_force_negative_part, cfg, d)
         assert got[0] is Ambiguous and got[1].startswith("2 distinct negative parts")
         assert got == _outcome(_fraction_brute_force, cfg, d)
@@ -498,7 +532,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("length", [2, 4])
     def test_divisor_of_the_wrong_length(self, a2_nodal, length):
         cfg = a2_nodal.config("base")  # three curves
-        d = DivisorClass([F(1)] * length)
+        d = [F(1)] * length
         message = f"expected a divisor of length 3 on config A2-nodal, got {length}"
         with pytest.raises(DimensionMismatch, match=message):
             brute_force_negative_part(cfg, d)
@@ -513,7 +547,7 @@ class TestBruteForce:
             anti_k=[0] * n,
         )
         with pytest.raises(ValueError, match="at most 16 curves, got 17"):
-            brute_force_negative_part(cfg, cfg.anti_k_divisor)
+            brute_force_negative_part(cfg, cfg.anti_k)
 
     def test_curve_count_cap_comes_before_any_pivot(self, monkeypatch):
         """The table refuses a configuration too wide for it as brute force does."""
@@ -538,7 +572,7 @@ class TestBruteForce:
             lambda: random_equivalence(cfg, "X0", trials=5),
             lambda: SubsetTable(cfg, "X0"),
             lambda: SubsetTable(cfg, "X1"),
-            lambda: brute_force_negative_part(cfg, cfg.anti_k_divisor),
+            lambda: brute_force_negative_part(cfg, cfg.anti_k),
         ):
             with pytest.raises(ValueError, match=message):
                 build()
@@ -582,8 +616,7 @@ class TestPivotWalk:
             SubsetTable(cfg, flag)
             assert len(calls) == table_parents[cfg], f"table of {cfg.name}"
             calls.clear()
-            d = cfg.anti_k_divisor - cfg.basis_vector(flag).scale(tau / 2)
-            brute_force_negative_part(cfg, d)
+            brute_force_negative_part(cfg, _divisor(cfg, flag, tau / 2))
             assert len(calls) == brute_parents[cfg], f"brute force on {cfg.name}"
         # of the 12,541 negative-definite subsets with children, on each side
         assert (sum(table_parents.values()), sum(brute_parents.values())) == (3175, 3173)
@@ -594,7 +627,7 @@ class TestPivotWalk:
         for flag in cfg.curve_names:
             assert SubsetTable(cfg, flag).rows == _per_subset_rows(cfg, flag), flag
             for v in (F(0), F(1, 3), F(1), F(5, 2)):
-                d = cfg.anti_k_divisor - cfg.basis_vector(flag).scale(v)
+                d = _divisor(cfg, flag, v)
                 got = _outcome(brute_force_negative_part, cfg, d)
                 assert got == _outcome(_fraction_brute_force, cfg, d), f"{flag} at {v}"
 
@@ -603,7 +636,7 @@ class TestPivotWalk:
         assert negative_definite_subsets(cfg) == ((),) and _walk(cfg) == ()
         (row,) = SubsetTable(cfg, "F").rows  # D.F = 1 and D.H = 2 - v for D = -K - v*F
         assert (row.subset, row.lo, row.hi) == ((), 0, 2)
-        d = DivisorClass([F(1), F(-1)])  # d.F = -1: no support is accepted
+        d = [F(1), F(-1)]  # d.F = -1: no support is accepted
         assert _outcome(brute_force_negative_part, cfg, d)[0] is NoSolution
 
     @settings(max_examples=150, deadline=None)
@@ -619,10 +652,7 @@ class TestPivotWalk:
         n = len(cfg.curve_names)
         flag = cfg.curve_names[fi % n]
         assert SubsetTable(cfg, flag).rows == _per_subset_rows(cfg, flag)
-        for d in (
-            cfg.anti_k_divisor - cfg.basis_vector(flag).scale(v),
-            DivisorClass(coeffs[:n]),
-        ):
+        for d in (_divisor(cfg, flag, v), coeffs[:n]):
             got = _outcome(brute_force_negative_part, cfg, d)
             assert got == _outcome(_fraction_brute_force, cfg, d)
 
@@ -749,8 +779,8 @@ class TestRandomEquivalence:
         assert len(inside) > 1  # so some are trials after the first
         assert [m.v for m in report.mismatches] == inside
         for m in report.mismatches:
-            assert m.engine == {"C": decomp.negative_at(m.v).coeffs["C"] + m.v}
-            assert m.oracle == decomp.negative_at(m.v).coeffs
+            assert m.engine == {"C": decomp.negative_at(m.v)["C"] + m.v}
+            assert m.oracle == decomp.negative_at(m.v)
         assert report.ambiguous == 0
         assert report == _evaluating_equivalence(a1_nodal, "E", 100, 5, bad)
 
@@ -782,11 +812,10 @@ class TestRandomEquivalence:
             random_equivalence(a1_nodal, "E", trials=100, seed=1)
 
     def test_the_first_sample_meets_brute_force(self, a1_nodal, monkeypatch):
-        wrong = NegativePart(("E",), {"E": F(1)})
-        monkeypatch.setattr(oracle, "brute_force_negative_part", lambda config, d: wrong)
+        monkeypatch.setattr(oracle, "brute_force_negative_part", lambda config, d: {"E": F(1)})
         report = random_equivalence(a1_nodal, "E", trials=100, seed=5)
         (v,) = sample_parameters(F(1), 1, 5)
-        found = dict(parametric_decompose(a1_nodal, "E").negative_at(v).coeffs)
+        found = parametric_decompose(a1_nodal, "E").negative_at(v)
         assert report.mismatches == (EquivalenceMismatch(v, {"E": F(1)}, found),)
 
     def test_report_flags_mismatches(self, a1_nodal):
