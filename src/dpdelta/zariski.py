@@ -17,16 +17,19 @@ and it gives N as integer numerators over det(-gram_S); one pass of
 integer dot products over the support's Gram rows gives P.C for every curve
 C as an integer affine numerator over one positive denominator. Each
 breakpoint's pivot starts from the rows of the chamber just left, so that
-support is never solved twice, and looks for curves to add only in the tight
-set: the curves that chamber's P meets in 0 at the breakpoint. Every support
-the pivot visits there gives the same N at the breakpoint, so no other curve
-can go negative right after it (`_pivot` has the argument, and tests every
-curve when -K is not nef at v = 0). The one scan of a chamber's rows that
-finds its end also finds that set: every row of a chamber is nonnegative on
-[lo, hi], so the curves P meets in 0 at hi are those whose P.C row is
-identically 0 (the support's among them) and those whose falling P.C row
-has its root at hi. Drops, adds and the chamber's end are decided by
-integer signs and comparisons at v = p/q, and the threshold tau (or an
+support is never solved twice. Because distinct curves meet nonnegatively,
+the only curve that ever leaves a support is the flag, once its own
+coefficient falls to 0; after that the pivot only adds curves, and it
+looks for them only in the tight set: the curves that chamber's P meets in
+0 at the breakpoint. Every support the pivot visits there gives the same N
+at the breakpoint, so no other curve can go negative right after it
+(`_pivot` has both arguments, and tests every curve when -K is not nef at
+v = 0). The one scan of a chamber's rows that finds its end also finds
+that set: every row of a chamber is nonnegative on [lo, hi], so the curves
+P meets in 0 at hi are those whose P.C row is identically 0 (the support's
+among them) and those whose falling P.C row has its root at hi. The flag's
+exit, the adds and the chamber's end are decided by integer signs and
+comparisons at v = p/q, and the threshold tau (or an
 irrational root) by `math.isqrt` and sign tests on P^2 as an integer
 quadratic. A chamber is its two ends and these integer rows, nothing else:
 `delta` integrates S and S(W;O) on them, `negative_at` evaluates N on them,
@@ -58,7 +61,6 @@ from .rationals import (
     typed,
 )
 
-_MAX_PIVOTS = 4096
 _MAX_CHAMBERS = 64
 
 
@@ -147,7 +149,7 @@ class Decomposition:
 
     def negative_at(self, v: RatLike) -> dict[str, Fraction]:
         """The nonzero negative-part coefficients at v, read off the chamber's
-        rows, in the order of its support (curve order on a sweep)."""
+        rows, in curve order."""
         v = parse_rational(v)
         rows = self._chamber(v).rows
         p, q, names = v.numerator, v.denominator, rows.curve_names
@@ -318,16 +320,23 @@ def _sign_after(c0: int, c1: int, p: int, q: int) -> int:
     return (c1 > 0) - (c1 < 0)
 
 
-def _solve_support(direction: _Direction, support: tuple[int, ...]) -> _Rows:
-    """Rows of the solution of gram_S N = D_S on the support S.
+def _solve_support(direction: _Direction, support: tuple[int, ...], v: Fraction) -> _Rows:
+    """Rows of the solution of gram_S N = D_S on the support S, solved at v.
 
     The system is solved as (mu * gram_S) y = mu * scale * D_S, so
-    y = scale * N. Raises ValueError if gram_S is not negative definite.
+    y = scale * N. A gram_S that is not negative definite raises
+    NotPseudoEffective naming v and the support.
     """
     gram = direction.config.int_gram
     matrix = [[gram[a][b] for b in support] for a in support]
     rhs = [[direction.b0[a] for a in support], [direction.b1[a] for a in support]]
-    d, (x0, x1) = solve(matrix, rhs)
+    try:
+        d, (x0, x1) = solve(matrix, rhs)
+    except ValueError:
+        raise NotPseudoEffective(
+            f"support not negative definite at v = {format_rational(v)}, "
+            f"{_support_text(direction.config.curve_names, support)}"
+        ) from None
     return _rows(direction, support, x0, x1, d)
 
 
@@ -338,8 +347,12 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
     integers: a support coefficient must be positive immediately after v
     and a non-support curve must meet the residual nonnegatively
     immediately after v. The seed is the previous chamber's rows, so its
-    support is not solved again. Returns the rows of the support it
-    converges on.
+    support is not solved again. If the flag F is in the seed's support and
+    its coefficient is not positive right after v, the seed is solved again
+    without it; that is the only curve that ever leaves. Then every pass
+    checks that each support coefficient is positive right after v, and
+    adds the curves on which P is negative right after v, until there are
+    none. Returns the rows of that last support.
 
     Curves are added only from `tight`, the set T of curves the seed's P
     meets in 0 at v, which the caller gives; the pivot does not walk the
@@ -353,39 +366,58 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
     support of the seed's N(v) and lies inside T. Each solve then gives the
     seed's N(v) at v, so a curve outside T keeps P(v).C > 0 right after v
     and is never added: the loop visits exactly the supports, and raises
-    exactly the errors, of a scan over every curve.
+    exactly the errors, of the same loop over every curve.
+
+    Why only the flag leaves, and why the loop ends. Write G for the Gram
+    matrix; `config.validate` checks that distinct curves meet
+    nonnegatively, so on a negative-definite support S, -G_S is a
+    nonsingular M-matrix and (-G_S)^-1 >= 0 entrywise (Berman-Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6).
+
+    (a) On a chamber with support S, G_S N = D_S(v) = D_S(0) - v*G_{S,F},
+        so dN/dv = (-G_S)^-1 G_{S,F}. If F is not in S, G_{S,F} >= 0 and
+        every N row is nondecreasing. If F is in S, G_{S,F} is the F column
+        of G_S, so the slope is -e_F: P is constant and only N_F falls. So
+        at a chamber end only the flag's coefficient can reach 0, and the
+        seed without F gives the seed's N(v) at v, positive on what is left.
+    (b) An add keeps every coefficient positive. Let J be the support, x
+        its coefficients, A the add set, so w_C = P_J.C < 0 right after v
+        for C in A, and J' = J + A. Then G_{J'} (x' - (x_J, 0)) = (0, w_A),
+        so x' - (x_J, 0) = (-G_{J'})^-1 (0, -w_A) >= 0, and > 0 on A, since
+        an M-matrix inverse has a positive diagonal. The matrix is rational
+        and nonnegative, so this holds for (value, slope) pairs in their
+        lexicographic order too.
+    (c) The loop ends: every pass that does not return adds a curve, so
+        there are at most n + 1 solves on n curves.
+
+    This is Chandrasekaran's add-only method for a linear complementarity
+    problem with a Z-matrix (Opsearch 7, 1970), which is also how Bauer
+    builds N (J. Algebraic Geom. 18, 2009). A configuration that breaks the
+    sign rule can break (a) or (b); the positivity check then raises
+    NotPseudoEffective naming the curve, its coefficient at v, v and the
+    support, instead of looping or answering wrongly.
     """
-    names = direction.config.curve_names
     p, q = v.numerator, v.denominator
-    rows, support = seed, seed.support
-    seen: set[tuple[int, ...]] = set()
-    for _ in range(_MAX_PIVOTS):
-        key = tuple(support)
-        if key in seen:
-            raise NotPseudoEffective(
-                f"support pivoting cycled at v = {format_rational(v)}, "
-                f"{_support_text(names, key)}"
-            )
-        seen.add(key)
-        if key != rows.support:  # only the seed's rows are given
-            try:
-                rows = _solve_support(direction, key)
-            except ValueError:
+    rows, fi = seed, direction.flag
+    if fi in seed.support:
+        i = seed.support.index(fi)
+        if _sign_after(seed.x0[i], seed.x1[i], p, q) <= 0:
+            rows = _solve_support(direction, seed.support[:i] + seed.support[i + 1 :], v)
+    while True:
+        for s, a0, a1 in zip(rows.support, rows.x0, rows.x1):
+            if _sign_after(a0, a1, p, q) <= 0:
+                names, at = direction.config.curve_names, Fraction(a0 * q + a1 * p, rows.n_den * q)
                 raise NotPseudoEffective(
-                    f"support not negative definite at v = {format_rational(v)}, "
-                    f"{_support_text(names, key)}"
-                ) from None
-        drop = {s for s, a0, a1 in zip(key, rows.x0, rows.x1) if _sign_after(a0, a1, p, q) <= 0}
-        inside = set(key)
-        c0, c1 = rows.c0, rows.c1
+                    f"N coefficient of {names[s]} is {format_rational(at)} at v = "
+                    f"{format_rational(v)}, not positive right after it (the sweep assumes "
+                    "distinct curves meet nonnegatively, as config.validate checks), "
+                    f"{_support_text(names, rows.support)}"
+                )
+        inside, c0, c1 = set(rows.support), rows.c0, rows.c1
         add = {j for j in tight if j not in inside and _sign_after(c0[j], c1[j], p, q) < 0}
-        if not drop and not add:
+        if not add:
             return rows
-        support = sorted((inside - drop) | add)
-    raise NotPseudoEffective(
-        f"support pivoting did not converge at v = {format_rational(v)}, "
-        f"{_support_text(names, support)}"
-    )
+        rows = _solve_support(direction, tuple(sorted(inside | add)), v)
 
 
 def _affine(a0: int, a1: int, den: int) -> Poly:
@@ -516,7 +548,8 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
 def decomposition_from_json(config: SurfaceConfig, data: object) -> Decomposition:
     """Rebuild a decomposition from its JSON form against a configuration.
 
-    Only the support sets and their coefficients are trusted; every derived
+    Only the supports, which must list their curves in curve order as a
+    sweep does, and their coefficients are trusted; every derived
     quantity is recomputed from the configuration and cross-checked against
     the stored `p_sq` and `p_dot` rows, and P must meet every support curve
     in 0, so a stale or tampered file raises SchemaError instead of
@@ -557,6 +590,9 @@ def decomposition_from_json(config: SurfaceConfig, data: object) -> Decompositio
         unknown = [name for name in support if name not in config.curve_names]
         if unknown or set(n_coeffs) != set(support):
             raise bad(f"support/coefficient mismatch on {span}")
+        indices = [config.index(name) for name in support]
+        if indices != sorted(indices):
+            raise bad(f"support not in curve order on {span}")
         n_polys = [Poly(n_coeffs[name]) for name in support]
         if any(p.degree > 1 for p in n_polys):
             raise bad(f"non-affine negative-part coefficient on {span}")
@@ -564,7 +600,7 @@ def decomposition_from_json(config: SurfaceConfig, data: object) -> Decompositio
         d = math.lcm(*(c.denominator for p in n_polys for c in p.coeffs))
         rows = _rows(
             direction,
-            [config.index(name) for name in support],
+            indices,
             [int(p.coeff(0) * d * scale) for p in n_polys],
             [int(p.coeff(1) * d * scale) for p in n_polys],
             d,

@@ -1,12 +1,14 @@
-"""The sweep's pivot with the add test over every curve, the tests' reference.
+"""The sweep's pivot with full scans and general drops, the tests' reference.
 
 `dpdelta.zariski._pivot` tests only the tight set, the curves the seed's P
-meets in 0 at the breakpoint, which the sweep hands it, for curves to add.
-This is the pivot it replaced, which tests every curve off the support
-after every solve, kept so that the sweep's iterates are checked against a
-rule that needs no exactness argument. `first_root_after` is the sweep's
-end scan from before that scan also returned the tight set, kept as the
-reference for the scan's root.
+meets in 0 at the breakpoint, which the sweep hands it, for curves to add,
+and no curve but the flag ever leaves its support. This is the pivot it
+replaced: after every solve it tests every curve off the support for an
+add and every support curve for a drop, in one step, under a cycle guard
+and a cap. It is kept so that the sweep's iterates are checked against a
+rule that needs neither the exactness argument nor the sign rule.
+`first_root_after` is the sweep's end scan from before that scan also
+returned the tight set, kept as the reference for the scan's root.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ from fractions import Fraction
 from dpdelta import zariski
 from dpdelta.errors import NotPseudoEffective
 from dpdelta.rationals import format_rational
+
+_MAX_PIVOTS = 4096
 
 
 def first_root_after(rows, lo: Fraction) -> Fraction | None:
@@ -29,12 +33,13 @@ def first_root_after(rows, lo: Fraction) -> Fraction | None:
 
 
 def full_scan_pivot(direction, seed, v: Fraction, tight):
-    """`zariski._pivot`, with every curve tested for the add set; `tight` is ignored."""
+    """A pivot that tests every curve for adds and drops any coefficient that
+    is not positive right after v, in one step; `tight` is ignored."""
     names = direction.config.curve_names
     p, q = v.numerator, v.denominator
     rows, support = seed, seed.support
     seen: set[tuple[int, ...]] = set()
-    for _ in range(zariski._MAX_PIVOTS):
+    for _ in range(_MAX_PIVOTS):
         key = tuple(support)
         if key in seen:
             raise NotPseudoEffective(
@@ -43,13 +48,7 @@ def full_scan_pivot(direction, seed, v: Fraction, tight):
             )
         seen.add(key)
         if key != rows.support:  # only the seed's rows are given
-            try:
-                rows = zariski._solve_support(direction, key)
-            except ValueError:
-                raise NotPseudoEffective(
-                    f"support not negative definite at v = {format_rational(v)}, "
-                    f"{zariski._support_text(names, key)}"
-                ) from None
+            rows = zariski._solve_support(direction, key, v)
         drop = {
             s
             for s, a0, a1 in zip(key, rows.x0, rows.x1)

@@ -242,6 +242,20 @@ _NOT_NEF = SurfaceConfig(
     name="not-nef", norm=F(13, 3), curve_names=["C1", "C2", "F"],
     gram=[[-2, 1, 0], [1, -2, 0], [0, 0, 1]], anti_k=[F(5, 3), F(1, 3), 3],
 )
+# -K = 2A + F + B with -K.B = -1, so N(0) = F + B holds the flag. On
+# (F, B), N = (1 - v)F + B: only the flag's coefficient falls, and at
+# v = 1 it leaves alone; B stays with N_B = (1 + v)/2 up to tau = 5.
+_FLAG_EXIT = SurfaceConfig(
+    name="flag-exit", norm=7, curve_names=["A", "F", "B"],
+    gram=[[2, 0, 0], [0, -1, 1], [0, 1, -2]], anti_k=[2, 1, 1],
+)
+# X0.F = -1 breaks the sign rule: N = (1 - v)/3 X0 falls as v grows and
+# reaches 0 at v = 1, where the sweep refuses to drop a curve other than
+# the flag.
+_FALLING = SurfaceConfig(
+    name="falling", norm=5, curve_names=["X0", "X1", "F"],
+    gram=[[-3, 1, -1], [1, 1, 1], [-1, 1, -2]], anti_k=[1, 2, 0],
+)
 
 
 class TestErrorContext:
@@ -263,9 +277,12 @@ class TestErrorContext:
                 id="pivot-singular",
             ),
             pytest.param(
-                "A3", "E1", {"_MAX_PIVOTS": 1}, NotPseudoEffective,
-                "support (E2); config A3, flag E1, chamber 0",
-                id="pivot-no-convergence",
+                _FALLING, "F", {}, NotPseudoEffective,
+                "N coefficient of X0 is 0 at v = 1, not positive "
+                "right after it (the sweep assumes distinct curves meet "
+                "nonnegatively, as config.validate checks), support (X0); "
+                "config falling, flag F, chamber 1",
+                id="pivot-not-positive",
             ),
             pytest.param(
                 _VANISHES, "F", {}, NotPseudoEffective,
@@ -300,8 +317,48 @@ class TestErrorContext:
         assert message.endswith(where), message
 
 
+def _outcome(config: SurfaceConfig, flag: str) -> object:
+    """A sweep's chambers as (lo, hi, rows, P^2 rows), or its error as text."""
+    try:
+        decomp = parametric_decompose(config, flag)
+    except DpDeltaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    _assert_nested(decomp)
+    return [(ch.lo, ch.hi, ch.rows, ch.p_sq_rows) for ch in decomp.chambers]
+
+
+def _assert_nested(decomp) -> None:
+    """Off the flag, each chamber's support holds the one before it."""
+    fi = decomp.config.index(decomp.flag)
+    before: set[int] = set()
+    for k, ch in enumerate(decomp.chambers):
+        now = set(ch.rows.support) - {fi}
+        assert before <= now, f"{decomp.config.name}/{decomp.flag}, chamber {k}"
+        before = now
+
+
+@st.composite
+def _sign_rule_configs(draw) -> SurfaceConfig:
+    """3 to 7 curves: self-intersections in [-4, 1], distinct curves meeting
+    in [0, 2], and anti_k nonnegative or of either sign."""
+    n = draw(st.integers(3, 7))
+    pairs = n * (n - 1) // 2
+    meets = iter(draw(st.lists(st.integers(0, 2), min_size=pairs, max_size=pairs)))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = draw(st.integers(-4, 1))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = next(meets)
+    low = draw(st.sampled_from([0, -2]))
+    anti_k = draw(st.lists(st.integers(low, 3), min_size=n, max_size=n))
+    norm = sum(a * b * g for a, row in zip(anti_k, gram) for b, g in zip(anti_k, row))
+    names = [f"C{j}" for j in range(n)]
+    return SurfaceConfig(name="random", norm=norm, curve_names=names, gram=gram, anti_k=anti_k)
+
+
 class TestPivot:
-    """The pivot adds curves only from the tight set, as a scan of every curve would."""
+    """The pivot adds curves only from the tight set, as a scan of every curve
+    would, and drops no curve but the flag."""
 
     def test_not_nef_at_zero_scans_every_curve(self):
         decomp = parametric_decompose(_NOT_NEF, "F")
@@ -310,6 +367,41 @@ class TestPivot:
         ]
         assert decomp.chambers[0].n_coeffs == {"C1": Poly([F(5, 3)]), "C2": Poly([F(1, 3)])}
         assert decomp.tau == 3
+
+    def test_the_flag_leaves_by_itself(self, monkeypatch):
+        solves: list[tuple] = []
+        solve_support = zariski._solve_support
+
+        def recording(direction, support, v):
+            solves.append((support, v))
+            return solve_support(direction, support, v)
+
+        monkeypatch.setattr(zariski, "_solve_support", recording)
+        decomp = parametric_decompose(_FLAG_EXIT, "F")
+        first, second = decomp.chambers
+        assert [(ch.lo, ch.hi, ch.support) for ch in decomp.chambers] == [
+            (0, 1, ("F", "B")),
+            (1, 5, ("B",)),
+        ]
+        assert first.n_coeffs == {"F": Poly([1, -1]), "B": Poly([1])}
+        assert second.n_coeffs == {"B": Poly([F(1, 2), F(1, 2)])}
+        # B then F enter at v = 0; at v = N_F(0) = 1 one solve takes F out
+        assert solves == [((2,), 0), ((1, 2), 0), ((2,), 1)]
+        # outcomes only: the reference drops and adds in one step
+        monkeypatch.setattr(zariski, "_pivot", full_scan_pivot)
+        assert _outcome(_FLAG_EXIT, "F") == [
+            (ch.lo, ch.hi, ch.rows, ch.p_sq_rows) for ch in decomp.chambers
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sign_rule_configs())
+    def test_random_configurations_match_the_full_scan(self, config):
+        """With the sign rule, dropping only the flag reaches what general drops reach."""
+        mine = [_outcome(config, flag) for flag in config.curve_names]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zariski, "_pivot", full_scan_pivot)
+            reference = [_outcome(config, flag) for flag in config.curve_names]
+        assert mine == reference
 
     def test_same_iterates_as_the_full_scan(self, monkeypatch, records):
         """Every curve sweep of the catalog solves the same systems in the same order.
@@ -534,6 +626,7 @@ class TestSerialization:
         # or "<ExceptionType>: <message>" for a sweep that raises
         digest = hashlib.sha256()
         outcomes: Counter[str] = Counter()
+        chambers = 0
         for name in sorted(records):
             record = records[name]
             for config in record.configs.values():
@@ -552,8 +645,16 @@ class TestSerialization:
                             [decomposition_to_json(decomp), p_dot], sort_keys=True
                         )
                         outcomes["finished"] += 1
+                        # the flag never enters a support, and no N row falls
+                        fi = config.index(flag)
+                        for ch in decomp.chambers:
+                            assert fi not in ch.rows.support, f"{config.name}/{flag}"
+                            assert min(ch.rows.x1, default=0) >= 0, f"{config.name}/{flag}"
+                        _assert_nested(decomp)
+                        chambers += len(decomp.chambers)
                     digest.update(line.encode() + b"\n")
         assert outcomes == {"finished": 244, "IrrationalRoot": 128}
+        assert chambers == 411
         golden = (Path(__file__).parent / "data" / "all_curve_sweeps.sha256").read_text()
         assert digest.hexdigest() == golden.strip()
 
@@ -675,6 +776,16 @@ class TestSerialization:
         bad["chambers"][1]["support"] = ["C", "C"]
         where = "config A1-nodal, flag E, chamber 1$"
         _refused(a1_nodal, bad, "duplicate support curve on \\[1/2, 1\\]; " + where)
+
+    def test_support_out_of_curve_order_is_caught(self, records):
+        """A reversed support would load with its chamber's support, the keys of
+        negative_at and the re-serialized JSON in the file's order."""
+        config = records["A4"].config("a")
+        bad = decomposition_to_json(parametric_decompose(config, "E2"))
+        assert bad["chambers"][1]["support"][0] == "E1"
+        bad["chambers"][1]["support"].reverse()
+        where = "config A4-a, flag E2, chamber 1$"
+        _refused(config, bad, r"^support not in curve order on \[1, 6/5\]; " + where)
 
     def test_empty_chambers_are_caught(self, a1_nodal, nodal_decomp):
         bad = copy.deepcopy(decomposition_to_json(nodal_decomp))
