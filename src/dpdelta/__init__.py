@@ -71,7 +71,6 @@ from .rationals import format_rational, parse_rational
 from .zariski import (
     Chamber,
     Decomposition,
-    decomposition_from_json,
     decomposition_to_json,
     parametric_decompose,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "parse_rational",
     "Chamber",
     "Decomposition",
-    "decomposition_from_json",
     "decomposition_to_json",
     "parametric_decompose",
     "__version__",

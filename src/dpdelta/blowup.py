@@ -45,7 +45,7 @@ def blowup(
     The center is `point.on_curve` together with `point.incidences`; each
     listed curve passes through the center with the given multiplicity and
     the flag curve itself with multiplicity 1. A point with empty on_curve
-    is a generic point lying on no named curve.
+    is a generic point; a curve name that is no curve raises SchemaError.
     """
     if not config.smooth_surface:
         raise NotSmooth(f"cannot blow up the orbifold configuration {config.name}")
@@ -58,6 +58,7 @@ def blowup(
 
     mult: dict[str, int] = {}
     if point.on_curve:
+        config.index(point.on_curve)
         mult[point.on_curve] = 1
     for curve, m in point.incidences.items():
         config.index(curve)

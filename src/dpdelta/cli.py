@@ -106,10 +106,12 @@ def _resolve_source(args) -> SurfaceConfig:
 
     With --config the file is loaded as-is. With --case the configuration is
     the one named by --variant, or else the one of the first stored flag row
-    matching --flag, or else the case's first configuration.
+    matching --flag, or else the case's first configuration; --variant needs --case.
     """
     if args.config and args.case:
         raise SchemaError("give either --config or --case, not both")
+    if args.variant and not args.case:
+        raise SchemaError("--variant names a configuration of a --case")
     if args.config:
         return load(Path(args.config))
     if not args.case:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import SchemaError
 from .rationals import RatLike, format_rational, parse_rational, read_field, read_json, typed
@@ -278,22 +278,29 @@ def validate(config: SurfaceConfig) -> ValidationReport:
         if p.on_curve not in config._index:
             bad.append(f"{p.id}: unknown flag curve {p.on_curve}")
             continue
-        fi = config.index(p.on_curve)
         if not 0 <= p.different < 1:
             bad.append(f"{p.id}: different {fr(p.different)} outside [0,1)")
-        for name, mult in p.incidences.items():
-            if name not in config._index:
-                bad.append(f"{p.id}: unknown incident curve {name}")
-            elif type(mult) is not int or mult <= 0:  # a bool is no multiplicity
-                bad.append(f"{p.id}: incidence with {name} must be a positive integer")
-            elif mult > (meet := config.gram[config.index(name)][fi]):
-                bad.append(
-                    f"{p.id}: incidence {mult} with {name} exceeds the global "
-                    f"intersection {fr(meet)}"
-                )
+        bad += (f"{p.id}: {problem}" for problem in incidence_problems(config, p))
     rule("point specs consistent", bad, "; ".join(bad))
 
     return ValidationReport(config.name, tuple(entries))
+
+
+def incidence_problems(config: SurfaceConfig, point: PointSpec) -> Iterator[str]:
+    """Each incidence of a point on a curve of the configuration that names
+    no curve, is not a positive integer, or exceeds that curve's global
+    intersection with the point's curve."""
+    fi = config._index[point.on_curve]
+    for name, mult in point.incidences.items():
+        if name not in config._index:
+            yield f"unknown incident curve {name}"
+        elif type(mult) is not int or mult <= 0:  # a bool is no multiplicity
+            yield f"incidence with {name} must be a positive integer"
+        elif mult > (meet := config.gram[config._index[name]][fi]):
+            yield (
+                f"incidence {mult} with {name} exceeds the global intersection "
+                f"{format_rational(meet)}"
+            )
 
 
 # -- JSON serialization ------------------------------------------------

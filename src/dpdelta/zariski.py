@@ -36,30 +36,20 @@ quadratic. A chamber is its two ends and these integer rows, nothing else:
 and the `Poly` views of a chamber (its support names, N coefficients, P^2
 and P.C) are built from the rows only for JSON and CLI text, once each. The
 sweep itself builds no `Poly`, and Fractions only for the chamber ends and
-error messages. `decomposition_from_json` rebuilds every chamber through
-the same rows and checks P^2(tau) = 0 on them.
+error messages.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import SurfaceConfig
-from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain, SchemaError
+from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain
 from .linalg import solve
 from .poly import IntQuadratic, PiecewisePoly, Poly
-from .rationals import (
-    AffineVector,
-    RatLike,
-    affine_vector,
-    format_rational,
-    parse_rational,
-    read_field,
-    typed,
-)
+from .rationals import AffineVector, RatLike, affine_vector, format_rational, parse_rational
 
 _MAX_CHAMBERS = 64
 
@@ -543,86 +533,3 @@ def decomposition_to_json(decomp: Decomposition) -> dict:
             for ch in decomp.chambers
         ],
     }
-
-
-def decomposition_from_json(config: SurfaceConfig, data: object) -> Decomposition:
-    """Rebuild a decomposition from its JSON form against a configuration.
-
-    Only the supports, which must list their curves in curve order as a
-    sweep does, and their coefficients are trusted; every derived
-    quantity is recomputed from the configuration and cross-checked against
-    the stored `p_sq` and `p_dot` rows, and P must meet every support curve
-    in 0, so a stale or tampered file raises SchemaError instead of
-    round-tripping silently. The error names the configuration, the flag and
-    the chamber or field path at fault.
-    """
-    at = f"config {config.name}: "
-    data = typed(data, dict, f"{at}decomposition")
-    flag = read_field(data, "flag", str, at)
-    where = f"config {config.name}, flag {flag}"
-    if flag not in config.curve_names:
-        raise SchemaError(f"unknown flag curve {flag!r}; {where}")
-    at = f"{where}: "
-    if read_field(data, "config", str, at, config.name) != config.name:
-        raise SchemaError(f"decomposition belongs to {data['config']!r}; {where}")
-    tau = read_field(data, "tau", Fraction, at)
-    direction = _direction(config, flag)
-    fi, scale = direction.flag, config.anti_k_dots_den
-    chambers: list[Chamber] = []
-
-    def bad(problem: str) -> SchemaError:
-        return SchemaError(f"{problem}; {where}, chamber {len(chambers)}")
-
-    for k, raw in enumerate(read_field(data, "chambers", list[dict], at)):
-        at_k = f"{at}chambers[{k}]."
-        lo, hi = read_field(raw, "lo", Fraction, at_k), read_field(raw, "hi", Fraction, at_k)
-        span = f"[{format_rational(lo)}, {format_rational(hi)}]"
-        if lo >= hi:
-            raise bad(f"empty or reversed chamber {span}")
-        if not chambers and lo != 0:
-            raise bad("chambers do not cover [0, tau]")
-        if chambers and lo != chambers[-1].hi:
-            raise bad(f"chambers leave a gap at {format_rational(chambers[-1].hi)}")
-        support = read_field(raw, "support", list[str], at_k)
-        if len(set(support)) != len(support):
-            raise bad(f"duplicate support curve on {span}")
-        n_coeffs = read_field(raw, "n_coeffs", dict[str, list[Fraction]], at_k)
-        unknown = [name for name in support if name not in config.curve_names]
-        if unknown or set(n_coeffs) != set(support):
-            raise bad(f"support/coefficient mismatch on {span}")
-        indices = [config.index(name) for name in support]
-        if indices != sorted(indices):
-            raise bad(f"support not in curve order on {span}")
-        n_polys = [Poly(n_coeffs[name]) for name in support]
-        if any(p.degree > 1 for p in n_polys):
-            raise bad(f"non-affine negative-part coefficient on {span}")
-        # scale * N_s = x_s / d with one denominator d over every coefficient
-        d = math.lcm(*(c.denominator for p in n_polys for c in p.coeffs))
-        rows = _rows(
-            direction,
-            indices,
-            [int(p.coeff(0) * d * scale) for p in n_polys],
-            [int(p.coeff(1) * d * scale) for p in n_polys],
-            d,
-        )
-        ch = Chamber(lo, hi, rows, _positive_part(direction, rows))
-        if ch.p_sq != Poly(read_field(raw, "p_sq", list[Fraction], at_k)):
-            raise bad(f"stored P^2 disagrees with the recomputed one on {span}")
-        if ch.p_dot_at(fi) != Poly(read_field(raw, "p_dot", list[Fraction], at_k)):
-            raise bad(f"stored P.{flag} disagrees with the recomputed one on {span}")
-        for s in rows.support:
-            if rows.c0[s] or rows.c1[s]:
-                name = config.curve_names[s]
-                raise bad(
-                    f"negative part not orthogonal to P: P.{name} = "
-                    f"{ch.p_dot_at(s).render()} on support curve {name} on {span}"
-                )
-        chambers.append(ch)
-    if not chambers:
-        raise bad("no chambers stored")
-    last = f"{where}, chamber {len(chambers) - 1}"
-    if chambers[-1].hi != tau:
-        raise SchemaError(f"chambers do not cover [0, tau]; {last}")
-    if chambers[-1].p_sq_rows.scaled_at(tau.numerator, tau.denominator):
-        raise SchemaError(f"P^2 does not vanish at the stored tau; {last}")
-    return Decomposition(config, flag, tuple(chambers))

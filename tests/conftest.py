@@ -45,26 +45,6 @@ def a2_nodal(records: dict[str, CaseRecord]) -> CaseRecord:
     return records["A2-nodal"]
 
 
-def _same_decomposition(a: Decomposition, b: Decomposition) -> bool:
-    """Structural equality: same config, flag, tau and chamber data.
-
-    Every chamber field is compared, including the `p_dot` row of every
-    curve, which `decomposition_to_json` stores only for the flag.
-    """
-    if a.config.name != b.config.name or a.flag != b.flag or a.tau != b.tau:
-        return False
-    if len(a.chambers) != len(b.chambers):
-        return False
-    for ca, cb in zip(a.chambers, b.chambers):
-        if (ca.lo, ca.hi, ca.support) != (cb.lo, cb.hi, cb.support):
-            return False
-        if dict(ca.n_coeffs) != dict(cb.n_coeffs) or ca.p_sq != cb.p_sq:
-            return False
-        if dict(ca.p_dot) != dict(cb.p_dot):
-            return False
-    return True
-
-
 def _intersect(config: SurfaceConfig, d1: Sequence[Fraction], d2: Sequence[Fraction]) -> Fraction:
     """d1.d2 under the Gram bilinear form, for divisors written in curve order."""
     rows = zip(d1, config.gram, strict=True)
@@ -75,12 +55,6 @@ def _intersect(config: SurfaceConfig, d1: Sequence[Fraction], d2: Sequence[Fract
 def intersect() -> Callable[[SurfaceConfig, Sequence[Fraction], Sequence[Fraction]], Fraction]:
     """The Fraction Gram bilinear form, the reference for (-K).C rows and pullbacks."""
     return _intersect
-
-
-@pytest.fixture(scope="session")
-def same_decomposition() -> Callable[[Decomposition, Decomposition], bool]:
-    """Structural equality of two decompositions."""
-    return _same_decomposition
 
 
 class PolyReference:

@@ -266,11 +266,15 @@ def test_oracle_agreement_across_catalog(records):
 def test_structural_invariants(records, intersect):
     """Chamber checks by substitution only, independent of the elimination kernel.
 
-    On every chamber: P.C = 0 on the support, the support is one of the
-    oracle's negative-definite subsets, N >= 0 on the support and P.C >= 0
-    off it at both ends, and P^2 decreases and stays nonnegative.
+    The chambers tile [0, tau] in order. On every chamber: the support is
+    listed in curve order, P.C = 0 on it, it is one of the oracle's
+    negative-definite subsets, N >= 0 on the support and P.C >= 0 off it at
+    both ends, P^2 decreases and stays nonnegative, and at both ends
+    P^2 = P.D = sum_j d_j (P.C_j) for D = anti_k - v*F, which checks P^2
+    against the P.C rows.
     """
     failures = []
+    ends = 0
     for record in records.values():
         for config_id, cfg in record.configs.items():
             report = validate(cfg)
@@ -282,10 +286,19 @@ def test_structural_invariants(records, intersect):
             decomp = decompose_flag(record, spec)
             label = f"{record.name}/{spec.flag}[{spec.config_id}]"
             definite = set(negative_definite_subsets(cfg))
+            his = [F(0)] + [ch.hi for ch in decomp.chambers]
+            if [ch.lo for ch in decomp.chambers] != his[:-1] or his[-1] != decomp.tau:
+                failures.append(f"{label}: chambers do not tile [0, tau]")
+            fi = cfg.index(spec.flag)
             for ch in decomp.chambers:
+                if not ch.lo < ch.hi:
+                    failures.append(f"{label}: empty chamber [{ch.lo}, {ch.hi}]")
+                indices = [cfg.index(name) for name in ch.support]
+                if indices != sorted(indices):
+                    failures.append(f"{label}: support {ch.support} not in curve order")
                 if any(ch.p_dot[name] != Poly() for name in ch.support):
                     failures.append(f"{label}: P meets its own negative part")
-                if tuple(sorted(cfg.index(name) for name in ch.support)) not in definite:
+                if tuple(sorted(indices)) not in definite:
                     failures.append(f"{label}: support not negative definite")
                 for v in (ch.lo, ch.hi):
                     for name in cfg.curve_names:
@@ -293,6 +306,14 @@ def test_structural_invariants(records, intersect):
                             failures.append(f"{label}: N_{name} < 0 at v = {v}")
                         if name not in ch.support and ref(ch.p_dot[name])(v) < 0:
                             failures.append(f"{label}: P.{name} < 0 at v = {v}")
+                    d = [a - v * (j == fi) for j, a in enumerate(cfg.anti_k)]
+                    p_dot_d = sum(
+                        (dj * ref(ch.p_dot[name])(v) for dj, name in zip(d, cfg.curve_names)),
+                        F(0),
+                    )
+                    if ref(ch.p_sq)(v) != p_dot_d:
+                        failures.append(f"{label}: P^2 != P.D at v = {v}")
+                    ends += 1
                 p_sq = ref(ch.p_sq)
                 slope = p_sq.derivative()
                 if slope(ch.lo) > 0 or slope(ch.hi) > 0:
@@ -325,6 +346,7 @@ def test_structural_invariants(records, intersect):
                             f"blowup of {source.name} at {bspec.point}: pullback "
                             f"breaks {a}.{b}"
                         )
+    assert ends == 372
     if failures:
         pytest.fail("\n".join(failures))
 

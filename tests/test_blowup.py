@@ -150,8 +150,10 @@ def test_tangency_within_global_budget(a1_nodal):
 
 
 def test_unknown_incident_curve(a1_nodal):
-    with pytest.raises(SchemaError, match="unknown curve 'Z'"):
-        blowup(a1_nodal, PointSpec("bad", "E", {"Z": 1}))
+    # an unknown incident curve, and an unknown curve the point lies on
+    for point in (PointSpec("bad", "E", {"Z": 1}), PointSpec("bad", "Z")):
+        with pytest.raises(SchemaError, match="^unknown curve 'Z' in config A1-nodal$"):
+            blowup(a1_nodal, point)
 
 
 def test_pullbacks_preserve_intersections(a2_nodal, intersect):

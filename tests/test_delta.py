@@ -114,6 +114,26 @@ class TestSWPoint:
         with pytest.raises(SchemaError, match="lies on E1, not on flag E2"):
             flag_report(a3, "E2", points=["at_c_e1"])
 
+    @pytest.mark.parametrize(
+        "incidences, problem",
+        [
+            # these used to give the generic 1/3 and 8/9, though C.E1 = 1
+            ({"NOPE": 1}, "unknown incident curve NOPE"),
+            ({"C": 5}, "incidence 5 with C exceeds the global intersection 1"),
+        ],
+        ids=["unknown-curve", "above-the-global-intersection"],
+    )
+    def test_inconsistent_incidences_are_refused(self, a2_nodal, incidences, problem):
+        base = a2_nodal.config("base")
+        point = PointSpec("x", "E1", incidences)
+        message = f"^point x of config A2-nodal on flag E1: {problem}$"
+        with pytest.raises(SchemaError, match=message):
+            local_h(parametric_decompose(base, "E1"), point)
+        with pytest.raises(SchemaError, match=message):
+            s_w_point(base, "E1", point)
+        with pytest.raises(SchemaError, match=message):
+            flag_report(base, "E1", points=[point])
+
     def test_different_shrinks_the_local_discrepancy_not_s_w(self, a1_cuspidal):
         # S(W;O) only sees incidences; the different enters through A_O
         assert s_w_point(a1_cuspidal, "Ebar", "p1") == F(1, 12)
@@ -158,7 +178,8 @@ def _with_first_chamber_negative_part(config, decomp, curve: str, coeff: Fractio
     """The decomposition with the constant negative part `coeff * curve` on
     its first chamber, whose support is empty, built from the integer rows
     as the sweep builds them. P^2 = D^2 - N.D and P.C follow from the rows.
-    `decomposition_from_json` refuses such a chamber when P.curve != 0."""
+    No sweep builds such a chamber: P.curve != 0 on it, so N is not
+    orthogonal to P."""
     direction = zariski._direction(config, decomp.flag)
     first = decomp.chambers[0]
     assert first.support == ()

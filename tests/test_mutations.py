@@ -1,4 +1,4 @@
-"""Mutation grids over the JSON readers: every one-field change is caught.
+"""Mutation grids over the catalog reader: every one-field change is caught.
 
 Each grid changes one node of a JSON document at a time: every object
 value and the first 3 items of every list, containers included, is set to
@@ -19,8 +19,7 @@ import pytest
 
 import dpdelta.catalog
 import dpdelta.config
-from dpdelta import SchemaError, catalog_root, decomposition_from_json, load_case, verify_case
-from dpdelta.zariski import decomposition_to_json, parametric_decompose
+from dpdelta import SchemaError, catalog_root, load_case, verify_case
 
 VALUES = (None, True, "x", 1.5, [], {})
 DROP = object()
@@ -152,30 +151,3 @@ def test_every_catalog_mutation_is_caught(case, size, monkeypatch):
     assert sum(outcomes.values()) == size, outcomes
     assert unnamed == []
     assert passing == PASSING[case]
-
-
-@pytest.mark.parametrize("case, flag", [("A1-nodal", "E"), ("A2-nodal", "E1")])
-def test_every_decomposition_mutation_is_caught(records, case, flag):
-    """Every mutation raises SchemaError naming the configuration but four
-    no-ops: `config` dropped, and an empty support's `support` or `n_coeffs`
-    set to the empty list or object it holds."""
-    config = records[case].config("base")
-    doc = decomposition_to_json(parametric_decompose(config, flag))
-    no_ops = []
-    mutations = list(_mutations(doc))
-    for where, value in mutations:
-        try:
-            decomposition_from_json(config, _mutated(doc, where, value))
-        except SchemaError as exc:
-            assert f"config {config.name}" in str(exc)
-            continue
-        no_ops.append(_label(where, value))
-    assert len(mutations) == {"A1-nodal": 209, "A2-nodal": 259}[case]
-    assert no_ops == {
-        "A1-nodal": [
-            ("config", "drop"),
-            ("chambers[0].support", "[]"),
-            ("chambers[0].n_coeffs", "{}"),
-        ],
-        "A2-nodal": [("config", "drop")],
-    }[case]
