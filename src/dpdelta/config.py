@@ -278,18 +278,19 @@ def validate(config: SurfaceConfig) -> ValidationReport:
         if p.on_curve not in config._index:
             bad.append(f"{p.id}: unknown flag curve {p.on_curve}")
             continue
-        if not 0 <= p.different < 1:
-            bad.append(f"{p.id}: different {fr(p.different)} outside [0,1)")
-        bad += (f"{p.id}: {problem}" for problem in incidence_problems(config, p))
+        bad += (f"{p.id}: {problem}" for problem in point_problems(config, p))
     rule("point specs consistent", bad, "; ".join(bad))
 
     return ValidationReport(config.name, tuple(entries))
 
 
-def incidence_problems(config: SurfaceConfig, point: PointSpec) -> Iterator[str]:
-    """Each incidence of a point on a curve of the configuration that names
-    no curve, is not a positive integer, or exceeds that curve's global
-    intersection with the point's curve."""
+def point_problems(config: SurfaceConfig, point: PointSpec) -> Iterator[str]:
+    """The problems of a point on a curve of the configuration: a different
+    outside [0, 1), then each incidence that names no curve, is not a
+    positive integer, or exceeds that curve's global intersection with the
+    point's curve."""
+    if not 0 <= point.different < 1:
+        yield f"different {format_rational(point.different)} outside [0,1)"
     fi = config._index[point.on_curve]
     for name, mult in point.incidences.items():
         if name not in config._index:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .config import PointSpec, SurfaceConfig, incidence_problems
+from .config import PointSpec, SurfaceConfig, point_problems
 from .errors import NotCertified, SchemaError
 from .poly import IntQuadratic, PiecewisePoly
 from .rationals import format_rational
@@ -95,8 +95,9 @@ def local_h(decomp: Decomposition, point: PointSpec | str) -> PiecewisePoly:
     """The integrand h(v) = (P.F)(N.F)_O + (P.F)^2/2 at one point class,
     one integer quadratic per chamber.
 
-    A point off the flag, or with an incidence `incidence_problems` refuses,
-    raises SchemaError naming the configuration, the flag, the point and the curve.
+    A point off the flag, or one `point_problems` refuses (a different
+    outside [0, 1) or an inconsistent incidence), raises SchemaError naming
+    the configuration, the flag, the point and the problem.
     """
     config, flag = decomp.config, decomp.flag
     if isinstance(point, str):
@@ -106,7 +107,7 @@ def local_h(decomp: Decomposition, point: PointSpec | str) -> PiecewisePoly:
             f"point {point.id} of config {config.name} lies on {point.on_curve}, "
             f"not on flag {flag}"
         )
-    if bad := "; ".join(incidence_problems(config, point)):
+    if bad := "; ".join(point_problems(config, point)):
         raise SchemaError(f"point {point.id} of config {config.name} on flag {flag}: {bad}")
     fi = config.index(flag)
     names = config.curve_names
@@ -132,7 +133,7 @@ def s_w_point(
 ) -> Fraction:
     """Localized expected order S(W; O) = (2/norm) * int_0^tau h(v) dv.
 
-    A point off the flag, or with an inconsistent incidence, raises SchemaError.
+    A point off the flag, or one `point_problems` refuses, raises SchemaError.
     """
     decomp = decomposition_for(config, flag, decomp)
     return 2 * local_h(decomp, point).integrate() / config.norm

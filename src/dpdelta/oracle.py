@@ -6,17 +6,27 @@ candidates whose coefficients are nonnegative and whose residual is nef
 against all curves. Uniqueness of the decomposition makes agreement of all
 accepted candidates a hard invariant (violations raise Ambiguous).
 
-It skips only subsets that cannot be accepted. Call a curve r required when
-it meets every other curve nonnegatively (row r of the integer Gram matrix
-has no negative entry off the diagonal) and its right-hand side rhs_r is
-negative at every v > 0: for the table, r0_r + r1_r*v with r0_r, r1_r <= 0
-and one of them < 0; for brute force, b_r < 0. A subset S without r is
-never accepted at any v > 0: where its coefficients x are nonnegative, r's
-residual rhs_r - sum_{i in S} x_i*G[r][i] is at most rhs_r < 0. So a table
-row for S would be empty or the point {0}, which the table drops anyway, and
-brute force rejects S. Every accepted subset therefore contains every
-required curve, and the walk, which adds indices in ascending order, gives
-up on a branch as soon as it passes a required index.
+It skips only subsets that cannot be accepted, by a branch bound that holds
+when no entry of the integer Gram matrix G off its diagonal is negative, as
+`config.validate` requires of every stored configuration. Write x_S for a
+negative-definite subset S's coefficients, G_S x_S = rhs_S, and
+res_S(r) = rhs_r - sum_{i in S} G[r][i]*x_S,i for its residual at a curve
+r. Let T be accepted (x_T >= 0, and res_T(r) >= 0 for every r off T), A a
+subset of T and r a curve off T. Then res_A(r) >= res_T(r) >= 0. Indeed
+G_A x_T|A = rhs_A - G_{A,T-A} x_{T-A} <= rhs_A, and (-G_A)^-1 >= 0, as
+-G_A is positive definite with no positive entry off its diagonal (a
+nonsingular M-matrix: Berman and Plemmons, Nonnegative Matrices in the
+Mathematical Sciences, ch. 6); so x_T|A >= x_A, and with G[r][i] >= 0 and
+x_T >= 0, res_T(r) <= res_A(r). The walk adds indices in ascending order,
+so once a frame passes index r no subset below it holds r, and each subset
+below holds the frame's subset and the empty one, whose residual is rhs_r:
+the frame cuts its bound by both. Before a subset is pivoted, it cuts its
+frame's bound by its own residuals at the indices below its first definite
+extension. For a table the bound is an interval of v, and one that is
+empty or only {0} skips every subset below it: their rows would be empty
+or the point {0}, which the table drops anyway. For brute force it is a
+test at its one divisor. Where G has a negative entry off its diagonal,
+the walk visits every negative-definite subset.
 
 All subset systems of one configuration share one elimination tree, which
 one depth-first walk enumerates. Each subset is its parent (its prefix)
@@ -29,13 +39,7 @@ parent's state. So a subset is read off its parent, one entry at a time and
 only as far as its conditions are checked, and a whole state is pivoted
 only for a subset with children, which its children read in turn. Those
 states are kept on a stack of depth at most the curve count; about half the
-subsets are leaves and cost no pivot. A pivot, in turn, costs little per
-column on the catalog's sparse Gram matrices: on one acceptance-gate pass
-about three in five of the columns `linalg.extend` updates miss the pivot
-row, and it only rescales those; a quarter of them also keep their scale
-and are shared with the parent's state as they are. A pivot's time is now split
-between the full update of the columns that meet the pivot row, the
-rescaled columns, and the loop over the columns itself.
+subsets are leaves and cost no pivot.
 
 The integer Gram matrix mu * gram is the one the configuration owns
 (`SurfaceConfig.int_gram`, built with the configuration). The oracle sums
@@ -83,7 +87,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .config import SurfaceConfig
 from .errors import Ambiguous, DimensionMismatch, NoSolution
@@ -94,6 +98,8 @@ from .zariski import Decomposition, decomposition_for
 
 # the subsets of a wider configuration are too many to enumerate
 _MAX_ORACLE_CURVES = 16
+
+Bound = TypeVar("Bound")  # a walk's branch bound (`_subset_states`)
 
 
 def _check_curve_count(config: SurfaceConfig) -> None:
@@ -111,25 +117,19 @@ def _root_columns(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> 
     return [[-x for x in col] for col in zip(*gh)] + [[-x for x in col] for col in rhs]
 
 
-def _required(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> frozenset[int]:
-    """The required curves (see the module docstring): every accepted subset contains them.
-
-    Curve r is required when row r of gh has no negative entry off the
-    diagonal and its `rhs` entries are all <= 0 and not all 0, so that its
-    right-hand side is negative at every v > 0.
-    """
-    return frozenset(
-        r
-        for r, (row, *ys) in enumerate(zip(gh, *rhs))
-        if max(ys) <= 0 and min(ys) < 0 and all(x >= 0 for i, x in enumerate(row) if i != r)
-    )
+def _unbounded(bound: Bound, conds: Iterable[Sequence[int]]) -> Bound:
+    """The walk's bound where G has a negative entry off its diagonal: it never narrows."""
+    return bound
 
 
 def _subset_states(
-    config: SurfaceConfig, root: list[list[int]], required: frozenset[int]
+    gh: Sequence[Sequence[int]],
+    root: list[list[int]],
+    bound: Bound,
+    narrow: Callable[[Bound, Iterable[Sequence[int]]], Bound | None],
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], int, int]]:
     """(subset, columns, prev, j) for every nonempty negative-definite subset
-    that contains each index of `required` below its last index.
+    that the branch bound (see the module docstring) leaves in.
 
     (columns, prev) is the `linalg.extend` state of the parent subset[:-1],
     pivoted from the root columns [a | -rhs] with a = -gh, and j is
@@ -147,45 +147,66 @@ def _subset_states(
     pivoted (one `extend`), and its state waits on a stack of depth at most
     the curve count while its children are walked.
 
-    Indices are added in ascending order, so once the walk passes a
-    required index no subset below that point can contain it: a frame ends
-    after the first required index it tries, and a subset is neither
-    pivoted nor descended into when its first definite extension k leaves a
-    required index between its last index and k. With `required` from
-    `_required`, every subset skipped that way is rejected anyway (see the
-    module docstring); with an empty set the walk visits every
-    negative-definite subset, in depth-first preorder.
+    Each frame carries a bound that every subset accepted below it meets,
+    starting from `bound` at the root. `narrow(bound, conds)` cuts a bound
+    by conditions, each the entries of one residual (one integer per
+    right-hand-side column, negated from the state's), and returns None
+    when no subset below can be accepted. Before a frame tries a definite
+    index j, it cuts its bound by rhs_r and by its own residual at every
+    index r it has passed since, and it ends if that gives None. Each child
+    it tries is yielded, and the caller's own scan decides it. A child with
+    children, whose first definite extension is k, cuts its frame's bound
+    by its residuals at the indices below k off it, read off the parent's
+    state, and by rhs_r for j < r < k; only if that leaves a bound is it
+    pivoted and its own frame started at k, which yields k next. Where gh
+    has a negative entry off its diagonal the bound does not hold: `narrow`
+    is not applied, and the walk visits every negative-definite subset, in
+    depth-first preorder.
     """
-    n = len(config.int_gram)
-    # stop[j] is one past the first required index >= j (n if there is none):
-    # a frame at j, or a scan for the next definite extension from j, ends there
-    stop = [n] * (n + 1)
-    for r in range(n - 1, -1, -1):
-        stop[r] = r + 1 if r in required else stop[r + 1]
-    frames = [((), (root, 1), 0)]  # (subset, its state, next index to try)
+    n = len(gh)
+    if any(x < 0 for i, row in enumerate(gh) for k, x in enumerate(row) if k != i):
+        narrow = _unbounded
+    rhs = [[-b[r] for b in root[n:]] for r in range(n)]  # rhs_r, the empty subset's residual
+    # (subset, its state, first index passed but not yet in the bound, next index to try, bound)
+    frames = [((), (root, 1), 0, 0, bound)]
     while frames:
-        subset, state, j = frames.pop()
+        subset, state, lo, j, bound = frames.pop()
         cols, prev = state
-        end = stop[j]
-        while j < end:
+        bs = cols[n:]
+        while j < n:
             fcol = cols[j]
             p = fcol[j]
-            if p > 0:
-                child = subset + (j,)
-                yield child, cols, prev, j
-                for k in range(j + 1, stop[j + 1]):
-                    ck = cols[k]
-                    if (p * ck[k] - fcol[k] * ck[j]) // prev > 0:  # child + (k,) is definite
-                        if j + 1 < end:  # the frame goes on past j
-                            frames.append((subset, state, j + 1))
-                        subset, state, j = child, extend(state, j), k
-                        cols, prev = state
-                        end = stop[j]
-                        break
-                else:
-                    j += 1
-            else:
+            if p <= 0:
                 j += 1
+                continue
+            if lo < j:  # no subset of the frame from j on holds lo, ..., j - 1
+                passed = (c for r in range(lo, j) for c in (rhs[r], [-b[r] for b in bs]))
+                bound = narrow(bound, passed)
+                if bound is None:
+                    break
+                lo = j
+            yield subset + (j,), cols, prev, j
+            for k in range(j + 1, n):
+                ck = cols[k]
+                if (p * ck[k] - fcol[k] * ck[j]) // prev > 0:  # child + (k,) is definite
+                    # the child's residuals at the indices below k off it, and rhs_r
+                    # for the ones past j, which its frame passes before it tries k
+                    off = [
+                        [(fcol[r] * b[j] - p * b[r]) // prev for b in bs]
+                        for r in range(k)
+                        if r != j and r not in subset
+                    ]
+                    inner = narrow(bound, off + rhs[j + 1 : k])
+                    break
+            else:
+                inner = None  # the child is a leaf
+            if inner is None:
+                j += 1
+                continue
+            frames.append((subset, state, j, j + 1, bound))
+            subset, state, lo, j, bound = subset + (j,), extend(state, j), k, k, inner
+            cols, prev = state
+            bs = cols[n:]
 
 
 def _pivoted(
@@ -218,18 +239,22 @@ class _TableRow:
         object.__setattr__(self, "n_affine", n_affine)
 
 
-def _accepted_interval(
-    conds: Iterable[tuple[int, int]],
-) -> tuple[Fraction, Fraction | None] | None:
-    """The v >= 0 with c0 + c1*v >= 0 for every condition, or None if that
-    set is empty or only {0}.
+# an interval of v >= 0 as (lo numerator, lo denominator, hi numerator, hi
+# denominator), all integers with positive lo denominator and hi denominator 0
+# when unbounded above
+_Interval = tuple[int, int, int, int]
+_ALL_V: _Interval = (0, 1, 0, 0)
 
-    Endpoints are kept as integer (numerator, positive denominator) pairs,
-    and the scan stops at the first condition that empties the interval or
-    bounds it by 0 from above.
+
+def _narrowed(interval: _Interval, conds: Iterable[Sequence[int]]) -> _Interval | None:
+    """The v in `interval` with c0 + c1*v >= 0 for every condition (c0, c1),
+    or None if that set is empty or only {0}.
+
+    The scan stops at the first condition that empties the interval or
+    bounds it by 0 from above. It is the table's branch bound
+    (`_subset_states`), and its accepted interval from `_ALL_V`.
     """
-    ln, ld = 0, 1
-    hn, hd = 0, 0  # hd == 0: unbounded above
+    ln, ld, hn, hd = interval
     for c0, c1 in conds:
         if c1 > 0:
             if -c0 * ld <= ln * c1:
@@ -247,7 +272,25 @@ def _accepted_interval(
             continue
         if hd and ln * hd > hn * ld:
             return None
+    return ln, ld, hn, hd
+
+
+def _accepted_interval(
+    conds: Iterable[Sequence[int]],
+) -> tuple[Fraction, Fraction | None] | None:
+    """The v >= 0 with c0 + c1*v >= 0 for every condition, or None if that
+    set is empty or only {0}."""
+    interval = _narrowed(_ALL_V, conds)
+    if interval is None:
+        return None
+    ln, ld, hn, hd = interval
     return Fraction(ln, ld), (Fraction(hn, hd) if hd else None)
+
+
+def _passes(bound: bool, conds: Iterable[Sequence[int]]) -> bool | None:
+    """Brute force's branch bound at its one divisor: None unless c >= 0 for
+    every condition (c,)."""
+    return bound if all(c >= 0 for c, in conds) else None
 
 
 def _conditions(
@@ -278,20 +321,20 @@ def _conditions(
 
 
 class SubsetTable:
-    """Per-flag acceptance intervals for every negative-definite subset.
+    """Per-flag acceptance intervals for the negative-definite subsets.
 
     Row coefficients are integer affine numerators over a positive common
     denominator; a subset's row represents the unique solution of its
     orthogonality system together with the exact v-interval on which that
-    solution has nonnegative coefficients and nef residual. Each subset's
-    conditions are scanned in integers until one empties the interval or
-    leaves only {0}. Only rows a lookup can read are kept: a subset accepted
-    at v = 0 alone repeats N(0), which the first chamber's support gives on
-    [0, hi]. Rows that are single points v > 0 stay, since a sample can land
-    on one and must then meet the ambiguity check. A lookup (`rows_at`)
-    scans the rows; `negative_part` evaluates the rows it finds at v, and
-    each row's `n_affine` lets a caller compare a row with another affine
-    N without evaluating it.
+    solution has nonnegative coefficients and nef residual. Each subset the
+    walk's bound leaves in has its conditions scanned in integers until one
+    empties the interval or leaves only {0}. Only rows a lookup can read are
+    kept: a subset accepted at v = 0 alone repeats N(0), which the first
+    chamber's support gives on [0, hi]. Rows that are single points v > 0
+    stay, since a sample can land on one and must then meet the ambiguity
+    check. A lookup (`rows_at`) scans the rows; `negative_part` evaluates
+    the rows it finds at v, and each row's `n_affine` lets a caller compare
+    a row with another affine N without evaluating it.
     """
 
     def __init__(self, config: SurfaceConfig, flag: str):
@@ -322,7 +365,7 @@ class SubsetTable:
         interval = _accepted_interval((-c0, -c1) for c0, c1 in zip(root[n], root[n + 1]))
         if interval is not None:
             rows.append(_TableRow((), *interval, (), (), rho))
-        for subset, cols, prev, j in _subset_states(config, root, _required(gh, (r0, r1))):
+        for subset, cols, prev, j in _subset_states(gh, root, _ALL_V, _narrowed):
             b0, b1, fcol = cols[n], cols[n + 1], cols[j]
             interval = _accepted_interval(_conditions(subset, b0, b1, fcol, prev, n))
             if interval is not None:
@@ -377,9 +420,10 @@ def brute_force_negative_part(
 ) -> dict[str, Fraction]:
     """Reference Zariski negative part by exhaustive subset search.
 
-    Solves every negative-definite subset's orthogonality system at the one
-    divisor d, on integers: with mu * gram and lam * d integral, a subset's
-    solution is y / (det * lam) where y is the pivoted right-hand side.
+    Solves the orthogonality system at the one divisor d of every
+    negative-definite subset the walk's bound leaves in, on integers: with
+    mu * gram and lam * d integral, a subset's solution is y / (det * lam)
+    where y is the pivoted right-hand side.
     Keeps candidates with nonnegative coefficients and nef residual, both
     decided by integer signs; all accepted candidates must agree. It never
     reads the parametric table. d holds one rational per curve, in curve
@@ -402,7 +446,7 @@ def brute_force_negative_part(
     accepted: list[tuple[Fraction, ...]] = []
     if all(y <= 0 for y in root[n]):  # the empty subset: every residual b_j >= 0
         accepted.append((Fraction(0),) * n)
-    for subset, cols, prev, j in _subset_states(config, root, _required(gh, (b,))):
+    for subset, cols, prev, j in _subset_states(gh, root, True, _passes):
         col, fcol = cols[n], cols[j]
         p, yj = fcol[j], col[j]  # p = det, yj = det * y_j
         if yj < 0:

@@ -115,17 +115,19 @@ class TestSWPoint:
             flag_report(a3, "E2", points=["at_c_e1"])
 
     @pytest.mark.parametrize(
-        "incidences, problem",
+        "incidences, different, problem",
         [
             # these used to give the generic 1/3 and 8/9, though C.E1 = 1
-            ({"NOPE": 1}, "unknown incident curve NOPE"),
-            ({"C": 5}, "incidence 5 with C exceeds the global intersection 1"),
+            ({"NOPE": 1}, 0, "unknown incident curve NOPE"),
+            ({"C": 5}, 0, "incidence 5 with C exceeds the global intersection 1"),
+            # this one used to give a lower delta of -3
+            ({}, 2, r"different 2 outside \[0,1\)"),
         ],
-        ids=["unknown-curve", "above-the-global-intersection"],
+        ids=["unknown-curve", "above-the-global-intersection", "different-outside-0-1"],
     )
-    def test_inconsistent_incidences_are_refused(self, a2_nodal, incidences, problem):
+    def test_inconsistent_incidences_are_refused(self, a2_nodal, incidences, different, problem):
         base = a2_nodal.config("base")
-        point = PointSpec("x", "E1", incidences)
+        point = PointSpec("x", "E1", incidences, different)
         message = f"^point x of config A2-nodal on flag E1: {problem}$"
         with pytest.raises(SchemaError, match=message):
             local_h(parametric_decompose(base, "E1"), point)

@@ -39,7 +39,7 @@ from dpdelta.oracle import (
 )
 from dpdelta.rationals import affine_vector, format_rational
 from dpdelta.zariski import Chamber, Decomposition
-from refsubsets import negative_definite_subsets
+from refsubsets import accepted_subsets, negative_definite_subsets
 
 F = Fraction
 
@@ -205,14 +205,18 @@ def _nef_pair() -> SurfaceConfig:
 
 
 @st.composite
-def _small_configs(draw) -> SurfaceConfig:
-    """3 to 6 curves with a small symmetric integer Gram matrix and rational anti_k."""
+def _small_configs(draw, low: int = -1) -> SurfaceConfig:
+    """3 to 6 curves with a small symmetric integer Gram matrix and rational anti_k.
+
+    Entries off the diagonal are drawn from [low, 2]: with low = 0 the walk
+    applies its bound, and a negative one turns it off.
+    """
     n = draw(st.integers(3, 6))
     gram = [[0] * n for _ in range(n)]
     for i in range(n):
         gram[i][i] = draw(st.integers(-4, 1))
         for j in range(i):
-            gram[i][j] = gram[j][i] = draw(st.integers(-1, 2))
+            gram[i][j] = gram[j][i] = draw(st.integers(low, 2))
     anti_k = draw(st.lists(
         st.fractions(min_value=-1, max_value=2, max_denominator=3), min_size=n, max_size=n
     ))
@@ -233,12 +237,11 @@ def _outcome(fn, config, d):
         return type(exc), str(exc)
 
 
-def _walk(
-    config: SurfaceConfig, required: frozenset[int] = frozenset()
-) -> tuple[tuple[int, ...], ...]:
-    """The nonempty subsets the table and brute-force walk visits, in its order."""
+def _walk(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
+    """The nonempty subsets the table and brute-force walk visits with its bound off, in order."""
     root = oracle._root_columns(config.int_gram, ())
-    return tuple(subset for subset, *_ in oracle._subset_states(config, root, required))
+    walk = oracle._subset_states(config.int_gram, root, True, oracle._unbounded)
+    return tuple(subset for subset, *_ in walk)
 
 
 def _flag_rhs(config: SurfaceConfig, flag: str) -> list[tuple[Fraction, Fraction]]:
@@ -247,32 +250,53 @@ def _flag_rhs(config: SurfaceConfig, flag: str) -> list[tuple[Fraction, Fraction
     return [(c0, -row[fi]) for c0, row in zip(config.anti_k_dots, config.gram)]
 
 
-def _required_curves(
-    config: SurfaceConfig, rhs: list[tuple[Fraction, Fraction]]
-) -> frozenset[int]:
-    """The curves that meet every other curve nonnegatively and whose
-    right-hand side c0 + c1*v is negative at every v > 0.
+def _divisor_rhs(config: SurfaceConfig, d: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """(d.C, 0) per curve C: the right-hand side at one divisor, constant in v."""
+    return [(sum(a * x for a, x in zip(d, row)), F(0)) for row in config.gram]
 
-    No subset that omits one is accepted at any v > 0: where its
-    coefficients are nonnegative, the curve's residual is at most c0 + c1*v.
+
+def _record_walk(monkeypatch) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Lists that collect, from now on, the subsets the walk visits and the
+    subsets whose state it pivots, in order."""
+    visited: list[tuple[int, ...]] = []
+    pivoted: list[tuple[int, ...]] = []
+    read_off: dict = {}  # (id of a state's columns, j) -> the subset last read off them
+    walk, pivot = oracle._subset_states, oracle.extend
+
+    def recording_walk(*args):
+        for item in walk(*args):
+            subset, cols, _, j = item
+            visited.append(subset)
+            read_off[id(cols), j] = subset
+            yield item
+
+    def recording_pivot(state, j):
+        pivoted.append(read_off[id(state[0]), j])
+        return pivot(state, j)
+
+    monkeypatch.setattr(oracle, "_subset_states", recording_walk)
+    monkeypatch.setattr(oracle, "extend", recording_pivot)
+    return visited, pivoted
+
+
+def _check_walk(
+    cfg: SurfaceConfig,
+    visited: Sequence[tuple[int, ...]],
+    pivoted: Sequence[tuple[int, ...]],
+    rhs: Sequence[tuple[Fraction, Fraction]] | None = None,
+) -> None:
+    """The walk's soundness and its pivots, from what `_record_walk` saw.
+
+    It visits reference subsets only, in their order, and with `rhs` every
+    nonempty subset that `accepted_subsets` accepts. A state is pivoted
+    once for each visited subset that another visited subset extends, in
+    the order they are first extended, and for no other subset.
     """
-    return frozenset(
-        r
-        for r, (row, (c0, c1)) in enumerate(zip(config.gram, rhs))
-        if all(x >= 0 for i, x in enumerate(row) if i != r)
-        and ((c0 <= 0 and c1 < 0) or (c0 < 0 and c1 <= 0))
-    )
-
-
-def _pruned_reference(
-    config: SurfaceConfig, required: frozenset[int]
-) -> tuple[tuple[int, ...], ...]:
-    """The nonempty reference subsets holding every required index below their last one."""
-    return tuple(
-        s
-        for s in negative_definite_subsets(config)[1:]
-        if all(r in s for r in required if r < s[-1])
-    )
+    reference = iter(negative_definite_subsets(cfg)[1:])
+    assert all(subset in reference for subset in visited)
+    if rhs is not None:
+        assert set(accepted_subsets(cfg, rhs)) - {()} <= set(visited)
+    assert pivoted == list(dict.fromkeys(s[:-1] for s in visited if len(s) > 1))
 
 
 def _evaluating_equivalence(
@@ -346,24 +370,42 @@ class TestNegativeDefiniteSubsets:
     def test_walk_matches_the_reference_on_random_gram_matrices(self, cfg):
         assert ((),) + _walk(cfg) == negative_definite_subsets(cfg)
 
-    def test_pruned_walk_matches_the_filtered_reference(self, catalog_flags):
-        """With each flag's required curves, the walk skips exactly the
-        subsets that omit one below their last index."""
-        total = 0
-        for label, cfg, flag, _ in catalog_flags:
-            required = _required_curves(cfg, _flag_rhs(cfg, flag))
-            subsets = _pruned_reference(cfg, required)
-            assert _walk(cfg, required) == subsets, label
-            total += len(subsets)
-        assert total == 21_366  # of the 95 flags' 72,524 negative-definite subsets
+    def test_bounded_walk_visits_every_accepted_subset(self, catalog_flags, monkeypatch):
+        """Every flag's table, and brute force at the flag's first gate sample,
+        visit each subset the per-subset reference accepts at some v > 0 (at
+        the divisor, for brute force)."""
+        visited, pivoted = _record_walk(monkeypatch)
+        for label, cfg, flag, tau in catalog_flags:
+            visited.clear()
+            pivoted.clear()
+            SubsetTable(cfg, flag)
+            _check_walk(cfg, visited, pivoted, _flag_rhs(cfg, flag))
+            d = _divisor(cfg, flag, _gate_samples(label, tau)[0])
+            visited.clear()
+            pivoted.clear()
+            brute_force_negative_part(cfg, d)
+            _check_walk(cfg, visited, pivoted, _divisor_rhs(cfg, d))
+        assert len(catalog_flags) == 95
 
     @settings(max_examples=150, deadline=None)
-    @given(cfg=_small_configs(), required=st.sets(st.integers(0, 5)))
-    def test_pruned_walk_matches_the_filtered_reference_on_random_gram_matrices(
-        self, cfg, required
+    @given(
+        cfg=_small_configs(low=0),
+        fi=st.integers(0, 5),
+        v=st.fractions(min_value=0, max_value=3, max_denominator=12),
+    )
+    def test_bounded_walk_visits_every_accepted_subset_on_random_gram_matrices(
+        self, cfg, fi, v
     ):
-        required = frozenset(r for r in required if r < len(cfg.curve_names))
-        assert _walk(cfg, required) == _pruned_reference(cfg, required)
+        flag = cfg.curve_names[fi % len(cfg.curve_names)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            visited, pivoted = _record_walk(monkeypatch)
+            SubsetTable(cfg, flag)
+            _check_walk(cfg, visited, pivoted, _flag_rhs(cfg, flag))
+            d = _divisor(cfg, flag, v)
+            visited.clear()
+            pivoted.clear()
+            _outcome(brute_force_negative_part, cfg, d)
+            _check_walk(cfg, visited, pivoted, _divisor_rhs(cfg, d))
 
 
 class TestSubsetTable:
@@ -582,44 +624,34 @@ class TestBruteForce:
 class TestPivotWalk:
     """The table and brute force read each subset off its parent's pivot state."""
 
-    def test_one_pivot_per_subset_with_children(self, catalog_flags, monkeypatch):
-        """A state is pivoted only for a subset that some other visited subset extends.
+    def test_a_state_is_pivoted_only_for_a_subset_a_visited_subset_extends(
+        self, catalog_flags, monkeypatch
+    ):
+        """Every flag's table, and brute force at the flag's first gate sample.
 
-        The walk visits the subsets that hold every required curve below
-        their last index; the empty subset's state is the root columns, so
-        it costs no pivot.
+        The empty subset's state is the root columns, so it costs no pivot.
         """
-        by_config: dict = {}
-        for _, cfg, flag, tau in catalog_flags:
-            by_config.setdefault(cfg, (flag, tau))
-        assert len(by_config) == 42
-
-        def parents(cfg, rhs):
-            subsets = _pruned_reference(cfg, _required_curves(cfg, rhs))
-            return len({s[:-1] for s in subsets if len(s) > 1})
-
-        table_parents, brute_parents = {}, {}
-        for cfg, (flag, tau) in by_config.items():
-            rhs = _flag_rhs(cfg, flag)
-            table_parents[cfg] = parents(cfg, rhs)
-            brute_parents[cfg] = parents(cfg, [(c0 + c1 * tau / 2, 0) for c0, c1 in rhs])
-        calls = []
-        real = oracle.extend
-
-        def counting(state, j):
-            calls.append(j)
-            return real(state, j)
-
-        monkeypatch.setattr(oracle, "extend", counting)
-        for cfg, (flag, tau) in by_config.items():
-            calls.clear()
-            SubsetTable(cfg, flag)
-            assert len(calls) == table_parents[cfg], f"table of {cfg.name}"
-            calls.clear()
-            brute_force_negative_part(cfg, _divisor(cfg, flag, tau / 2))
-            assert len(calls) == brute_parents[cfg], f"brute force on {cfg.name}"
-        # of the 12,541 negative-definite subsets with children, on each side
-        assert (sum(table_parents.values()), sum(brute_parents.values())) == (3175, 3173)
+        visited, pivoted = _record_walk(monkeypatch)
+        totals = {"table": [0, 0], "brute force": [0, 0]}
+        for label, cfg, flag, tau in catalog_flags:
+            for kind, build in (
+                ("table", lambda: SubsetTable(cfg, flag)),
+                (
+                    "brute force",
+                    lambda: brute_force_negative_part(
+                        cfg, _divisor(cfg, flag, _gate_samples(label, tau)[0])
+                    ),
+                ),
+            ):
+                visited.clear()
+                pivoted.clear()
+                build()
+                _check_walk(cfg, visited, pivoted)
+                totals[kind][0] += len(visited)
+                totals[kind][1] += len(pivoted)
+        # (visited subsets, pivots): of the 95 flags' 72,524 negative-definite
+        # subsets, and with 33,839 of them pivoted when the walk has no bound
+        assert totals == {"table": [8450, 4319], "brute force": [7744, 4099]}
 
     @pytest.mark.parametrize("make", [_semidefinite_pair, _nef_pair])
     def test_edge_configurations_match_the_references(self, make):
@@ -639,22 +671,45 @@ class TestPivotWalk:
         d = [F(1), F(-1)]  # d.F = -1: no support is accepted
         assert _outcome(brute_force_negative_part, cfg, d)[0] is NoSolution
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        cfg=_small_configs(),
-        fi=st.integers(0, 5),
-        v=st.fractions(min_value=0, max_value=3, max_denominator=12),
-        coeffs=st.lists(
-            st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=6, max_size=6
-        ),
-    )
-    def test_random_gram_matrices_match_the_references(self, cfg, fi, v, coeffs):
+    @staticmethod
+    def _match_the_references(cfg, fi, v, coeffs):
         n = len(cfg.curve_names)
         flag = cfg.curve_names[fi % n]
         assert SubsetTable(cfg, flag).rows == _per_subset_rows(cfg, flag)
         for d in (_divisor(cfg, flag, v), coeffs[:n]):
             got = _outcome(brute_force_negative_part, cfg, d)
             assert got == _outcome(_fraction_brute_force, cfg, d)
+
+    _random_inputs = dict(
+        fi=st.integers(0, 5),
+        v=st.fractions(min_value=0, max_value=3, max_denominator=12),
+        coeffs=st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=6, max_size=6
+        ),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cfg=_small_configs().filter(
+            lambda cfg: any(x < 0 for i, row in enumerate(cfg.gram) for x in row[:i])
+        ),
+        **_random_inputs,
+    )
+    def test_random_gram_matrices_match_the_references(self, cfg, fi, v, coeffs):
+        """A negative entry off the diagonal turns the bound off: the walk
+        visits every negative-definite subset."""
+        self._match_the_references(cfg, fi, v, coeffs)
+        flag = cfg.curve_names[fi % len(cfg.curve_names)]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            visited, _ = _record_walk(monkeypatch)
+            SubsetTable(cfg, flag)
+        assert tuple(visited) == negative_definite_subsets(cfg)[1:]
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_small_configs(low=0), **_random_inputs)
+    def test_random_nonnegative_gram_matrices_match_the_references(self, cfg, fi, v, coeffs):
+        """No negative entry off the diagonal: the walk applies its bound."""
+        self._match_the_references(cfg, fi, v, coeffs)
 
 
 class TestQuadrature:
