@@ -66,7 +66,7 @@ from .oracle import (
     random_equivalence,
     sample_parameters,
 )
-from .poly import IntQuadratic, PiecewisePoly, Poly
+from .poly import PiecewisePoly, Poly
 from .rationals import format_rational, parse_rational
 from .zariski import (
     Chamber,
@@ -129,7 +129,6 @@ __all__ = [
     "quadrature_check",
     "random_equivalence",
     "sample_parameters",
-    "IntQuadratic",
     "PiecewisePoly",
     "Poly",
     "format_rational",

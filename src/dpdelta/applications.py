@@ -208,19 +208,15 @@ _CONDITIONS = {
 }
 
 
-def row_assignments(row: TableRow, combo: str) -> Iterator[tuple[SingularityEntry, ...]]:
+def _assignments(
+    row: TableRow, entries: tuple[SingularityEntry, ...]
+) -> Iterator[tuple[SingularityEntry, ...]]:
     """Every choice of variants for a combination that satisfies the row
     condition.
 
     Points the condition does not constrain keep no variant, so evaluating
     the assignment still quantifies over their variants.
     """
-    yield from _assignments(row, parse_singularities(combo))
-
-
-def _assignments(
-    row: TableRow, entries: tuple[SingularityEntry, ...]
-) -> Iterator[tuple[SingularityEntry, ...]]:
     if row.condition is None:
         yield entries
         return

@@ -21,7 +21,7 @@ from .blowup import blowup
 from .config import SurfaceConfig, config_to_json, load
 from .delta import FlagReport, certify_minimum, flag_report, local_h
 from .errors import NotCertified, SchemaError
-from .poly import IntQuadratic, PiecewisePoly, Poly
+from .poly import PiecewisePoly, Poly, render_coeffs
 from .rationals import format_rational, read_field, read_json, typed
 from .zariski import Decomposition, decomposition_to_json, parametric_decompose
 
@@ -251,12 +251,14 @@ def _envelope(data: dict, where: str) -> PiecewisePoly:
     """A stored envelope as integer pieces; it may jump at its breakpoints."""
     pieces = []
     for j, coeffs in enumerate(read_field(data, "pieces", list[list[Fraction]], where)):
-        p = Poly(coeffs)
-        if p.degree > 2:
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        if len(coeffs) > 3:
             raise SchemaError(
-                f"{where}pieces[{j}]: envelope piece {p.render()} has degree {p.degree}, not <= 2"
+                f"{where}pieces[{j}]: envelope piece {render_coeffs(coeffs)} "
+                f"has degree {len(coeffs) - 1}, not <= 2"
             )
-        pieces.append(IntQuadratic.from_fractions([p.coeff(k) for k in range(3)]))
+        pieces.append(Poly.from_fractions(coeffs))
     breakpoints = read_field(data, "breakpoints", list[Fraction], where)
     try:
         return PiecewisePoly(breakpoints, pieces, continuous=False)

@@ -10,7 +10,7 @@ point ratio is at least A(F)/S(F).
 
 Both integrands are `PiecewisePoly`s built on the integer rows each chamber
 keeps from the sweep, one integer quadratic per chamber. P^2 is the
-chamber's `p_sq_rows`. For h, the flag's P.F row and the point's N.F row
+chamber's `p_sq`. For h, the flag's P.F row and the point's N.F row
 (the support rows weighted by the point's incidences) are integer affine
 numerators, so h times 2 * p_den^2 * n_den is an integer quadratic. Building
 the piecewise quadratic checks on integers that adjacent chambers agree at
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .config import PointSpec, SurfaceConfig, point_problems
 from .errors import NotCertified, SchemaError
-from .poly import IntQuadratic, PiecewisePoly
+from .poly import PiecewisePoly, Poly
 from .rationals import format_rational
 from .zariski import Decomposition, decomposition_for
 
@@ -75,7 +75,7 @@ def s_flag(
     return decomp.p_sq_piecewise().integrate() / config.norm
 
 
-def h_quadratic(c0: int, c1: int, p_den: int, m0: int, m1: int, n_den: int) -> IntQuadratic:
+def h_quadratic(c0: int, c1: int, p_den: int, m0: int, m1: int, n_den: int) -> Poly:
     """h = P.F * (N.F)_O + (P.F)^2 / 2 for P.F = (c0 + c1*v) / p_den and
     (N.F)_O = (m0 + m1*v) / n_den, with p_den, n_den > 0.
 
@@ -83,7 +83,7 @@ def h_quadratic(c0: int, c1: int, p_den: int, m0: int, m1: int, n_den: int) -> I
     + n_den * (c0 + c1*v)^2.
     """
     two_p = 2 * p_den
-    return IntQuadratic(
+    return Poly(
         c0 * (two_p * m0 + n_den * c0),
         two_p * (c0 * m1 + c1 * m0) + 2 * n_den * c0 * c1,
         c1 * (two_p * m1 + n_den * c1),

@@ -78,7 +78,7 @@ reaches it through `linalg.solve`, which pivots a whole support in order
 and refuses it at the first pivot that is not positive, the same Sylvester
 test the walk applies one index at a time; the acceptance gate checks the
 sweep's output by substitution alone. The quadrature check applies
-Simpson's rule to each piece's exact values (`IntQuadratic.value_at`),
+Simpson's rule to each piece's exact values (`Poly.value_at`),
 independent of the closed form `PiecewisePoly` integrates with.
 """
 from __future__ import annotations

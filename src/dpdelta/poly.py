@@ -1,17 +1,17 @@
-"""Exact univariate polynomials and piecewise quadratics over the rationals.
+"""Exact quadratics and piecewise quadratics over the rationals.
 
-`IntQuadratic` is a quadratic as integer numerators over one denominator,
-and it does all the arithmetic: its value at a point, its first root after
-a point and its sign on an interval are decided on integers, and its
-integral over an interval is one Fraction in closed form. `PiecewisePoly`
-joins one `IntQuadratic` per interval. P(v)^2, the local integrands h(v)
-and the stored class-level envelopes all take this one form: it checks
-continuity on integers when built, integrates over its whole domain, and
-tests whether it dominates another piecewise quadratic.
+`Poly` is the one polynomial type: a quadratic (a0 + a1*v + a2*v^2) / den
+with integer numerators over one positive denominator, stored in lowest
+terms. Its value at a point, its first root after a point and its sign on
+an interval are decided on integers, and its integral over an interval is
+one Fraction in closed form. It prints its Fraction coefficients for
+decomposition JSON, CLI text and messages; `render_coeffs` prints a
+coefficient list of any degree the same way.
 
-`Poly` has Fraction coefficients and computes nothing: it parses and prints
-the chamber views in decomposition JSON and CLI text, the stored envelopes,
-and quadratics in messages.
+`PiecewisePoly` joins one `Poly` per interval. P(v)^2, the local
+integrands h(v) and the stored class-level envelopes all take this one
+form: it checks continuity on integers when built, integrates over its
+whole domain, and tests whether it dominates another piecewise quadratic.
 """
 from __future__ import annotations
 
@@ -20,94 +20,86 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import IrrationalRoot
 from .rationals import RatLike, format_rational, parse_rational
+
 
 def _as_fraction(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else parse_rational(x)
 
 
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial with Fraction coefficients in ascending degree order,
-    for parsing and printing.
+def render_coeffs(coeffs: Sequence[Fraction], var: str = "v") -> str:
+    """Ascending coefficients in human-readable form, like "1 - 2*v^2"."""
+    parts: list[str] = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = format_rational(abs(c))
+        if i == 0:
+            term = mag
+        else:
+            pow_str = var if i == 1 else f"{var}^{i}"
+            term = pow_str if abs(c) == 1 else f"{mag}*{pow_str}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts) or "0"
 
-    Trailing zeros are stripped; the zero polynomial has an empty tuple.
+
+class Poly:
+    """(a0 + a1*v + a2*v^2) / den with integer coefficients and den > 0.
+
+    The fields are divided by their gcd on construction, so equal
+    quadratics have equal fields, and `==` and `hash` compare the four
+    integers. `-` is the difference of two quadratics.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("a0", "a1", "a2", "den")
 
-    def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __init__(self, a0: int, a1: int, a2: int, den: int):
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        g = math.gcd(a0, a1, a2, den)
+        if g != 1:
+            a0, a1, a2, den = a0 // g, a1 // g, a2 // g, den // g
+        self.a0 = a0
+        self.a1 = a1
+        self.a2 = a2
+        self.den = den
+
+    @classmethod
+    def from_fractions(cls, coeffs: Sequence[Fraction]) -> "Poly":
+        """c0 + c1*v + c2*v^2 from at most three coefficients, missing ones 0."""
+        c0, c1, c2 = [*coeffs] + [Fraction(0)] * (3 - len(coeffs))
+        den = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+        return cls(*(c.numerator * (den // c.denominator) for c in (c0, c1, c2)), den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return (self.a0, self.a1, self.a2, self.den) == (other.a0, other.a1, other.a2, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.a0, self.a1, self.a2, self.den))
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The Fraction coefficients in ascending order, trailing zeros stripped."""
+        nums = (self.a0, self.a1, self.a2)
+        n = 3 if self.a2 else 2 if self.a1 else 1 if self.a0 else 0
+        return tuple(Fraction(a, self.den) for a in nums[:n])
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
 
     def render(self, var: str = "v") -> str:
-        """Human-readable form like "1 - 2*v^2"."""
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = format_rational(abs(c))
-            if i == 0:
-                term = mag
-            else:
-                pow_str = var if i == 1 else f"{var}^{i}"
-                term = pow_str if abs(c) == 1 else f"{mag}*{pow_str}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return render_coeffs(self.coeffs, var)
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
-
-
-def _tuple_operator(symbol: str):
-    """A method that refuses a tuple operator: on a quadratic, `+` would
-    concatenate its fields and `*` would repeat them."""
-
-    def refuse(self, other):
-        raise TypeError(f"IntQuadratic does not support {symbol}; only - is defined")
-
-    return refuse
-
-
-class IntQuadratic(NamedTuple):
-    """(a0 + a1*v + a2*v^2) / den with integer coefficients and den > 0.
-
-    It is a tuple, so `+` and `*` raise TypeError rather than act on the
-    fields; `-` is the difference of the two quadratics.
-    """
-
-    a0: int
-    a1: int
-    a2: int
-    den: int
-
-    def poly(self) -> Poly:
-        den = self.den
-        return Poly([Fraction(self.a0, den), Fraction(self.a1, den), Fraction(self.a2, den)])
 
     def scaled_at(self, u: int, w: int) -> int:
         """den * w^2 times the value at v = u/w."""
@@ -118,20 +110,11 @@ class IntQuadratic(NamedTuple):
         w = v.denominator
         return Fraction(self.scaled_at(v.numerator, w), self.den * w * w)
 
-    @classmethod
-    def from_fractions(cls, coeffs: Sequence[Fraction]) -> "IntQuadratic":
-        """c0 + c1*v + c2*v^2 over the lcm of the coefficients' denominators."""
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return cls(*(c.numerator * (den // c.denominator) for c in coeffs), den)
-
-    def __sub__(self, other: "IntQuadratic") -> "IntQuadratic":
+    def __sub__(self, other: "Poly") -> "Poly":
         d, e = self.den, other.den
-        return IntQuadratic(
+        return Poly(
             self.a0 * e - other.a0 * d, self.a1 * e - other.a1 * d, self.a2 * e - other.a2 * d, d * e
         )
-
-    __add__ = __radd__ = _tuple_operator("+")
-    __mul__ = __rmul__ = _tuple_operator("*")
 
     def sign_on(self, lo: Fraction, hi: Fraction) -> int:
         """Sign of the minimum on [lo, hi], decided on integers: 1 if the
@@ -176,7 +159,7 @@ class IntQuadratic(NamedTuple):
                 t = 2 * a2 * u + a1 * w
                 if a2 * t <= 0 or disc * w * w >= t * t:
                     raise IrrationalRoot(
-                        f"irrational root of {self.poly().render()} at or beyond {lo}"
+                        f"irrational root of {self.render()} at or beyond {lo}"
                     )
                 return None
             # (-a1 -+ root) / (2*a2), in ascending order over a positive denominator
@@ -202,7 +185,7 @@ class IntQuadratic(NamedTuple):
 
 @dataclass(frozen=True)
 class PiecewisePoly:
-    """A piecewise quadratic: one `IntQuadratic` on each interval [b_i, b_{i+1}].
+    """A piecewise quadratic: one `Poly` on each interval [b_i, b_{i+1}].
 
     Construction checks in one pass that there is one piece per interval,
     that the breakpoints strictly increase and, when `continuous` is set,
@@ -211,13 +194,13 @@ class PiecewisePoly:
     """
 
     breakpoints: tuple[Fraction, ...]
-    pieces: tuple[IntQuadratic, ...]
+    pieces: tuple[Poly, ...]
     continuous: bool = True
 
     def __init__(
         self,
         breakpoints: Iterable[RatLike],
-        pieces: Iterable[IntQuadratic],
+        pieces: Iterable[Poly],
         continuous: bool = True,
     ):
         bps = tuple(map(_as_fraction, breakpoints))
@@ -255,7 +238,7 @@ class PiecewisePoly:
         """The exact integral over the whole domain, one closed form per piece."""
         bps = self.breakpoints
         return functools.reduce(
-            operator.add, map(IntQuadratic.integrate, self.pieces, bps, bps[1:])
+            operator.add, map(Poly.integrate, self.pieces, bps, bps[1:])
         )
 
     def dominates(self, other: "PiecewisePoly") -> bool:
@@ -282,7 +265,7 @@ class PiecewisePoly:
         for i, piece in enumerate(self.pieces):
             lo, hi = self.breakpoints[i], self.breakpoints[i + 1]
             rows.append(
-                f"{piece.poly().render(var)} on [{format_rational(lo)}, {format_rational(hi)}]"
+                f"{piece.render(var)} on [{format_rational(lo)}, {format_rational(hi)}]"
             )
         return "; ".join(rows)
 

@@ -31,12 +31,12 @@ among them) and those whose falling P.C row has its root at hi. The flag's
 exit, the adds and the chamber's end are decided by integer signs and
 comparisons at v = p/q, and the threshold tau (or an
 irrational root) by `math.isqrt` and sign tests on P^2 as an integer
-quadratic. A chamber is its two ends and these integer rows, nothing else:
-`delta` integrates S and S(W;O) on them, `negative_at` evaluates N on them,
-and the `Poly` views of a chamber (its support names, N coefficients, P^2
-and P.C) are built from the rows only for JSON and CLI text, once each. The
-sweep itself builds no `Poly`, and Fractions only for the chamber ends and
-error messages.
+`Poly`. A chamber is its two ends, these integer rows and P^2, nothing
+else: `delta` integrates S and S(W;O) on them, `negative_at` evaluates N
+on them, and a chamber's support names, N coefficients and P.C rows are
+built from the rows only for JSON and CLI text. The sweep builds `Poly`s
+only for D(v)^2 and each chamber's P^2, and Fractions only for the
+chamber ends and error messages.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .config import SurfaceConfig
 from .errors import IrrationalRoot, NotPseudoEffective, OutOfDomain
 from .linalg import solve
-from .poly import IntQuadratic, PiecewisePoly, Poly
+from .poly import PiecewisePoly, Poly
 from .rationals import AffineVector, RatLike, affine_vector, format_rational, parse_rational
 
 _MAX_CHAMBERS = 64
@@ -59,20 +59,19 @@ class Chamber:
     """One maximal interval [lo, hi] with constant negative-part support.
 
     A chamber stores only the sweep's integer rows: `rows` (N on the support
-    and P.C for every curve, as affine numerators) and `p_sq_rows` (P^2 as an
-    integer quadratic), which `delta` integrates. `support`, `n_coeffs` (the
-    affine coefficient of each support curve), `p_sq` (the quadratic P(v)^2)
-    and `p_dot` (the affine P(v).C for every curve C) are views built from
-    the rows on first read; `p_dot_at` builds one curve's P.C row alone,
-    for callers that print only the flag's. `n_affine` is N(v) in the
-    canonical integer form the oracle compares its table rows with.
-    Chambers compare by identity.
+    and P.C for every curve, as affine numerators) and `p_sq` (P^2 as an
+    integer quadratic), which `delta` integrates. `support` and `n_coeffs`
+    (the affine coefficient of each support curve) are views built from the
+    rows on first read; `p_dot_at` builds one curve's P.C row, for callers
+    that print only the flag's. `n_affine` is N(v) in the canonical integer
+    form the oracle compares its table rows with. Chambers compare by
+    identity.
     """
 
     lo: Fraction
     hi: Fraction
     rows: _Rows = field(repr=False)
-    p_sq_rows: IntQuadratic
+    p_sq: Poly
 
     @cached_property
     def support(self) -> tuple[str, ...]:
@@ -83,7 +82,7 @@ class Chamber:
     def n_coeffs(self) -> dict[str, Poly]:
         rows = self.rows
         return {
-            name: _affine(a0, a1, rows.n_den)
+            name: Poly(a0, a1, 0, rows.n_den)
             for name, a0, a1 in zip(self.support, rows.x0, rows.x1)
         }
 
@@ -93,18 +92,10 @@ class Chamber:
         rows = self.rows
         return affine_vector(rows.support, rows.x0, rows.x1, rows.n_den)
 
-    @cached_property
-    def p_sq(self) -> Poly:
-        return self.p_sq_rows.poly()
-
-    @cached_property
-    def p_dot(self) -> dict[str, Poly]:
-        return {name: self.p_dot_at(j) for j, name in enumerate(self.rows.curve_names)}
-
     def p_dot_at(self, j: int) -> Poly:
-        """P(v).C for the curve of index j alone, built without the `p_dot` view."""
+        """P(v).C for the curve of index j."""
         rows = self.rows
-        return _affine(rows.c0[j], rows.c1[j], rows.p_den)
+        return Poly(rows.c0[j], rows.c1[j], 0, rows.p_den)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +146,7 @@ class Decomposition:
 
     def p_sq_piecewise(self) -> PiecewisePoly:
         """P(v)^2 on [0, tau], each chamber's integer quadratic."""
-        return PiecewisePoly(self.breakpoints(), [ch.p_sq_rows for ch in self.chambers])
+        return PiecewisePoly(self.breakpoints(), [ch.p_sq for ch in self.chambers])
 
 
 # -- parametric sweep ---------------------------------------------------
@@ -178,9 +169,9 @@ def parametric_decompose(config: SurfaceConfig, flag: str) -> Decomposition:
     try:
         while len(chambers) < _MAX_CHAMBERS:
             rows = _pivot(direction, rows, v_cur, tight)
-            p_sq_rows = _positive_part(direction, rows)
-            hi, tight = _chamber_end(rows, p_sq_rows, v_cur)
-            chambers.append(Chamber(v_cur, hi, rows, p_sq_rows))
+            p_sq = _positive_part(direction, rows)
+            hi, tight = _chamber_end(rows, p_sq, v_cur)
+            chambers.append(Chamber(v_cur, hi, rows, p_sq))
             if tight is None:  # hi is tau
                 return Decomposition(config, flag, tuple(chambers))
             v_cur = hi
@@ -235,7 +226,7 @@ class _Direction(NamedTuple):
     flag: int
     b0: list[int]
     b1: list[int]
-    d_sq: IntQuadratic
+    d_sq: Poly
 
 
 def _direction(config: SurfaceConfig, flag: str) -> _Direction:
@@ -244,7 +235,7 @@ def _direction(config: SurfaceConfig, flag: str) -> _Direction:
     b0 = [mu * k for k in config.int_anti_k_dots]
     b1 = [-scale * g for g in config.int_gram[fi]]
     d_coeffs = (config.norm, -2 * config.anti_k_dots[fi], config.gram[fi][fi])
-    return _Direction(config, fi, b0, b1, IntQuadratic.from_fractions(d_coeffs))
+    return _Direction(config, fi, b0, b1, Poly.from_fractions(d_coeffs))
 
 
 class _Rows(NamedTuple):
@@ -410,12 +401,7 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
         rows = _solve_support(direction, tuple(sorted(inside | add)), v)
 
 
-def _affine(a0: int, a1: int, den: int) -> Poly:
-    """(a0 + a1*v) / den as a polynomial."""
-    return Poly([Fraction(a0, den), Fraction(a1, den)])
-
-
-def _positive_part(direction: _Direction, rows: _Rows) -> IntQuadratic:
+def _positive_part(direction: _Direction, rows: _Rows) -> Poly:
     """P^2 on a chamber: D^2 - N.D, as P.N = 0, with N.D summed on integers."""
     q0 = q1 = q2 = 0
     for s, a0, a1 in zip(rows.support, rows.x0, rows.x1):
@@ -424,9 +410,9 @@ def _positive_part(direction: _Direction, rows: _Rows) -> IntQuadratic:
         q1 += a0 * b1 + a1 * b0
         q2 += a1 * b1
     den = rows.n_den * direction.config.mu * direction.config.anti_k_dots_den
-    d0, d1, d2, d_den = direction.d_sq
-    return IntQuadratic(
-        d0 * den - q0 * d_den, d1 * den - q1 * d_den, d2 * den - q2 * d_den, d_den * den
+    d = direction.d_sq
+    return Poly(
+        d.a0 * den - q0 * d.den, d.a1 * den - q1 * d.den, d.a2 * den - q2 * d.den, d.den * den
     )
 
 
@@ -469,7 +455,7 @@ def _first_root_after(rows: _Rows, lo: Fraction) -> tuple[Fraction | None, list[
 
 
 def _chamber_end(
-    rows: _Rows, p_sq: IntQuadratic, lo: Fraction
+    rows: _Rows, p_sq: Poly, lo: Fraction
 ) -> tuple[Fraction, list[int] | None]:
     """Smallest v > lo at which the support changes or P^2 vanishes.
 

@@ -62,9 +62,9 @@ class PolyReference:
 
     This is the path `delta` took before it integrated on the chambers'
     integer rows; the tests keep it as the reference the integer path must
-    equal exactly. It reads only the chambers' `Poly` views, computes on
-    them as `RefPoly`, and keeps one polynomial per chamber, in chamber
-    order.
+    equal exactly. It reads only the coefficients of the chambers' `Poly`s
+    (P^2, N and the flag's P.F), computes on them as `RefPoly`, and keeps
+    one polynomial per chamber, in chamber order.
     """
 
     @staticmethod
@@ -76,7 +76,7 @@ class PolyReference:
     def h(decomp: Decomposition, point: PointSpec) -> list[RefPoly]:
         pieces = []
         for ch in decomp.chambers:
-            p_dot = ref(ch.p_dot[decomp.flag])
+            p_dot = ref(ch.p_dot_at(decomp.config.index(decomp.flag)))
             n_dot = sum(
                 (ref(ch.n_coeffs[name]) * point.incidences.get(name, 0) for name in ch.support),
                 start=RefPoly(),

@@ -1,9 +1,10 @@
 """A plain Fraction polynomial, the tests' independent reference.
 
-`dpdelta` computes only on integer quadratics (`IntQuadratic`) and the
-chambers' integer rows; its `Poly` parses and prints. The tests check those
-integer paths against this coefficient-list arithmetic, which shares no
-code with them. It has only the operations the tests use.
+`dpdelta` computes only on its integer quadratics (`Poly`) and the
+chambers' integer rows. The tests check those integer paths against this
+coefficient-list arithmetic, which shares no code with them: it reads a
+`Poly`'s Fraction `coeffs` and nothing else. It has only the operations the
+tests use.
 """
 from __future__ import annotations
 
@@ -73,5 +74,5 @@ def _lift(x: RefPoly | Scalar) -> RefPoly:
 
 
 def ref(p: Poly) -> RefPoly:
-    """A `Poly` view's coefficients as a reference polynomial."""
+    """A `Poly`'s coefficients as a reference polynomial."""
     return RefPoly(p.coeffs)

@@ -18,13 +18,14 @@ from dpdelta import (
     main_theorem_delta,
     multiplier_family_1_11,
     multiplier_family_2_1,
+    parse_singularities,
     quadrature_check,
     random_equivalence,
     s_flag,
     s_w_point,
     verify_main_theorem_table,
 )
-from dpdelta.applications import row_assignments
+from dpdelta.applications import _assignments
 from dpdelta.blowup import blowup
 from dpdelta.catalog import decompose_flag
 from dpdelta.config import validate
@@ -205,7 +206,7 @@ def test_certified_deltas_and_composite_table(records):
     failures.extend(table_failures)
     for row in MAIN_THEOREM_ROWS:
         for combo in row.combos:
-            for entries in row_assignments(row, combo):
+            for entries in _assignments(row, parse_singularities(combo)):
                 if main_theorem_delta(entries) != row.delta:
                     failures.append(f"composite {combo}: row value not reproduced")
     if failures:
@@ -296,21 +297,18 @@ def test_structural_invariants(records, intersect):
                 indices = [cfg.index(name) for name in ch.support]
                 if indices != sorted(indices):
                     failures.append(f"{label}: support {ch.support} not in curve order")
-                if any(ch.p_dot[name] != Poly() for name in ch.support):
+                if any(ch.p_dot_at(i) != Poly(0, 0, 0, 1) for i in indices):
                     failures.append(f"{label}: P meets its own negative part")
                 if tuple(sorted(indices)) not in definite:
                     failures.append(f"{label}: support not negative definite")
                 for v in (ch.lo, ch.hi):
-                    for name in cfg.curve_names:
+                    for j, name in enumerate(cfg.curve_names):
                         if name in ch.support and ref(ch.n_coeffs[name])(v) < 0:
                             failures.append(f"{label}: N_{name} < 0 at v = {v}")
-                        if name not in ch.support and ref(ch.p_dot[name])(v) < 0:
+                        if name not in ch.support and ref(ch.p_dot_at(j))(v) < 0:
                             failures.append(f"{label}: P.{name} < 0 at v = {v}")
                     d = [a - v * (j == fi) for j, a in enumerate(cfg.anti_k)]
-                    p_dot_d = sum(
-                        (dj * ref(ch.p_dot[name])(v) for dj, name in zip(d, cfg.curve_names)),
-                        F(0),
-                    )
+                    p_dot_d = sum((dj * ref(ch.p_dot_at(j))(v) for j, dj in enumerate(d)), F(0))
                     if ref(ch.p_sq)(v) != p_dot_d:
                         failures.append(f"{label}: P^2 != P.D at v = {v}")
                     ends += 1

@@ -30,6 +30,8 @@ def test_removed_names_stay_removed():
         (dpdelta.config, "DivisorClass"),
         (dpdelta.config, "intersect"),
         (dpdelta.catalog, "verify_all"),
+        (dpdelta.poly, "IntQuadratic"),
+        (dpdelta.applications, "row_assignments"),
     ):
         assert name not in dpdelta.__all__
         assert not hasattr(dpdelta, name)
@@ -38,5 +40,7 @@ def test_removed_names_stay_removed():
         (dpdelta.SurfaceConfig, "basis_vector"),
         (dpdelta.SurfaceConfig, "anti_k_divisor"),
         (dpdelta.FlagReport, "render"),
+        (dpdelta.Chamber, "p_dot"),
+        (dpdelta.Poly, "poly"),
     ):
         assert not hasattr(cls, name)

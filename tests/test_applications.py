@@ -24,11 +24,7 @@ from dpdelta import (
     verify_case,
     verify_main_theorem_table,
 )
-from dpdelta.applications import (
-    SMOOTH_DELTA_CUSPIDAL,
-    SMOOTH_DELTA_GENERAL,
-    row_assignments,
-)
+from dpdelta.applications import SMOOTH_DELTA_CUSPIDAL, SMOOTH_DELTA_GENERAL, _assignments
 
 F = Fraction
 
@@ -280,7 +276,7 @@ class TestTable:
     def test_rows_recomputed_directly(self):
         for row in MAIN_THEOREM_ROWS:
             for combo in row.combos:
-                for entries in row_assignments(row, combo):
+                for entries in _assignments(row, parse_singularities(combo)):
                     assert main_theorem_delta(entries) == row.delta, (
                         combo,
                         row.condition,
@@ -288,9 +284,9 @@ class TestTable:
 
     def test_assignment_counts(self):
         all_nodal, some_cusp = MAIN_THEOREM_ROWS[0], MAIN_THEOREM_ROWS[1]
-        assert len(list(row_assignments(all_nodal, "2A1"))) == 1
+        assert len(list(_assignments(all_nodal, parse_singularities("2A1")))) == 1
         # nodal+cuspidal, cuspidal+nodal or cuspidal+cuspidal on the two A1 points
-        assert len(list(row_assignments(some_cusp, "2A1"))) == 3
+        assert len(list(_assignments(some_cusp, parse_singularities("2A1")))) == 3
         # every conditioned row: "all" fixes each of the k points of the type,
         # "some" picks any nonempty subset of them, 2^k - 1 choices
         conditions = {
@@ -307,8 +303,9 @@ class TestTable:
             target, variant = conditions.pop(row.condition)
             some = row.condition.startswith("some")
             for combo in row.combos:
-                k = sum(e.type == target for e in parse_singularities(combo))
-                assignments = list(row_assignments(row, combo))
+                parsed = parse_singularities(combo)
+                k = sum(e.type == target for e in parsed)
+                assignments = list(_assignments(row, parsed))
                 assert len(assignments) == (2**k - 1 if some else 1), combo
                 assert len(set(assignments)) == len(assignments), combo
                 for entries in assignments:
@@ -320,12 +317,12 @@ class TestTable:
 
     def test_unconditioned_row_leaves_entries_unflagged(self):
         row = MAIN_THEOREM_ROWS[4]
-        (entries,) = row_assignments(row, "A4+A1")
+        (entries,) = _assignments(row, parse_singularities("A4+A1"))
         assert entries == (SingularityEntry("A4"), SingularityEntry("A1"))
 
     def test_branch_condition_sets_flag(self):
         row = MAIN_THEOREM_ROWS[8]
-        (entries,) = row_assignments(row, "A7+A1")
+        (entries,) = _assignments(row, parse_singularities("A7+A1"))
         assert entries[0] == SingularityEntry("A7", "reducible")
         assert entries[1] == SingularityEntry("A1")
 

@@ -53,20 +53,21 @@ class TestLocalH:
     def test_integrand_by_hand(self, a1_nodal, nodal_decomp):
         at_node = local_h(nodal_decomp, a1_nodal.point("node"))
         assert at_node.breakpoints == (F(0), F(1, 2), F(1))
-        assert [q.poly() for q in at_node.pieces] == [Poly([0, 0, 2]), Poly([0, 2, -2])]
+        assert at_node.pieces == (Poly(0, 0, 2, 1), Poly(0, 2, -2, 1))
         at_generic = local_h(nodal_decomp, a1_nodal.point("generic"))
-        assert [q.poly() for q in at_generic.pieces] == [Poly([0, 0, 2]), Poly([2, -4, 2])]
+        assert at_generic.pieces == (Poly(0, 0, 2, 1), Poly(2, -4, 2, 1))
 
-    def test_n_dot_flag_tracks_point_incidences(self, nodal_decomp):
+    def test_n_dot_flag_tracks_point_incidences(self, a1_nodal, nodal_decomp):
         # h = (P.F)(N.F)_O + (P.F)^2/2 with P.F = 2v, then 2 - 2v. At the
         # node (N.F)_O is 0 on the first chamber and -1 + 2v on the second;
         # at the generic point it is 0 on the second.
-        p_first, p_second = (ref(ch.p_dot["E"]) for ch in nodal_decomp.chambers)
+        e = a1_nodal.index("E")
+        p_first, p_second = (ref(ch.p_dot_at(e)) for ch in nodal_decomp.chambers)
         half = F(1, 2)
-        first, second = (q.poly() for q in local_h(nodal_decomp, "node").pieces)
+        first, second = (ref(q) for q in local_h(nodal_decomp, "node").pieces)
         assert first == p_first * RefPoly() + p_first * p_first * half
         assert second == p_second * RefPoly([-1, 2]) + p_second * p_second * half
-        generic = local_h(nodal_decomp, "generic").pieces[1].poly()
+        generic = ref(local_h(nodal_decomp, "generic").pieces[1])
         assert generic == p_second * RefPoly() + p_second * p_second * half
 
     def test_by_point_id_or_spec(self, a1_nodal, nodal_decomp):
@@ -75,7 +76,7 @@ class TestLocalH:
         # (N.F)_node is 0 at v = 1/4 and 1/2 at v = 3/4
         cases = zip(nodal_decomp.chambers, h.pieces, (F(1, 4), F(3, 4)), (0, F(1, 2)))
         for ch, piece, v, n_dot in cases:
-            p_dot = ref(ch.p_dot["E"])(v)
+            p_dot = ref(ch.p_dot_at(a1_nodal.index("E")))(v)
             assert piece.value_at(v) == p_dot * n_dot + p_dot**2 / 2
         assert local_h(nodal_decomp, a1_nodal.point("node")) == h
 
@@ -155,7 +156,7 @@ class TestPolyReference:
                 for point in cfg.points_on(spec.flag):
                     h = local_h(decomp, point)
                     assert list(h.breakpoints) == decomp.breakpoints(), (label, point.id)
-                    pieces = [q.poly() for q in h.pieces]
+                    pieces = [ref(q) for q in h.pieces]
                     assert pieces == poly_reference.h(decomp, point), (label, point.id)
                     s_w = s_w_point(cfg, spec.flag, point, decomp)
                     assert s_w == poly_reference.s_w_point(decomp, point), (label, point.id)
@@ -170,7 +171,7 @@ class TestPolyReference:
         tangent = PointSpec("tangent", "E", {"C": 2})
         cfg = a1_nodal.with_points(a1_nodal.points + (tangent,))
         decomp = parametric_decompose(cfg, "E")
-        pieces = [q.poly() for q in local_h(decomp, tangent).pieces]
+        pieces = [ref(q) for q in local_h(decomp, tangent).pieces]
         assert pieces == poly_reference.h(decomp, tangent)
         assert s_w_point(cfg, "E", tangent, decomp) == poly_reference.s_w_point(decomp, tangent)
         assert s_w_point(cfg, "E", "tangent", decomp) == F(2, 3)
@@ -203,7 +204,8 @@ class TestDiscontinuity:
         tampered = _with_first_chamber_negative_part(a1_nodal, nodal_decomp, "E", F(1, 4))
         left, right = tampered.chambers
         assert (ref(left.p_sq)(F(1, 2)), ref(right.p_sq)(F(1, 2))) == (F(1, 4), F(1, 2))
-        assert (ref(left.p_dot["E"])(F(1, 2)), ref(right.p_dot["E"])(F(1, 2))) == (F(3, 2), 1)
+        e = a1_nodal.index("E")
+        assert (ref(left.p_dot_at(e))(F(1, 2)), ref(right.p_dot_at(e))(F(1, 2))) == (F(3, 2), 1)
         with pytest.raises(ValueError, match=r"^discontinuity at 1/2: 1/4 != 1/2$"):
             s_flag(a1_nodal, "E", tampered)
         for point in ("node", "generic"):

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import dpdelta
 from dpdelta import (
-    IntQuadratic,
     PiecewisePoly,
+    Poly,
     SurfaceConfig,
     brute_force_negative_part,
     parametric_decompose,
@@ -721,7 +721,7 @@ class TestQuadrature:
         assert report.error == 0
 
     def test_zero_piece(self):
-        pp = PiecewisePoly([0, 1], [IntQuadratic(0, 0, 0, 1)])
+        pp = PiecewisePoly([0, 1], [Poly(0, 0, 0, 1)])
         report = quadrature_check(pp)
         assert report.ok and report.exact == 0 and report.numeric == 0
 
@@ -826,7 +826,7 @@ class TestRandomEquivalence:
         assert rows.support == (0,)  # C on [1/2, 1]
         # N_C gains v, so the sweep's side is wrong at every sample in the chamber
         tampered = Chamber(
-            last.lo, last.hi, rows._replace(x1=[rows.x1[0] + rows.n_den]), last.p_sq_rows
+            last.lo, last.hi, rows._replace(x1=[rows.x1[0] + rows.n_den]), last.p_sq
         )
         bad = dataclasses.replace(decomp, chambers=(first, tampered))
         report = random_equivalence(a1_nodal, "E", trials=100, seed=5, decomp=bad)

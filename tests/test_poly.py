@@ -1,87 +1,100 @@
-"""Exact polynomials, integer quadratics and piecewise quadratics."""
+"""Exact integer quadratics and piecewise quadratics."""
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
 
-from dpdelta import IntQuadratic, PiecewisePoly, Poly
+from dpdelta import PiecewisePoly, Poly
 from dpdelta.errors import IrrationalRoot
+from dpdelta.poly import render_coeffs
 
 F = Fraction
 
 
 class TestPoly:
+    def test_fields_are_in_lowest_terms(self):
+        p = Poly(2, -4, 6, 8)
+        assert (p.a0, p.a1, p.a2, p.den) == (1, -2, 3, 4)
+        assert p == Poly(1, -2, 3, 4) and hash(p) == hash(Poly(1, -2, 3, 4))
+        assert Poly(0, 0, 0, 7) == Poly(0, 0, 0, 1)
+        assert p != Poly(1, -2, 3, 5)
+
+    def test_denominator_must_be_positive(self):
+        for den in (0, -1):
+            with pytest.raises(ValueError, match="not positive"):
+                Poly(1, 0, 0, den)
+
     def test_trailing_zeros_are_stripped(self):
-        assert Poly([1, 2, 0, 0]).coeffs == (F(1), F(2))
-        assert Poly([0, 0]).coeffs == ()
-        assert Poly([0, 0]) == Poly()
+        assert Poly(1, 2, 0, 1).coeffs == (F(1), F(2))
+        assert Poly(0, 0, 0, 1).coeffs == ()
+        assert Poly(0, 0, 1, 3).coeffs == (F(0), F(0), F(1, 3))
 
-    def test_degree_and_is_zero(self):
-        assert Poly().degree == -1
-        assert Poly().is_zero()
-        assert Poly([5]).degree == 0
-        assert Poly([0, 0, "1/3"]).degree == 2
-
-    def test_accepts_strings_ints_and_fractions(self):
-        p = Poly(["1/2", 3, F(-1, 4)])
+    def test_from_fractions(self):
+        p = Poly.from_fractions([F(1, 2), F(3), F(-1, 4)])
+        assert (p.a0, p.a1, p.a2, p.den) == (2, 12, -1, 4)
         assert p.coeffs == (F(1, 2), F(3), F(-1, 4))
-
-    def test_coeff_beyond_length_is_zero(self):
-        assert Poly([1, 2]).coeff(5) == 0
+        assert Poly.from_fractions([F(5, 3)]) == Poly(5, 0, 0, 3)
+        assert Poly.from_fractions([]) == Poly(0, 0, 0, 1)
+        with pytest.raises(ValueError):
+            Poly.from_fractions([F(1)] * 4)
 
     def test_string_round_trip_keeps_interior_zeros(self):
-        p = Poly([1, 0, -2])
+        p = Poly(1, 0, -2, 1)
         assert p.to_strings() == ["1", "0", "-2"]
-        assert Poly(p.to_strings()) == p
-        assert Poly().to_strings() == []
+        assert Poly.from_fractions([F(c) for c in p.to_strings()]) == p
+        assert Poly(0, 0, 0, 1).to_strings() == []
 
     def test_render(self):
-        assert Poly().render() == "0"
-        assert Poly([0, 1]).render() == "v"
-        assert Poly([1, 0, -2]).render() == "1 - 2*v^2"
-        assert Poly([-1, 2]).render() == "-1 + 2*v"
-        assert Poly([0, "5/3"]).render() == "5/3*v"
-        assert Poly([0, 0, 1]).render("u") == "u^2"
+        assert Poly(0, 0, 0, 1).render() == "0"
+        assert Poly(0, 1, 0, 1).render() == "v"
+        assert Poly(1, 0, -2, 1).render() == "1 - 2*v^2"
+        assert Poly(-1, 2, 0, 1).render() == "-1 + 2*v"
+        assert Poly(0, 5, 0, 3).render() == "5/3*v"
+        assert Poly(0, 0, 1, 1).render("u") == "u^2"
+        assert repr(Poly(1, 0, -2, 3)) == "Poly(1/3 - 2/3*v^2)"
+        # the envelope parser prints a piece of any degree the same way
+        assert render_coeffs([F(0), F(0), F(9, 8), F(1)]) == "9/8*v^2 + v^3"
+        assert render_coeffs([]) == "0"
 
 
 class TestValueAt:
     def test_evaluation_is_exact(self):
-        p = IntQuadratic(1, 0, -2, 1)  # 1 - 2v^2
+        p = Poly(1, 0, -2, 1)  # 1 - 2v^2
         assert p.value_at(F(1, 3)) == F(7, 9)
         assert p.value_at(F(1, 2)) == F(1, 2)
-        assert IntQuadratic(0, 0, 0, 1).value_at(F(7)) == 0
+        assert Poly(0, 0, 0, 1).value_at(F(7)) == 0
         # (1 - 2v^2) / 3 at v = -3/2 over the common denominator 3 * 4
-        assert IntQuadratic(1, 0, -2, 3).value_at(F(-3, 2)) == F(-7, 6)
+        assert Poly(1, 0, -2, 3).value_at(F(-3, 2)) == F(-7, 6)
 
 
 class TestMinPositiveRoot:
-    """`IntQuadratic.first_root`: the smallest root at or after lo, exactly."""
+    """`Poly.first_root`: the smallest root at or after lo, exactly."""
 
     def test_linear(self):
-        q = IntQuadratic(-1, 2, 0, 3)  # (2v - 1)/3
+        q = Poly(-1, 2, 0, 3)  # (2v - 1)/3
         assert q.first_root(F(0)) == F(1, 2)
         assert q.first_root(F(3, 4)) is None
-        assert IntQuadratic(1, -2, 0, 1).first_root(F(0)) == F(1, 2)  # falling
+        assert Poly(1, -2, 0, 1).first_root(F(0)) == F(1, 2)  # falling
 
     def test_quadratic_rational_roots(self):
-        p = IntQuadratic(2, -4, 2, 1)  # 2(1-v)^2
+        p = Poly(2, -4, 2, 1)  # 2(1-v)^2
         assert p.first_root(F(0)) == 1
-        q = IntQuadratic(1, 0, -1, 1)  # (1-v)(1+v)
+        q = Poly(1, 0, -1, 1)  # (1-v)(1+v)
         assert q.first_root(F(0)) == 1
         assert q.first_root(F(-2)) == -1
-        assert IntQuadratic(-1, 0, 1, 4).first_root(F(-2)) == -1  # convex: same roots
-        assert IntQuadratic(3, -8, 4, 1).first_root(F(1, 2)) == F(1, 2)  # root at lo
+        assert Poly(-1, 0, 1, 4).first_root(F(-2)) == -1  # convex: same roots
+        assert Poly(3, -8, 4, 1).first_root(F(1, 2)) == F(1, 2)  # root at lo
 
     def test_no_real_root(self):
-        assert IntQuadratic(1, 0, 1, 1).first_root(F(0)) is None
-        assert IntQuadratic(7, 0, 0, 1).first_root(F(0)) is None
+        assert Poly(1, 0, 1, 1).first_root(F(0)) is None
+        assert Poly(7, 0, 0, 1).first_root(F(0)) is None
 
     def test_zero_poly_roots_everywhere(self):
-        assert IntQuadratic(0, 0, 0, 5).first_root(F(1, 3)) == F(1, 3)
+        assert Poly(0, 0, 0, 5).first_root(F(1, 3)) == F(1, 3)
 
     def test_irrational_root_refuses_to_approximate(self):
-        p = IntQuadratic(1, 0, -2, 3)  # roots +-1/sqrt(2)
+        p = Poly(1, 0, -2, 3)  # roots +-1/sqrt(2)
         message = r"^irrational root of 1/3 - 2/3\*v\^2 at or beyond 0$"
         with pytest.raises(IrrationalRoot, match=message):
             p.first_root(F(0))
@@ -90,7 +103,7 @@ class TestMinPositiveRoot:
         # between the roots only the larger one is at or after lo
         with pytest.raises(IrrationalRoot, match="at or beyond -1/2$"):
             p.first_root(F(-1, 2))
-        convex = IntQuadratic(-1, 0, 2, 1)
+        convex = Poly(-1, 0, 2, 1)
         with pytest.raises(IrrationalRoot):
             convex.first_root(F(-1))
         assert convex.first_root(F(1)) is None
@@ -98,40 +111,35 @@ class TestMinPositiveRoot:
 
 class TestSignOn:
     def test_endpoints_and_vertex(self):
-        touching = IntQuadratic(2, -4, 2, 1)  # 2(1-v)^2
+        touching = Poly(2, -4, 2, 1)  # 2(1-v)^2
         assert touching.sign_on(F(0), F(2)) == 0
         assert touching.sign_on(F(0), F(1, 2)) == 1
-        assert IntQuadratic(-1, 0, 1, 1).sign_on(F(0), F(2)) == -1  # v^2-1 < 0 at 0
-        dip = IntQuadratic(0, -1, 1, 1)  # v^2 - v: 0 at both ends of [0, 1]
+        assert Poly(-1, 0, 1, 1).sign_on(F(0), F(2)) == -1  # v^2-1 < 0 at 0
+        dip = Poly(0, -1, 1, 1)  # v^2 - v: 0 at both ends of [0, 1]
         assert dip.sign_on(F(0), F(1)) == -1  # dips at v=1/2
         assert dip.sign_on(F(1), F(2)) == 0
-        assert IntQuadratic(1, -1, 1, 3).sign_on(F(0), F(1)) == 1  # vertex inside, above 0
-        assert IntQuadratic(-1, 0, -1, 1).sign_on(F(-1), F(1)) == -1  # concave
-        assert IntQuadratic(0, 0, 0, 1).sign_on(F(0), F(1)) == 0
+        assert Poly(1, -1, 1, 3).sign_on(F(0), F(1)) == 1  # vertex inside, above 0
+        assert Poly(-1, 0, -1, 1).sign_on(F(-1), F(1)) == -1  # concave
+        assert Poly(0, 0, 0, 1).sign_on(F(0), F(1)) == 0
 
     def test_difference_and_common_denominator(self):
-        q = IntQuadratic.from_fractions([F(1, 2), F(0), F(-2, 3)])
-        assert q == IntQuadratic(3, 0, -4, 6)
-        diff = q - IntQuadratic(1, 1, 0, 4)  # (1/2 - 2/3 v^2) - (1 + v)/4
-        assert diff.poly() == Poly([F(1, 4), F(-1, 4), F(-2, 3)])
+        q = Poly.from_fractions([F(1, 2), F(0), F(-2, 3)])
+        assert q == Poly(3, 0, -4, 6)
+        diff = q - Poly(1, 1, 0, 4)  # (1/2 - 2/3 v^2) - (1 + v)/4
+        assert diff.coeffs == (F(1, 4), F(-1, 4), F(-2, 3))
         assert diff.den > 0
 
     def test_tuple_operators_raise(self):
-        q = IntQuadratic(1, 0, 0, 1)
-        for op in (
-            lambda: IntQuadratic(1, 0, 0, 1) + IntQuadratic(1, 0, 0, 1),
-            lambda: q * 2,
-            lambda: 2 * q,
-            lambda: (0,) + q,
-            lambda: q + (0,),
-        ):
-            with pytest.raises(TypeError, match="IntQuadratic does not support"):
+        # a quadratic is not a tuple: only - is defined on it
+        q = Poly(1, 0, 0, 1)
+        for op in (lambda: q + q, lambda: q * 2, lambda: 2 * q, lambda: (0,) + q):
+            with pytest.raises(TypeError):
                 op()
-        assert q - q == IntQuadratic(0, 0, 0, 1)
+        assert q - q == Poly(0, 0, 0, 1)
 
 
-def _q(*coeffs) -> IntQuadratic:
-    return IntQuadratic.from_fractions([F(c) for c in coeffs])
+def _q(*coeffs) -> Poly:
+    return Poly.from_fractions([F(c) for c in coeffs])
 
 
 class TestPiecewisePoly:
@@ -150,7 +158,7 @@ class TestPiecewisePoly:
         with pytest.raises(ValueError, match="discontinuity at 1: 0 != 1"):
             PiecewisePoly([0, 1, 2], [_q(0, 0, 0), _q(1, 0, 0)])
         with pytest.raises(ValueError, match="discontinuity at 1/2: 1/2 != 3/4"):
-            PiecewisePoly([0, F(1, 2), 1], [IntQuadratic(0, 1, 0, 1), IntQuadratic(3, 0, 0, 4)])
+            PiecewisePoly([0, F(1, 2), 1], [Poly(0, 1, 0, 1), Poly(3, 0, 0, 4)])
         jump = PiecewisePoly([0, 1, 2], [_q(0, 0, 0), _q(1, 0, 0)], continuous=False)
         assert not jump.continuous
         assert jump.integrate() == 1
@@ -160,7 +168,7 @@ class TestPiecewisePoly:
         assert pp.lo == 0 and pp.hi == 1
         assert pp.integrate() == F(1, 4)
         # int of 3/2 v^2 over [1/3, 1/2] is (1/8 - 1/27) / 2
-        assert PiecewisePoly([F(1, 3), F(1, 2)], [IntQuadratic(0, 0, 3, 2)]).integrate() == F(19, 432)
+        assert PiecewisePoly([F(1, 3), F(1, 2)], [Poly(0, 0, 3, 2)]).integrate() == F(19, 432)
 
     def test_dominates_on_the_merged_grid(self):
         pp = self.tent()  # peaks at 1/2 when v = 1/2

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpdelta import IntQuadratic, PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
+from dpdelta import PiecewisePoly, PointSpec, Poly, SurfaceConfig, blowup
 from dpdelta.delta import h_quadratic
 from dpdelta.oracle import sample_parameters
 from dpdelta.errors import IrrationalRoot
@@ -20,7 +20,7 @@ F = Fraction
 small = st.fractions(min_value=F(-3), max_value=F(3), max_denominator=8)
 positive = st.fractions(min_value=F(1, 8), max_value=F(3), max_denominator=8)
 nonzero = small.filter(lambda f: f != 0)
-polys = st.lists(small, max_size=4).map(Poly)
+polys = st.lists(small, max_size=3).map(Poly.from_fractions)
 quadratics = st.lists(small, min_size=0, max_size=3).map(RefPoly)
 
 
@@ -28,13 +28,13 @@ class TestPolyAlgebra:
     @settings(max_examples=50, deadline=None)
     @given(p=polys)
     def test_string_round_trip(self, p):
-        assert Poly(p.to_strings()) == p
+        assert Poly.from_fractions([parse_rational(c) for c in p.to_strings()]) == p
 
 
-def _int_quadratic(p: RefPoly) -> IntQuadratic:
+def _int_quadratic(p: RefPoly) -> Poly:
     """p as integer numerators over the lcm of its denominators."""
     den = math.lcm(*(c.denominator for c in p.coeffs))
-    return IntQuadratic(*(int(p.coeff(k) * den) for k in range(3)), den)
+    return Poly(*(int(p.coeff(k) * den) for k in range(3)), den)
 
 
 def _minimum_on(p: RefPoly, lo: Fraction, hi: Fraction) -> Fraction:
@@ -86,11 +86,11 @@ class TestRootFinding:
 
 class TestPiecewise:
     @staticmethod
-    def tent(mid, c0, s1, s2) -> tuple[IntQuadratic, IntQuadratic]:
+    def tent(mid, c0, s1, s2) -> tuple[Poly, Poly]:
         join = c0 + s1 * mid
         return (
-            IntQuadratic.from_fractions([c0, s1, F(0)]),
-            IntQuadratic.from_fractions([join - s2 * mid, s2, F(0)]),
+            Poly.from_fractions([c0, s1, F(0)]),
+            Poly.from_fractions([join - s2 * mid, s2, F(0)]),
         )
 
     @settings(max_examples=50, deadline=None)
@@ -146,6 +146,18 @@ denominators = st.integers(1, 10**4)
 ends = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 
 
+class TestLowestTerms:
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.tuples(integers, integers, integers), den=denominators, g=st.integers(1, 10**4))
+    def test_a_quadratic_is_its_fields_in_lowest_terms(self, a, den, g):
+        p = Poly(*a, den)
+        scaled = Poly(*(g * x for x in a), g * den)
+        assert scaled == p and hash(scaled) == hash(p)
+        assert p.den > 0 and math.gcd(p.a0, p.a1, p.a2, p.den) == 1
+        assert p.coeffs == RefPoly([F(x, den) for x in a]).coeffs
+        assert Poly.from_fractions(p.coeffs) == p
+
+
 class TestClosedFormIntegral:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -160,7 +172,7 @@ class TestClosedFormIntegral:
         n_dot = RefPoly([F(m0, n_den), F(m1, n_den)])
         h = p_dot * n_dot + p_dot * p_dot * F(1, 2)
         q = h_quadratic(c0, c1, p_den, m0, m1, n_den)
-        assert q.poly() == h
+        assert ref(q) == h
         assert q.integrate(lo, hi) == h.integrate(lo, hi)
 
     @settings(max_examples=100, deadline=None)
@@ -172,19 +184,19 @@ class TestClosedFormIntegral:
     )
     def test_pieces_match_a_continuous_piecewise_poly(self, left, right, points, join):
         lo, mid, hi = sorted(points)
-        first, second = IntQuadratic(*left), IntQuadratic(*right)
+        first, second = Poly(*left), Poly(*right)
         if join:
             # shift the second piece's constant term so both agree at mid
-            gap = ref(first.poly())(mid) - ref(second.poly())(mid)
+            gap = ref(first)(mid) - ref(second)(mid)
             den = second.den * gap.denominator
             scale = den // second.den
-            second = IntQuadratic(
+            second = Poly(
                 second.a0 * scale + gap.numerator * second.den,
                 second.a1 * scale,
                 second.a2 * scale,
                 den,
             )
-        pieces = [ref(first.poly()), ref(second.poly())]
+        pieces = [ref(first), ref(second)]
         left, right = pieces[0](mid), pieces[1](mid)
         if left != right:
             message = (

@@ -49,16 +49,17 @@ class TestSweep:
         assert (first.lo, first.hi) == (F(0), F(1, 2))
         assert first.support == ()
         assert first.n_coeffs == {}
-        assert first.p_sq == Poly([1, 0, -2])
-        assert first.p_dot["E"] == Poly([0, 2])
-        assert first.p_dot["C"] == Poly([1, -2])
+        e, c = (nodal_decomp.config.index(name) for name in ("E", "C"))
+        assert first.p_sq == Poly(1, 0, -2, 1)
+        assert first.p_dot_at(e) == Poly(0, 2, 0, 1)
+        assert first.p_dot_at(c) == Poly(1, -2, 0, 1)
 
         assert (second.lo, second.hi) == (F(1, 2), F(1))
         assert second.support == ("C",)
-        assert second.n_coeffs["C"] == Poly([-1, 2])
-        assert second.p_sq == Poly([2, -4, 2])
-        assert second.p_dot["E"] == Poly([2, -2])
-        assert second.p_dot["C"] == Poly()  # orthogonal to its own support
+        assert second.n_coeffs["C"] == Poly(-1, 2, 0, 1)
+        assert second.p_sq == Poly(2, -4, 2, 1)
+        assert second.p_dot_at(e) == Poly(2, -2, 0, 1)
+        assert second.p_dot_at(c) == Poly(0, 0, 0, 1)  # orthogonal to its own support
 
     @pytest.mark.parametrize("flag, near, far", [("E1", "E2", "E3"), ("E3", "E2", "E1")])
     def test_a3_end_of_chain_by_hand(self, records, flag, near, far):
@@ -84,17 +85,17 @@ class TestSweep:
 
         first, second = d.chambers
         assert set(first.support) == {near, far}
-        assert first.n_coeffs == {near: Poly([0, F(2, 3)]), far: Poly([0, F(1, 3)])}
-        assert first.p_sq == Poly([1, 0, F(-4, 3)])
-        assert first.p_dot["C"] == Poly([1, F(-4, 3)])
+        assert first.n_coeffs == {near: Poly(0, 2, 0, 3), far: Poly(0, 1, 0, 3)}
+        assert first.p_sq == Poly(3, 0, -4, 3)
+        assert first.p_dot_at(cfg.index("C")) == Poly(3, -4, 0, 3)
 
         assert set(second.support) == {"C", near, far}
         assert second.n_coeffs == {
-            near: Poly([-1, 2]),
-            far: Poly([-2, 3]),
-            "C": Poly([-3, 4]),
+            near: Poly(-1, 2, 0, 1),
+            far: Poly(-2, 3, 0, 1),
+            "C": Poly(-3, 4, 0, 1),
         }
-        assert second.p_sq == Poly([4, -8, 4])
+        assert second.p_sq == Poly(4, -8, 4, 1)
 
         by_hand = ref(first.p_sq).integrate(0, F(3, 4)) + ref(second.p_sq).integrate(F(3, 4), 1)
         assert by_hand == F(3, 4) - F(3, 16) + F(1, 48) == F(7, 12)
@@ -121,15 +122,15 @@ class TestSweep:
     def test_piecewise_views(self, nodal_decomp):
         p_sq = nodal_decomp.p_sq_piecewise()
         assert p_sq.breakpoints == (F(0), F(1, 2), F(1))
-        assert p_sq.pieces == tuple(ch.p_sq_rows for ch in nodal_decomp.chambers)
-        assert [q.poly() for q in p_sq.pieces] == [ch.p_sq for ch in nodal_decomp.chambers]
+        assert p_sq.pieces == tuple(ch.p_sq for ch in nodal_decomp.chambers)
         assert p_sq.integrate() == F(1, 2)
-        assert ref(p_sq.pieces[-1].poly())(1) == 0
+        assert ref(p_sq.pieces[-1])(1) == 0
 
-    def test_a_sweep_builds_no_poly(self, records, monkeypatch):
-        # a chamber stores integer rows only; S and S(W;O) integrate them,
-        # the oracle's engine side reads them, quadrature and the threefold
-        # multipliers compute on integers, and a Poly view is built on its
+    def test_a_sweep_builds_one_poly_per_chamber(self, records, monkeypatch):
+        # a chamber stores integer rows and P^2; the sweep builds a Poly only
+        # for D^2 and each chamber's P^2, S integrates those, S(W;O) builds
+        # one h per chamber, the oracle's engine side, quadrature and the
+        # threefold multipliers build none, and the N view is built on its
         # first read, once
         cfg = records["A3"].config("base")
         built: list[Poly] = []
@@ -141,27 +142,33 @@ class TestSweep:
 
         monkeypatch.setattr(Poly, "__init__", counting_init)
         decomp = parametric_decompose(cfg, "E1")
+        chambers = len(decomp.chambers)
+        assert chambers == 2 and len(built) == 1 + chambers
         assert s_flag(cfg, "E1", decomp) == F(7, 12)
         points = cfg.points_on("E1")
-        assert points and len(decomp.chambers) == 2
+        assert points
         for point in points:
             s_w_point(cfg, "E1", point, decomp)
+        assert len(built) == 1 + chambers + len(points) * chambers
         for name in ("A1-nodal", "A2-nodal", "A3", "D4"):
             record = records[name]
             for spec in record.flag_specs:
                 flag_cfg = record.config(spec.config_id)
                 swept = decompose_flag(record, spec)
+                n_built = len(built)
                 assert random_equivalence(flag_cfg, spec.flag, trials=20, decomp=swept).ok
                 assert quadrature_check(swept.p_sq_piecewise()).ok
-                for point in flag_cfg.points_on(spec.flag):
-                    assert quadrature_check(local_h(swept, point)).ok
-        assert (multiplier_family_1_11(), multiplier_family_2_1()) == (F(3, 2), F(15, 16))
-        assert built == []
-        ch = decomp.chambers[-1]
-        p_dot = ch.p_dot
+                h_pieces = [local_h(swept, point) for point in flag_cfg.points_on(spec.flag)]
+                assert len(built) == n_built + len(h_pieces) * len(swept.chambers)
+                assert all(quadrature_check(h).ok for h in h_pieces)
+                assert len(built) == n_built + len(h_pieces) * len(swept.chambers)
         n_built = len(built)
-        assert n_built > 0
-        assert ch.p_dot is p_dot and len(built) == n_built
+        assert (multiplier_family_1_11(), multiplier_family_2_1()) == (F(3, 2), F(15, 16))
+        ch = decomp.chambers[-1]
+        assert len(built) == n_built and ch.support
+        n_coeffs = ch.n_coeffs
+        assert len(built) == n_built + len(ch.support)
+        assert ch.n_coeffs is n_coeffs and len(built) == n_built + len(ch.support)
 
     def test_irrational_threshold_is_refused(self):
         cfg = SurfaceConfig(
@@ -188,7 +195,6 @@ class TestSweep:
                 names = config.curve_names
                 fi = config.index(spec.flag)
                 for ch in decomp.chambers:
-                    assert set(ch.p_dot) == set(names)
                     for v in (ch.lo, (ch.lo + ch.hi) / 2, ch.hi):
                         divisor = [a - v * (i == fi) for i, a in enumerate(config.anti_k)]
                         for name, n in ch.n_coeffs.items():
@@ -197,7 +203,7 @@ class TestSweep:
                             expected = sum(
                                 (c * config.gram[i][j] for i, c in enumerate(divisor)), F(0)
                             )
-                            assert ref(ch.p_dot[name])(v) == expected, (
+                            assert ref(ch.p_dot_at(j))(v) == expected, (
                                 f"{record.name}/{spec.config_id}/{spec.flag} at v = {v}, "
                                 f"P.{name}"
                             )
@@ -322,7 +328,7 @@ def _outcome(config: SurfaceConfig, flag: str) -> object:
     except DpDeltaError as exc:
         return f"{type(exc).__name__}: {exc}"
     _assert_nested(decomp)
-    return [(ch.lo, ch.hi, ch.rows, ch.p_sq_rows) for ch in decomp.chambers]
+    return [(ch.lo, ch.hi, ch.rows, ch.p_sq) for ch in decomp.chambers]
 
 
 def _assert_nested(decomp) -> None:
@@ -363,7 +369,7 @@ class TestPivot:
         assert [(ch.lo, ch.hi, ch.support) for ch in decomp.chambers] == [
             (0, 3, ("C1", "C2"))
         ]
-        assert decomp.chambers[0].n_coeffs == {"C1": Poly([F(5, 3)]), "C2": Poly([F(1, 3)])}
+        assert decomp.chambers[0].n_coeffs == {"C1": Poly(5, 0, 0, 3), "C2": Poly(1, 0, 0, 3)}
         assert decomp.tau == 3
 
     def test_the_flag_leaves_by_itself(self, monkeypatch):
@@ -381,14 +387,14 @@ class TestPivot:
             (0, 1, ("F", "B")),
             (1, 5, ("B",)),
         ]
-        assert first.n_coeffs == {"F": Poly([1, -1]), "B": Poly([1])}
-        assert second.n_coeffs == {"B": Poly([F(1, 2), F(1, 2)])}
+        assert first.n_coeffs == {"F": Poly(1, -1, 0, 1), "B": Poly(1, 0, 0, 1)}
+        assert second.n_coeffs == {"B": Poly(1, 1, 0, 2)}
         # B then F enter at v = 0; at v = N_F(0) = 1 one solve takes F out
         assert solves == [((2,), 0), ((1, 2), 0), ((2,), 1)]
         # outcomes only: the reference drops and adds in one step
         monkeypatch.setattr(zariski, "_pivot", full_scan_pivot)
         assert _outcome(_FLAG_EXIT, "F") == [
-            (ch.lo, ch.hi, ch.rows, ch.p_sq_rows) for ch in decomp.chambers
+            (ch.lo, ch.hi, ch.rows, ch.p_sq) for ch in decomp.chambers
         ]
 
     @settings(max_examples=300, deadline=None)
@@ -429,7 +435,7 @@ class TestPivot:
                     except DpDeltaError as exc:
                         outcome: object = f"{type(exc).__name__}: {exc}"
                     else:
-                        outcome = [(ch.lo, ch.hi, ch.rows, ch.p_sq_rows) for ch in decomp.chambers]
+                        outcome = [(ch.lo, ch.hi, ch.rows, ch.p_sq) for ch in decomp.chambers]
                     out.append((config.name, flag, outcome, list(solved)))
             return out
 
@@ -568,8 +574,8 @@ class TestEndScan:
     def test_chamber_end_hands_no_set_at_tau(self, nodal_decomp):
         # P.C = 1 - 2v ends the first chamber; C is curve 0
         first, last = nodal_decomp.chambers
-        assert zariski._chamber_end(first.rows, first.p_sq_rows, first.lo) == (F(1, 2), [0])
-        assert zariski._chamber_end(last.rows, last.p_sq_rows, last.lo) == (F(1), None)
+        assert zariski._chamber_end(first.rows, first.p_sq, first.lo) == (F(1, 2), [0])
+        assert zariski._chamber_end(last.rows, last.p_sq, last.lo) == (F(1), None)
 
 
 class TestSerialization:
@@ -614,7 +620,10 @@ class TestSerialization:
                         outcomes[type(exc).__name__] += 1
                     else:
                         p_dot = [
-                            {c: poly.to_strings() for c, poly in ch.p_dot.items()}
+                            {
+                                c: ch.p_dot_at(j).to_strings()
+                                for j, c in enumerate(config.curve_names)
+                            }
                             for ch in decomp.chambers
                         ]
                         line = json.dumps(
