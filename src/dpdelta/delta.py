@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .config import PointSpec, SurfaceConfig, point_problems
@@ -53,11 +54,11 @@ class FlagReport:
     s_flag: Fraction
     point_rows: tuple[PointRow, ...]
 
-    @property
+    @cached_property
     def upper_delta(self) -> Fraction:
         return self.a_flag / self.s_flag
 
-    @property
+    @cached_property
     def lower_delta(self) -> Fraction:
         return min([self.upper_delta] + [row.ratio for row in self.point_rows])
 

@@ -24,14 +24,17 @@ looks for them only in the tight set: the curves that chamber's P meets in
 0 at the breakpoint. Every support the pivot visits there gives the same N
 at the breakpoint, so no other curve can go negative right after it
 (`_pivot` has both arguments, and tests every curve when -K is not nef at
-v = 0). The one scan of a chamber's rows that finds its end also finds
-that set: every row of a chamber is nonnegative on [lo, hi], so the curves
-P meets in 0 at hi are those whose P.C row is identically 0 (the support's
-among them) and those whose falling P.C row has its root at hi. The flag's
-exit, the adds and the chamber's end are decided by integer signs and
-comparisons at v = p/q, and the threshold tau (or an
-irrational root) by `math.isqrt` and sign tests on P^2 as an integer
-`Poly`. A chamber is its two ends, these integer rows and P^2, nothing
+v = 0). With each round's adds the pivot also takes the tight curves that
+round's P meets identically in 0 and that a chain of positive meets joins
+to the adds, such as the rest of a (-2)-chain one of whose ends goes
+negative: later rounds would add them one link per solve. The one scan of
+a chamber's rows that finds its end also finds that set: every row of a
+chamber is nonnegative on [lo, hi], so the curves P meets in 0 at hi are
+those whose P.C row is identically 0 (the support's among them) and those
+whose falling P.C row has its root at hi. The flag's exit, the adds and
+the chamber's end are decided by integer signs and comparisons at v = p/q,
+and the threshold tau (or an irrational root) by `math.isqrt` and sign
+tests on P^2 as an integer `Poly`. A chamber is its two ends, these integer rows and P^2, nothing
 else: `delta` integrates S and S(W;O) on them, `negative_at` evaluates N
 on them, and a chamber's support names, N coefficients and P.C rows are
 built from the rows only for JSON and CLI text. The sweep builds `Poly`s
@@ -332,8 +335,9 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
     its coefficient is not positive right after v, the seed is solved again
     without it; that is the only curve that ever leaves. Then every pass
     checks that each support coefficient is positive right after v, and
-    adds the curves on which P is negative right after v, until there are
-    none. Returns the rows of that last support.
+    adds the curves on which P is negative right after v, with their
+    closure (below), until there are none. Returns the rows of that last
+    support.
 
     Curves are added only from `tight`, the set T of curves the seed's P
     meets in 0 at v, which the caller gives; the pivot does not walk the
@@ -368,8 +372,29 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
         an M-matrix inverse has a positive diagonal. The matrix is rational
         and nonnegative, so this holds for (value, slope) pairs in their
         lexicographic order too.
-    (c) The loop ends: every pass that does not return adds a curve, so
-        there are at most n + 1 solves on n curves.
+    (b') The closure only skips solves. Let Z be the curves off J whose
+        P_J.C row is identically 0 and that a path of such curves, each
+        meeting the next positively (the sign rule's G > 0 entries), joins
+        to A. By (b) each curve a of A gets a positive coefficient right
+        after v, so a curve z of Z meeting a positively has P.z < 0 right
+        after v on J + A, and the loop without the closure adds z next
+        round; by induction along the paths it adds all of Z, one link per
+        round. The pivot adds A + Z at once and solves once: on
+        J' = J + A + Z, x' - (x_J, 0, 0) = (-G_{J'})^-1 (0, -w_A, 0) is
+        positive on Z too, since (-G_{J'})^-1 is positive between curves
+        joined inside J' (an irreducible M-matrix block has a positive
+        inverse) and every z is joined to A. The valid support right
+        after v is unique, so the rows, P^2 and chambers are those of the
+        loop without the closure; a support that is not negative
+        definite is named as the larger system solved. Only G > 0 entries
+        are followed, so no curve is added through a negative meet where
+        the sign rule fails; the positivity check after the solve still
+        names any coefficient that is not positive.
+    (c) The loop ends: every pass that does not return adds at least one
+        curve, so there are at most n + 1 solves on n curves. With the
+        closure, a chain of k zero-row curves hanging off an add costs one
+        solve, not k; over the catalog's curve sweeps no pivot solves more
+        than once.
 
     This is Chandrasekaran's add-only method for a linear complementarity
     problem with a Z-matrix (Opsearch 7, 1970), which is also how Bauer
@@ -398,6 +423,15 @@ def _pivot(direction: _Direction, seed: _Rows, v: Fraction, tight: Sequence[int]
         add = {j for j in tight if j not in inside and _sign_after(c0[j], c1[j], p, q) < 0}
         if not add:
             return rows
+        # the closure: zero-row tight curves joined to the adds by positive meets
+        zero = {j for j in tight if j not in inside and not c0[j] and not c1[j]}
+        gram, reached = direction.config.int_gram, list(add)
+        while reached and zero:
+            row = gram[reached.pop()]
+            near = {z for z in zero if row[z] > 0}
+            zero -= near
+            add |= near
+            reached += near
         rows = _solve_support(direction, tuple(sorted(inside | add)), v)
 
 

@@ -1,12 +1,15 @@
 """The sweep's pivot with full scans and general drops, the tests' reference.
 
 `dpdelta.zariski._pivot` tests only the tight set, the curves the seed's P
-meets in 0 at the breakpoint, which the sweep hands it, for curves to add,
-and no curve but the flag ever leaves its support. This is the pivot it
-replaced: after every solve it tests every curve off the support for an
-add and every support curve for a drop, in one step, under a cycle guard
-and a cap. It is kept so that the sweep's iterates are checked against a
-rule that needs neither the exactness argument nor the sign rule.
+meets in 0 at the breakpoint, which the sweep hands it, for curves to add;
+with each round's adds it also takes the zero-row tight curves joined to
+them by positive meets, and no curve but the flag ever leaves its support.
+This is the pivot it replaced: after every solve it tests every curve off
+the support for an add and every support curve for a drop, in one step,
+under a cycle guard and a cap, so it adds a chain one ring of curves per
+solve. It is kept so that the sweep's outcomes are checked against a rule
+that needs neither the exactness argument nor the sign rule; the systems
+solved on the way differ.
 `first_root_after` is the sweep's end scan from before that scan also
 returned the tight set, kept as the reference for the scan's root.
 """

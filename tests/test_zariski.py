@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -321,6 +324,26 @@ class TestErrorContext:
         assert message.endswith(where), message
 
 
+# F is a (-1)-curve meeting C5, one end of the A5 chain C1 - ... - C5 of
+# (-2)-curves; H (H^2 = 6) meets none of them. -K = 2H - C1 - 2C2 - 3C3 -
+# 4C4 - 5C5 - 6F meets each C_i in 0 and F in 1, so at v = 0 only C5's P.C
+# row falls and the other links' rows are identically 0. N = (v/6)(C1 +
+# 2C2 + 3C3 + 4C4 + 5C5) up to tau = 6, where P^2 = 18 - 2v - v^2/6 vanishes.
+_CHAIN = SurfaceConfig(
+    name="chain", norm=18, curve_names=["H", "C1", "C2", "C3", "C4", "C5", "F"],
+    gram=[
+        [6, 0, 0, 0, 0, 0, 0],
+        [0, -2, 1, 0, 0, 0, 0],
+        [0, 1, -2, 1, 0, 0, 0],
+        [0, 0, 1, -2, 1, 0, 0],
+        [0, 0, 0, 1, -2, 1, 0],
+        [0, 0, 0, 0, 1, -2, 1],
+        [0, 0, 0, 0, 0, 1, -1],
+    ],
+    anti_k=[2, -1, -2, -3, -4, -5, -6],
+)
+
+
 def _outcome(config: SurfaceConfig, flag: str) -> object:
     """A sweep's chambers as (lo, hi, rows, P^2 rows), or its error as text."""
     try:
@@ -339,6 +362,36 @@ def _assert_nested(decomp) -> None:
         now = set(ch.rows.support) - {fi}
         assert before <= now, f"{decomp.config.name}/{decomp.flag}, chamber {k}"
         before = now
+
+
+_REFUSAL = re.compile(
+    r"NotPseudoEffective: support not negative definite at v = (\S+), "
+    r"support \(([^)]*)\); (config .*)"
+)
+
+
+def _assert_same_refusal(config: SurfaceConfig, outcome: object, expected: object) -> None:
+    """Both sweeps refuse a support that is not negative definite at the same
+    v, flag and chamber, and the support `outcome` names is not negative
+    definite: some leading principal minor of -G_S is <= 0 (Sylvester)."""
+    mine = _REFUSAL.fullmatch(outcome) if isinstance(outcome, str) else None
+    reference = _REFUSAL.fullmatch(expected) if isinstance(expected, str) else None
+    assert mine and reference, f"{outcome!r} != {expected!r}"
+    assert (mine[1], mine[3]) == (reference[1], reference[3]), f"{outcome!r} != {expected!r}"
+    support = [config.index(name) for name in mine[2].split(", ")]
+    minus_g = [[-config.gram[a][b] for b in support] for a in support]
+    minors = [_leibniz_det([row[:k] for row in minus_g[:k]]) for k in range(1, len(support) + 1)]
+    assert min(minors) <= 0, f"{outcome!r}: leading minors {minors}"
+
+
+def _leibniz_det(matrix: list[list[Fraction]]) -> Fraction:
+    """The determinant as the signed sum over permutations."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(matrix[i][perm[i]] for i in range(n))
+    return total
 
 
 @st.composite
@@ -397,56 +450,90 @@ class TestPivot:
             (ch.lo, ch.hi, ch.rows, ch.p_sq) for ch in decomp.chambers
         ]
 
+    def test_a_chain_is_added_in_one_solve(self, monkeypatch):
+        """At v = 0 only C5's P.C falls; the closure adds the whole chain with it."""
+        solves: list[tuple] = []
+        solve_support = zariski._solve_support
+
+        def recording(direction, support, v):
+            solves.append((support, v))
+            return solve_support(direction, support, v)
+
+        monkeypatch.setattr(zariski, "_solve_support", recording)
+        decomp = parametric_decompose(_CHAIN, "F")
+        assert solves == [((1, 2, 3, 4, 5), 0)]
+        assert [(ch.lo, ch.hi, ch.support) for ch in decomp.chambers] == [
+            (0, 6, ("C1", "C2", "C3", "C4", "C5"))
+        ]
+        assert decomp.chambers[0].n_coeffs == {f"C{i}": Poly(0, i, 0, 6) for i in range(1, 6)}
+        # the reference adds one link per solve, and ends at the same chambers
+        solves.clear()
+        monkeypatch.setattr(zariski, "_pivot", full_scan_pivot)
+        assert _outcome(_CHAIN, "F") == [
+            (ch.lo, ch.hi, ch.rows, ch.p_sq) for ch in decomp.chambers
+        ]
+        assert solves == [((5 - k, *range(6 - k, 6)), 0) for k in range(5)]
+
     @settings(max_examples=300, deadline=None)
     @given(_sign_rule_configs())
     def test_random_configurations_match_the_full_scan(self, config):
-        """With the sign rule, dropping only the flag reaches what general drops reach."""
+        """With the sign rule, dropping only the flag and adding zero-row
+        components at once reaches what general drops reach.
+
+        The one difference: where a support is not negative definite, the
+        pivot and the reference may solve different systems first, so the
+        two refusals may name different supports. They must agree on v, the
+        flag and the chamber, and the support the pivot names must not be
+        negative definite, by the Leibniz minors of -G_S.
+        """
         mine = [_outcome(config, flag) for flag in config.curve_names]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(zariski, "_pivot", full_scan_pivot)
             reference = [_outcome(config, flag) for flag in config.curve_names]
-        assert mine == reference
+        for outcome, expected in zip(mine, reference):
+            if outcome != expected:
+                _assert_same_refusal(config, outcome, expected)
 
-    def test_same_iterates_as_the_full_scan(self, monkeypatch, records):
-        """Every curve sweep of the catalog solves the same systems in the same order.
+    def test_same_outcomes_as_the_full_scan(self, monkeypatch, records):
+        """Every curve sweep ends as the reference pivot's, in at most one
+        solve per pivot on the catalog.
 
-        Each sweep's outcome (its chambers' ends and integer rows, or its
-        error text) and the systems `zariski.solve` is given must match the
-        reference pivot's, which tests every curve for the add set.
+        Each sweep's outcome (its chambers' ends, integer rows and P^2, or
+        its error text) must match the reference pivot's, which tests every
+        curve for the add set after every solve. The catalog's 372 curve
+        sweeps make 523 solves; adding one ring of curves per solve made
+        1,412, up to 7 in one pivot.
         """
-        configs = [config for name in sorted(records) for config in records[name].configs.values()]
-        configs += [_INDEFINITE, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
-        solved: list[tuple] = []
-        solve = zariski.solve
+        catalog = [config for name in sorted(records) for config in records[name].configs.values()]
+        hand_built = [_INDEFINITE, _SINGULAR, _VANISHES, _ENDLESS, _IRRATIONAL, _NOT_NEF]
+        solve, pivot = zariski.solve, zariski._pivot
+        solves: list[int] = []  # one count per pivot
 
-        def recording_solve(matrix, rhs):
-            solved.append((matrix, rhs))
+        def counting_solve(matrix, rhs):
+            solves[-1] += 1
             return solve(matrix, rhs)
 
-        monkeypatch.setattr(zariski, "solve", recording_solve)
+        def counting_pivot(*args):
+            solves.append(0)
+            return pivot(*args)
 
-        def sweeps() -> list[tuple]:
-            out = []
-            for config in configs:
-                for flag in config.curve_names:
-                    solved.clear()
-                    try:
-                        decomp = parametric_decompose(config, flag)
-                    except DpDeltaError as exc:
-                        outcome: object = f"{type(exc).__name__}: {exc}"
-                    else:
-                        outcome = [(ch.lo, ch.hi, ch.rows, ch.p_sq) for ch in decomp.chambers]
-                    out.append((config.name, flag, outcome, list(solved)))
-            return out
+        def sweeps(configs: list[SurfaceConfig]) -> list[object]:
+            return [_outcome(config, flag) for config in configs for flag in config.curve_names]
 
-        tight = sweeps()
+        monkeypatch.setattr(zariski, "solve", counting_solve)
+        monkeypatch.setattr(zariski, "_pivot", counting_pivot)
+        mine = sweeps(catalog)
+        assert len(mine) == 372
+        assert sum(solves) == 523 and max(solves) == 1
+        mine += sweeps(hand_built)
+        monkeypatch.setattr(zariski, "solve", solve)
         monkeypatch.setattr(zariski, "_pivot", full_scan_pivot)
-        full = sweeps()
-        assert len(tight) == 372 + 14
-        assert sum(len(sweep[3]) for sweep in tight) > len(tight)
-        for mine, reference in zip(tight, full):
-            assert mine == reference, f"{mine[0]}/{mine[1]}"
-        finished = sum(isinstance(outcome, list) for _, _, outcome, _ in tight)
+        full = sweeps(catalog + hand_built)
+        labels = [f"{c.name}/{flag}" for c in catalog + hand_built for flag in c.curve_names]
+        assert len(mine) == len(full) == len(labels) == 372 + 14
+        for label, outcome, reference in zip(labels, mine, full):
+            assert outcome == reference, label
+        finished = sum(isinstance(outcome, list) for outcome in mine)
         assert finished == 244 + 1  # the catalog's, and F on the not-nef configuration
 
 
