@@ -22,11 +22,12 @@ so once a frame passes index r no subset below it holds r, and each subset
 below holds the frame's subset and the empty one, whose residual is rhs_r:
 the frame cuts its bound by both. Before a subset is pivoted, it cuts its
 frame's bound by its own residuals at the indices below its first definite
-extension. For a table the bound is an interval of v, and one that is
-empty or only {0} skips every subset below it: their rows would be empty
-or the point {0}, which the table drops anyway. For brute force it is a
-test at its one divisor. Where G has a negative entry off its diagonal,
-the walk visits every negative-definite subset.
+extension. The bound is an interval of v, and one that is empty or only
+{0} skips every subset below it: their rows would be empty or the point
+{0}, which the table drops anyway. Brute force's divisor is a right-hand
+side of slope 0, so its interval stays all of v >= 0 until a residual
+turns negative and empties it. Where G has a negative entry off its
+diagonal, the walk visits every negative-definite subset.
 
 All subset systems of one configuration share one elimination tree, which
 one depth-first walk enumerates. Each subset is its parent (its prefix)
@@ -87,7 +88,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .config import SurfaceConfig
 from .errors import Ambiguous, DimensionMismatch, NoSolution
@@ -98,8 +99,6 @@ from .zariski import Decomposition, decomposition_for
 
 # the subsets of a wider configuration are too many to enumerate
 _MAX_ORACLE_CURVES = 16
-
-Bound = TypeVar("Bound")  # a walk's branch bound (`_subset_states`)
 
 
 def _check_curve_count(config: SurfaceConfig) -> None:
@@ -117,28 +116,21 @@ def _root_columns(gh: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> 
     return [[-x for x in col] for col in zip(*gh)] + [[-x for x in col] for col in rhs]
 
 
-def _unbounded(bound: Bound, conds: Iterable[Sequence[int]]) -> Bound:
-    """The walk's bound where G has a negative entry off its diagonal: it never narrows."""
-    return bound
-
-
 def _subset_states(
-    gh: Sequence[Sequence[int]],
-    root: list[list[int]],
-    bound: Bound,
-    narrow: Callable[[Bound, Iterable[Sequence[int]]], Bound | None],
+    gh: Sequence[Sequence[int]], root: list[list[int]]
 ) -> Iterator[tuple[tuple[int, ...], list[list[int]], int, int]]:
     """(subset, columns, prev, j) for every nonempty negative-definite subset
     that the branch bound (see the module docstring) leaves in.
 
     (columns, prev) is the `linalg.extend` state of the parent subset[:-1],
-    pivoted from the root columns [a | -rhs] with a = -gh, and j is
-    subset[-1]. The subset's own state is one Bareiss step away, and a
-    caller reads off it only the entries it needs: with fcol = columns[j]
-    and p = fcol[j] = det(a_S) > 0, entry r of a column col past j is
-    (p*col[r] - fcol[r]*col[j]) // prev, and entry j is col[j]. On a
-    right-hand-side column that is p*x_r for r in S, where gh_S x = rhs_S,
-    and -p times the residual rhs_r - (gh x)_r off S.
+    pivoted from the root columns [a | -b0 | -b1] with a = -gh and the
+    right-hand side rhs = b0 + b1*v, and j is subset[-1]. The subset's own
+    state is one Bareiss step away, and a caller reads off it only the
+    entries it needs: with fcol = columns[j] and p = fcol[j] = det(a_S) > 0,
+    entry r of a column col past j is (p*col[r] - fcol[r]*col[j]) // prev,
+    and entry j is col[j]. On a right-hand-side column that is p*x_r for r
+    in S, where gh_S x = rhs_S, and -p times the residual rhs_r - (gh x)_r
+    off S.
 
     The walk runs depth first in ascending index order. subset + (j,) is
     negative definite exactly when the parent's columns[j][j] > 0
@@ -147,28 +139,28 @@ def _subset_states(
     pivoted (one `extend`), and its state waits on a stack of depth at most
     the curve count while its children are walked.
 
-    Each frame carries a bound that every subset accepted below it meets,
-    starting from `bound` at the root. `narrow(bound, conds)` cuts a bound
-    by conditions, each the entries of one residual (one integer per
-    right-hand-side column, negated from the state's), and returns None
-    when no subset below can be accepted. Before a frame tries a definite
-    index j, it cuts its bound by rhs_r and by its own residual at every
+    Each frame carries an interval of v that every subset accepted below it
+    meets, starting from `_ALL_V` at the root, and `_narrowed` cuts it by
+    residuals, each a condition (c0, c1) negated from the state's two
+    right-hand-side entries; None means no subset below can be accepted.
+    For brute force b1 = 0, so the interval is all of v >= 0 until a
+    residual at its divisor is negative. Before a frame tries a definite
+    index j, it cuts its interval by rhs_r and by its own residual at every
     index r it has passed since, and it ends if that gives None. Each child
     it tries is yielded, and the caller's own scan decides it. A child with
-    children, whose first definite extension is k, cuts its frame's bound
-    by its residuals at the indices below k off it, read off the parent's
-    state, and by rhs_r for j < r < k; only if that leaves a bound is it
-    pivoted and its own frame started at k, which yields k next. Where gh
-    has a negative entry off its diagonal the bound does not hold: `narrow`
-    is not applied, and the walk visits every negative-definite subset, in
-    depth-first preorder.
+    children, whose first definite extension is k, cuts its frame's
+    interval by its residuals at the indices below k off it, read off the
+    parent's state, and by rhs_r for j < r < k; only if that leaves an
+    interval is it pivoted and its own frame started at k, which yields k
+    next. Where gh has a negative entry off its diagonal the bound does not
+    hold: no interval is cut, and the walk visits every negative-definite
+    subset, in depth-first preorder.
     """
     n = len(gh)
-    if any(x < 0 for i, row in enumerate(gh) for k, x in enumerate(row) if k != i):
-        narrow = _unbounded
+    bounded = not any(x < 0 for i, row in enumerate(gh) for k, x in enumerate(row) if k != i)
     rhs = [[-b[r] for b in root[n:]] for r in range(n)]  # rhs_r, the empty subset's residual
     # (subset, its state, first index passed but not yet in the bound, next index to try, bound)
-    frames = [((), (root, 1), 0, 0, bound)]
+    frames = [((), (root, 1), 0, 0, _ALL_V)]
     while frames:
         subset, state, lo, j, bound = frames.pop()
         cols, prev = state
@@ -179,9 +171,9 @@ def _subset_states(
             if p <= 0:
                 j += 1
                 continue
-            if lo < j:  # no subset of the frame from j on holds lo, ..., j - 1
+            if bounded and lo < j:  # no subset of the frame from j on holds lo, ..., j - 1
                 passed = (c for r in range(lo, j) for c in (rhs[r], [-b[r] for b in bs]))
-                bound = narrow(bound, passed)
+                bound = _narrowed(bound, passed)
                 if bound is None:
                     break
                 lo = j
@@ -196,7 +188,7 @@ def _subset_states(
                         for r in range(k)
                         if r != j and r not in subset
                     ]
-                    inner = narrow(bound, off + rhs[j + 1 : k])
+                    inner = _narrowed(bound, off + rhs[j + 1 : k]) if bounded else bound
                     break
             else:
                 inner = None  # the child is a leaf
@@ -251,8 +243,10 @@ def _narrowed(interval: _Interval, conds: Iterable[Sequence[int]]) -> _Interval 
     or None if that set is empty or only {0}.
 
     The scan stops at the first condition that empties the interval or
-    bounds it by 0 from above. It is the table's branch bound
-    (`_subset_states`), and its accepted interval from `_ALL_V`.
+    bounds it by 0 from above. It is the branch bound of both walks
+    (`_subset_states`), and from `_ALL_V` the table's accepted interval. On
+    brute force's conditions, all of slope 0, it keeps `_ALL_V` exactly when
+    every c0 >= 0.
     """
     ln, ld, hn, hd = interval
     for c0, c1 in conds:
@@ -285,12 +279,6 @@ def _accepted_interval(
         return None
     ln, ld, hn, hd = interval
     return Fraction(ln, ld), (Fraction(hn, hd) if hd else None)
-
-
-def _passes(bound: bool, conds: Iterable[Sequence[int]]) -> bool | None:
-    """Brute force's branch bound at its one divisor: None unless c >= 0 for
-    every condition (c,)."""
-    return bound if all(c >= 0 for c, in conds) else None
 
 
 def _conditions(
@@ -365,7 +353,7 @@ class SubsetTable:
         interval = _accepted_interval((-c0, -c1) for c0, c1 in zip(root[n], root[n + 1]))
         if interval is not None:
             rows.append(_TableRow((), *interval, (), (), rho))
-        for subset, cols, prev, j in _subset_states(gh, root, _ALL_V, _narrowed):
+        for subset, cols, prev, j in _subset_states(gh, root):
             b0, b1, fcol = cols[n], cols[n + 1], cols[j]
             interval = _accepted_interval(_conditions(subset, b0, b1, fcol, prev, n))
             if interval is not None:
@@ -442,11 +430,11 @@ def brute_force_negative_part(
     lam = math.lcm(*(c.denominator for c in d))
     terms = [(i, int(c * lam)) for i, c in enumerate(d) if c]
     b = [sum(a * gh[i][j] for i, a in terms) for j in range(n)]  # mu * lam * d.D_j
-    root = _root_columns(gh, (b,))
+    root = _root_columns(gh, (b, [0] * n))  # a right-hand side of slope 0
     accepted: list[tuple[Fraction, ...]] = []
     if all(y <= 0 for y in root[n]):  # the empty subset: every residual b_j >= 0
         accepted.append((Fraction(0),) * n)
-    for subset, cols, prev, j in _subset_states(gh, root, True, _passes):
+    for subset, cols, prev, j in _subset_states(gh, root):
         col, fcol = cols[n], cols[j]
         p, yj = fcol[j], col[j]  # p = det, yj = det * y_j
         if yj < 0:

@@ -26,10 +26,6 @@ from .errors import IrrationalRoot
 from .rationals import RatLike, format_rational, parse_rational
 
 
-def _as_fraction(x: RatLike) -> Fraction:
-    return x if isinstance(x, Fraction) else parse_rational(x)
-
-
 def render_coeffs(coeffs: Sequence[Fraction], var: str = "v") -> str:
     """Ascending coefficients in human-readable form, like "1 - 2*v^2"."""
     parts: list[str] = []
@@ -203,7 +199,7 @@ class PiecewisePoly:
         pieces: Iterable[Poly],
         continuous: bool = True,
     ):
-        bps = tuple(map(_as_fraction, breakpoints))
+        bps = tuple(map(parse_rational, breakpoints))
         ps = tuple(pieces)
         if len(bps) < 2 or len(ps) != len(bps) - 1:
             raise ValueError("need k+1 breakpoints for k >= 1 pieces")

@@ -32,6 +32,10 @@ def test_removed_names_stay_removed():
         (dpdelta.catalog, "verify_all"),
         (dpdelta.poly, "IntQuadratic"),
         (dpdelta.applications, "row_assignments"),
+        (dpdelta.oracle, "Bound"),
+        (dpdelta.oracle, "_passes"),
+        (dpdelta.oracle, "_unbounded"),
+        (dpdelta.poly, "_as_fraction"),
     ):
         assert name not in dpdelta.__all__
         assert not hasattr(dpdelta, name)

@@ -403,6 +403,64 @@ class TestOracle:
             == "error: case A1-nodal stores no flag row for 'C'\n"
         )
 
+    def test_too_many_curves_is_an_input_error(self, capsys, tmp_path, monkeypatch):
+        # 15 disjoint (-2)-curves off -K take A1-nodal to 17 curves, one past
+        # the subset oracle's cap; the case itself stays valid
+        target = tmp_path / "A1-nodal"
+        shutil.copytree(catalog_root() / "A1-nodal", target)
+        cfg_path = target / "config_base.json"
+        data = json.loads(cfg_path.read_text(encoding="utf-8"))
+        n = 17
+        data["curves"] += [{"name": f"N{i}"} for i in range(n - 2)]
+        gram = [[str(x) for x in row] + ["0"] * (n - 2) for row in data["gram"]]
+        gram += [["0"] * n for _ in range(n - 2)]
+        for i in range(2, n):
+            gram[i][i] = "-2"
+        data["gram"] = gram
+        data["anti_k"] += ["0"] * (n - 2)
+        cfg_path.write_text(json.dumps(data), encoding="utf-8")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
+
+        assert main(["oracle", "--case", "A1-nodal", "--flag", "E", "--trials", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the subset oracle supports at most 16 curves, got 17 on config A1-nodal\n"
+        )
+
+    def test_tau_too_small_to_sample_is_an_input_error(self, capsys, tmp_path, monkeypatch):
+        # -K = E/20000 with E^2 = 1 stays nef up to tau = 1/20000, below the
+        # smallest sample 1/10000; log adjunction holds through E's discrepancy
+        target = tmp_path / "tiny"
+        target.mkdir()
+        config = {
+            "name": "tiny",
+            "norm": "1/400000000",
+            "smooth_surface": False,
+            "curves": [{"name": "E"}],
+            "gram": [["1"]],
+            "anti_k": ["1/20000"],
+            "discrepancy": {"E": "-39999/20000"},
+            "points": [],
+        }
+        expected = {
+            "case": "tiny",
+            "delta": "1",
+            "configs": [{"id": "base", "file": "config_base.json"}],
+            "flags": [{"config": "base", "flag": "E", "s": "1"}],
+        }
+        (target / "config_base.json").write_text(json.dumps(config), encoding="utf-8")
+        (target / "expected.json").write_text(json.dumps(expected), encoding="utf-8")
+        monkeypatch.setenv("DPDELTA_CATALOG", str(tmp_path))
+
+        assert main(["oracle", "--case", "tiny", "--flag", "E"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no sample with denominator <= 10000 lies in (0, tau) for "
+            "tau = 1/20000; tau must exceed 1/10000\n"
+        )
+
     @pytest.mark.parametrize("trials", ["0", "-3", "x"])
     def test_trials_must_be_positive(self, capsys, trials):
         rc = main(["oracle", "--case", "A1-nodal", "--flag", "E", "--trials", trials])

@@ -238,9 +238,13 @@ def _outcome(fn, config, d):
 
 
 def _walk(config: SurfaceConfig) -> tuple[tuple[int, ...], ...]:
-    """The nonempty subsets the table and brute-force walk visits with its bound off, in order."""
-    root = oracle._root_columns(config.int_gram, ())
-    walk = oracle._subset_states(config.int_gram, root, True, oracle._unbounded)
+    """The nonempty subsets the table and brute-force walk visits with its bound off, in order.
+
+    Both right-hand sides are 0, so every residual is 0 and the bound never cuts.
+    """
+    gh = config.int_gram
+    zero = [0] * len(gh)
+    walk = oracle._subset_states(gh, oracle._root_columns(gh, (zero, zero)))
     return tuple(subset for subset, *_ in walk)
 
 
@@ -696,14 +700,13 @@ class TestPivotWalk:
         **_random_inputs,
     )
     def test_random_gram_matrices_match_the_references(self, cfg, fi, v, coeffs):
-        """A negative entry off the diagonal turns the bound off: the walk
-        visits every negative-definite subset."""
-        self._match_the_references(cfg, fi, v, coeffs)
-        flag = cfg.curve_names[fi % len(cfg.curve_names)]
+        """A negative entry off the diagonal turns the bound off: the table's
+        walk, and brute force's at the drawn divisor and at the drawn
+        coefficients, each visit every negative-definite subset."""
         with pytest.MonkeyPatch.context() as monkeypatch:
             visited, _ = _record_walk(monkeypatch)
-            SubsetTable(cfg, flag)
-        assert tuple(visited) == negative_definite_subsets(cfg)[1:]
+            self._match_the_references(cfg, fi, v, coeffs)
+        assert visited == list(negative_definite_subsets(cfg)[1:]) * 3
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=_small_configs(low=0), **_random_inputs)
